@@ -12,10 +12,8 @@ from .estimators import (AlphaStrategy, EstimateSample, ExactMoments,
                          exact_estimator_moments, gradient_step, resolve_alpha,
                          run_monte_carlo, safe_alpha, xbar_from_forest)
 from .forests import (ForestDistribution, ForestFamily, RootedForest,
-                      derive_seed, enumerate_forests, forest_rng, sample_forest,
-                      save_forest)
-from .graphs import (Graph, degrees_and_dmax, gen_graph, load_graph,
-                     load_positions, save_graph)
+                      derive_seed, enumerate_forests, forest_rng, sample_forest)
+from .graphs import Graph, gen_graph, load_graph, load_positions, save_graph
 from .linalg import (LaplacianOperator, SmoothingProblem, SpectralCheckReport,
                      apply_K_inverse, contraction_check, solve_exact_cg,
                      solve_exact_dense)
@@ -31,11 +29,10 @@ __all__ = [
     "LaplacianOperator", "MonteCarloAccumulator", "MonteCarloResult",
     "NumericalError", "RootedForest", "SSLProblem", "SmoothingProblem",
     "SpectralCheckReport", "accuracy_experiment", "apply_K_inverse",
-    "contraction_check", "degrees_and_dmax", "derive_seed",
-    "enumerate_forests", "exact_estimator_moments", "forest_rng", "gen_graph",
-    "gradient_step", "load_graph", "load_labeled_set", "load_labels",
-    "load_positions", "load_signal", "psnr", "resolve_alpha",
-    "run_monte_carlo", "safe_alpha", "sample_forest", "save_forest",
-    "save_graph", "solve_exact_cg", "solve_exact_dense", "ssl_exact",
-    "ssl_forest", "synthetic_signal", "xbar_from_forest",
+    "contraction_check", "derive_seed", "enumerate_forests",
+    "exact_estimator_moments", "forest_rng", "gen_graph", "gradient_step",
+    "load_graph", "load_labeled_set", "load_labels", "load_positions",
+    "load_signal", "psnr", "resolve_alpha", "run_monte_carlo", "safe_alpha",
+    "sample_forest", "save_graph", "solve_exact_cg", "solve_exact_dense",
+    "ssl_exact", "ssl_forest", "synthetic_signal", "xbar_from_forest",
 ]

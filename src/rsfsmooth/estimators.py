@@ -9,7 +9,7 @@ optimal step size and an empirical estimate of it from the samples.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -63,9 +63,10 @@ class MonteCarloAccumulator:
     """Streaming moments of (xbar, ybar) sample pairs.
 
     Keeps running means plus centered scalar co-moments (Welford/Chan
-    updates), enough to recover the sums N, sum_x, sum_y, sum_xx, sum_yy,
-    sum_xy and the empirical step size without storing samples. Merging
-    two accumulators is associative and commutative up to rounding.
+    updates), enough for the trace statistics and the empirical step size
+    without storing samples. `total_walk_steps` counts the walk steps of
+    the forests that fed it. Merging two accumulators is associative and
+    commutative up to rounding.
     """
 
     def __init__(self, n):
@@ -115,27 +116,6 @@ class MonteCarloAccumulator:
         out.total_walk_steps = self.total_walk_steps + other.total_walk_steps
         return out
 
-    # --- raw-sum views -------------------------------------------------
-    @property
-    def sum_x(self):
-        return self.count * self.mean_x
-
-    @property
-    def sum_y(self):
-        return self.count * self.mean_y
-
-    @property
-    def sum_xx(self):
-        return self._m_xx + self.count * float(self.mean_x @ self.mean_x)
-
-    @property
-    def sum_yy(self):
-        return self._m_yy + self.count * float(self.mean_y @ self.mean_y)
-
-    @property
-    def sum_xy(self):
-        return self._m_xy + self.count * float(self.mean_x @ self.mean_y)
-
     # --- trace statistics ----------------------------------------------
     @property
     def tr_var_xbar(self):
@@ -150,20 +130,22 @@ class MonteCarloAccumulator:
         return self._m_xy / (self.count - 1) if self.count >= 2 else math.nan
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaStrategy:
     """How the gradient step size is chosen.
 
     kinds: "safe_constant" (spectral bound, guarantees contraction),
     "empirical" (covariance/variance trace ratio from the samples),
-    "fixed" (given constant), "oracle_optimal" (exact enumeration,
+    "fixed" (given finite constant), "oracle_optimal" (exact enumeration,
     tiny graphs only).
     """
 
     kind: str
     value: float = None
-    resolved: float = None
-    fallback: bool = False
+
+    def __post_init__(self):
+        if self.kind == "fixed" and (self.value is None or not math.isfinite(self.value)):
+            raise DataError(f"fixed step size must be a finite number, got {self.value!r}")
 
     @classmethod
     def safe(cls):
@@ -183,7 +165,7 @@ class AlphaStrategy:
 
     @classmethod
     def parse(cls, text):
-        """"safe", "empirical", "oracle", or a float literal."""
+        """"safe", "empirical", "oracle", or a finite float literal."""
         text = str(text).strip().lower()
         if text in ("safe", "safe_constant"):
             return cls.safe()
@@ -192,9 +174,10 @@ class AlphaStrategy:
         if text in ("oracle", "oracle_optimal"):
             return cls.oracle()
         try:
-            return cls.fixed(float(text))
+            value = float(text)
         except ValueError:
             raise DataError(f"cannot parse step-size strategy {text!r}") from None
+        return cls.fixed(value)
 
 
 def safe_alpha(problem):
@@ -212,38 +195,47 @@ def safe_alpha(problem):
 
 
 def resolve_alpha(strategy, problem, acc=None):
-    """Resolve a step-size strategy to a number; records it on the strategy.
+    """Resolve a step-size strategy to (alpha, fallback).
 
-    The empirical and oracle strategies fall back to alpha = 0 (flagged on
-    the strategy) when the control variate has zero variance, which only
-    happens for constant signals; the plain average is exact there and a
-    gradient step has nothing to correct.
+    The empirical and oracle strategies fall back to alpha = 0 (fallback
+    True) when the control variate has zero variance, which only happens
+    for constant signals; the plain average is exact there and a gradient
+    step has nothing to correct.
     """
     if strategy.kind == "fixed":
-        if strategy.value is None:
-            raise DataError("fixed step-size strategy needs a value")
-        alpha = float(strategy.value)
-    elif strategy.kind == "safe_constant":
-        alpha = safe_alpha(problem)
-    elif strategy.kind == "empirical":
+        return float(strategy.value), False
+    if strategy.kind == "safe_constant":
+        return safe_alpha(problem), False
+    if strategy.kind == "empirical":
         if acc is None or acc.count < 2:
             raise DataError("empirical step size needs >= 2 accumulated samples")
         if acc.tr_var_ybar <= ZERO_VARIANCE_TOL * problem.graph.n:
-            strategy.fallback = True
-            alpha = 0.0
-        else:
-            alpha = acc._m_xy / acc._m_yy
-    elif strategy.kind == "oracle_optimal":
-        moments = exact_estimator_moments(problem.graph, problem.q, problem.y)
-        if moments.alpha_star is None:
-            strategy.fallback = True
-            alpha = 0.0
-        else:
-            alpha = moments.alpha_star
-    else:
-        raise DataError(f"unknown step-size strategy {strategy.kind!r}")
-    strategy.resolved = alpha
-    return alpha
+            return 0.0, True
+        return acc._m_xy / acc._m_yy, False
+    if strategy.kind == "oracle_optimal":
+        alpha_star = exact_estimator_moments(problem.graph, problem.q, problem.y).alpha_star
+        return (0.0, True) if alpha_star is None else (alpha_star, False)
+    raise DataError(f"unknown step-size strategy {strategy.kind!r}")
+
+
+def accumulate_forests(problems, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET):
+    """One accumulator per problem, all fed by the same n_samples forests.
+
+    The problems share one graph and one q (they differ only in the
+    signal), so forest i is drawn once, on the stream derived from
+    (seed, i), and its tree average of every signal goes to that signal's
+    accumulator. This is the package's only forest-sampling loop.
+    """
+    if n_samples < 1:
+        raise DataError("n_samples must be >= 1")
+    g, q = problems[0].graph, problems[0].q
+    accs = [MonteCarloAccumulator(g.n) for _ in problems]
+    for i in range(n_samples):
+        forest = sample_forest(g, q, forest_rng(seed, i), max_steps=max_steps)
+        for acc, problem in zip(accs, problems):
+            acc.add(xbar_from_forest(forest, problem))
+            acc.total_walk_steps += forest.rng_draws
+    return accs
 
 
 @dataclass
@@ -266,18 +258,10 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0,
     strategy resolves its step size from the same samples; the small
     O(1/N) bias this introduces is flagged in the diagnostics.
     """
-    if n_samples < 1:
-        raise DataError("n_samples must be >= 1")
     if strategy.kind == "empirical" and n_samples < 2:
         raise DataError("the empirical strategy needs n_samples >= 2")
-    strategy = replace(strategy, resolved=None, fallback=False)
-    acc = MonteCarloAccumulator(problem.graph.n)
-    for i in range(n_samples):
-        forest = sample_forest(problem.graph, problem.q, forest_rng(seed, i),
-                               max_steps=max_steps)
-        acc.add(xbar_from_forest(forest, problem))
-        acc.total_walk_steps += forest.rng_draws
-    alpha = resolve_alpha(strategy, problem, acc)
+    acc, = accumulate_forests([problem], n_samples, seed, max_steps)
+    alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)
     diagnostics = {
         "n_samples": n_samples,
@@ -287,7 +271,7 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0,
         "tr_var_ybar": acc.tr_var_ybar if n_samples >= 2 else None,
         "tr_cov_xy": acc.tr_cov_xy if n_samples >= 2 else None,
         "total_walk_steps": acc.total_walk_steps,
-        "zero_variance_fallback": strategy.fallback,
+        "zero_variance_fallback": fallback,
         "alpha_from_same_samples": strategy.kind == "empirical",
     }
     return MonteCarloResult(estimate=estimate, alpha=alpha, strategy=strategy,

@@ -1,10 +1,12 @@
 """Experiment drivers behind the CLI: step-size sweeps and denoising tables."""
 
+import math
+
 import numpy as np
 
 from .errors import DataError
-from .estimators import (AlphaStrategy, exact_estimator_moments, run_monte_carlo,
-                         safe_alpha)
+from .estimators import (AlphaStrategy, accumulate_forests, exact_estimator_moments,
+                         gradient_step, resolve_alpha, safe_alpha)
 from .forests import ENUM_MAX_VERTICES, derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
 from .signals import psnr
@@ -34,9 +36,9 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     sq_hat = 0.0
     alpha_hats = []
     for r in range(realizations):
-        res = run_monte_carlo(problem, n_samples, AlphaStrategy.empirical(),
-                              seed=derive_seed(seed, 3, r))
-        m_x = res.accumulator.mean_x
+        acc, = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
+        alpha_hat, _ = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
+        m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
         base = m_x - xhat
         errs = base[None, :] - alpha_grid[:, None] * corr[None, :]
@@ -44,9 +46,9 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
         sq_xbar += float(base @ base)
         e = base - a_safe * corr
         sq_safe += float(e @ e)
-        e = base - res.alpha * corr
+        e = base - alpha_hat * corr
         sq_hat += float(e @ e)
-        alpha_hats.append(res.alpha)
+        alpha_hats.append(alpha_hat)
 
     alpha_star = None
     if graph.n <= ENUM_MAX_VERTICES:
@@ -67,13 +69,16 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     """PSNR of the noisy input and of each estimator across a q grid.
 
     One noisy signal (Gaussian noise on `clean`) is shared by the whole
-    grid. The plain-average, safe-step, and empirical-step estimators are
-    run on identical forest draws at each q. The empirical-step column is
-    None when n_samples < 2.
+    grid. At each q one pass of n_samples forests feeds a single
+    accumulator, and the plain-average, safe-step, and empirical-step
+    columns are all read from it (the stepped estimate is linear in the
+    step size). The empirical-step column is None when n_samples < 2.
     """
     q_grid = np.asarray(q_grid, dtype=np.float64)
     if q_grid.size == 0 or (q_grid <= 0).any():
         raise DataError("q grid must be nonempty and positive")
+    if not math.isfinite(noise_std):
+        raise DataError(f"noise standard deviation must be finite, got {noise_std!r}")
     clean = np.asarray(clean, dtype=np.float64)
     noise_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4)))
     y = clean + noise_std * noise_rng.standard_normal(graph.n)
@@ -84,19 +89,19 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     for qi, qv in enumerate(q_grid):
         problem = SmoothingProblem(graph, y, float(qv))
         xhat, _ = solve_exact_cg(problem)
-        sub = derive_seed(seed, 5, qi)
-        res_x = run_monte_carlo(problem, n_samples, AlphaStrategy.fixed(0.0), seed=sub)
-        res_s = run_monte_carlo(problem, n_samples, AlphaStrategy.safe(), seed=sub)
-        psnr_emp = None
-        if n_samples >= 2:
-            res_e = run_monte_carlo(problem, n_samples, AlphaStrategy.empirical(), seed=sub)
-            psnr_emp = psnr(clean, res_e.estimate, peak=peak)
+        acc, = accumulate_forests([problem], n_samples, derive_seed(seed, 5, qi))
+
+        def column(strategy):
+            alpha, _ = resolve_alpha(strategy, problem, acc)
+            return psnr(clean, gradient_step(acc.mean_x, problem, alpha), peak=peak)
+
         rows.append({
             "q": float(qv),
             "psnr_noisy": psnr_noisy,
             "psnr_exact": psnr(clean, xhat, peak=peak),
-            "psnr_xbar": psnr(clean, res_x.estimate, peak=peak),
-            "psnr_zbar_safe": psnr(clean, res_s.estimate, peak=peak),
-            "psnr_zbar_empirical": psnr_emp,
+            "psnr_xbar": column(AlphaStrategy.fixed(0.0)),
+            "psnr_zbar_safe": column(AlphaStrategy.safe()),
+            "psnr_zbar_empirical": (column(AlphaStrategy.empirical())
+                                    if n_samples >= 2 else None),
         })
     return rows

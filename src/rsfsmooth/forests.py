@@ -145,13 +145,6 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     )
 
 
-def save_forest(forest, path):
-    """Write "vertex root" lines (debugging dump)."""
-    with open(path, "w") as fh:
-        for v, r in enumerate(forest.root_of):
-            fh.write(f"{v} {r}\n")
-
-
 @dataclass
 class ForestFamily:
     """All rooted forests sharing one edge subset.

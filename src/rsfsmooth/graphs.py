@@ -5,6 +5,8 @@ and the random-graph generators used by the experiment harness (random
 regular, Barabasi-Albert, grid, k-nearest-neighbour).
 """
 
+import math
+
 import networkx as nx
 import numpy as np
 from scipy import sparse
@@ -63,8 +65,8 @@ class Graph:
         """Build a connected graph from undirected (u, v, w) triples.
 
         Each undirected edge must appear exactly once. Raises `DataError`
-        on self-loops, duplicates, nonpositive weights, out-of-range ids,
-        or a disconnected result.
+        on self-loops, duplicates, nonpositive or non-finite weights,
+        out-of-range ids, or a disconnected result.
         """
         seen = set()
         rows, cols, vals = [], [], []
@@ -74,8 +76,8 @@ class Graph:
                 raise DataError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DataError(f"vertex id out of range: edge ({u}, {v}) with n={n}")
-            if w <= 0:
-                raise DataError(f"nonpositive weight {w} on edge ({u}, {v})")
+            if not 0 < w < math.inf:
+                raise DataError(f"nonpositive or non-finite weight {w} on edge ({u}, {v})")
             key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise DataError(f"duplicate undirected edge ({key[0]}, {key[1]})")
@@ -110,10 +112,6 @@ class Graph:
         """Source vertex of each stored arc, aligned with `indices`."""
         return self._arc_rows
 
-    def neighbors(self, u):
-        """Neighbor ids of vertex u (CSR slice)."""
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
-
     def walk_tables(self):
         """Per-vertex neighbor lists and cumulative weights for random walks.
 
@@ -141,18 +139,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
 
 
-def degrees_and_dmax(g):
-    """Per-vertex weighted degrees and the maximum degree."""
-    return g.degrees, g.d_max
-
-
 def load_graph(path):
     """Load a graph from an edge-list text file.
 
     Lines are "u v w" with w optional (default 1.0); '#' starts a comment.
     Vertex ids must be dense 0-based integers. Raises `DataError` with the
     offending line number on parse failures, and on duplicate edges,
-    nonpositive weights, id gaps, or disconnected graphs.
+    nonpositive or non-finite weights, id gaps, or disconnected graphs.
     """
     edges = []
     ids = set()
@@ -171,8 +164,8 @@ def load_graph(path):
                 raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
             if u < 0 or v < 0:
                 raise DataError(f"{path}: line {lineno}: negative vertex id")
-            if w <= 0:
-                raise DataError(f"{path}: line {lineno}: nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise DataError(f"{path}: line {lineno}: nonpositive or non-finite weight {w}")
             edges.append((u, v, w))
             ids.add(u)
             ids.add(v)

@@ -55,6 +55,8 @@ class SmoothingProblem:
         self.y = np.ascontiguousarray(y, dtype=np.float64)
         if self.y.shape != (graph.n,):
             raise DataError(f"signal length {self.y.shape} does not match n={graph.n}")
+        if not np.isfinite(self.y).all():
+            raise DataError("signal values must be finite")
         self.q_uniform = np.isscalar(q) or np.ndim(q) == 0
         self.q = np.broadcast_to(
             np.asarray(q, dtype=np.float64), (graph.n,)
@@ -62,10 +64,6 @@ class SmoothingProblem:
         if not (self.q > 0).all():
             raise DataError("absorption weights q must be strictly positive")
         self.laplacian = LaplacianOperator(graph)
-
-    def with_signal(self, y):
-        """Same graph and q, different signal."""
-        return SmoothingProblem(self.graph, y, self.q if not self.q_uniform else self.q[0])
 
 
 def apply_K_inverse(problem, v):

@@ -6,14 +6,13 @@ with absorption weights q_i = (mu/2) d_i. Scores are computed either
 exactly (conjugate gradient) or by the forest Monte Carlo estimators.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .estimators import (AlphaStrategy, MonteCarloAccumulator, gradient_step,
-                         resolve_alpha, xbar_from_forest)
-from .forests import DEFAULT_STEP_BUDGET, derive_seed, forest_rng, sample_forest
+from .estimators import AlphaStrategy, accumulate_forests, gradient_step, resolve_alpha
+from .forests import DEFAULT_STEP_BUDGET, derive_seed
 from .linalg import SmoothingProblem, solve_exact_cg
 
 
@@ -120,80 +119,64 @@ def ssl_exact(problem, tol=1e-10, max_iter=None):
     return _finish(problem, F, {"cg_iterations": iters})
 
 
-def ssl_forest(problem, n_samples, strategy, seed=0, resample_per_class=False,
-               max_steps=DEFAULT_STEP_BUDGET):
-    """Forest Monte Carlo classification scores.
-
-    By default each forest draw is shared by all k classes: the forest law
-    depends only on q_i = (mu/2) d_i, not on the class signal, so one draw
-    serves every column of Y at a k-fold cost saving. Set
-    `resample_per_class` to draw independent forests per class instead.
-    """
-    if n_samples < 1:
-        raise DataError("n_samples must be >= 1")
+def _class_accumulators(problem, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET):
+    """One forest pass: the per-class smoothing problems and their
+    accumulators. The forest law depends only on q_i = (mu/2) d_i, not on
+    the class signal, so each draw serves every column of Y."""
     g = problem.graph
     d_in = g.degrees ** (problem.sigma - 1.0)
-    d_out = g.degrees ** (1.0 - problem.sigma)
     q = problem.absorption()
     Y = problem.label_matrix()
     subproblems = [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(problem.k)]
-    accs = [MonteCarloAccumulator(g.n) for _ in range(problem.k)]
+    return subproblems, accumulate_forests(subproblems, n_samples, seed, max_steps)
 
-    if resample_per_class:
-        for c in range(problem.k):
-            for i in range(n_samples):
-                forest = sample_forest(g, q, forest_rng(seed, c, i), max_steps=max_steps)
-                accs[c].add(xbar_from_forest(forest, subproblems[c]))
-                accs[c].total_walk_steps += forest.rng_draws
-    else:
-        for i in range(n_samples):
-            forest = sample_forest(g, q, forest_rng(seed, i), max_steps=max_steps)
-            for c in range(problem.k):
-                accs[c].add(xbar_from_forest(forest, subproblems[c]))
-            accs[0].total_walk_steps += forest.rng_draws
 
-    F = np.empty((g.n, problem.k))
+def _forest_result(problem, subproblems, accs, strategy):
+    """Scores, predictions and accuracy of one step-size strategy."""
+    d_out = problem.graph.degrees ** (1.0 - problem.sigma)
+    F = np.empty((problem.graph.n, problem.k))
     alphas, fallbacks = [], []
-    for c in range(problem.k):
-        strat = replace(strategy, resolved=None, fallback=False)
-        alpha = resolve_alpha(strat, subproblems[c], accs[c])
-        F[:, c] = d_out * gradient_step(accs[c].mean_x, subproblems[c], alpha)
+    for c, (sp, acc) in enumerate(zip(subproblems, accs)):
+        alpha, fallback = resolve_alpha(strategy, sp, acc)
+        F[:, c] = d_out * gradient_step(acc.mean_x, sp, alpha)
         alphas.append(alpha)
-        fallbacks.append(strat.fallback)
+        fallbacks.append(fallback)
     diagnostics = {
-        "n_samples": n_samples,
+        "n_samples": accs[0].count,
         "strategy": strategy.kind,
         "alpha_per_class": alphas,
         "zero_variance_fallback_per_class": fallbacks,
-        "forests_shared_across_classes": not resample_per_class,
-        "total_walk_steps": sum(a.total_walk_steps for a in accs),
+        "total_walk_steps": accs[0].total_walk_steps,
     }
     return _finish(problem, F, diagnostics)
 
 
-METHODS = ("exact", "xbar", "zbar_safe", "zbar_empirical")
+def ssl_forest(problem, n_samples, strategy, seed=0, max_steps=DEFAULT_STEP_BUDGET):
+    """Forest Monte Carlo classification scores.
+
+    Each forest draw is shared by all k classes, at a k-fold cost saving
+    over sampling per class.
+    """
+    return _forest_result(problem, *_class_accumulators(problem, n_samples, seed, max_steps),
+                          strategy)
 
 
-def _run_method(problem, method, n_samples, seed):
-    if method == "exact":
-        return ssl_exact(problem)
-    if method == "xbar":
-        return ssl_forest(problem, n_samples, AlphaStrategy.fixed(0.0), seed=seed)
-    if method == "zbar_safe":
-        return ssl_forest(problem, n_samples, AlphaStrategy.safe(), seed=seed)
-    if method == "zbar_empirical":
-        return ssl_forest(problem, n_samples, AlphaStrategy.empirical(), seed=seed)
-    raise DataError(f"unknown classification method {method!r}")
+FOREST_STRATEGIES = {
+    "xbar": AlphaStrategy.fixed(0.0),
+    "zbar_safe": AlphaStrategy.safe(),
+    "zbar_empirical": AlphaStrategy.empirical(),
+}
+METHODS = ("exact", *FOREST_STRATEGIES)
 
 
-def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0,
-                        methods=METHODS):
+def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0):
     """Mean/std holdout accuracy per method over random labeled sets.
 
     Each repeat samples `labels_per_class` labeled vertices per class
     uniformly without replacement from the ground-truth labels of
-    `problem`, classifies with every method (the forest methods share the
-    same draws within a repeat), and scores on the unlabeled remainder.
+    `problem`, classifies with every method (one forest pass per repeat
+    serves all three forest methods), and scores on the unlabeled
+    remainder.
 
     Returns a list of row dicts: {m, method, mean_acc, std_acc}.
     """
@@ -207,7 +190,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         if len(mem) < m:
             raise DataError(f"class {c} has {len(mem)} members, fewer than m={m}")
 
-    scores = {method: [] for method in methods}
+    scores = {method: [] for method in METHODS}
     for r in range(repeats):
         pick_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1, r)))
         labeled = np.concatenate([
@@ -215,12 +198,12 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         ])
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
-        forest_seed = derive_seed(seed, 2, r)
-        for method in methods:
-            result = _run_method(sub, method, n_samples, forest_seed)
-            scores[method].append(result.accuracy)
+        scores["exact"].append(ssl_exact(sub).accuracy)
+        forest_pass = _class_accumulators(sub, n_samples, derive_seed(seed, 2, r))
+        for method, strategy in FOREST_STRATEGIES.items():
+            scores[method].append(_forest_result(sub, *forest_pass, strategy).accuracy)
     rows = []
-    for method in methods:
+    for method in METHODS:
         accs = np.array(scores[method])
         rows.append({
             "m": m,

@@ -292,6 +292,34 @@ class TestExitCodes:
                     "--signal", "gaussian", "--q", "1.0",
                     "--alpha-grid", "lin:0,1", "--out", str(out)]) == 3
 
+    def test_non_finite_weight_is_data_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 1\n1 2 nan\n")
+        out = tmp_path / "x.csv"
+        assert run(["smooth", "--graph", str(bad), "--signal", "gaussian",
+                    "--q", "1.0", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_finite_signal_is_data_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["smooth", "--graph", p3_file(tmp_path),
+                    "--signal", signal_file(tmp_path, [1.0, "nan", 0.0]),
+                    "--q", "1.0", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_finite_alpha_is_data_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["smooth", "--graph", p3_file(tmp_path), "--signal", "gaussian",
+                    "--q", "1.0", "--alpha", "nan", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_finite_noise_std_is_data_error(self, tmp_path):
+        out = tmp_path / "psnr.csv"
+        assert run(["denoise", "--graph", p3_file(tmp_path),
+                    "--signal", signal_file(tmp_path, [1.0, 0.5, -1.0]),
+                    "--noise-std", "nan", "--q-grid", "1.0", "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "g.txt"
         with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -125,16 +126,14 @@ class TestAccumulator:
             acc.add(s)
         X = np.array([s.xbar for s in samples])
         Y = np.array([s.ybar for s in samples])
-        np.testing.assert_allclose(acc.sum_x, X.sum(axis=0), rtol=1e-10)
-        np.testing.assert_allclose(acc.sum_y, Y.sum(axis=0), rtol=1e-10)
-        assert acc.sum_xx == pytest.approx(np.einsum("ij,ij->", X, X), rel=1e-10)
-        assert acc.sum_yy == pytest.approx(np.einsum("ij,ij->", Y, Y), rel=1e-10)
-        assert acc.sum_xy == pytest.approx(np.einsum("ij,ij->", X, Y), rel=1e-10)
-        # trace statistics against numpy's covariance
+        assert acc.count == 40
+        np.testing.assert_allclose(acc.mean_x, X.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(acc.mean_y, Y.mean(axis=0), rtol=1e-10)
+        # trace statistics against numpy's batch variances and covariances
+        assert acc.tr_var_xbar == pytest.approx(np.var(X, axis=0, ddof=1).sum(), rel=1e-10)
+        assert acc.tr_var_ybar == pytest.approx(np.var(Y, axis=0, ddof=1).sum(), rel=1e-10)
         tr_cov = sum(np.cov(X[:, i], Y[:, i], ddof=1)[0, 1] for i in range(6))
         assert acc.tr_cov_xy == pytest.approx(tr_cov, rel=1e-10)
-        tr_var = sum(np.var(Y[:, i], ddof=1) for i in range(6))
-        assert acc.tr_var_ybar == pytest.approx(tr_var, rel=1e-10)
 
     def test_merge_equals_single_pass(self):
         samples = self.stream(5, 30, 8)
@@ -152,9 +151,9 @@ class TestAccumulator:
             assert merged.count == whole.count
             np.testing.assert_allclose(merged.mean_x, whole.mean_x, rtol=1e-10)
             np.testing.assert_allclose(merged.mean_y, whole.mean_y, rtol=1e-10)
-            assert merged.sum_xx == pytest.approx(whole.sum_xx, rel=1e-10)
-            assert merged.sum_xy == pytest.approx(whole.sum_xy, rel=1e-10)
-            assert merged.sum_yy == pytest.approx(whole.sum_yy, rel=1e-10)
+            assert merged.tr_var_xbar == pytest.approx(whole.tr_var_xbar, rel=1e-10)
+            assert merged.tr_cov_xy == pytest.approx(whole.tr_cov_xy, rel=1e-10)
+            assert merged.tr_var_ybar == pytest.approx(whole.tr_var_ybar, rel=1e-10)
 
     def test_merge_with_empty(self):
         samples = self.stream(4, 5, 9)
@@ -183,8 +182,8 @@ class TestResolveAlpha:
     def test_safe_p3(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         strategy = AlphaStrategy.safe()
-        assert resolve_alpha(strategy, problem) == 0.4  # 2q/(q + 2 d_max)
-        assert strategy.resolved == 0.4
+        assert resolve_alpha(strategy, problem) == (0.4, False)  # 2q/(q + 2 d_max)
+        assert strategy == AlphaStrategy.safe()
 
     def test_safe_matches_uniform_formula(self):
         g = random_connected_graph(20, extra_edges=25,
@@ -206,9 +205,16 @@ class TestResolveAlpha:
 
     def test_fixed(self, p3):
         problem = SmoothingProblem(p3, np.zeros(3), 1.0)
-        assert resolve_alpha(AlphaStrategy.fixed(0.77), problem) == 0.77
+        assert resolve_alpha(AlphaStrategy.fixed(0.77), problem) == (0.77, False)
         with pytest.raises(DataError):
             resolve_alpha(AlphaStrategy(kind="fixed"), problem)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_fixed_rejects_non_finite(self, value):
+        with pytest.raises(DataError, match="finite"):
+            AlphaStrategy.fixed(value)
+        with pytest.raises(DataError, match="finite"):
+            AlphaStrategy.parse(str(value))
 
     def test_parse(self):
         assert AlphaStrategy.parse("safe").kind == "safe_constant"
@@ -221,13 +227,19 @@ class TestResolveAlpha:
     def test_empirical_matches_raw_sum_formula(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         acc = MonteCarloAccumulator(3)
+        xs, ys = [], []
         for i in range(60):
-            acc.add(xbar_from_forest(sample_forest(p3, 1.0, forest_rng(21, i)), problem))
-        alpha = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
-        N = acc.count
-        num = acc.sum_xy - float(acc.sum_x @ acc.sum_y) / N
-        den = acc.sum_yy - float(acc.sum_y @ acc.sum_y) / N
-        assert alpha == pytest.approx(num / den, rel=1e-10)
+            sample = xbar_from_forest(sample_forest(p3, 1.0, forest_rng(21, i)), problem)
+            acc.add(sample)
+            xs.append(sample.xbar)
+            ys.append(sample.ybar)
+        alpha, fallback = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
+        X, Y = np.array(xs), np.array(ys)
+        N = len(X)
+        sum_x, sum_y = X.sum(axis=0), Y.sum(axis=0)
+        num = np.einsum("ij,ij->", X, Y) - float(sum_x @ sum_y) / N
+        den = np.einsum("ij,ij->", Y, Y) - float(sum_y @ sum_y) / N
+        assert alpha == pytest.approx(num / den, rel=1e-10) and not fallback
 
     def test_empirical_needs_samples(self, p3):
         problem = SmoothingProblem(p3, np.zeros(3), 1.0)
@@ -243,20 +255,16 @@ class TestResolveAlpha:
         acc = MonteCarloAccumulator(3)
         for i in range(5):
             acc.add(xbar_from_forest(sample_forest(p3, 1.0, forest_rng(22, i)), problem))
-        strategy = AlphaStrategy.empirical()
-        assert resolve_alpha(strategy, problem, acc) == 0.0
-        assert strategy.fallback
+        assert resolve_alpha(AlphaStrategy.empirical(), problem, acc) == (0.0, True)
 
     def test_oracle_fallback_constant_signal(self, p3):
         problem = SmoothingProblem(p3, np.full(3, 1.5), 1.0)
-        strategy = AlphaStrategy.oracle()
-        assert resolve_alpha(strategy, problem) == 0.0
-        assert strategy.fallback
+        assert resolve_alpha(AlphaStrategy.oracle(), problem) == (0.0, True)
 
     def test_oracle_matches_grid_argmin(self, p3):
         y = np.array([8.0, 0.0, 0.0])
         problem = SmoothingProblem(p3, y, 1.0)
-        alpha_star = resolve_alpha(AlphaStrategy.oracle(), problem)
+        alpha_star, _ = resolve_alpha(AlphaStrategy.oracle(), problem)
         moments = exact_estimator_moments(p3, 1.0, y)
         grid = np.linspace(0.0, 1.0, 201)
         fit = np.polyfit(grid, moments.mse_curve(grid), 2)
@@ -434,8 +442,10 @@ class TestRunMonteCarlo:
     def test_strategy_object_not_mutated(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         strategy = AlphaStrategy.safe()
-        run_monte_carlo(problem, 3, strategy, seed=35)
-        assert strategy.resolved is None
+        result = run_monte_carlo(problem, 3, strategy, seed=35)
+        assert result.strategy is strategy and strategy == AlphaStrategy.safe()
+        with pytest.raises(FrozenInstanceError):
+            strategy.value = 0.5
 
 
 class TestEmpiricalAlphaConsistency:
@@ -455,9 +465,9 @@ class TestEmpiricalAlphaConsistency:
             for _ in range(per_batch):
                 forest = sample_forest(p3, 1.0, stream)
                 acc.add(xbar_from_forest(forest, problem))
-            batch_alphas.append(resolve_alpha(AlphaStrategy.empirical(), problem, acc))
+            batch_alphas.append(resolve_alpha(AlphaStrategy.empirical(), problem, acc)[0])
             whole = whole.merge(acc)
         assert whole.count == 100000
-        alpha_full = resolve_alpha(AlphaStrategy.empirical(), problem, whole)
+        alpha_full, _ = resolve_alpha(AlphaStrategy.empirical(), problem, whole)
         se = np.std(batch_alphas, ddof=1) / np.sqrt(batches)
         assert abs(alpha_full - alpha_star) <= 3 * se

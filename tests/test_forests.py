@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from rsfsmooth import (DataError, Graph, NumericalError, enumerate_forests,
-                       forest_rng, sample_forest, save_forest)
+                       forest_rng, sample_forest)
 
 from conftest import (complete_graph, cycle_graph, enumeration_corpus,
                       path_graph, random_connected_graph)
@@ -129,7 +129,8 @@ class TestSampler:
     def test_partition_validity_properties(self):
         g = random_connected_graph(25, extra_edges=35,
                                    rng=np.random.default_rng(44), weighted=True)
-        neighbor_sets = [set(g.neighbors(u).tolist()) for u in range(g.n)]
+        neighbor_sets = [set(g.indices[g.indptr[u]:g.indptr[u + 1]].tolist())
+                         for u in range(g.n)]
         for i in range(200):
             f = sample_forest(g, 0.6, forest_rng(55, i))
             roots = f.roots
@@ -176,16 +177,6 @@ class TestForestHelpers:
         parts = f.partition
         assert parts[0][0] == 0 and parts[0][1].tolist() == [0, 1]
         assert parts[1][0] == 2 and parts[1][1].tolist() == [2]
-
-    def test_save_forest(self, tmp_path, p3):
-        f = sample_forest(p3, 1.0, forest_rng(2, 0))
-        path = tmp_path / "forest.txt"
-        save_forest(f, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        for v, line in enumerate(lines):
-            u, r = map(int, line.split())
-            assert u == v and r == f.root_of[v]
 
     def test_forest_rng_reproducible(self):
         assert forest_rng(9, 4).random() == forest_rng(9, 4).random()

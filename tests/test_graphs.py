@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rsfsmooth import DataError, Graph, degrees_and_dmax, gen_graph, load_graph, save_graph
+from rsfsmooth import DataError, Graph, gen_graph, load_graph, save_graph
 from rsfsmooth.graphs import load_positions
 
 from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
@@ -39,6 +39,13 @@ class TestLoad:
         with pytest.raises(DataError, match="nonpositive"):
             load_graph(write(tmp_path, "0 1 0.0\n"))
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight(self, tmp_path, weight):
+        with pytest.raises(DataError, match="line 2: nonpositive or non-finite"):
+            load_graph(write(tmp_path, f"0 1\n1 2 {weight}\n"))
+        with pytest.raises(DataError, match="non-finite"):
+            Graph.from_edges(3, [(0, 1, 1.0), (1, 2, float(weight))])
+
     def test_self_loop(self, tmp_path):
         with pytest.raises(DataError, match="self-loop"):
             load_graph(write(tmp_path, "1 1\n0 1\n"))
@@ -72,16 +79,15 @@ class TestRoundTrip:
 
 class TestDegrees:
     def test_path(self, p3):
-        deg, dmax = degrees_and_dmax(p3)
+        deg, dmax = p3.degrees, p3.d_max
         assert np.array_equal(deg, [1.0, 2.0, 1.0]) and dmax == 2.0
 
     def test_triangle(self, triangle):
-        deg, dmax = degrees_and_dmax(triangle)
+        deg, dmax = triangle.degrees, triangle.d_max
         assert np.array_equal(deg, [2.0, 2.0, 2.0]) and dmax == 2.0
 
     def test_star_hub(self):
-        _, dmax = degrees_and_dmax(star_graph(4))
-        assert dmax == 4.0
+        assert star_graph(4).d_max == 4.0
 
     def test_degree_sum_is_twice_weight_sum(self):
         g = random_connected_graph(30, extra_edges=40,

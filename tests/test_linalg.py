@@ -197,10 +197,10 @@ class TestProblemValidation:
         with pytest.raises(DataError, match="positive"):
             SmoothingProblem(p3, np.zeros(3), np.array([1.0, -1.0, 1.0]))
 
-    def test_with_signal_keeps_q(self, p3):
-        problem = SmoothingProblem(p3, np.zeros(3), np.array([1.0, 2.0, 3.0]))
-        other = problem.with_signal(np.ones(3))
-        assert np.array_equal(other.q, problem.q) and not other.q_uniform
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal(self, p3, bad):
+        with pytest.raises(DataError, match="finite"):
+            SmoothingProblem(p3, np.array([0.0, bad, 1.0]), 1.0)
 
     def test_bad_tolerance(self, p3):
         with pytest.raises(DataError, match="tol"):

@@ -3,8 +3,8 @@ import pytest
 
 from rsfsmooth import (AlphaStrategy, DataError, SSLProblem, SmoothingProblem,
                        accuracy_experiment, contraction_check, forest_rng,
-                       gradient_step, load_labeled_set, load_labels, sample_forest,
-                       ssl_exact, ssl_forest, xbar_from_forest)
+                       gradient_step, load_labeled_set, load_labels, run_monte_carlo,
+                       sample_forest, ssl_exact, ssl_forest, xbar_from_forest)
 
 from conftest import random_connected_graph, two_clique_graph
 
@@ -140,10 +140,15 @@ class TestForest:
         a = ssl_forest(p, 20, AlphaStrategy.safe(), seed=6)
         b = ssl_forest(p, 20, AlphaStrategy.safe(), seed=6)
         assert np.array_equal(a.F, b.F)
-        assert a.diagnostics["forests_shared_across_classes"]
-        c = ssl_forest(p, 20, AlphaStrategy.safe(), seed=6, resample_per_class=True)
-        assert not np.array_equal(a.F, c.F)
-        assert not c.diagnostics["forests_shared_across_classes"]
+        # one forest serves both classes: each class column equals a
+        # single-signal run on the same streams
+        d_in = g.degrees ** (p.sigma - 1.0)
+        Y = p.label_matrix()
+        for c in range(p.k):
+            sp = SmoothingProblem(g, d_in * Y[:, c], p.absorption())
+            single = run_monte_carlo(sp, 20, AlphaStrategy.safe(), seed=6)
+            assert np.array_equal(a.F[:, c], g.degrees ** (1.0 - p.sigma) * single.estimate)
+            assert a.diagnostics["total_walk_steps"] == single.diagnostics["total_walk_steps"]
 
     def test_converges_to_exact(self, clique_pair):
         g, labels = clique_pair
