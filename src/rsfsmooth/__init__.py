@@ -7,19 +7,18 @@ well-chosen size cuts the estimator's variance at negligible cost.
 """
 
 from .errors import DataError, NumericalError
-from .estimators import (AlphaStrategy, EstimateSample, ExactMoments,
-                         MonteCarloAccumulator, MonteCarloResult,
-                         exact_estimator_moments, gradient_step, resolve_alpha,
+from .estimators import (AlphaStrategy, EstimateSample, MonteCarloAccumulator,
+                         MonteCarloResult, gradient_step, resolve_alpha,
                          run_monte_carlo, safe_alpha, xbar_from_forest)
-from .forests import (ForestDistribution, ForestFamily, RootedForest,
-                      derive_seed, enumerate_forests, forest_rng, sample_forest)
+from .forests import RootedForest, derive_seed, forest_rng, sample_forest
 from .graphs import Graph, gen_graph, load_graph, load_positions, save_graph
-from .linalg import (LaplacianOperator, SmoothingProblem, SpectralCheckReport,
-                     apply_K_inverse, contraction_check, solve_exact_cg,
-                     solve_exact_dense)
+from .linalg import LaplacianOperator, SmoothingProblem, apply_K_inverse, solve_exact_cg
+from .oracle import (ExactMoments, ForestDistribution, ForestFamily,
+                     SpectralCheckReport, contraction_check, enumerate_forests,
+                     exact_estimator_moments, solve_exact_dense)
 from .signals import load_signal, psnr, synthetic_signal
 from .ssl import (ClassificationResult, SSLProblem, accuracy_experiment,
-                  load_labeled_set, load_labels, ssl_exact, ssl_forest)
+                  load_labels, ssl_exact, ssl_forest)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,7 @@ __all__ = [
     "SpectralCheckReport", "accuracy_experiment", "apply_K_inverse",
     "contraction_check", "derive_seed", "enumerate_forests",
     "exact_estimator_moments", "forest_rng", "gen_graph", "gradient_step",
-    "load_graph", "load_labeled_set", "load_labels", "load_positions",
+    "load_graph", "load_labels", "load_positions",
     "load_signal", "psnr", "resolve_alpha", "run_monte_carlo", "safe_alpha",
     "sample_forest", "save_graph", "solve_exact_cg", "solve_exact_dense",
     "ssl_exact", "ssl_forest", "synthetic_signal", "xbar_from_forest",

@@ -15,23 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .forests import DEFAULT_STEP_BUDGET, enumerate_forests, forest_rng, sample_forest
-from .linalg import SmoothingProblem, apply_K_inverse
-
-ZERO_VARIANCE_TOL = 1e-14  # per-node threshold on tr Var(ybar)
-
-
-def _tree_averages(labels, q, y):
-    """Per-tree q-weighted averages of y, broadcast back to the nodes.
-
-    Computed as y_ref + sum q (y - y_ref) / sum q around each tree's
-    reference node, which returns constant signals bit-exactly.
-    """
-    n = len(y)
-    qsum = np.bincount(labels, weights=q, minlength=n)
-    shift = np.bincount(labels, weights=q * (y - y[labels]), minlength=n)
-    ratio = np.divide(shift, qsum, out=np.zeros(n), where=qsum > 0)
-    return y[labels] + ratio[labels]
+from .forests import DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest
+from .linalg import apply_K_inverse
+from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
 
 
 @dataclass
@@ -276,48 +262,3 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0,
     }
     return MonteCarloResult(estimate=estimate, alpha=alpha, strategy=strategy,
                             accumulator=acc, diagnostics=diagnostics)
-
-
-@dataclass
-class ExactMoments:
-    """Exact estimator moments over the full forest distribution."""
-
-    e_xbar: np.ndarray
-    e_ybar: np.ndarray
-    tr_var_xbar: float
-    tr_var_ybar: float
-    tr_cov_xy: float
-    alpha_star: float  # None when the control variate is degenerate
-
-    def mse_curve(self, alpha):
-        """Exact mean squared error of the stepped estimator at this alpha:
-        tr Var(xbar) + alpha^2 tr Var(ybar) - 2 alpha tr Cov(ybar, xbar)."""
-        alpha = np.asarray(alpha, dtype=np.float64)
-        return self.tr_var_xbar + alpha**2 * self.tr_var_ybar \
-            - 2.0 * alpha * self.tr_cov_xy
-
-
-def exact_estimator_moments(graph, q, y):
-    """Moments of (xbar, ybar) by exhaustive forest enumeration (n <= 9)."""
-    problem = SmoothingProblem(graph, y, q)
-    dist = enumerate_forests(graph, problem.q)
-    n = graph.n
-    e_x = np.zeros(n)
-    e_y = np.zeros(n)
-    e_xx = e_yy = e_xy = 0.0
-    for fam in dist.families:
-        p = fam.weight / dist.normalizer
-        xbar = _tree_averages(fam.components, problem.q, problem.y)
-        ybar = apply_K_inverse(problem, xbar)
-        e_x += p * xbar
-        e_y += p * ybar
-        e_xx += p * float(xbar @ xbar)
-        e_yy += p * float(ybar @ ybar)
-        e_xy += p * float(xbar @ ybar)
-    tr_var_x = e_xx - float(e_x @ e_x)
-    tr_var_y = e_yy - float(e_y @ e_y)
-    tr_cov = e_xy - float(e_x @ e_y)
-    alpha_star = tr_cov / tr_var_y if tr_var_y > ZERO_VARIANCE_TOL * n else None
-    return ExactMoments(e_xbar=e_x, e_ybar=e_y, tr_var_xbar=tr_var_x,
-                        tr_var_ybar=tr_var_y, tr_cov_xy=tr_cov,
-                        alpha_star=alpha_star)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .estimators import (AlphaStrategy, accumulate_forests, exact_estimator_moments,
-                         gradient_step, resolve_alpha, safe_alpha)
-from .forests import ENUM_MAX_VERTICES, derive_seed
+from .estimators import (AlphaStrategy, accumulate_forests, gradient_step, resolve_alpha,
+                         safe_alpha)
+from .forests import derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
+from .oracle import ENUM_MAX_VERTICES, exact_estimator_moments
 from .signals import psnr
 
 

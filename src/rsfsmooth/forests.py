@@ -2,14 +2,14 @@
 
 `sample_forest` draws a rooted spanning forest with probability
 proportional to prod_{edges} w(e) * prod_{roots} q_root, using
-loop-erased random walks killed at rate q. `enumerate_forests` computes
-the same distribution exhaustively on tiny graphs and is the oracle the
-sampler and the estimators are tested against.
+loop-erased random walks killed at rate q; `_tree_averages` averages a
+signal over the trees of a forest. The exhaustive enumeration of the
+same distribution on tiny graphs lives in `rsfsmooth.oracle`.
 """
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DataError, NumericalError
 
 DEFAULT_STEP_BUDGET = 10**9
-ENUM_MAX_VERTICES = 9
-ENUM_MAX_EDGES = 24
 
 
 def forest_rng(seed, *key):
@@ -145,98 +143,14 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     )
 
 
-@dataclass
-class ForestFamily:
-    """All rooted forests sharing one edge subset.
+def _tree_averages(labels, q, y):
+    """Per-tree q-weighted averages of y, broadcast back to the nodes.
 
-    The root dimension is collapsed analytically: the family weight is
-    prod_{e in F} w(e) * prod_{trees} (sum_{v in tree} q_v), i.e. the sum
-    of prod q_root over all choices of one root per tree.
+    Computed as y_ref + sum q (y - y_ref) / sum q around each tree's
+    reference node, which returns constant signals bit-exactly.
     """
-
-    edges: tuple
-    components: np.ndarray  # representative vertex id per node
-    weight: float
-    n_rooted: int = 1  # number of distinct rooted forests in the family
-
-
-@dataclass
-class ForestDistribution:
-    """Exhaustive forest distribution of a tiny graph."""
-
-    families: list
-    normalizer: float
-    det_check: float = field(default=0.0, repr=False)
-
-    def probabilities(self):
-        """Map from canonical edge tuple to family probability."""
-        return {f.edges: f.weight / self.normalizer for f in self.families}
-
-    def rooted_count(self):
-        """Total number of distinct rooted forests."""
-        return sum(f.n_rooted for f in self.families)
-
-
-def enumerate_forests(g, q):
-    """Enumerate every spanning forest of a tiny graph with its weight.
-
-    Iterates all acyclic edge subsets (so the graph must satisfy n <= 9
-    and m <= 24) and collapses the per-tree root choice analytically.
-    The total weight is verified against det(Q + L), the matrix-forest
-    identity; a mismatch raises `NumericalError`.
-    """
-    n, m = g.n, g.m
-    if n > ENUM_MAX_VERTICES:
-        raise DataError(f"forest enumeration limited to n <= {ENUM_MAX_VERTICES}, got {n}")
-    if m > ENUM_MAX_EDGES:
-        raise DataError(f"forest enumeration limited to m <= {ENUM_MAX_EDGES}, got {m}")
-    qvec = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,))
-    if not (qvec > 0).all():
-        raise DataError("absorption weights q must be strictly positive")
-
-    edge_list = list(g.edges())
-    families = []
-    total = 0.0
-    for mask in range(1 << m):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        wprod = 1.0
-        acyclic = True
-        for idx in range(m):
-            if mask >> idx & 1:
-                u, v, w = edge_list[idx]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
-                parent[ru] = rv
-                wprod *= w
-        if not acyclic:
-            continue
-        comps = np.array([find(v) for v in range(n)], dtype=np.int64)
-        qsums = np.bincount(comps, weights=qvec, minlength=n)
-        sizes = np.bincount(comps, minlength=n)
-        reps = np.flatnonzero(sizes)
-        weight = wprod * float(np.prod(qsums[reps]))
-        edges = tuple(
-            (edge_list[i][0], edge_list[i][1]) for i in range(m) if mask >> i & 1
-        )
-        families.append(ForestFamily(
-            edges=edges, components=comps, weight=weight,
-            n_rooted=int(np.prod(sizes[reps])),
-        ))
-        total += weight
-
-    A = np.diag(qvec + g.degrees) - g.adjacency.toarray()
-    det = float(np.linalg.det(A))
-    if abs(total - det) > 1e-9 * abs(det):
-        raise NumericalError(
-            f"matrix-forest identity violated: weight sum {total!r} vs det {det!r}"
-        )
-    return ForestDistribution(families=families, normalizer=total, det_check=det)
+    n = len(y)
+    qsum = np.bincount(labels, weights=q, minlength=n)
+    shift = np.bincount(labels, weights=q * (y - y[labels]), minlength=n)
+    ratio = np.divide(shift, qsum, out=np.zeros(n), where=qsum > 0)
+    return y[labels] + ratio[labels]

@@ -7,15 +7,14 @@ regular, Barabasi-Albert, grid, k-nearest-neighbour).
 
 import math
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.spatial import cKDTree
 
 from .errors import DataError
 
 MAX_CONNECTIVITY_RETRIES = 100
+MAX_PAIRING_ROUNDS = 1000
 
 
 class Graph:
@@ -210,9 +209,35 @@ def _attempt_rng(seed, attempt):
 
 
 def _regular_edges(n, d, rng):
-    nx_seed = int(rng.integers(2**31 - 1))
-    G = nx.random_regular_graph(d, n, seed=nx_seed)
-    return [(u, v, 1.0) for u, v in G.edges()]
+    """Simple d-regular graph on n vertices by the pairing model with repair.
+
+    The n*d stubs (d per vertex) are paired by one random permutation.
+    A whole pairing is simple only with probability about
+    exp(-(d^2 - 1)/4), so instead of rejecting it, while self-loops or
+    repeated edges remain their stubs are re-paired together with as many
+    randomly chosen other pairs (alone, a lone self-loop could only be
+    re-paired with itself). Dense degrees, d > (n-1)/2, are built as the
+    complement of an (n-1-d)-regular graph.
+    """
+    if 2 * d > n - 1:
+        sparse_edges = {(u, v) for u, v, _ in _regular_edges(n, n - 1 - d, rng)}
+        return [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
+                if (u, v) not in sparse_edges]
+    pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
+    for _ in range(MAX_PAIRING_ROUNDS):
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        bad = np.ones(len(pairs), dtype=bool)
+        bad[np.unique(lo * n + hi, return_index=True)[1]] = False  # keep one of each edge
+        bad |= lo == hi
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return [(u, v, 1.0) for u, v in zip(lo.tolist(), hi.tolist())]
+        others = rng.choice(np.flatnonzero(~bad), size=min(n_bad, len(pairs) - n_bad),
+                            replace=False)
+        redo = np.concatenate([np.flatnonzero(bad), others])
+        pairs[redo] = rng.permutation(pairs[redo].ravel()).reshape(-1, 2)
+    raise DataError(f"could not pair a simple {d}-regular graph on {n} vertices "
+                    f"in {MAX_PAIRING_ROUNDS} rounds")
 
 
 def _barabasi_albert_edges(n, k, rng):
@@ -249,6 +274,8 @@ def _grid_edges(rows, cols):
 
 
 def _knn_edges(coords, k):
+    from scipy.spatial import cKDTree  # only this generator needs scipy.spatial
+
     n = len(coords)
     tree = cKDTree(coords)
     _, nearest = tree.query(coords, k=k + 1)  # query includes the point itself

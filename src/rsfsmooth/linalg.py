@@ -1,11 +1,10 @@
-"""Laplacian application and exact solvers for the smoothing problem.
+"""Laplacian application and the conjugate-gradient solver for the
+smoothing problem.
 
 The smoothing problem minimizes sum_i q_i (z_i - y_i)^2 + z^T L z over z,
 whose solution is x_hat = K y with K = (Q + L)^{-1} Q, Q = diag(q_i).
 For uniform q this reduces to K = q (qI + L)^{-1}.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,6 @@ class LaplacianOperator:
         return np.bincount(
             rows, weights=g.weights * (v[rows] - v[cols]), minlength=g.n
         )
-
-    def __matmul__(self, v):
-        return self.apply(v)
 
     def dense(self):
         """Dense L for oracle-scale graphs (n <= DENSE_LIMIT)."""
@@ -61,8 +57,8 @@ class SmoothingProblem:
         self.q = np.broadcast_to(
             np.asarray(q, dtype=np.float64), (graph.n,)
         ).copy()
-        if not (self.q > 0).all():
-            raise DataError("absorption weights q must be strictly positive")
+        if not ((self.q > 0) & (self.q < np.inf)).all():
+            raise DataError("absorption weights q must be finite and strictly positive")
         self.laplacian = LaplacianOperator(graph)
 
 
@@ -79,8 +75,8 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
     if that is not reached within max_iter (default 10n) iterations.
     """
-    if tol <= 0:
-        raise DataError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise DataError(f"tol must be positive and finite, got {tol!r}")
     g, q, lap = problem.graph, problem.q, problem.laplacian
     if max_iter is None:
         max_iter = 10 * g.n
@@ -118,39 +114,3 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
         p = r + (rs_new / rs) * p
         rs = rs_new
         iterations += 1
-
-
-def solve_exact_dense(problem):
-    """Direct dense solve of (Q + L) x = Q y; the test oracle."""
-    g = problem.graph
-    if g.n > DENSE_LIMIT:
-        raise DataError(f"dense solver limited to n <= {DENSE_LIMIT}, got {g.n}")
-    A = np.diag(problem.q) + problem.laplacian.dense()
-    return np.linalg.solve(A, problem.q * problem.y)
-
-
-@dataclass
-class SpectralCheckReport:
-    alpha: float
-    spectral_radius: float
-    passed: bool
-
-
-def contraction_check(problem, alpha):
-    """Spectral radius of I - alpha K^{-1}, via dense eigendecomposition.
-
-    K^{-1} = Q^{-1}(Q + L) is similarity-equivalent to the symmetric
-    Q^{-1/2}(Q + L)Q^{-1/2}, so the spectrum is real. Passes when the
-    radius is <= 1 + 1e-10, i.e. the gradient step with this alpha never
-    moves an estimate away from the exact solution.
-    """
-    g = problem.graph
-    if g.n > DENSE_LIMIT:
-        raise DataError(f"contraction check limited to n <= {DENSE_LIMIT}, got {g.n}")
-    sq = np.sqrt(problem.q)
-    A = np.diag(problem.q) + problem.laplacian.dense()
-    S = A / sq[:, None] / sq[None, :]
-    eigs = np.linalg.eigvalsh(S)
-    radius = float(np.max(np.abs(1.0 - alpha * eigs)))
-    return SpectralCheckReport(alpha=alpha, spectral_radius=radius,
-                               passed=radius <= 1.0 + 1e-10)

@@ -1,0 +1,192 @@
+"""Test-scale oracles: exact answers the Monte Carlo estimators are checked against.
+
+`enumerate_forests` lists every spanning forest of a tiny graph with its
+probability, `exact_estimator_moments` turns that list into the exact
+moments of xbar and of the control variate K^{-1} xbar (and the optimal
+step size), and `solve_exact_dense` and `contraction_check` work on the
+dense system. All of them are limited to tiny or small graphs
+(n <= 9 and m <= 24 for enumeration, n <= 2000 for the dense routines).
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import DataError, NumericalError
+from .forests import _tree_averages
+from .linalg import DENSE_LIMIT, SmoothingProblem, apply_K_inverse
+
+ENUM_MAX_VERTICES = 9
+ENUM_MAX_EDGES = 24
+# per-node threshold on tr Var(ybar); the empirical step size in
+# `estimators` falls back at the same threshold
+ZERO_VARIANCE_TOL = 1e-14
+
+
+@dataclass
+class ForestFamily:
+    """All rooted forests sharing one edge subset.
+
+    The root dimension is collapsed analytically: the family weight is
+    prod_{e in F} w(e) * prod_{trees} (sum_{v in tree} q_v), i.e. the sum
+    of prod q_root over all choices of one root per tree.
+    """
+
+    edges: tuple
+    components: np.ndarray  # representative vertex id per node
+    weight: float
+
+
+@dataclass
+class ForestDistribution:
+    """Exhaustive forest distribution of a tiny graph."""
+
+    families: list
+    normalizer: float
+
+    def probabilities(self):
+        """Map from canonical edge tuple to family probability."""
+        return {f.edges: f.weight / self.normalizer for f in self.families}
+
+
+def enumerate_forests(g, q):
+    """Enumerate every spanning forest of a tiny graph with its weight.
+
+    Iterates all acyclic edge subsets (so the graph must satisfy n <= 9
+    and m <= 24) and collapses the per-tree root choice analytically.
+    The total weight is verified against det(Q + L), the matrix-forest
+    identity; a mismatch raises `NumericalError`.
+    """
+    n, m = g.n, g.m
+    if n > ENUM_MAX_VERTICES:
+        raise DataError(f"forest enumeration limited to n <= {ENUM_MAX_VERTICES}, got {n}")
+    if m > ENUM_MAX_EDGES:
+        raise DataError(f"forest enumeration limited to m <= {ENUM_MAX_EDGES}, got {m}")
+    qvec = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,))
+    if not (qvec > 0).all():
+        raise DataError("absorption weights q must be strictly positive")
+
+    edge_list = list(g.edges())
+    families = []
+    total = 0.0
+    for mask in range(1 << m):
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        wprod = 1.0
+        acyclic = True
+        for idx in range(m):
+            if mask >> idx & 1:
+                u, v, w = edge_list[idx]
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    acyclic = False
+                    break
+                parent[ru] = rv
+                wprod *= w
+        if not acyclic:
+            continue
+        comps = np.array([find(v) for v in range(n)], dtype=np.int64)
+        qsums = np.bincount(comps, weights=qvec, minlength=n)
+        sizes = np.bincount(comps, minlength=n)
+        reps = np.flatnonzero(sizes)
+        weight = wprod * float(np.prod(qsums[reps]))
+        edges = tuple(
+            (edge_list[i][0], edge_list[i][1]) for i in range(m) if mask >> i & 1
+        )
+        families.append(ForestFamily(edges=edges, components=comps, weight=weight))
+        total += weight
+
+    A = np.diag(qvec + g.degrees) - g.adjacency.toarray()
+    det = float(np.linalg.det(A))
+    if abs(total - det) > 1e-9 * abs(det):
+        raise NumericalError(
+            f"matrix-forest identity violated: weight sum {total!r} vs det {det!r}"
+        )
+    return ForestDistribution(families=families, normalizer=total)
+
+
+@dataclass
+class ExactMoments:
+    """Exact estimator moments over the full forest distribution."""
+
+    e_xbar: np.ndarray
+    e_ybar: np.ndarray
+    tr_var_xbar: float
+    tr_var_ybar: float
+    tr_cov_xy: float
+    alpha_star: float  # None when the control variate is degenerate
+
+    def mse_curve(self, alpha):
+        """Exact mean squared error of the stepped estimator at this alpha:
+        tr Var(xbar) + alpha^2 tr Var(ybar) - 2 alpha tr Cov(ybar, xbar)."""
+        alpha = np.asarray(alpha, dtype=np.float64)
+        return self.tr_var_xbar + alpha**2 * self.tr_var_ybar \
+            - 2.0 * alpha * self.tr_cov_xy
+
+
+def exact_estimator_moments(graph, q, y):
+    """Moments of (xbar, ybar) by exhaustive forest enumeration (n <= 9)."""
+    problem = SmoothingProblem(graph, y, q)
+    dist = enumerate_forests(graph, problem.q)
+    n = graph.n
+    e_x = np.zeros(n)
+    e_y = np.zeros(n)
+    e_xx = e_yy = e_xy = 0.0
+    for fam in dist.families:
+        p = fam.weight / dist.normalizer
+        xbar = _tree_averages(fam.components, problem.q, problem.y)
+        ybar = apply_K_inverse(problem, xbar)
+        e_x += p * xbar
+        e_y += p * ybar
+        e_xx += p * float(xbar @ xbar)
+        e_yy += p * float(ybar @ ybar)
+        e_xy += p * float(xbar @ ybar)
+    tr_var_x = e_xx - float(e_x @ e_x)
+    tr_var_y = e_yy - float(e_y @ e_y)
+    tr_cov = e_xy - float(e_x @ e_y)
+    alpha_star = tr_cov / tr_var_y if tr_var_y > ZERO_VARIANCE_TOL * n else None
+    return ExactMoments(e_xbar=e_x, e_ybar=e_y, tr_var_xbar=tr_var_x,
+                        tr_var_ybar=tr_var_y, tr_cov_xy=tr_cov,
+                        alpha_star=alpha_star)
+
+
+def solve_exact_dense(problem):
+    """Direct dense solve of (Q + L) x = Q y; the test oracle."""
+    g = problem.graph
+    if g.n > DENSE_LIMIT:
+        raise DataError(f"dense solver limited to n <= {DENSE_LIMIT}, got {g.n}")
+    A = np.diag(problem.q) + problem.laplacian.dense()
+    return np.linalg.solve(A, problem.q * problem.y)
+
+
+@dataclass
+class SpectralCheckReport:
+    alpha: float
+    spectral_radius: float
+    passed: bool
+
+
+def contraction_check(problem, alpha):
+    """Spectral radius of I - alpha K^{-1}, via dense eigendecomposition.
+
+    K^{-1} = Q^{-1}(Q + L) is similarity-equivalent to the symmetric
+    Q^{-1/2}(Q + L)Q^{-1/2}, so the spectrum is real. Passes when the
+    radius is <= 1 + 1e-10, i.e. the gradient step with this alpha never
+    moves an estimate away from the exact solution.
+    """
+    g = problem.graph
+    if g.n > DENSE_LIMIT:
+        raise DataError(f"contraction check limited to n <= {DENSE_LIMIT}, got {g.n}")
+    sq = np.sqrt(problem.q)
+    A = np.diag(problem.q) + problem.laplacian.dense()
+    S = A / sq[:, None] / sq[None, :]
+    eigs = np.linalg.eigvalsh(S)
+    radius = float(np.max(np.abs(1.0 - alpha * eigs)))
+    return SpectralCheckReport(alpha=alpha, spectral_radius=radius,
+                               passed=radius <= 1.0 + 1e-10)

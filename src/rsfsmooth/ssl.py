@@ -38,8 +38,8 @@ class SSLProblem:
             raise DataError("labels length must equal the vertex count")
         if self.labels.max() < 0:
             raise DataError("at least one vertex must carry a label")
-        if self.mu <= 0:
-            raise DataError("mu must be positive")
+        if not 0 < self.mu < np.inf:
+            raise DataError(f"mu must be positive and finite, got {self.mu!r}")
         if not 0.0 <= self.sigma <= 1.0:
             raise DataError("sigma must lie in [0, 1]")
         if self.labeled_set is None:
@@ -66,10 +66,6 @@ class SSLProblem:
     def absorption(self):
         """Per-node absorption weights q_i = (mu/2) d_i."""
         return (self.mu / 2.0) * self.graph.degrees
-
-    def safe_alpha(self):
-        """Guaranteed-contraction step size for this parameterization."""
-        return 2.0 * self.mu / (self.mu + 4.0)
 
     def holdout(self):
         mask = self.labels >= 0
@@ -241,20 +237,3 @@ def load_labels(path, n):
     if not seen:
         raise DataError(f"{path}: no labels")
     return labels
-
-
-def load_labeled_set(path):
-    """Load a labeled-vertex file, one vertex id per line."""
-    ids = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                ids.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-    if not ids:
-        raise DataError(f"{path}: empty labeled set")
-    return np.array(ids, dtype=np.int64)

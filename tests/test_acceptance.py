@@ -314,7 +314,8 @@ def test_criterion_10_ssl(tmp_path):
     g = two_clique_graph(20)
     labels = np.array([0] * 20 + [1] * 20)
     template = SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0)
-    assert template.safe_alpha() == 0.4
+    assert safe_alpha(SmoothingProblem(g, template.label_matrix()[:, 0],
+                                       template.absorption())) == 0.4
     rows = accuracy_experiment(template, 1, repeats=100, n_samples=50, seed=110)
     acc = {r["method"]: r["mean_acc"] for r in rows}
     assert acc["exact"] >= 0.95

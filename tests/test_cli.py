@@ -320,6 +320,26 @@ class TestExitCodes:
                     "--noise-std", "nan", "--q-grid", "1.0", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_non_finite_q_is_data_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["smooth", "--graph", p3_file(tmp_path), "--signal", "gaussian",
+                    "--q", "inf", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_data_error(self, tmp_path, tol):
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--graph", p3_file(tmp_path), "--signal", "gaussian",
+                    "--q", "1.0", "--tol", tol, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_finite_mu_is_data_error(self, tmp_path):
+        gpath, lpath = TestSSLCommand().build_inputs(tmp_path)
+        out = tmp_path / "acc.csv"
+        assert run(["ssl", "--graph", gpath, "--labels", lpath, "--mu", "inf",
+                    "--n-samples", "2", "--repeats", "1", "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "g.txt"
         with pytest.raises(SystemExit) as err:

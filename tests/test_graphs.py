@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 from rsfsmooth import DataError, Graph, gen_graph, load_graph, save_graph
 from rsfsmooth.graphs import load_positions
@@ -108,6 +109,23 @@ class TestGenerators:
         assert list(a.edges()) == list(b.edges())
         c = gen_graph("regular", n=200, d=6, seed=12)
         assert list(a.edges()) != list(c.edges())
+
+    # (12, 7) and (10, 9) are built as complements; (10, 9) must be K_10
+    @pytest.mark.parametrize("n,d", [(30, 4), (200, 6), (1000, 20), (12, 7), (10, 9)])
+    def test_regular_simple_and_connected(self, n, d):
+        g = gen_graph("regular", n=n, d=d, seed=5)
+        assert np.all(np.diff(g.indptr) == d) and np.all(g.degrees == d)
+        assert not np.any(g.arc_rows == g.indices)  # no self-loop
+        edges = [(u, v) for u, v, _ in g.edges()]
+        assert len(set(edges)) == len(edges) == n * d // 2  # no repeated edge
+        assert csgraph.connected_components(g.adjacency, directed=False)[0] == 1
+
+    def test_regular_covers_every_labelled_cycle(self):
+        # 6!/(2*6) = 60 labelled 6-cycles; the two-triangle draws are
+        # disconnected and retried, so every seed yields a 6-cycle
+        cycles = {tuple((u, v) for u, v, _ in gen_graph("regular", n=6, d=2, seed=s).edges())
+                  for s in range(2000)}
+        assert len(cycles) == 60
 
     def test_regular_infeasible(self):
         with pytest.raises(DataError, match="infeasible"):

@@ -3,7 +3,7 @@ import pytest
 
 from rsfsmooth import (AlphaStrategy, DataError, SSLProblem, SmoothingProblem,
                        accuracy_experiment, contraction_check, forest_rng,
-                       gradient_step, load_labeled_set, load_labels, run_monte_carlo,
+                       gradient_step, load_labels, run_monte_carlo, safe_alpha,
                        sample_forest, ssl_exact, ssl_forest, xbar_from_forest)
 
 from conftest import random_connected_graph, two_clique_graph
@@ -65,7 +65,8 @@ class TestProblemValidation:
     def test_safe_alpha_formula(self, clique_pair):
         g, labels = clique_pair
         p = SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0)
-        assert p.safe_alpha() == 0.4  # 2 mu / (mu + 4) at mu = 1
+        subproblem = SmoothingProblem(g, p.label_matrix()[:, 0], p.absorption())
+        assert safe_alpha(subproblem) == 0.4  # 2 mu / (mu + 4) at mu = 1
 
 
 class TestExact:
@@ -162,8 +163,8 @@ class TestForest:
         d_out = g.degrees ** (1.0 - p.sigma)
         q = p.absorption()
         Y = p.label_matrix()
-        alpha = p.safe_alpha()
         subproblems = [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(p.k)]
+        alpha = safe_alpha(subproblems[0])
         per_sample = np.empty((n_samples, p.k))
         for i in range(n_samples):
             forest = sample_forest(g, q, forest_rng(7, i))
@@ -250,11 +251,3 @@ class TestLoaders:
         path.write_text("9,1\n")
         with pytest.raises(DataError, match="out of range"):
             load_labels(str(path), 3)
-
-    def test_labeled_set_file(self, tmp_path):
-        path = tmp_path / "set.txt"
-        path.write_text("3\n1\n# comment\n")
-        assert load_labeled_set(str(path)).tolist() == [3, 1]
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_labeled_set(str(path))
