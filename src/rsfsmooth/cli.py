@@ -21,9 +21,11 @@ from .signals import load_signal, synthetic_signal
 from .ssl import SSLProblem, accuracy_experiment, load_labels
 
 SYNTHETIC_KINDS = ("gaussian", "smooth", "constant")
+GENERATOR_KEYS = ("n", "d", "k", "rows", "cols")
+SIGNAL_KEYS = ("modes", "value")
 
 
-def _parse_kv(text, what):
+def _parse_kv(text, what, keys):
     params = {}
     for part in text.split(","):
         if not part:
@@ -31,8 +33,12 @@ def _parse_kv(text, what):
         if "=" not in part:
             raise DataError(f"bad {what} parameter {part!r} (expected key=value)")
         key, val = part.split("=", 1)
+        key = key.strip()
+        if key not in keys:
+            raise DataError(f"unknown {what} parameter {key!r} "
+                            f"(expected one of {', '.join(keys)})")
         try:
-            params[key.strip()] = float(val) if "." in val or "e" in val.lower() else int(val)
+            params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
         except ValueError:
             raise DataError(f"bad {what} value {part!r}") from None
     return params
@@ -40,7 +46,7 @@ def _parse_kv(text, what):
 
 def _parse_gen_spec(spec):
     name, _, rest = spec.partition(":")
-    return name.strip(), _parse_kv(rest, "generator")
+    return name.strip(), _parse_kv(rest, "generator", GENERATOR_KEYS)
 
 
 def _parse_grid(text):
@@ -82,7 +88,7 @@ def _resolve_signal(args, graph):
     spec = args.signal
     name, _, rest = spec.partition(":")
     if name in SYNTHETIC_KINDS:
-        params = _parse_kv(rest, "signal")
+        params = _parse_kv(rest, "signal", SIGNAL_KEYS)
         return synthetic_signal(graph, name, seed=args.seed, **params)
     return load_signal(spec, graph.n)
 
@@ -210,8 +216,14 @@ def cmd_ssl(args):
     g = _resolve_graph(args)
     labels = load_labels(args.labels, g.n)
     problem = SSLProblem(graph=g, labels=labels, mu=args.mu, sigma=args.sigma)
+    try:
+        counts = [int(v) for v in args.labels_per_class.split(",") if v]
+    except ValueError:
+        raise DataError(f"cannot parse --labels-per-class {args.labels_per_class!r}") from None
+    if not counts:
+        raise DataError("--labels-per-class needs at least one count")
     rows = []
-    for m in [int(v) for v in args.labels_per_class.split(",") if v]:
+    for m in counts:
         rows.extend(accuracy_experiment(problem, m, args.repeats,
                                         n_samples=args.n_samples, seed=args.seed))
     if args.format == "json":
@@ -243,10 +255,14 @@ def _seed_value(text):
     return value
 
 
-def _add_common_out(p):
+def _add_out(p):
     p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=_seed_value, default=0)
+
+
+def _add_common_out(p):
+    _add_out(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser():
@@ -258,7 +274,7 @@ def build_parser():
 
     p = sub.add_parser("gen-graph", help="generate a graph and write its edge list")
     _add_graph_source(p, gen_only=True)
-    _add_common_out(p)
+    _add_out(p)
     p.set_defaults(func=cmd_gen_graph)
 
     p = sub.add_parser("exact", help="exact smoothing x_hat = K y")

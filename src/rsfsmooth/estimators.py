@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .forests import DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest
+from .forests import _tree_averages, forest_rng, sample_forest
 from .linalg import apply_K_inverse
 from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
 
@@ -204,7 +204,7 @@ def resolve_alpha(strategy, problem, acc=None):
     raise DataError(f"unknown step-size strategy {strategy.kind!r}")
 
 
-def accumulate_forests(problems, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET):
+def accumulate_forests(problems, n_samples, seed):
     """One accumulator per problem, all fed by the same n_samples forests.
 
     The problems share one graph and one q (they differ only in the
@@ -217,7 +217,7 @@ def accumulate_forests(problems, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET)
     g, q = problems[0].graph, problems[0].q
     accs = [MonteCarloAccumulator(g.n) for _ in problems]
     for i in range(n_samples):
-        forest = sample_forest(g, q, forest_rng(seed, i), max_steps=max_steps)
+        forest = sample_forest(g, q, forest_rng(seed, i))
         for acc, problem in zip(accs, problems):
             acc.add(xbar_from_forest(forest, problem))
             acc.total_walk_steps += forest.rng_draws
@@ -233,8 +233,7 @@ class MonteCarloResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def run_monte_carlo(problem, n_samples, strategy, seed=0,
-                    max_steps=DEFAULT_STEP_BUDGET):
+def run_monte_carlo(problem, n_samples, strategy, seed=0):
     """Estimate K y from n_samples forest draws.
 
     Draws forests on per-sample streams derived from (seed, i), averages
@@ -246,7 +245,7 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0,
     """
     if strategy.kind == "empirical" and n_samples < 2:
         raise DataError("the empirical strategy needs n_samples >= 2")
-    acc, = accumulate_forests([problem], n_samples, seed, max_steps)
+    acc, = accumulate_forests([problem], n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)
     diagnostics = {

@@ -25,6 +25,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
     if alpha_grid.size == 0:
         raise DataError("alpha grid is empty")
+    if not np.isfinite(alpha_grid).all():
+        raise DataError(f"alpha grid values must be finite, got {alpha_grid.tolist()}")
     if realizations < 1 or n_samples < 2:
         raise DataError("need realizations >= 1 and n_samples >= 2")
     problem = SmoothingProblem(graph, y, q)

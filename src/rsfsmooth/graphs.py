@@ -22,8 +22,8 @@ class Graph:
 
     Vertices are dense 0-based integers. All edge weights are strictly
     positive, self-loops are rejected, and the graph is required to be
-    connected. Instances are immutable after construction and safe to
-    share across threads.
+    connected. Build one with `Graph.from_edges`. Instances are immutable
+    after construction and safe to share across threads.
 
     Attributes
     ----------
@@ -34,82 +34,71 @@ class Graph:
     indptr, indices, weights : numpy arrays
         CSR adjacency; every undirected edge is stored as two arcs with
         equal weight.
+    arc_rows : (2m,) int array
+        Source vertex of each stored arc, aligned with `indices`.
+    adjacency : scipy CSR matrix
+        The same adjacency as a sparse matrix.
     degrees : (n,) float array
         Weighted degree d_i = sum_j w(i, j).
     d_max : float
         Maximum weighted degree.
     """
 
-    def __init__(self, indptr, indices, weights):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        self.n = len(self.indptr) - 1
-        self.m = len(self.indices) // 2
-        self._walk_nbrs = None
-        self._walk_cums = None
-        self._arc_rows = None
-        self._adjacency = None
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        self.degrees = np.bincount(rows, weights=self.weights, minlength=self.n)
-        self.d_max = float(self.degrees.max()) if self.n else 0.0
-        rows.flags.writeable = False
-        self._arc_rows = rows
-        for arr in (self.indptr, self.indices, self.weights, self.degrees):
-            arr.flags.writeable = False
-        self._validate()
-
     @classmethod
     def from_edges(cls, n, edges):
-        """Build a connected graph from undirected (u, v, w) triples.
+        """Build a connected graph from an (m, 3) array-like of undirected
+        (u, v, w) rows.
 
         Each undirected edge must appear exactly once. Raises `DataError`
-        on self-loops, duplicates, nonpositive or non-finite weights,
-        out-of-range ids, or a disconnected result.
+        on self-loops, out-of-range ids, nonpositive or non-finite weights
+        and duplicates, naming the first such edge in input order, and on
+        a disconnected result.
         """
-        seen = set()
-        rows, cols, vals = [], [], []
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise DataError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise DataError(f"vertex id out of range: edge ({u}, {v}) with n={n}")
-            if not 0 < w < math.inf:
-                raise DataError(f"nonpositive or non-finite weight {w} on edge ({u}, {v})")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DataError(f"duplicate undirected edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, w]
-        adj = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(n, n), dtype=np.float64
-        ).tocsr()
-        adj.sort_indices()
-        return cls(adj.indptr, adj.indices, adj.data)
-
-    def _validate(self):
-        if self.n < 1:
+        edges = np.asarray(edges, dtype=np.float64)
+        if edges.size == 0:
+            edges = edges.reshape(0, 3)
+        if edges.ndim != 2 or edges.shape[1] != 3:
+            raise DataError(f"edges must be (u, v, w) rows, got an array of shape {edges.shape}")
+        u, v, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        loop = u == v
+        out_of_range = (lo < 0) | (hi >= n)
+        bad_weight = ~((w > 0) & (w < math.inf))
+        repeat = np.ones(len(w), dtype=bool)
+        repeat[np.unique(lo * n + hi, return_index=True)[1]] = False  # first of each edge
+        bad = loop | out_of_range | bad_weight | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(u[i]), int(v[i])
+            if loop[i]:
+                raise DataError(f"self-loop at vertex {a}")
+            if out_of_range[i]:
+                raise DataError(f"vertex id out of range: edge ({a}, {b}) with n={n}")
+            if bad_weight[i]:
+                raise DataError(f"nonpositive or non-finite weight {float(w[i])} "
+                                f"on edge ({a}, {b})")
+            raise DataError(f"duplicate undirected edge ({int(lo[i])}, {int(hi[i])})")
+        if n < 1:
             raise DataError("graph must have at least one vertex")
-        ncomp, _ = csgraph.connected_components(self.adjacency, directed=False)
+
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.argsort(rows * n + cols)
+        g = cls.__new__(cls)
+        g.n, g.m = int(n), len(w)
+        g.arc_rows = rows[order]
+        g.indices = cols[order]
+        g.weights = np.concatenate([w, w])[order]
+        g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        g.degrees = np.bincount(g.arc_rows, weights=g.weights, minlength=n)
+        g.d_max = float(g.degrees.max())
+        for arr in (g.indptr, g.indices, g.weights, g.arc_rows, g.degrees):
+            arr.flags.writeable = False
+        g.adjacency = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(n, n))
+        ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
         if ncomp != 1:
             raise DataError(f"disconnected graph: {ncomp} connected components")
-
-    @property
-    def adjacency(self):
-        """Adjacency as a scipy CSR matrix (shares the graph's arrays)."""
-        if self._adjacency is None:
-            self._adjacency = sparse.csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(self.n, self.n)
-            )
-        return self._adjacency
-
-    @property
-    def arc_rows(self):
-        """Source vertex of each stored arc, aligned with `indices`."""
-        return self._arc_rows
+        g._walk_nbrs = g._walk_cums = None
+        return g
 
     def walk_tables(self):
         """Per-vertex neighbor lists and cumulative weights for random walks.
@@ -127,12 +116,10 @@ class Graph:
         return self._walk_nbrs, self._walk_cums
 
     def edges(self):
-        """Yield undirected edges (u, v, w) with u < v, sorted."""
-        for u in range(self.n):
-            for idx in range(self.indptr[u], self.indptr[u + 1]):
-                v = self.indices[idx]
-                if u < v:
-                    yield u, int(v), float(self.weights[idx])
+        """Iterate over the undirected edges (u, v, w) with u < v, sorted."""
+        upper = self.arc_rows < self.indices
+        return zip(self.arc_rows[upper].tolist(), self.indices[upper].tolist(),
+                   self.weights[upper].tolist())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
@@ -174,7 +161,7 @@ def load_graph(path):
     if len(ids) != n:
         missing = sorted(set(range(n)) - ids)[:5]
         raise DataError(f"{path}: vertex ids have gaps (missing {missing})")
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, np.array(edges))
 
 
 def save_graph(g, path):
@@ -208,6 +195,10 @@ def _attempt_rng(seed, attempt):
     return np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
 
 
+def _unit_edges(u, v):
+    return np.column_stack([u, v, np.ones(len(u))])
+
+
 def _regular_edges(n, d, rng):
     """Simple d-regular graph on n vertices by the pairing model with repair.
 
@@ -220,9 +211,10 @@ def _regular_edges(n, d, rng):
     complement of an (n-1-d)-regular graph.
     """
     if 2 * d > n - 1:
-        sparse_edges = {(u, v) for u, v, _ in _regular_edges(n, n - 1 - d, rng)}
-        return [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)
-                if (u, v) not in sparse_edges]
+        absent = _regular_edges(n, n - 1 - d, rng)[:, :2].astype(np.int64)
+        keep = np.triu(np.ones((n, n), dtype=bool), 1)
+        keep[absent[:, 0], absent[:, 1]] = False
+        return _unit_edges(*np.nonzero(keep))
     pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
     for _ in range(MAX_PAIRING_ROUNDS):
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
@@ -231,7 +223,7 @@ def _regular_edges(n, d, rng):
         bad |= lo == hi
         n_bad = int(bad.sum())
         if n_bad == 0:
-            return [(u, v, 1.0) for u, v in zip(lo.tolist(), hi.tolist())]
+            return _unit_edges(lo, hi)
         others = rng.choice(np.flatnonzero(~bad), size=min(n_bad, len(pairs) - n_bad),
                             replace=False)
         redo = np.concatenate([np.flatnonzero(bad), others])
@@ -256,42 +248,29 @@ def _barabasi_albert_edges(n, k, rng):
         for t in sorted(targets):
             edges.append((t, v, 1.0))
             repeated += [t, v]
-    return edges
+    return np.array(edges)
 
 
 def _grid_edges(rows, cols):
-    def vid(r, c):
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1), 1.0))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c), 1.0))
-    return edges
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    return _unit_edges(np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()]),
+                       np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()]))
 
 
 def _knn_edges(coords, k):
     from scipy.spatial import cKDTree  # only this generator needs scipy.spatial
 
     n = len(coords)
-    tree = cKDTree(coords)
-    _, nearest = tree.query(coords, k=k + 1)  # query includes the point itself
-    pairs = set()
-    for i in range(n):
-        for j in nearest[i]:
-            j = int(j)
-            if j != i:
-                pairs.add((i, j) if i < j else (j, i))
-    return [(u, v, 1.0) for u, v in sorted(pairs)]
+    _, nearest = cKDTree(coords).query(coords, k=k + 1)  # includes the point itself
+    i, j = np.repeat(np.arange(n), k + 1), nearest.ravel()
+    keys = np.unique((np.minimum(i, j) * n + np.maximum(i, j))[i != j])
+    return _unit_edges(keys // n, keys % n)
 
 
 def _int_param(value, name):
     if value is None:
         return None
-    if int(value) != value:
+    if not float(value).is_integer():
         raise DataError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -308,8 +287,9 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
     n : int
         Vertex count (derived from the model parameters for grid/knn).
     seed : int
-        Random models retry with seed-derived streams until connected,
-        up to a bounded number of attempts.
+        Seeds the random models; the regular model retries with
+        seed-derived streams until connected, up to a bounded number of
+        attempts.
     """
     n = _int_param(n, "n")
     d = _int_param(d, "d")
@@ -321,41 +301,35 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
             raise DataError("regular model needs n and d")
         if d < 1 or d >= n or (n * d) % 2 != 0:
             raise DataError(f"infeasible regular graph: n={n}, d={d}")
-        builder = lambda rng: (n, _regular_edges(n, d, rng))
-    elif model in ("barabasi_albert", "ba"):
+        # Only this model can come out disconnected from a random stream:
+        # BA attaches every new vertex to earlier ones, and grid and knn
+        # are deterministic.
+        last_err = None
+        for attempt in range(MAX_CONNECTIVITY_RETRIES):
+            try:
+                return Graph.from_edges(n, _regular_edges(n, d, _attempt_rng(seed, attempt)))
+            except DataError as err:
+                if "disconnected" not in str(err):
+                    raise
+                last_err = err
+        raise DataError(f"could not generate a connected regular graph "
+                        f"after {MAX_CONNECTIVITY_RETRIES} attempts: {last_err}")
+    if model in ("barabasi_albert", "ba"):
         if n is None or k is None:
             raise DataError("barabasi_albert model needs n and k")
         if k < 1 or k >= n:
             raise DataError(f"infeasible barabasi_albert graph: n={n}, k={k}")
-        builder = lambda rng: (n, _barabasi_albert_edges(n, k, rng))
-    elif model == "grid":
+        return Graph.from_edges(n, _barabasi_albert_edges(n, k, _attempt_rng(seed, 0)))
+    if model == "grid":
         if rows is None or cols is None or rows < 1 or cols < 1:
             raise DataError("grid model needs rows >= 1 and cols >= 1")
         if n is not None and n != rows * cols:
             raise DataError(f"grid is {rows}x{cols}={rows * cols} vertices, got n={n}")
-        builder = lambda rng: (rows * cols, _grid_edges(rows, cols))
-    elif model == "knn":
+        return Graph.from_edges(rows * cols, _grid_edges(rows, cols))
+    if model == "knn":
         if coords is None or k is None:
             raise DataError("knn model needs coords and k")
         if k < 1 or k >= len(coords):
             raise DataError(f"infeasible knn graph: k={k}, {len(coords)} points")
-        builder = lambda rng: (len(coords), _knn_edges(coords, k))
-    else:
-        raise DataError(f"unknown graph model {model!r}")
-
-    last_err = None
-    for attempt in range(MAX_CONNECTIVITY_RETRIES):
-        rng = _attempt_rng(seed, attempt)
-        nv, edges = builder(rng)
-        try:
-            return Graph.from_edges(nv, edges)
-        except DataError as err:
-            if "disconnected" not in str(err):
-                raise
-            last_err = err
-            if model in ("grid", "knn"):
-                break  # deterministic models cannot be retried
-    raise DataError(
-        f"could not generate a connected {model} graph "
-        f"after {MAX_CONNECTIVITY_RETRIES} attempts: {last_err}"
-    )
+        return Graph.from_edges(len(coords), _knn_edges(coords, k))
+    raise DataError(f"unknown graph model {model!r}")

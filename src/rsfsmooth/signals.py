@@ -54,8 +54,9 @@ def synthetic_signal(graph, kind, seed=0, modes=3, value=1.0):
     if kind == "smooth":
         if n > DENSE_LIMIT:
             raise DataError(f"smooth synthetic signal limited to n <= {DENSE_LIMIT}")
-        if modes < 1 or modes >= n:
-            raise DataError(f"smooth signal needs 1 <= modes < n, got {modes}")
+        if not float(modes).is_integer() or not 1 <= modes < n:
+            raise DataError(f"smooth signal needs an integer 1 <= modes < n, got {modes}")
+        modes = int(modes)
         L = LaplacianOperator(graph).dense()
         _, vecs = np.linalg.eigh(L)
         x = np.zeros(n)

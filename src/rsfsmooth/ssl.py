@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DataError
 from .estimators import AlphaStrategy, accumulate_forests, gradient_step, resolve_alpha
-from .forests import DEFAULT_STEP_BUDGET, derive_seed
+from .forests import derive_seed
 from .linalg import SmoothingProblem, solve_exact_cg
 
 
@@ -98,7 +98,7 @@ def _finish(problem, F, diagnostics=None):
                                 diagnostics=diagnostics or {})
 
 
-def ssl_exact(problem, tol=1e-10, max_iter=None):
+def ssl_exact(problem):
     """Exact classification scores via conjugate gradient, one class at a time."""
     g = problem.graph
     d_in = g.degrees ** (problem.sigma - 1.0)
@@ -109,13 +109,13 @@ def ssl_exact(problem, tol=1e-10, max_iter=None):
     iters = []
     for c in range(problem.k):
         sp = SmoothingProblem(g, d_in * Y[:, c], q)
-        x, it = solve_exact_cg(sp, tol=tol, max_iter=max_iter)
+        x, it = solve_exact_cg(sp)
         F[:, c] = d_out * x
         iters.append(it)
     return _finish(problem, F, {"cg_iterations": iters})
 
 
-def _class_accumulators(problem, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET):
+def _class_accumulators(problem, n_samples, seed):
     """One forest pass: the per-class smoothing problems and their
     accumulators. The forest law depends only on q_i = (mu/2) d_i, not on
     the class signal, so each draw serves every column of Y."""
@@ -124,7 +124,7 @@ def _class_accumulators(problem, n_samples, seed, max_steps=DEFAULT_STEP_BUDGET)
     q = problem.absorption()
     Y = problem.label_matrix()
     subproblems = [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(problem.k)]
-    return subproblems, accumulate_forests(subproblems, n_samples, seed, max_steps)
+    return subproblems, accumulate_forests(subproblems, n_samples, seed)
 
 
 def _forest_result(problem, subproblems, accs, strategy):
@@ -147,14 +147,13 @@ def _forest_result(problem, subproblems, accs, strategy):
     return _finish(problem, F, diagnostics)
 
 
-def ssl_forest(problem, n_samples, strategy, seed=0, max_steps=DEFAULT_STEP_BUDGET):
+def ssl_forest(problem, n_samples, strategy, seed=0):
     """Forest Monte Carlo classification scores.
 
     Each forest draw is shared by all k classes, at a k-fold cost saving
     over sampling per class.
     """
-    return _forest_result(problem, *_class_accumulators(problem, n_samples, seed, max_steps),
-                          strategy)
+    return _forest_result(problem, *_class_accumulators(problem, n_samples, seed), strategy)
 
 
 FOREST_STRATEGIES = {
@@ -179,6 +178,8 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     m = int(labels_per_class)
     if m < 1:
         raise DataError("labels_per_class must be >= 1")
+    if repeats < 1:
+        raise DataError(f"repeats must be >= 1, got {repeats}")
     if m * problem.k > problem.graph.n:
         raise DataError("labels_per_class exceeds the vertex budget")
     members = [np.flatnonzero(problem.labels == c) for c in range(problem.k)]

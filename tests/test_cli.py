@@ -340,6 +340,42 @@ class TestExitCodes:
                     "--n-samples", "2", "--repeats", "1", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_unknown_generator_key_is_data_error(self, tmp_path):
+        out = tmp_path / "g.txt"
+        assert run(["gen-graph", "--gen", "regular:n=10,d=3,x=1", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_unknown_signal_key_is_data_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--graph", p3_file(tmp_path), "--signal", "gaussian:foo=1",
+                    "--q", "1.0", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_non_integer_modes_is_data_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--gen", "grid:rows=3,cols=3", "--signal", "smooth:modes=2.5",
+                    "--q", "1.0", "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "lin:0,inf,3"])
+    def test_non_finite_alpha_grid_is_data_error(self, tmp_path, grid):
+        out = tmp_path / "s.csv"
+        assert run(["sweep-alpha", "--graph", p3_file(tmp_path), "--q", "1.0",
+                    "--alpha-grid", grid, "--n-samples", "2", "--realizations", "1",
+                    "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--repeats", "0"), ("--labels-per-class", ""),
+                                            ("--labels-per-class", "a")])
+    def test_bad_ssl_counts_are_data_error(self, tmp_path, flag, value):
+        gpath, lpath = TestSSLCommand().build_inputs(tmp_path)
+        out = tmp_path / "acc.csv"
+        args = {"--repeats": "1", "--labels-per-class": "1", flag: value}
+        assert run(["ssl", "--graph", gpath, "--labels", lpath, "--n-samples", "2",
+                    *(item for pair in args.items() for item in pair),
+                    "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "g.txt"
         with pytest.raises(SystemExit) as err:

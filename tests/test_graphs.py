@@ -1,5 +1,10 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse import csgraph
 
 from rsfsmooth import DataError, Graph, gen_graph, load_graph, save_graph
@@ -201,3 +206,100 @@ def test_adjacency_symmetric():
 def test_path_graph_weighted():
     g = path_graph(3, weights=[0.5, 2.0])
     assert np.array_equal(g.degrees, [0.5, 2.5, 2.0])
+
+
+def reference_csr(n, edges):
+    """Per-edge construction that `Graph.from_edges` must match: each edge
+    is checked in input order (self-loop, range, weight, duplicate), then
+    the arcs go through scipy's COO to CSR conversion."""
+    seen = set()
+    rows, cols, vals = [], [], []
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            raise DataError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise DataError(f"vertex id out of range: edge ({u}, {v}) with n={n}")
+        if not 0 < w < math.inf:
+            raise DataError(f"nonpositive or non-finite weight {w} on edge ({u}, {v})")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DataError(f"duplicate undirected edge ({key[0]}, {key[1]})")
+        seen.add(key)
+        rows += [u, v]
+        cols += [v, u]
+        vals += [w, w]
+    adj = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64).tocsr()
+    adj.sort_indices()
+    ncomp, _ = csgraph.connected_components(adj, directed=False)
+    if ncomp != 1:
+        raise DataError(f"disconnected graph: {ncomp} connected components")
+    return adj
+
+
+@st.composite
+def edge_lists(draw):
+    """Small edge lists mixing valid edges (a spanning path half the time)
+    with self-loops, out-of-range ids, bad weights and repeated edges."""
+    n = draw(st.integers(1, 6))
+    good = st.floats(0.1, 10.0)
+    weight = st.one_of(good, st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+    ids = st.integers(-1, n)
+    edges = [(i, i + 1, draw(good)) for i in range(n - 1)] if draw(st.booleans()) else []
+    edges += draw(st.lists(st.tuples(ids, ids, weight), max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        if edges:  # repeat an edge, in either orientation
+            u, v, w = draw(st.sampled_from(edges))
+            edges.append((v, u, w) if draw(st.booleans()) else (u, v, w))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(edge_lists())
+def test_from_edges_matches_per_edge_reference(case):
+    n, edges = case
+    try:
+        ref = reference_csr(n, edges)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            Graph.from_edges(n, edges)
+        assert str(got.value) == str(err)
+        return
+    g = Graph.from_edges(n, edges)
+    assert g.indptr.dtype == g.indices.dtype == np.int64 and g.weights.dtype == np.float64
+    assert np.array_equal(g.indptr, ref.indptr)
+    assert np.array_equal(g.indices, ref.indices)
+    assert np.array_equal(g.weights, ref.data)
+
+
+def test_from_edges_takes_an_array():
+    rows = np.array([[0, 1, 2.5], [2, 1, 0.25]])
+    assert list(Graph.from_edges(3, rows).edges()) == [(0, 1, 2.5), (1, 2, 0.25)]
+    with pytest.raises(DataError, match="shape"):
+        Graph.from_edges(3, rows[:, :2])
+
+
+KNN_COORDS = np.random.default_rng(21).uniform(size=(60, 2))
+
+
+# sha256 of `save_graph` output; any change to a generator or to the edge
+# format shows up here. regular n=50, d=2, seed=1 is connected on its tenth
+# attempt, and regular n=12, d=7 is built as a complement.
+@pytest.mark.parametrize("kwargs,digest", [
+    (dict(model="regular", n=200, d=6, seed=11),
+     "fdc31043c471cf1685a04c9becd728c34c9488706571f2e59d060ed53f73b29f"),
+    (dict(model="regular", n=50, d=2, seed=1),
+     "5af9aecba45f4c1b7550c31472b14f2fb20321b93910b4d05db1579071433392"),
+    (dict(model="regular", n=12, d=7, seed=5),
+     "ad5ea3e5600bbf30ddff02fab3001699b4c29e028eb3c7dda53811c06c4d8352"),
+    (dict(model="ba", n=120, k=4, seed=7),
+     "0fb8b6d26f0bcc16817051142e8f44fd5a98cc3a6a68c2b8678b919d5a3b8133"),
+    (dict(model="grid", rows=7, cols=9),
+     "c5cb10fc1c6fb400c16a86970b55507ff58d6267b9402e4934c83683f57e0a6b"),
+    (dict(model="knn", coords=KNN_COORDS, k=5),
+     "9a092c89730c3ac356c9604412ab390aea73606e7167b31494d1989d46968c77"),
+], ids=["regular-sparse", "regular-retried", "regular-complement", "ba", "grid", "knn"])
+def test_generator_output_pinned(tmp_path, kwargs, digest):
+    path = tmp_path / "g.txt"
+    save_graph(gen_graph(**kwargs), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
