@@ -62,6 +62,8 @@ def _parse_grid(text):
             raise DataError(f"cannot parse grid spec {text!r}") from None
         if count < 1:
             raise DataError("grid count must be >= 1")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise DataError(f"grid endpoints must be finite, got {text!r}")
         if kind == "lin":
             return np.linspace(start, stop, count)
         if start <= 0 or stop <= 0:
@@ -133,6 +135,8 @@ def _write_rows_csv(path, header, rows, comment=None):
 
 
 def _write_estimate(args, estimate, alpha=None, diagnostics=None):
+    if not np.isfinite(estimate).all():
+        raise NumericalError("estimate has non-finite values")
     if args.format == "csv":
         rows = [{"node": i, "value": float(v)} for i, v in enumerate(estimate)]
         _write_rows_csv(args.out, ["node", "value"], rows)

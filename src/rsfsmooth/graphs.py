@@ -34,8 +34,6 @@ class Graph:
     indptr, indices, weights : numpy arrays
         CSR adjacency; every undirected edge is stored as two arcs with
         equal weight.
-    arc_rows : (2m,) int array
-        Source vertex of each stored arc, aligned with `indices`.
     adjacency : scipy CSR matrix
         The same adjacency as a sparse matrix.
     degrees : (n,) float array
@@ -85,20 +83,23 @@ class Graph:
         order = np.argsort(rows * n + cols)
         g = cls.__new__(cls)
         g.n, g.m = int(n), len(w)
-        g.arc_rows = rows[order]
         g.indices = cols[order]
         g.weights = np.concatenate([w, w])[order]
         g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        g.degrees = np.bincount(g.arc_rows, weights=g.weights, minlength=n)
+        g.degrees = np.bincount(rows[order], weights=g.weights, minlength=n)
         g.d_max = float(g.degrees.max())
-        for arr in (g.indptr, g.indices, g.weights, g.arc_rows, g.degrees):
+        for arr in (g.indptr, g.indices, g.weights, g.degrees):
             arr.flags.writeable = False
         g.adjacency = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(n, n))
         ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
         if ncomp != 1:
             raise DataError(f"disconnected graph: {ncomp} connected components")
-        g._walk_nbrs = g._walk_cums = None
+        g._walk_nbrs = g._walk_cums = g._incidence = None
         return g
+
+    def _arc_rows(self):
+        """Source vertex of each stored arc, aligned with `indices`."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def walk_tables(self):
         """Per-vertex neighbor lists and cumulative weights for random walks.
@@ -115,10 +116,37 @@ class Graph:
             self._walk_nbrs, self._walk_cums = nbrs, cums
         return self._walk_nbrs, self._walk_cums
 
+    def incidence(self):
+        """Edge endpoints and the weighted signed incidence, `(eu, ev, C)`.
+
+        Edge e joins eu[e] < ev[e]; edges are numbered in sorted order.
+        C is the n x m CSR matrix with +w_e in row eu[e] and -w_e in row
+        ev[e], sharing `indptr` with the adjacency, so each row's entries
+        come in arc order and edge-id order at once. Then L v =
+        C (v[eu] - v[ev]) sums the terms of sum_j w_ij (v_i - v_j) in
+        the same order from +0.0, each term equal bit for bit up to the
+        sign of a zero (-w (a - b) == w (b - a)), so it matches that form
+        exactly and keeps L 1 == 0 bitwise. Built on first use.
+        """
+        if self._incidence is None:
+            rows = self._arc_rows()
+            upper = rows < self.indices
+            lower = np.flatnonzero(~upper)
+            edge = np.empty(2 * self.m, dtype=np.int64)
+            edge[upper] = np.arange(self.m)
+            # lower arcs (ev, eu) come sorted by (ev, eu); a stable sort by
+            # eu puts them in edge order
+            edge[lower[np.argsort(self.indices[lower], kind="stable")]] = np.arange(self.m)
+            signed = np.where(upper, self.weights, -self.weights)
+            C = sparse.csr_matrix((signed, edge, self.indptr), shape=(self.n, self.m))
+            self._incidence = rows[upper], self.indices[upper], C
+        return self._incidence
+
     def edges(self):
         """Iterate over the undirected edges (u, v, w) with u < v, sorted."""
-        upper = self.arc_rows < self.indices
-        return zip(self.arc_rows[upper].tolist(), self.indices[upper].tolist(),
+        rows = self._arc_rows()
+        upper = rows < self.indices
+        return zip(rows[upper].tolist(), self.indices[upper].tolist(),
                    self.weights[upper].tolist())
 
     def __repr__(self):

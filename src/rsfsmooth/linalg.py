@@ -14,21 +14,19 @@ DENSE_LIMIT = 2000
 
 
 class LaplacianOperator:
-    """Matrix-free application of L = D - W, computed edge-wise.
+    """Application of L = D - W through the graph's signed incidence.
 
-    The edge-difference form (Lv)_i = sum_j w_ij (v_i - v_j) is exact on
-    constant vectors: L 1 == 0 bitwise.
+    L v = C (v[eu] - v[ev]) evaluates the edge-difference form
+    (Lv)_i = sum_j w_ij (v_i - v_j), which is exact on constant vectors:
+    L 1 == 0 bitwise (see `Graph.incidence`).
     """
 
     def __init__(self, graph):
         self.graph = graph
 
     def apply(self, v):
-        g = self.graph
-        rows, cols = g.arc_rows, g.indices
-        return np.bincount(
-            rows, weights=g.weights * (v[rows] - v[cols]), minlength=g.n
-        )
+        eu, ev, C = self.graph.incidence()
+        return C @ (v[eu] - v[ev])
 
     def dense(self):
         """Dense L for oracle-scale graphs (n <= DENSE_LIMIT)."""
@@ -73,7 +71,8 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
 
     Returns (x, iterations). The iteration stops once the residual
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
-    if that is not reached within max_iter (default 10n) iterations.
+    if ||Qy|| is not finite, or if that is not reached within max_iter
+    (default 10n) iterations.
     """
     if not 0 < tol < np.inf:
         raise DataError(f"tol must be positive and finite, got {tol!r}")
@@ -82,6 +81,8 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
         max_iter = 10 * g.n
     b = q * problem.y
     bnorm = np.linalg.norm(b)
+    if not np.isfinite(bnorm):
+        raise NumericalError(f"right-hand side Qy overflows (norm {bnorm})")
     if bnorm == 0.0:
         return np.zeros(g.n), 0
     x = np.zeros(g.n)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -360,9 +361,38 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid", ["nan", "lin:0,inf,3"])
     def test_non_finite_alpha_grid_is_data_error(self, tmp_path, grid):
         out = tmp_path / "s.csv"
-        assert run(["sweep-alpha", "--graph", p3_file(tmp_path), "--q", "1.0",
-                    "--alpha-grid", grid, "--n-samples", "2", "--realizations", "1",
-                    "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            assert run(["sweep-alpha", "--graph", p3_file(tmp_path), "--q", "1.0",
+                        "--alpha-grid", grid, "--n-samples", "2", "--realizations", "1",
+                        "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    def test_non_finite_q_grid_is_data_error(self, tmp_path):
+        out = tmp_path / "psnr.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["denoise", "--graph", p3_file(tmp_path),
+                        "--signal", signal_file(tmp_path, [1.0, 0.5, -1.0]),
+                        "--noise-std", "0.1", "--q-grid", "log:1,inf,3",
+                        "--out", str(out)]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+    # q * y overflows to inf on this signal: CG would accept x = 0 against
+    # an infinite residual bound, and the sampled estimate would hold NaN
+    @pytest.mark.parametrize("command", [["exact"], ["smooth", "--alpha", "safe"]])
+    def test_non_finite_result_is_numerical_error(self, tmp_path, command, capsys):
+        gpath = tmp_path / "c4.txt"
+        gpath.write_text("0 1\n1 2\n2 3\n3 0\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow notices
+            assert run([*command, "--graph", str(gpath), "--q", "2",
+                        "--signal", signal_file(tmp_path, [1e308, -1e308, 1e308, -1e308]),
+                        "--out", str(out)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--repeats", "0"), ("--labels-per-class", ""),

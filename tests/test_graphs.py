@@ -120,7 +120,8 @@ class TestGenerators:
     def test_regular_simple_and_connected(self, n, d):
         g = gen_graph("regular", n=n, d=d, seed=5)
         assert np.all(np.diff(g.indptr) == d) and np.all(g.degrees == d)
-        assert not np.any(g.arc_rows == g.indices)  # no self-loop
+        arc_rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        assert not np.any(arc_rows == g.indices)  # no self-loop
         edges = [(u, v) for u, v, _ in g.edges()]
         assert len(set(edges)) == len(edges) == n * d // 2  # no repeated edge
         assert csgraph.connected_components(g.adjacency, directed=False)[0] == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
                        SmoothingProblem, apply_K_inverse, contraction_check,
@@ -44,6 +45,42 @@ class TestLaplacianOperator:
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
             quad = v @ lap.apply(v)
             assert quad >= -1e-12 * (v @ v)
+
+
+def bincount_laplacian(g, v):
+    """The arc-wise edge-difference form: one bincount over the stored arcs,
+    summing w_ij (v_i - v_j) row by row in arc order."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    return np.bincount(rows, weights=g.weights * (v[rows] - v[g.indices]), minlength=g.n)
+
+
+@st.composite
+def weighted_graphs_and_vectors(draw):
+    """Small connected graphs (a random spanning tree plus extra edges, each
+    edge in either orientation, in shuffled order) with weights spread over
+    many binades, and vectors mixing magnitudes, signs and signed zeros."""
+    n = draw(st.integers(2, 9))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= {(min(a, b), max(a, b))
+              for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                  st.integers(0, n - 1)), max_size=12))
+              if a != b}
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in sorted(pairs)]
+    scaled = st.builds(lambda mant, exp: mant * 2.0 ** exp,
+                       st.floats(1.0, 2.0, exclude_max=True), st.integers(-30, 30))
+    edges = [(a, b, draw(scaled)) for a, b in draw(st.permutations(pairs))]
+    value = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.builds(lambda x, s: x * s, scaled, st.sampled_from([1.0, -1.0])))
+    return Graph.from_edges(n, edges), np.array(draw(st.lists(value, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors())
+def test_apply_matches_bincount_form_bitwise(case):
+    g, v = case
+    got, ref = LaplacianOperator(g).apply(v), bincount_laplacian(g, v)
+    assert got.dtype == np.float64 and got.shape == (g.n,)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 class TestApplyKInverse:
