@@ -33,37 +33,33 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     xhat, _ = solve_exact_cg(problem)
     a_safe = safe_alpha(problem)
 
-    sq_grid = np.zeros(alpha_grid.size)
-    sq_xbar = 0.0
-    sq_safe = 0.0
-    sq_hat = 0.0
+    # squared errors at the grid, then at 0 (xbar), the safe and the
+    # empirical step; one row-wise sum for all, so that alpha = 0 on the
+    # grid reproduces the xbar error bit for bit
+    sq = np.zeros(alpha_grid.size + 3)
     alpha_hats = []
     for r in range(realizations):
         acc, = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
         alpha_hat, _ = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
-        base = m_x - xhat
-        errs = base[None, :] - alpha_grid[:, None] * corr[None, :]
-        sq_grid += np.einsum("ij,ij->i", errs, errs)
-        sq_xbar += float(base @ base)
-        e = base - a_safe * corr
-        sq_safe += float(e @ e)
-        e = base - alpha_hat * corr
-        sq_hat += float(e @ e)
+        steps = np.concatenate([alpha_grid, [0.0, a_safe, alpha_hat]])
+        errs = (m_x - xhat)[None, :] - steps[:, None] * corr[None, :]
+        sq += (errs * errs).sum(axis=1)
         alpha_hats.append(alpha_hat)
+    sq /= realizations
 
     alpha_star = None
     if graph.n <= ENUM_MAX_VERTICES:
         alpha_star = exact_estimator_moments(graph, q, y).alpha_star
     return {
         "alphas": alpha_grid.tolist(),
-        "mse_zbar": (sq_grid / realizations).tolist(),
-        "mse_xbar": sq_xbar / realizations,
+        "mse_zbar": sq[:-3].tolist(),
+        "mse_xbar": float(sq[-3]),
         "alpha_safe": a_safe,
         "alpha_hat_mean": float(np.mean(alpha_hats)),
-        "mse_zbar_alpha_safe": sq_safe / realizations,
-        "mse_zbar_alpha_hat": sq_hat / realizations,
+        "mse_zbar_alpha_safe": float(sq[-2]),
+        "mse_zbar_alpha_hat": float(sq[-1]),
         "alpha_star": alpha_star,
     }
 

@@ -3,20 +3,39 @@
 `sample_forest` draws a rooted spanning forest with probability
 proportional to prod_{edges} w(e) * prod_{roots} q_root, using
 loop-erased random walks killed at rate q; `_tree_averages` averages a
-signal over the trees of a forest. The exhaustive enumeration of the
-same distribution on tiny graphs lives in `rsfsmooth.oracle`.
+signal over the trees of a forest. The walk runs in a small C kernel,
+`_wilson.c`, compiled on first use into the user's cache directory; where
+it cannot be built, a Python loop draws the same forests. The exhaustive
+enumeration of the same distribution on tiny graphs lives in
+`rsfsmooth.oracle`.
 """
 
-import random
-from bisect import bisect_right
+import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 
 DEFAULT_STEP_BUDGET = 10**9
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+class CounterStream:
+    """Counter-based uniform stream (Salmon et al., SC 2011).
+
+    The uniform at position k is
+    (splitmix64(key + k * 0x9E3779B97F4A7C15) >> 11) * 2^-53, a pure
+    function of (key, k), so the C kernel and the Python loop read the
+    same numbers. A forest draw reads the next `rng_draws` positions and
+    advances `position` past them; a draw that fails leaves it unchanged.
+    """
+
+    def __init__(self, key, position=0):
+        self.key = key
+        self.position = position
 
 
 def forest_rng(seed, *key):
@@ -26,7 +45,7 @@ def forest_rng(seed, *key):
     and independent of the order in which they are drawn.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return random.Random(int.from_bytes(ss.generate_state(4).tobytes(), "little"))
+    return CounterStream(int(ss.generate_state(1, np.uint64)[0]))
 
 
 def derive_seed(seed, *key):
@@ -48,33 +67,6 @@ class RootedForest:
     parent_of: np.ndarray
     rng_draws: int = 0
 
-    @property
-    def n(self):
-        return len(self.root_of)
-
-    @cached_property
-    def roots(self):
-        return np.flatnonzero(self.parent_of < 0)
-
-    @cached_property
-    def partition(self):
-        """List of trees as (root, sorted vertex array) pairs."""
-        trees = {}
-        for v, r in enumerate(self.root_of):
-            trees.setdefault(int(r), []).append(v)
-        return [(r, np.array(vs, dtype=np.int64)) for r, vs in sorted(trees.items())]
-
-    def edge_key(self):
-        """Canonical tuple of the forest's edges, for family counting."""
-        edges = []
-        for v, p in enumerate(self.parent_of):
-            if p >= 0:
-                edges.append((v, int(p)) if v < p else (int(p), v))
-        return tuple(sorted(edges))
-
-    def n_trees(self):
-        return len(self.roots)
-
 
 def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     """Draw a rooted spanning forest by absorbed loop-erased random walks.
@@ -89,58 +81,159 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     ----------
     g : Graph
     q : float or (n,) array
-        Strictly positive absorption weights.
-    rng : random.Random
-        Per-sample stream, e.g. from `forest_rng(seed, i)`.
+        Strictly positive, finite absorption weights.
+    rng : CounterStream
+        Per-sample stream, e.g. from `forest_rng(seed, i)`; advanced past
+        the uniforms the draw used.
     max_steps : int
         Guard against the (almost surely finite) walk running away.
     """
     n = g.n
-    if np.isscalar(q) or np.ndim(q) == 0:
-        qlist = [float(q)] * n
-    else:
-        qlist = [float(x) for x in q]
-    if min(qlist) <= 0:
-        raise DataError("absorption weights q must be strictly positive")
+    q = np.array(q, dtype=np.float64)  # a private, writable copy
+    if q.ndim == 0:
+        valid = 0 < float(q) < math.inf
+        q = np.full(n, q)
+    else:  # NaN fails the comparisons too
+        valid = (q.shape == (n,) and np.minimum.reduce(q) > 0
+                 and np.maximum.reduce(q) < math.inf)
+    if not valid:
+        raise DataError("absorption weights q must be finite and strictly positive, "
+                        "a scalar or one per vertex")
+    out = np.empty((2, n), dtype=np.int64)  # root_of, parent_of
+    out.fill(-1)
+    steps = _kernel()(g, q, rng.key, rng.position, min(int(max_steps), 2**63 - 1), out)
+    if steps < 0:
+        raise NumericalError(f"forest sampling exceeded the step budget of {max_steps}")
+    rng.position += steps
+    return RootedForest(root_of=out[0], parent_of=out[1], rng_draws=steps)
 
-    nbrs, cums = g.walk_tables()
-    dlist = [c[-1] if c else 0.0 for c in cums]
-    in_forest = bytearray(n)
-    root_of = [0] * n
-    parent = [-1] * n
+
+def _uniforms(key, start, count):
+    """The stream's uniforms at positions start, ..., start + count - 1."""
+    z = np.arange(start, start + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+def _stream(key, start, chunk):
+    """Uniforms from position start on, computed chunk by chunk."""
+    while True:
+        yield from _uniforms(key, start, chunk)
+        start += chunk
+        chunk *= 2
+
+
+def _wilson_python(g, q, key, position, max_steps, out):
+    """The C kernel's loop in Python, for machines where it cannot be
+    built: same uniforms, same search, same forests. Fills `out` (root_of,
+    parent_of, all -1 on entry) and returns the step count, or -1 past
+    max_steps."""
+    indptr, indices, cum = g.indptr.tolist(), g.indices.tolist(), g.walk_tables().tolist()
+    q = q.tolist()
+    root_of, parent = [-1] * len(q), [-1] * len(q)
+    rand = _stream(key, position, max(len(q), 16)).__next__
     steps = 0
-    rand = rng.random
-
-    for start in range(n):
+    for start in range(len(q)):
         u = start
-        while not in_forest[u]:
+        while root_of[u] < 0:
+            if steps >= max_steps:
+                return -1
             steps += 1
-            if steps > max_steps:
-                raise NumericalError(
-                    f"forest sampling exceeded the step budget of {max_steps}"
-                )
-            d = dlist[u]
-            r = rand() * (qlist[u] + d)
+            lo, hi = indptr[u], indptr[u + 1]
+            d = cum[hi - 1] if lo < hi else 0.0
+            r = rand() * (q[u] + d)
             if r >= d:  # absorbed: u becomes a root
-                in_forest[u] = 1
                 root_of[u] = u
                 parent[u] = -1
                 break
-            j = nbrs[u][bisect_right(cums[u], r)]
-            parent[u] = j
-            u = j
-        r_ = root_of[u]
+            hi -= 1  # bisect_right over the row, capped at its last arc
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if r < cum[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            parent[u] = u = indices[lo]
+        root = root_of[u]
         u = start
-        while not in_forest[u]:
-            in_forest[u] = 1
-            root_of[u] = r_
+        while root_of[u] < 0:
+            root_of[u] = root
             u = parent[u]
+    out[0], out[1] = root_of, parent
+    return steps
 
-    return RootedForest(
-        root_of=np.array(root_of, dtype=np.int64),
-        parent_of=np.array(parent, dtype=np.int64),
-        rng_draws=steps,
-    )
+
+_KERNEL = None  # the draw function, chosen on the first draw
+
+
+def _kernel():
+    """The compiled kernel's draw function, or `_wilson_python` where it
+    cannot be built; both take (g, q, key, position, max_steps, out)."""
+    global _KERNEL
+    if _KERNEL is None:
+        _KERNEL = _build_kernel() or _wilson_python
+    return _KERNEL
+
+
+def _build_kernel():
+    """Compile `_wilson.c` once into $XDG_CACHE_HOME/rsfsmooth (default
+    ~/.cache/rsfsmooth), keyed by the sha256 of the source, the flags and
+    the machine, and load it. Returns None when there is no `cc`, or the
+    library cannot be built, written or loaded."""
+    import ctypes
+    import hashlib
+    import platform
+    import shutil
+    import subprocess
+    import tempfile
+    import weakref
+
+    cc = shutil.which("cc")
+    source = Path(__file__).with_name("_wilson.c")
+    if cc is None or not source.is_file():
+        return None
+    text = source.read_bytes()
+    tag = hashlib.sha256(b"\0".join([text, " ".join(_CFLAGS).encode(),
+                                     platform.system().encode(),
+                                     platform.machine().encode()])).hexdigest()
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "rsfsmooth"
+        lib = cache / f"wilson-{tag[:16]}.so"
+        if not lib.is_file():
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp], input=text,
+                               capture_output=True, check=True, timeout=120)
+                os.replace(tmp, lib)  # atomic: readers see the whole library or none
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).wilson
+    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    fn.argtypes = [i64, ptr, ptr, ptr, ptr, ctypes.c_uint64, ctypes.c_uint64, i64, ptr, ptr]
+    fn.restype = i64
+    graph_args = weakref.WeakKeyDictionary()  # per graph: its arrays, kept alive, and addresses
+
+    def address(a):  # cheaper than a.ctypes.data; needs a writable array
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+    def wilson(g, q, key, position, max_steps, out):
+        if g not in graph_args:
+            arrays = (np.ascontiguousarray(g.indptr, np.int64),
+                      np.ascontiguousarray(g.indices, np.int64), g.walk_tables())
+            graph_args[g] = arrays, [g.n, *(a.ctypes.data for a in arrays)]
+        root_of = address(out)
+        return fn(*graph_args[g][1], address(q), key, position, max_steps, root_of,
+                  root_of + 8 * g.n)
+
+    return wilson
 
 
 def _tree_averages(labels, q, y):

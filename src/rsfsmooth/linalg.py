@@ -6,6 +6,8 @@ whose solution is x_hat = K y with K = (Q + L)^{-1} Q, Q = diag(q_i).
 For uniform q this reduces to K = q (qI + L)^{-1}.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DataError, NumericalError
@@ -57,6 +59,12 @@ class SmoothingProblem:
         ).copy()
         if not ((self.q > 0) & (self.q < np.inf)).all():
             raise DataError("absorption weights q must be finite and strictly positive")
+        # q (y_i - y_j) is the largest term the estimators form; Python
+        # floats overflow to inf without a warning
+        spread = float(self.y.max()) - float(self.y.min())
+        if not math.isfinite(float(self.q.max()) * spread):
+            raise NumericalError(f"q times the signal's range overflows "
+                                 f"(max q {float(self.q.max()):g}, range {spread:g})")
         self.laplacian = LaplacianOperator(graph)
 
 

@@ -1,11 +1,13 @@
 """Test-scale oracles: exact answers the Monte Carlo estimators are checked against.
 
 `enumerate_forests` lists every spanning forest of a tiny graph with its
-probability, `exact_estimator_moments` turns that list into the exact
-moments of xbar and of the control variate K^{-1} xbar (and the optimal
-step size), and `solve_exact_dense` and `contraction_check` work on the
-dense system. All of them are limited to tiny or small graphs
-(n <= 9 and m <= 24 for enumeration, n <= 2000 for the dense routines).
+probability (`forest_edge_key`, `forest_trees` and `forest_roots` read a
+sampled forest in the same terms), `exact_estimator_moments` turns that
+list into the exact moments of xbar and of the control variate
+K^{-1} xbar (and the optimal step size), and `solve_exact_dense` and
+`contraction_check` work on the dense system. All of them are limited
+to tiny or small graphs (n <= 9 and m <= 24 for enumeration, n <= 2000
+for the dense routines).
 """
 
 from dataclasses import dataclass
@@ -47,6 +49,25 @@ class ForestDistribution:
     def probabilities(self):
         """Map from canonical edge tuple to family probability."""
         return {f.edges: f.weight / self.normalizer for f in self.families}
+
+
+def forest_roots(forest):
+    """Roots of a sampled forest, in increasing order."""
+    return np.flatnonzero(forest.parent_of < 0)
+
+
+def forest_trees(forest):
+    """Trees of a sampled forest as (root, sorted vertex array) pairs."""
+    order = np.argsort(forest.root_of, kind="stable")
+    roots, starts = np.unique(forest.root_of[order], return_index=True)
+    return list(zip(roots.tolist(), np.split(order, starts[1:])))
+
+
+def forest_edge_key(forest):
+    """Canonical tuple of a sampled forest's edges, the key of
+    `ForestDistribution.probabilities`."""
+    return tuple(sorted((min(v, p), max(v, p))
+                        for v, p in enumerate(forest.parent_of.tolist()) if p >= 0))
 
 
 def enumerate_forests(g, q):

@@ -380,20 +380,31 @@ class TestExitCodes:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
-    # q * y overflows to inf on this signal: CG would accept x = 0 against
-    # an infinite residual bound, and the sampled estimate would hold NaN
+    # q (y_i - y_j) overflows to inf on this signal at q = 1 and 2 (so does
+    # q y at q = 2): refused before CG or any forest draw, with one line and
+    # no warning
     @pytest.mark.parametrize("command", [["exact"], ["smooth", "--alpha", "safe"]])
-    def test_non_finite_result_is_numerical_error(self, tmp_path, command, capsys):
+    def test_non_finite_result_is_numerical_error(self, tmp_path, command, capsys,
+                                                  monkeypatch):
+        import rsfsmooth.estimators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a forest was drawn")
+
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
         gpath = tmp_path / "c4.txt"
         gpath.write_text("0 1\n1 2\n2 3\n3 0\n")
         out = tmp_path / "x.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow notices
-            assert run([*command, "--graph", str(gpath), "--q", "2",
-                        "--signal", signal_file(tmp_path, [1e308, -1e308, 1e308, -1e308]),
-                        "--out", str(out)]) == 4
-        assert "numerical failure" in capsys.readouterr().err
-        assert not out.exists()
+        for q in ("2", "1"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run([*command, "--graph", str(gpath), "--q", q, "--signal",
+                            signal_file(tmp_path, [1e308, -1e308, 1e308, -1e308]),
+                            "--out", str(out)]) == 4
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("numerical failure"), (q, err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--repeats", "0"), ("--labels-per-class", ""),
                                             ("--labels-per-class", "a")])

@@ -9,6 +9,7 @@ from rsfsmooth import (AlphaStrategy, DataError, MonteCarloAccumulator,
                        enumerate_forests, exact_estimator_moments, forest_rng,
                        gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
                        sample_forest, solve_exact_dense, xbar_from_forest)
+from rsfsmooth.oracle import forest_trees
 
 from conftest import enumeration_corpus, path_graph, random_connected_graph
 
@@ -75,7 +76,7 @@ class TestXbar:
             assert xbar.min() >= y.min() - 1e-12 * span
             assert xbar.max() <= y.max() + 1e-12 * span
             # constant within each tree
-            for _, members in forest.partition:
+            for _, members in forest_trees(forest):
                 assert len(set(xbar[members].tolist())) == 1
 
     def test_ybar_is_lazy_control_variate(self, p3):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rsfsmooth import (DataError, Graph, NumericalError, enumerate_forests,
-                       forest_rng, sample_forest)
+from rsfsmooth import (DataError, Graph, NumericalError, RootedForest,
+                       enumerate_forests, forest_rng, sample_forest)
+from rsfsmooth.oracle import forest_edge_key, forest_roots, forest_trees
 
 from conftest import (complete_graph, cycle_graph, enumeration_corpus,
                       path_graph, random_connected_graph)
@@ -64,7 +65,7 @@ def family_chisquare(g, q, n_draws, seed):
     counts = {key: 0 for key in expected}
     for i in range(n_draws):
         forest = sample_forest(g, q, forest_rng(seed, i))
-        counts[forest.edge_key()] += 1
+        counts[forest_edge_key(forest)] += 1
     keys = sorted(expected)
     f_obs = np.array([counts[k] for k in keys])
     f_exp = n_draws * np.array([expected[k] for k in keys])
@@ -92,7 +93,7 @@ class TestSamplerLaw:
         joined = rooted_at_1 = 0
         for i in range(20000):
             f = sample_forest(k2, q, forest_rng(104, i))
-            if f.n_trees() == 1:
+            if len(forest_roots(f)) == 1:
                 joined += 1
                 rooted_at_1 += int(f.root_of[0] == 1)
         p_hat = rooted_at_1 / joined
@@ -109,20 +110,20 @@ class TestSampler:
         assert a.rng_draws == b.rng_draws
 
     def test_substreams_differ(self, triangle):
-        draws = {sample_forest(triangle, 1.0, forest_rng(7, i)).edge_key()
+        draws = {forest_edge_key(sample_forest(triangle, 1.0, forest_rng(7, i)))
                  for i in range(20)}
         assert len(draws) > 1
 
     def test_huge_q_all_singletons(self, p3):
         for i in range(5):
             f = sample_forest(p3, 1e9, forest_rng(1, i))
-            assert f.n_trees() == 3
+            assert len(forest_roots(f)) == 3
             assert np.array_equal(f.root_of, [0, 1, 2])
 
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
         f = sample_forest(g, 2.0, forest_rng(0, 0))
-        assert f.n_trees() == 1 and f.root_of[0] == 0 and f.parent_of[0] == -1
+        assert len(forest_roots(f)) == 1 and f.root_of[0] == 0 and f.parent_of[0] == -1
 
     def test_partition_validity_properties(self):
         g = random_connected_graph(25, extra_edges=35,
@@ -131,7 +132,7 @@ class TestSampler:
                          for u in range(g.n)]
         for i in range(200):
             f = sample_forest(g, 0.6, forest_rng(55, i))
-            roots = f.roots
+            roots = forest_roots(f)
             assert np.array_equal(f.root_of[roots], roots)  # roots are fixed points
             for v in range(g.n):
                 p = f.parent_of[v]
@@ -146,7 +147,7 @@ class TestSampler:
                     hops += 1
                     assert hops <= g.n
                 assert u == f.root_of[v]
-            sizes = sum(len(vs) for _, vs in f.partition)
+            sizes = sum(len(vs) for _, vs in forest_trees(f))
             assert sizes == g.n  # trees partition the vertex set
 
     def test_step_budget_exhaustion(self):
@@ -160,22 +161,24 @@ class TestSampler:
 
     def test_step_count_reported(self, p3):
         f = sample_forest(p3, 1.0, forest_rng(3, 0))
-        assert f.rng_draws >= f.n_trees()
+        assert f.rng_draws >= len(forest_roots(f))
 
 
 class TestForestHelpers:
     def test_edge_key_canonical(self):
-        from rsfsmooth import RootedForest
         f = RootedForest(root_of=np.array([2, 2, 2]), parent_of=np.array([1, 2, -1]))
-        assert f.edge_key() == ((0, 1), (1, 2))
+        assert forest_edge_key(f) == ((0, 1), (1, 2))
 
     def test_partition_groups(self):
-        from rsfsmooth import RootedForest
         f = RootedForest(root_of=np.array([0, 0, 2]), parent_of=np.array([-1, 0, -1]))
-        parts = f.partition
+        parts = forest_trees(f)
         assert parts[0][0] == 0 and parts[0][1].tolist() == [0, 1]
         assert parts[1][0] == 2 and parts[1][1].tolist() == [2]
+        assert forest_roots(f).tolist() == [0, 2]
 
-    def test_forest_rng_reproducible(self):
-        assert forest_rng(9, 4).random() == forest_rng(9, 4).random()
-        assert forest_rng(9, 4).random() != forest_rng(9, 5).random()
+    def test_forest_rng_reproducible(self, triangle):
+        a, b, c = forest_rng(9, 4), forest_rng(9, 4), forest_rng(9, 5)
+        assert (a.key, a.position) == (b.key, b.position) and a.key != c.key
+        fa, fb = sample_forest(triangle, 1.0, a), sample_forest(triangle, 1.0, b)
+        assert np.array_equal(fa.parent_of, fb.parent_of)
+        assert a.position == b.position == fa.rng_draws

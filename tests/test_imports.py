@@ -1,5 +1,6 @@
-"""Import-time guards: the CLI loads no optional dependency, and the
-test-scale oracles sit below the estimators."""
+"""Import-time guards: the CLI loads no optional dependency and leaves the
+forest kernel unbuilt until the first draw, and the test-scale oracles
+sit below the estimators."""
 
 import ast
 import os
@@ -11,11 +12,12 @@ import rsfsmooth
 import rsfsmooth.oracle
 
 
-def fresh_python(code):
+def fresh_python(code, **env):
     """Run code in a new interpreter that imports this checkout's package."""
     src = str(Path(rsfsmooth.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    return subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, timeout=60)
 
 
@@ -24,6 +26,23 @@ def test_cli_import_leaves_out_networkx_and_spatial():
                        "if m.split('.')[0] == 'networkx' or m.startswith('scipy.spatial')))")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_and_exact_leave_the_kernel_unbuilt(tmp_path):
+    # numpy itself imports ctypes, so the guarantee is about the kernel:
+    # importing the CLI and running a command that draws no forest neither
+    # loads nor compiles it, and writes nothing to the kernel cache
+    gpath = tmp_path / "p3.txt"
+    gpath.write_text("0 1\n1 2\n")
+    cache = tmp_path / "cache"
+    res = fresh_python(
+        "import rsfsmooth.cli as cli, rsfsmooth.forests as f; "
+        f"print(f._KERNEL); code = cli.run(['exact', '--graph', {str(gpath)!r}, "
+        f"'--signal', 'gaussian', '--q', '1', '--out', {str(tmp_path / 'x.csv')!r}]); "
+        "print(code, f._KERNEL)", XDG_CACHE_HOME=str(cache))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["None", "0", "None"]
+    assert not cache.exists()
 
 
 def test_oracle_imports_only_lower_layers():

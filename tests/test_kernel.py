@@ -1,0 +1,155 @@
+"""The compiled Wilson kernel against its Python twin, the counter-based
+stream, the walk tables, and how the kernel is built and cached."""
+
+import functools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rsfsmooth
+from rsfsmooth import (DataError, Graph, NumericalError, forest_rng, forests, gen_graph,
+                       sample_forest)
+
+from conftest import path_graph, random_connected_graph, star_graph
+
+HAS_CC = shutil.which("cc") is not None
+
+
+@functools.cache
+def compiled():
+    return forests._build_kernel()
+
+
+def draw(kernel, g, q, stream, max_steps=forests.DEFAULT_STEP_BUDGET):
+    """sample_forest with the given draw function in place of the loaded one."""
+    saved, forests._KERNEL = forests._KERNEL, kernel
+    try:
+        return sample_forest(g, q, stream, max_steps=max_steps)
+    finally:
+        forests._KERNEL = saved
+
+
+@st.composite
+def walk_cases(draw_):
+    """A connected weighted graph on 2 to 9 vertices, scalar or per-vertex
+    q, and a stream key and starting position."""
+    n = draw_(st.integers(2, 9))
+    edges = {(draw_(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw_(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    weights = draw_(st.lists(st.floats(0.01, 50.0), min_size=len(edges), max_size=len(edges)))
+    g = Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(sorted(edges), weights)])
+    qs = st.floats(0.001, 20.0)
+    q = draw_(qs) if draw_(st.booleans()) else np.array(draw_(st.lists(qs, min_size=n,
+                                                                       max_size=n)))
+    return g, q, draw_(st.integers(0, 2**64 - 1)), draw_(st.integers(0, 2**48))
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=walk_cases(), n_draws=st.integers(1, 5))
+def test_kernel_matches_python_loop(case, n_draws):
+    g, q, key, position = case
+    fast, slow = forests.CounterStream(key, position), forests.CounterStream(key, position)
+    for _ in range(n_draws):
+        a, b = draw(compiled(), g, q, fast), draw(forests._wilson_python, g, q, slow)
+        assert np.array_equal(a.root_of, b.root_of)
+        assert np.array_equal(a.parent_of, b.parent_of)
+        assert a.rng_draws == b.rng_draws
+        assert fast.position == slow.position
+    # the step budget: the next draw fails at one step short of its length,
+    # in both, leaving both streams where they were
+    steps = draw(compiled(), g, q, forests.CounterStream(key, fast.position)).rng_draws
+    for kernel, stream in ((compiled(), fast), (forests._wilson_python, slow)):
+        before = stream.position
+        with pytest.raises(NumericalError, match="step budget"):
+            draw(kernel, g, q, stream, max_steps=steps - 1)
+        assert stream.position == before
+        assert draw(kernel, g, q, stream, max_steps=steps).rng_draws == steps
+
+
+def test_uniform_is_splitmix64():
+    # splitmix64 seeded with 0 first outputs 0xE220A8397B1DCDAF
+    assert forests._uniforms(0, 1, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
+    chunked = forests._stream(12345, 7, 3)
+    assert [next(chunked) for _ in range(10)] == forests._uniforms(12345, 7, 10)
+
+
+def test_stream_position_advances_by_draws():
+    g = random_connected_graph(30, extra_edges=20, rng=np.random.default_rng(3))
+    stream = forest_rng(4, 1)
+    first = sample_forest(g, 0.5, stream)
+    assert stream.position == first.rng_draws
+    second = sample_forest(g, 0.5, stream)
+    assert stream.position == first.rng_draws + second.rng_draws
+    again = forests.CounterStream(stream.key, first.rng_draws)
+    assert np.array_equal(sample_forest(g, 0.5, again).parent_of, second.parent_of)
+
+
+@pytest.mark.parametrize("q", [np.nan, np.inf, -1.0, [1.0, np.nan, 1.0], [1.0, 1.0]])
+def test_bad_q_rejected(p3, q):
+    with pytest.raises(DataError, match="absorption weights"):
+        sample_forest(p3, q, forest_rng(0, 0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: path_graph(5, weights=[0.1, 0.7, 3.3, 1e-9]),
+    lambda: star_graph(40),
+    lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
+                                   weighted=True),
+    lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
+    lambda: Graph.from_edges(1, []),
+])
+def test_walk_tables_are_rowwise_cumsums(make):
+    g = make()
+    cum = g.walk_tables()
+    assert cum.shape == (2 * g.m,) and not cum.flags.writeable
+    for u in range(g.n):
+        lo, hi = g.indptr[u], g.indptr[u + 1]
+        assert cum[lo:hi].tobytes() == np.cumsum(g.weights[lo:hi]).tobytes()
+
+
+def fresh_python(code, cache, path=None):
+    """Run code in a new interpreter on this checkout, with its own kernel
+    cache and, if given, its own PATH."""
+    src = str(Path(rsfsmooth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(cache)}
+    if path is not None:
+        env["PATH"] = str(path)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+SMOOTH = ("from rsfsmooth import forests; from rsfsmooth.cli import run; "
+          "run(['smooth', '--gen', 'grid:rows=12,cols=12', '--signal', 'gaussian', "
+          "'--q', '0.2', '--n-samples', '5', '--alpha', 'empirical', '--seed', '3', "
+          "'--format', 'json', '--out', {out!r}]); "
+          "print(forests._KERNEL is forests._wilson_python)")
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_kernel_builds_once_and_matches_the_fallback(tmp_path):
+    cache = tmp_path / "cache"
+    out_c, out_py = tmp_path / "c.json", tmp_path / "py.json"
+    assert fresh_python(SMOOTH.format(out=str(out_c)), cache).strip() == "False"
+    built = sorted((cache / "rsfsmooth").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("wilson-") and built[0].suffix == ".so"
+    stamp = built[0].stat().st_mtime_ns
+    fresh_python(SMOOTH.format(out=str(out_c)), cache)
+    assert sorted((cache / "rsfsmooth").iterdir()) == built  # reused, not rebuilt
+    assert built[0].stat().st_mtime_ns == stamp
+    # without a compiler the Python loop runs and writes the same bytes
+    no_cc, bare_cache = tmp_path / "bin", tmp_path / "bare"
+    no_cc.mkdir()
+    assert fresh_python(SMOOTH.format(out=str(out_py)), bare_cache, path=no_cc).strip() == "True"
+    assert not bare_cache.exists()
+    assert out_py.read_bytes() == out_c.read_bytes()
