@@ -7,9 +7,9 @@ well-chosen size cuts the estimator's variance at negligible cost.
 """
 
 from .errors import DataError, NumericalError
-from .estimators import (AlphaStrategy, EstimateSample, MonteCarloAccumulator,
-                         MonteCarloResult, gradient_step, resolve_alpha,
-                         run_monte_carlo, safe_alpha, xbar_from_forest)
+from .estimators import (AlphaStrategy, MonteCarloAccumulator, MonteCarloResult,
+                         gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
+                         xbar_from_forest)
 from .forests import RootedForest, derive_seed, forest_rng, sample_forest
 from .graphs import Graph, gen_graph, load_graph, load_positions, save_graph
 from .linalg import LaplacianOperator, SmoothingProblem, apply_K_inverse, solve_exact_cg
@@ -23,7 +23,7 @@ from .ssl import (ClassificationResult, SSLProblem, accuracy_experiment,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaStrategy", "ClassificationResult", "DataError", "EstimateSample",
+    "AlphaStrategy", "ClassificationResult", "DataError",
     "ExactMoments", "ForestDistribution", "ForestFamily", "Graph",
     "LaplacianOperator", "MonteCarloAccumulator", "MonteCarloResult",
     "NumericalError", "RootedForest", "SSLProblem", "SmoothingProblem",

@@ -95,6 +95,15 @@ def _resolve_signal(args, graph):
     return load_signal(spec, graph.n)
 
 
+def _finite(v):
+    """v, if it is finite. Both writers pass every float through here
+    before they open the file, so a NaN or infinite output writes nothing;
+    None, a value absent by design, is written as null or an empty cell."""
+    if not math.isfinite(v):
+        raise NumericalError(f"output has a non-finite value ({v})")
+    return v
+
+
 def _pyify(obj):
     if isinstance(obj, dict):
         return {k: _pyify(v) for k, v in obj.items()}
@@ -105,8 +114,7 @@ def _pyify(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else v
+        return _finite(float(obj))
     return obj
 
 
@@ -118,25 +126,23 @@ def _write_json(path, payload):
 
 
 def _csv_cell(v):
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return f"{_finite(v):.17g}"
     return str(v)
 
 
 def _write_rows_csv(path, header, rows, comment=None):
+    lines = [",".join(_csv_cell(row[h]) for h in header) for row in rows]
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[h]) for h in header) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_estimate(args, estimate, alpha=None, diagnostics=None):
-    if not np.isfinite(estimate).all():
-        raise NumericalError("estimate has non-finite values")
     if args.format == "csv":
         rows = [{"node": i, "value": float(v)} for i, v in enumerate(estimate)]
         _write_rows_csv(args.out, ["node", "value"], rows)

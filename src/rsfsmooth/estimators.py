@@ -9,8 +9,7 @@ optimal step size and an empirical estimate of it from the samples.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,24 +19,10 @@ from .linalg import apply_K_inverse
 from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
 
 
-@dataclass
-class EstimateSample:
-    """One forest's estimate and its lazily computed control variate."""
-
-    xbar: np.ndarray
-    problem: object
-
-    @cached_property
-    def ybar(self):
-        """K^{-1} xbar; its expectation over forest draws is the signal y."""
-        return apply_K_inverse(self.problem, self.xbar)
-
-
 def xbar_from_forest(forest, problem):
     """Partition-average estimate: each node gets its tree's q-weighted
     mean of y. Unbiased for K y under the forest distribution."""
-    xbar = _tree_averages(forest.root_of, problem.q, problem.y)
-    return EstimateSample(xbar=xbar, problem=problem)
+    return _tree_averages(forest.root_of, problem.q, problem.y)
 
 
 def gradient_step(x, problem, alpha):
@@ -46,12 +31,11 @@ def gradient_step(x, problem, alpha):
 
 
 class MonteCarloAccumulator:
-    """Streaming moments of (xbar, ybar) sample pairs.
+    """Streaming moments of (xbar, ybar) sample pairs, ybar = K^{-1} xbar.
 
     Keeps running means plus centered scalar co-moments (Welford/Chan
     updates), enough for the trace statistics and the empirical step size
-    without storing samples. `total_walk_steps` counts the walk steps of
-    the forests that fed it. Merging two accumulators is associative and
+    without storing samples. Merging two accumulators is associative and
     commutative up to rounding.
     """
 
@@ -63,18 +47,16 @@ class MonteCarloAccumulator:
         self._m_xx = 0.0
         self._m_yy = 0.0
         self._m_xy = 0.0
-        self.total_walk_steps = 0
 
-    def add(self, sample):
-        x, yv = sample.xbar, sample.ybar
+    def add(self, x, ybar):
         self.count += 1
         dx = x - self.mean_x
-        dy = yv - self.mean_y
+        dy = ybar - self.mean_y
         self.mean_x = self.mean_x + dx / self.count
         self.mean_y = self.mean_y + dy / self.count
         self._m_xx += float(dx @ (x - self.mean_x))
-        self._m_yy += float(dy @ (yv - self.mean_y))
-        self._m_xy += float(dx @ (yv - self.mean_y))
+        self._m_yy += float(dy @ (ybar - self.mean_y))
+        self._m_xy += float(dx @ (ybar - self.mean_y))
 
     def merge(self, other):
         """Combined accumulator, equal to single-pass accumulation."""
@@ -87,7 +69,6 @@ class MonteCarloAccumulator:
             out.mean_x = src.mean_x.copy()
             out.mean_y = src.mean_y.copy()
             out._m_xx, out._m_yy, out._m_xy = src._m_xx, src._m_yy, src._m_xy
-            out.total_walk_steps = self.total_walk_steps + other.total_walk_steps
             return out
         total = self.count + other.count
         dx = other.mean_x - self.mean_x
@@ -99,7 +80,6 @@ class MonteCarloAccumulator:
         out._m_xx = self._m_xx + other._m_xx + f * float(dx @ dx)
         out._m_yy = self._m_yy + other._m_yy + f * float(dy @ dy)
         out._m_xy = self._m_xy + other._m_xy + f * float(dx @ dy)
-        out.total_walk_steps = self.total_walk_steps + other.total_walk_steps
         return out
 
     # --- trace statistics ----------------------------------------------
@@ -205,32 +185,34 @@ def resolve_alpha(strategy, problem, acc=None):
 
 
 def accumulate_forests(problems, n_samples, seed):
-    """One accumulator per problem, all fed by the same n_samples forests.
+    """One accumulator per problem, all fed by the same n_samples forests;
+    returns (accumulators, total walk steps of the draws).
 
     The problems share one graph and one q (they differ only in the
     signal), so forest i is drawn once, on the stream derived from
-    (seed, i), and its tree average of every signal goes to that signal's
-    accumulator. This is the package's only forest-sampling loop.
+    (seed, i), and its tree average of every signal, with that average's
+    control variate K^{-1} xbar, goes to that signal's accumulator. This
+    is the package's only forest-sampling loop.
     """
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     g, q = problems[0].graph, problems[0].q
     accs = [MonteCarloAccumulator(g.n) for _ in problems]
+    walk_steps = 0
     for i in range(n_samples):
         forest = sample_forest(g, q, forest_rng(seed, i))
+        walk_steps += forest.rng_draws
         for acc, problem in zip(accs, problems):
-            acc.add(xbar_from_forest(forest, problem))
-            acc.total_walk_steps += forest.rng_draws
-    return accs
+            x = xbar_from_forest(forest, problem)
+            acc.add(x, apply_K_inverse(problem, x))
+    return accs, walk_steps
 
 
 @dataclass
 class MonteCarloResult:
     estimate: np.ndarray
     alpha: float
-    strategy: AlphaStrategy
-    accumulator: MonteCarloAccumulator
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def run_monte_carlo(problem, n_samples, strategy, seed=0):
@@ -245,7 +227,7 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
     """
     if strategy.kind == "empirical" and n_samples < 2:
         raise DataError("the empirical strategy needs n_samples >= 2")
-    acc, = accumulate_forests([problem], n_samples, seed)
+    (acc,), walk_steps = accumulate_forests([problem], n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)
     diagnostics = {
@@ -255,9 +237,8 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
         "tr_var_xbar": acc.tr_var_xbar if n_samples >= 2 else None,
         "tr_var_ybar": acc.tr_var_ybar if n_samples >= 2 else None,
         "tr_cov_xy": acc.tr_cov_xy if n_samples >= 2 else None,
-        "total_walk_steps": acc.total_walk_steps,
+        "total_walk_steps": walk_steps,
         "zero_variance_fallback": fallback,
         "alpha_from_same_samples": strategy.kind == "empirical",
     }
-    return MonteCarloResult(estimate=estimate, alpha=alpha, strategy=strategy,
-                            accumulator=acc, diagnostics=diagnostics)
+    return MonteCarloResult(estimate=estimate, alpha=alpha, diagnostics=diagnostics)

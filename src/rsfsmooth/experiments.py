@@ -39,7 +39,7 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     sq = np.zeros(alpha_grid.size + 3)
     alpha_hats = []
     for r in range(realizations):
-        acc, = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
+        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
         alpha_hat, _ = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
@@ -88,7 +88,7 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     for qi, qv in enumerate(q_grid):
         problem = SmoothingProblem(graph, y, float(qv))
         xhat, _ = solve_exact_cg(problem)
-        acc, = accumulate_forests([problem], n_samples, derive_seed(seed, 5, qi))
+        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 5, qi))
 
         def column(strategy):
             alpha, _ = resolve_alpha(strategy, problem, acc)

@@ -1,8 +1,10 @@
 """Signal file IO, synthetic test signals, and PSNR."""
 
+import math
+
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .linalg import DENSE_LIMIT, LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
@@ -75,13 +77,15 @@ def psnr(clean, estimate, peak=None):
     """Peak signal-to-noise ratio, 10 log10(peak^2 / MSE).
 
     `peak` defaults to max|clean|; the MSE is floored at 1e-15 so exact
-    recovery reports a large finite value.
+    recovery reports a large finite value. A peak whose square overflows
+    raises NumericalError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
-    if peak is None:
-        peak = float(np.max(np.abs(clean)))
+    peak = float(np.max(np.abs(clean)) if peak is None else peak)
     if peak <= 0:
         raise DataError("PSNR is undefined for an all-zero clean signal")
+    if not math.isfinite(peak * peak):
+        raise NumericalError(f"PSNR peak {peak:g} overflows when squared")
     mse = float(np.mean((clean - estimate) ** 2))
     return 10.0 * np.log10(peak**2 / max(mse, PSNR_MSE_FLOOR))

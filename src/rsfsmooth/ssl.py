@@ -6,7 +6,7 @@ with absorption weights q_i = (mu/2) d_i. Scores are computed either
 exactly (conjugate gradient) or by the forest Monte Carlo estimators.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +84,24 @@ class ClassificationResult:
     F: np.ndarray
     predicted: np.ndarray
     accuracy: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
-def _finish(problem, F, diagnostics=None):
+def _class_problems(problem):
+    """The k per-class smoothing problems: signal D^{sigma-1} Y[:, c] and
+    absorption q_i = (mu/2) d_i, the same for every class."""
+    g = problem.graph
+    d_in = g.degrees ** (problem.sigma - 1.0)
+    q = problem.absorption()
+    Y = problem.label_matrix()
+    return [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(problem.k)]
+
+
+def _finish(problem, columns, diagnostics):
+    """Scores D^{1-sigma} x_c of the per-class smoothed signals x_c, their
+    argmax predictions and the holdout accuracy."""
+    d_out = problem.graph.degrees ** (1.0 - problem.sigma)
+    F = d_out[:, None] * np.column_stack(columns)
     predicted = np.argmax(F, axis=1)
     holdout = problem.holdout()
     if len(holdout):
@@ -95,46 +109,31 @@ def _finish(problem, F, diagnostics=None):
     else:
         accuracy = float("nan")
     return ClassificationResult(F=F, predicted=predicted, accuracy=accuracy,
-                                diagnostics=diagnostics or {})
+                                diagnostics=diagnostics)
 
 
 def ssl_exact(problem):
     """Exact classification scores via conjugate gradient, one class at a time."""
-    g = problem.graph
-    d_in = g.degrees ** (problem.sigma - 1.0)
-    d_out = g.degrees ** (1.0 - problem.sigma)
-    q = problem.absorption()
-    Y = problem.label_matrix()
-    F = np.empty((g.n, problem.k))
-    iters = []
-    for c in range(problem.k):
-        sp = SmoothingProblem(g, d_in * Y[:, c], q)
-        x, it = solve_exact_cg(sp)
-        F[:, c] = d_out * x
-        iters.append(it)
-    return _finish(problem, F, {"cg_iterations": iters})
+    solves = [solve_exact_cg(sp) for sp in _class_problems(problem)]
+    return _finish(problem, [x for x, _ in solves],
+                   {"cg_iterations": [it for _, it in solves]})
 
 
-def _class_accumulators(problem, n_samples, seed):
-    """One forest pass: the per-class smoothing problems and their
-    accumulators. The forest law depends only on q_i = (mu/2) d_i, not on
-    the class signal, so each draw serves every column of Y."""
-    g = problem.graph
-    d_in = g.degrees ** (problem.sigma - 1.0)
-    q = problem.absorption()
-    Y = problem.label_matrix()
-    subproblems = [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(problem.k)]
-    return subproblems, accumulate_forests(subproblems, n_samples, seed)
+def _forest_pass(problem, n_samples, seed):
+    """One forest pass: the per-class smoothing problems, their
+    accumulators and the walk steps of the draws. The forest law depends
+    only on q_i = (mu/2) d_i, not on the class signal, so each draw serves
+    every column of Y."""
+    subproblems = _class_problems(problem)
+    return (subproblems, *accumulate_forests(subproblems, n_samples, seed))
 
 
-def _forest_result(problem, subproblems, accs, strategy):
+def _forest_result(problem, subproblems, accs, walk_steps, strategy):
     """Scores, predictions and accuracy of one step-size strategy."""
-    d_out = problem.graph.degrees ** (1.0 - problem.sigma)
-    F = np.empty((problem.graph.n, problem.k))
-    alphas, fallbacks = [], []
-    for c, (sp, acc) in enumerate(zip(subproblems, accs)):
+    columns, alphas, fallbacks = [], [], []
+    for sp, acc in zip(subproblems, accs):
         alpha, fallback = resolve_alpha(strategy, sp, acc)
-        F[:, c] = d_out * gradient_step(acc.mean_x, sp, alpha)
+        columns.append(gradient_step(acc.mean_x, sp, alpha))
         alphas.append(alpha)
         fallbacks.append(fallback)
     diagnostics = {
@@ -142,9 +141,9 @@ def _forest_result(problem, subproblems, accs, strategy):
         "strategy": strategy.kind,
         "alpha_per_class": alphas,
         "zero_variance_fallback_per_class": fallbacks,
-        "total_walk_steps": accs[0].total_walk_steps,
+        "total_walk_steps": walk_steps,
     }
-    return _finish(problem, F, diagnostics)
+    return _finish(problem, columns, diagnostics)
 
 
 def ssl_forest(problem, n_samples, strategy, seed=0):
@@ -153,7 +152,7 @@ def ssl_forest(problem, n_samples, strategy, seed=0):
     Each forest draw is shared by all k classes, at a k-fold cost saving
     over sampling per class.
     """
-    return _forest_result(problem, *_class_accumulators(problem, n_samples, seed), strategy)
+    return _forest_result(problem, *_forest_pass(problem, n_samples, seed), strategy)
 
 
 FOREST_STRATEGIES = {
@@ -186,6 +185,9 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     for c, mem in enumerate(members):
         if len(mem) < m:
             raise DataError(f"class {c} has {len(mem)} members, fewer than m={m}")
+    if all(len(mem) == m for mem in members):
+        raise DataError(f"no held-out vertex: every labeled vertex would be among "
+                        f"the m={m} per class")
 
     scores = {method: [] for method in METHODS}
     for r in range(repeats):
@@ -196,7 +198,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
         scores["exact"].append(ssl_exact(sub).accuracy)
-        forest_pass = _class_accumulators(sub, n_samples, derive_seed(seed, 2, r))
+        forest_pass = _forest_pass(sub, n_samples, derive_seed(seed, 2, r))
         for method, strategy in FOREST_STRATEGIES.items():
             scores[method].append(_forest_result(sub, *forest_pass, strategy).accuracy)
     rows = []

@@ -156,7 +156,7 @@ def test_criterion_04_safe_step():
         alpha = safe_alpha(problem)
         for i in range(250):
             forest = sample_forest(g, q, forest_rng(104 + trial, i))
-            xbar = xbar_from_forest(forest, problem).xbar
+            xbar = xbar_from_forest(forest, problem)
             z = gradient_step(xbar, problem, alpha)
             assert np.linalg.norm(z - xhat) <= np.linalg.norm(xbar - xhat) * (1 + 1e-12)
             draws += 1
@@ -255,7 +255,7 @@ def test_criterion_08_monte_carlo_consistency():
         total = np.zeros(3)
         ci = 0
         for i in range(checkpoints[-1]):
-            total += xbar_from_forest(sample_forest(g, 1.0, stream), problem).xbar
+            total += xbar_from_forest(sample_forest(g, 1.0, stream), problem)
             if i + 1 == checkpoints[ci]:
                 errs[r, ci] = np.linalg.norm(total / (i + 1) - xhat)
                 ci += 1
@@ -268,7 +268,7 @@ def test_criterion_08_monte_carlo_consistency():
     s = np.zeros(3)
     ss = np.zeros(3)
     for _ in range(n_big):
-        xb = xbar_from_forest(sample_forest(g, 1.0, stream), problem).xbar
+        xb = xbar_from_forest(sample_forest(g, 1.0, stream), problem)
         s += xb
         ss += xb * xb
     mean = s / n_big

@@ -16,6 +16,12 @@ def p3_file(tmp_path):
     return str(path)
 
 
+def c4_file(tmp_path):
+    path = tmp_path / "c4.txt"
+    path.write_text("0 1\n1 2\n2 3\n3 0\n")
+    return str(path)
+
+
 def signal_file(tmp_path, values, name="sig.txt"):
     path = tmp_path / name
     path.write_text("".join(f"{v}\n" for v in values))
@@ -104,6 +110,15 @@ class TestSmooth:
         d = payload["diagnostics"]
         assert d["n_samples"] == 6 and d["strategy"] == "safe_constant"
         assert d["total_walk_steps"] > 0
+
+    def test_single_sample_leaves_trace_diagnostics_null(self, tmp_path):
+        out = tmp_path / "est.json"
+        assert run(["smooth", "--graph", p3_file(tmp_path),
+                    "--signal", signal_file(tmp_path, [8.0, 0.0, 0.0]),
+                    "--q", "1.0", "--n-samples", "1", "--out", str(out),
+                    "--format", "json"]) == 0
+        d = json.loads(out.read_text())["diagnostics"]
+        assert d["tr_var_xbar"] is d["tr_var_ybar"] is d["tr_cov_xy"] is None
 
     def test_deterministic_bytes(self, tmp_path):
         args = ["smooth", "--graph", p3_file(tmp_path),
@@ -392,19 +407,72 @@ class TestExitCodes:
             raise AssertionError("a forest was drawn")
 
         monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
-        gpath = tmp_path / "c4.txt"
-        gpath.write_text("0 1\n1 2\n2 3\n3 0\n")
         out = tmp_path / "x.csv"
         for q in ("2", "1"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert run([*command, "--graph", str(gpath), "--q", q, "--signal",
+                assert run([*command, "--graph", c4_file(tmp_path), "--q", q, "--signal",
                             signal_file(tmp_path, [1e308, -1e308, 1e308, -1e308]),
                             "--out", str(out)]) == 4
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("numerical failure"), (q, err)
             assert not out.exists()
+
+    # 1e155 passes the up-front overflow check, but the squared deviations
+    # in smooth's trace diagnostics and in the sweep's squared errors
+    # overflow to inf; no writer lets a non-finite value through
+    @pytest.mark.parametrize("command", [
+        ["smooth", "--q", "1", "--format", "json"],
+        ["sweep-alpha", "--q", "0.001", "--alpha-grid", "0,0.5", "--n-samples", "3",
+         "--realizations", "2"],
+        ["sweep-alpha", "--q", "0.001", "--alpha-grid", "0,0.5", "--n-samples", "3",
+         "--realizations", "2", "--format", "json"],
+    ])
+    def test_non_finite_output_is_numerical_error(self, tmp_path, command, capsys):
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run([*command, "--graph", c4_file(tmp_path), "--signal",
+                        signal_file(tmp_path, [1e155, -1e155, 1e155, 0.0]),
+                        "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: output has a non-finite value (inf)"]
+        assert not out.exists()
+
+    # max|clean|^2 overflows: refused before any solve, with one line and
+    # no warning
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_psnr_peak_is_numerical_error(self, tmp_path, fmt, capsys,
+                                                      monkeypatch):
+        import rsfsmooth.experiments
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a system was solved")
+
+        monkeypatch.setattr(rsfsmooth.experiments, "solve_exact_cg", no_solve)
+        out = tmp_path / f"psnr.{fmt}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["denoise", "--graph", c4_file(tmp_path), "--signal",
+                        signal_file(tmp_path, [1e160, -1e160, 1e160, 0.0]),
+                        "--noise-std", "1", "--q-grid", "1", "--format", fmt,
+                        "--out", str(out)]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert not out.exists()
+
+    def test_ssl_without_holdout_is_data_error(self, tmp_path, capsys):
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("0,0\n1,0\n2,1\n3,1\n")
+        out = tmp_path / "acc.csv"
+        assert run(["ssl", "--graph", c4_file(tmp_path), "--labels", str(lpath),
+                    "--labels-per-class", "2", "--n-samples", "2", "--repeats", "1",
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no held-out vertex"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--repeats", "0"), ("--labels-per-class", ""),
                                             ("--labels-per-class", "a")])

@@ -1,5 +1,4 @@
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,14 +35,14 @@ class TestXbar:
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         forest = RootedForest(root_of=np.array([0, 0, 2]),
                               parent_of=np.array([-1, 0, -1]))
-        sample = xbar_from_forest(forest, problem)
-        np.testing.assert_array_equal(sample.xbar, [4.0, 4.0, 0.0])
+        xbar = xbar_from_forest(forest, problem)
+        np.testing.assert_array_equal(xbar, [4.0, 4.0, 0.0])
 
     def test_weighted_average_nonuniform_q(self, k2):
         problem = SmoothingProblem(k2, np.array([3.0, 9.0]), np.array([1.0, 2.0]))
         forest = RootedForest(root_of=np.array([1, 1]), parent_of=np.array([1, -1]))
-        sample = xbar_from_forest(forest, problem)
-        np.testing.assert_allclose(sample.xbar, [7.0, 7.0], rtol=1e-15)
+        xbar = xbar_from_forest(forest, problem)
+        np.testing.assert_allclose(xbar, [7.0, 7.0], rtol=1e-15)
 
     def test_constant_signal_bitwise(self):
         g = random_connected_graph(30, extra_edges=40,
@@ -52,13 +51,13 @@ class TestXbar:
         problem = SmoothingProblem(g, np.full(g.n, 0.1), q)
         for i in range(20):
             forest = sample_forest(g, q, forest_rng(10, i))
-            assert np.array_equal(xbar_from_forest(forest, problem).xbar, problem.y)
+            assert np.array_equal(xbar_from_forest(forest, problem), problem.y)
 
     def test_singleton_forest_returns_signal(self, p3):
         problem = SmoothingProblem(p3, np.array([5.0, -1.0, 2.0]), 1.0)
         forest = RootedForest(root_of=np.array([0, 1, 2]),
                               parent_of=np.array([-1, -1, -1]))
-        assert np.array_equal(xbar_from_forest(forest, problem).xbar, problem.y)
+        assert np.array_equal(xbar_from_forest(forest, problem), problem.y)
 
     def test_matches_bruteforce_and_stays_in_hull(self):
         g = random_connected_graph(20, extra_edges=25,
@@ -70,7 +69,7 @@ class TestXbar:
         span = y.max() - y.min()
         for i in range(50):
             forest = sample_forest(g, q, forest_rng(11, i))
-            xbar = xbar_from_forest(forest, problem).xbar
+            xbar = xbar_from_forest(forest, problem)
             np.testing.assert_allclose(
                 xbar, oracle_tree_averages(forest.root_of, q, y), rtol=1e-12)
             assert xbar.min() >= y.min() - 1e-12 * span
@@ -79,13 +78,13 @@ class TestXbar:
             for _, members in forest_trees(forest):
                 assert len(set(xbar[members].tolist())) == 1
 
-    def test_ybar_is_lazy_control_variate(self, p3):
+    def test_control_variate_is_k_inverse_of_xbar(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         forest = RootedForest(root_of=np.array([0, 0, 2]),
                               parent_of=np.array([-1, 0, -1]))
-        sample = xbar_from_forest(forest, problem)
+        xbar = xbar_from_forest(forest, problem)
         np.testing.assert_allclose(
-            sample.ybar, dense_k_inverse(p3, problem.q) @ sample.xbar, rtol=1e-12)
+            apply_K_inverse(problem, xbar), dense_k_inverse(p3, problem.q) @ xbar, rtol=1e-12)
 
 
 class TestGradientStep:
@@ -116,17 +115,15 @@ class TestGradientStep:
 class TestAccumulator:
     def stream(self, n, count, seed):
         rng = np.random.default_rng(seed)
-        return [SimpleNamespace(xbar=rng.standard_normal(n),
-                                ybar=rng.standard_normal(n))
-                for _ in range(count)]
+        return [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(count)]
 
     def test_matches_naive_sums(self):
         samples = self.stream(6, 40, 7)
         acc = MonteCarloAccumulator(6)
         for s in samples:
-            acc.add(s)
-        X = np.array([s.xbar for s in samples])
-        Y = np.array([s.ybar for s in samples])
+            acc.add(*s)
+        X = np.array([x for x, _ in samples])
+        Y = np.array([yb for _, yb in samples])
         assert acc.count == 40
         np.testing.assert_allclose(acc.mean_x, X.mean(axis=0), rtol=1e-10)
         np.testing.assert_allclose(acc.mean_y, Y.mean(axis=0), rtol=1e-10)
@@ -140,14 +137,14 @@ class TestAccumulator:
         samples = self.stream(5, 30, 8)
         whole = MonteCarloAccumulator(5)
         for s in samples:
-            whole.add(s)
+            whole.add(*s)
         a, b, c = (MonteCarloAccumulator(5) for _ in range(3))
         for s in samples[:7]:
-            a.add(s)
+            a.add(*s)
         for s in samples[7:19]:
-            b.add(s)
+            b.add(*s)
         for s in samples[19:]:
-            c.add(s)
+            c.add(*s)
         for merged in (a.merge(b).merge(c), a.merge(b.merge(c)), c.merge(b).merge(a)):
             assert merged.count == whole.count
             np.testing.assert_allclose(merged.mean_x, whole.mean_x, rtol=1e-10)
@@ -160,7 +157,7 @@ class TestAccumulator:
         samples = self.stream(4, 5, 9)
         acc = MonteCarloAccumulator(4)
         for s in samples:
-            acc.add(s)
+            acc.add(*s)
         empty = MonteCarloAccumulator(4)
         for merged in (acc.merge(empty), empty.merge(acc)):
             assert merged.count == 5
@@ -175,7 +172,7 @@ class TestAccumulator:
             samples = self.stream(8, 25, seed)
             acc = MonteCarloAccumulator(8)
             for s in samples:
-                acc.add(s)
+                acc.add(*s)
             assert acc._m_xy**2 <= acc._m_xx * acc._m_yy * (1 + 1e-10)
 
 
@@ -230,10 +227,11 @@ class TestResolveAlpha:
         acc = MonteCarloAccumulator(3)
         xs, ys = [], []
         for i in range(60):
-            sample = xbar_from_forest(sample_forest(p3, 1.0, forest_rng(21, i)), problem)
-            acc.add(sample)
-            xs.append(sample.xbar)
-            ys.append(sample.ybar)
+            xbar = xbar_from_forest(sample_forest(p3, 1.0, forest_rng(21, i)), problem)
+            ybar = apply_K_inverse(problem, xbar)
+            acc.add(xbar, ybar)
+            xs.append(xbar)
+            ys.append(ybar)
         alpha, fallback = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
         X, Y = np.array(xs), np.array(ys)
         N = len(X)
@@ -247,7 +245,7 @@ class TestResolveAlpha:
         with pytest.raises(DataError, match="2"):
             resolve_alpha(AlphaStrategy.empirical(), problem, None)
         acc = MonteCarloAccumulator(3)
-        acc.add(SimpleNamespace(xbar=np.zeros(3), ybar=np.zeros(3)))
+        acc.add(np.zeros(3), np.zeros(3))
         with pytest.raises(DataError, match="2"):
             resolve_alpha(AlphaStrategy.empirical(), problem, acc)
 
@@ -255,7 +253,8 @@ class TestResolveAlpha:
         problem = SmoothingProblem(p3, np.full(3, 2.0), 1.0)
         acc = MonteCarloAccumulator(3)
         for i in range(5):
-            acc.add(xbar_from_forest(sample_forest(p3, 1.0, forest_rng(22, i)), problem))
+            xbar = xbar_from_forest(sample_forest(p3, 1.0, forest_rng(22, i)), problem)
+            acc.add(xbar, apply_K_inverse(problem, xbar))
         assert resolve_alpha(AlphaStrategy.empirical(), problem, acc) == (0.0, True)
 
     def test_oracle_fallback_constant_signal(self, p3):
@@ -377,7 +376,7 @@ class TestPathwiseContraction:
             alpha = safe_alpha(problem)
             for i in range(300):
                 forest = sample_forest(g, q, forest_rng(23 + trial, i))
-                xbar = xbar_from_forest(forest, problem).xbar
+                xbar = xbar_from_forest(forest, problem)
                 z = gradient_step(xbar, problem, alpha)
                 assert np.linalg.norm(z - xhat) <= np.linalg.norm(xbar - xhat) * (1 + 1e-12)
 
@@ -388,7 +387,7 @@ class TestRunMonteCarlo:
         problem = SmoothingProblem(p3, y, 1.0)
         result = run_monte_carlo(problem, 1, AlphaStrategy.fixed(0.0), seed=9)
         forest = sample_forest(p3, 1.0, forest_rng(9, 0))
-        assert np.array_equal(result.estimate, xbar_from_forest(forest, problem).xbar)
+        assert np.array_equal(result.estimate, xbar_from_forest(forest, problem))
 
     def test_deterministic(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
@@ -444,7 +443,8 @@ class TestRunMonteCarlo:
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         strategy = AlphaStrategy.safe()
         result = run_monte_carlo(problem, 3, strategy, seed=35)
-        assert result.strategy is strategy and strategy == AlphaStrategy.safe()
+        assert result.diagnostics["strategy"] == "safe_constant"
+        assert strategy == AlphaStrategy.safe()
         with pytest.raises(FrozenInstanceError):
             strategy.value = 0.5
 
@@ -464,8 +464,8 @@ class TestEmpiricalAlphaConsistency:
             acc = MonteCarloAccumulator(3)
             stream = forest_rng(36, b)
             for _ in range(per_batch):
-                forest = sample_forest(p3, 1.0, stream)
-                acc.add(xbar_from_forest(forest, problem))
+                xbar = xbar_from_forest(sample_forest(p3, 1.0, stream), problem)
+                acc.add(xbar, apply_K_inverse(problem, xbar))
             batch_alphas.append(resolve_alpha(AlphaStrategy.empirical(), problem, acc)[0])
             whole = whole.merge(acc)
         assert whole.count == 100000

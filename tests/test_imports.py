@@ -1,6 +1,6 @@
-"""Import-time guards: the CLI loads no optional dependency and leaves the
-forest kernel unbuilt until the first draw, and the test-scale oracles
-sit below the estimators."""
+"""Import-time and layering guards: the CLI loads no optional dependency
+and leaves the forest kernel unbuilt until the first draw, the test-scale
+oracles sit below the estimators, and one loop draws every forest."""
 
 import ast
 import os
@@ -52,3 +52,24 @@ def test_oracle_imports_only_lower_layers():
     package_imports = {node.module for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) and node.level == 1}
     assert package_imports <= {"errors", "forests", "linalg"}
+
+
+def test_only_accumulate_forests_draws_forests():
+    # every reference to sample_forest in the package, by enclosing
+    # function; imports and the definition itself are not references
+    package = Path(rsfsmooth.__file__).parent
+    users = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == "sample_forest"
+                    or isinstance(child, ast.Attribute) and child.attr == "sample_forest"):
+                users.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), [path.stem])
+    assert users == {"estimators.accumulate_forests"}

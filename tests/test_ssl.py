@@ -169,7 +169,7 @@ class TestForest:
         for i in range(n_samples):
             forest = sample_forest(g, q, forest_rng(7, i))
             for c in range(p.k):
-                xbar = xbar_from_forest(forest, subproblems[c]).xbar
+                xbar = xbar_from_forest(forest, subproblems[c])
                 per_sample[i, c] = np.mean(d_out * gradient_step(xbar, subproblems[c], alpha))
         for c in range(p.k):
             mc_mean = per_sample[:, c].mean()
@@ -229,11 +229,13 @@ class TestAccuracyExperiment:
             accuracy_experiment(SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0),
                                 21, repeats=2, n_samples=5, seed=0)
 
-    def test_full_labeling_reports_nan(self, clique_pair):
+    def test_full_labeling_is_data_error(self, clique_pair):
+        # m equal to every class size leaves no vertex to score on
         g, labels = clique_pair
         p = SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0)
-        rows = accuracy_experiment(p, 20, repeats=2, n_samples=5, seed=0)
-        assert all(np.isnan(r["mean_acc"]) for r in rows)
+        with pytest.raises(DataError, match="no held-out vertex"):
+            accuracy_experiment(p, 20, repeats=2, n_samples=5, seed=0)
+        assert len(accuracy_experiment(p, 19, repeats=1, n_samples=2, seed=0)) == 4
 
 
 class TestLoaders:
