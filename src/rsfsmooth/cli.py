@@ -17,7 +17,7 @@ from .estimators import AlphaStrategy, run_monte_carlo
 from .experiments import denoise_table, sweep_alpha
 from .graphs import gen_graph, load_graph, load_positions, save_graph
 from .linalg import SmoothingProblem, solve_exact_cg
-from .signals import load_signal, synthetic_signal
+from .signals import PSNR_CONVENTION, load_signal, synthetic_signal
 from .ssl import SSLProblem, accuracy_experiment, load_labels
 
 SYNTHETIC_KINDS = ("gaussian", "smooth", "constant")
@@ -133,19 +133,20 @@ def _csv_cell(v):
     return str(v)
 
 
-def _write_rows_csv(path, header, rows, comment=None):
-    lines = [",".join(_csv_cell(row[h]) for h in header) for row in rows]
+def _write_rows_csv(path, rows, comment=None):
+    """Row dicts as csv, the columns in the key order of the first row."""
+    lines = [",".join(_csv_cell(v) for v in row.values()) for row in rows]
     with open(path, "w") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         fh.writelines(line + "\n" for line in lines)
 
 
 def _write_estimate(args, estimate, alpha=None, diagnostics=None):
     if args.format == "csv":
         rows = [{"node": i, "value": float(v)} for i, v in enumerate(estimate)]
-        _write_rows_csv(args.out, ["node", "value"], rows)
+        _write_rows_csv(args.out, rows)
     else:
         _write_json(args.out, {
             "estimate": estimate,
@@ -189,23 +190,13 @@ def cmd_sweep_alpha(args):
     if args.format == "json":
         _write_json(args.out, out)
     else:
-        rows = [{
-            "alpha": a,
-            "mse_zbar": mz,
-            "mse_xbar": out["mse_xbar"],
-            "alpha_safe": out["alpha_safe"],
-            "alpha_hat_mean": out["alpha_hat_mean"],
-            "mse_zbar_alpha_safe": out["mse_zbar_alpha_safe"],
-            "mse_zbar_alpha_hat": out["mse_zbar_alpha_hat"],
-            "alpha_star": out["alpha_star"],
-        } for a, mz in zip(out["alphas"], out["mse_zbar"])]
-        _write_rows_csv(args.out, ["alpha", "mse_zbar", "mse_xbar", "alpha_safe",
-                                   "alpha_hat_mean", "mse_zbar_alpha_safe",
-                                   "mse_zbar_alpha_hat", "alpha_star"], rows)
+        # one row per grid step: the sweep's lists, each column named in
+        # the singular ("alphas" -> "alpha"), then its scalars repeated
+        steps = {k.removesuffix("s"): v for k, v in out.items() if isinstance(v, list)}
+        scalars = {k: v for k, v in out.items() if not isinstance(v, list)}
+        _write_rows_csv(args.out, [{**dict(zip(steps, values)), **scalars}
+                                   for values in zip(*steps.values())])
     return 0
-
-
-PSNR_CONVENTION = "psnr = 10 log10(peak^2 / mse), peak = max|clean signal|, mse floor 1e-15"
 
 
 def cmd_denoise(args):
@@ -213,12 +204,10 @@ def cmd_denoise(args):
     clean = _resolve_signal(args, g)
     rows = denoise_table(g, clean, args.noise_std, _parse_grid(args.q_grid),
                          args.n_samples, seed=args.seed)
-    header = ["q", "psnr_noisy", "psnr_exact", "psnr_xbar",
-              "psnr_zbar_safe", "psnr_zbar_empirical"]
     if args.format == "json":
         _write_json(args.out, {"psnr_convention": PSNR_CONVENTION, "rows": rows})
     else:
-        _write_rows_csv(args.out, header, rows, comment=PSNR_CONVENTION)
+        _write_rows_csv(args.out, rows, comment=PSNR_CONVENTION)
     return 0
 
 
@@ -239,7 +228,7 @@ def cmd_ssl(args):
     if args.format == "json":
         _write_json(args.out, {"rows": rows})
     else:
-        _write_rows_csv(args.out, ["m", "method", "mean_acc", "std_acc"], rows)
+        _write_rows_csv(args.out, rows)
     return 0
 
 
@@ -345,7 +334,11 @@ def run(argv=None):
     """Parse arguments and execute; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow either reaches an output, which the writers then
+        # refuse with one line, or nothing written; numpy's warnings about
+        # it would only crowd stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .forests import _tree_averages, forest_rng, sample_forest
+from .errors import DataError, NumericalError
+from .forests import (DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest,
+                      walk_steps_floor)
 from .linalg import apply_K_inverse
 from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
 
@@ -184,6 +185,26 @@ def resolve_alpha(strategy, problem, acc=None):
     raise DataError(f"unknown step-size strategy {strategy.kind!r}")
 
 
+FOREST_ESTIMATORS = {
+    "xbar": AlphaStrategy.fixed(0.0),
+    "zbar_safe": AlphaStrategy.safe(),
+    "zbar_empirical": AlphaStrategy.empirical(),
+}
+
+
+def forest_estimates(problem, acc):
+    """Each estimator of FOREST_ESTIMATORS, by name, read from one
+    accumulator: the plain average and the safe- and empirical-step
+    estimates. The empirical one is None, absent by design, when acc holds
+    a single sample."""
+    estimates = dict.fromkeys(FOREST_ESTIMATORS)
+    for name, strategy in FOREST_ESTIMATORS.items():
+        if strategy.kind != "empirical" or acc.count >= 2:
+            alpha, _ = resolve_alpha(strategy, problem, acc)
+            estimates[name] = gradient_step(acc.mean_x, problem, alpha)
+    return estimates
+
+
 def accumulate_forests(problems, n_samples, seed):
     """One accumulator per problem, all fed by the same n_samples forests;
     returns (accumulators, total walk steps of the draws).
@@ -192,11 +213,16 @@ def accumulate_forests(problems, n_samples, seed):
     signal), so forest i is drawn once, on the stream derived from
     (seed, i), and its tree average of every signal, with that average's
     control variate K^{-1} xbar, goes to that signal's accumulator. This
-    is the package's only forest-sampling loop.
+    is the package's only forest-sampling loop. A pass whose forests
+    cannot be drawn within the step budget is refused before the first.
     """
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     g, q = problems[0].graph, problems[0].q
+    floor = walk_steps_floor(g, q)
+    if floor > DEFAULT_STEP_BUDGET:
+        raise NumericalError(f"a forest draw needs at least {floor:.3g} walk steps in "
+                             f"expectation, over the step budget of {DEFAULT_STEP_BUDGET:.3g}")
     accs = [MonteCarloAccumulator(g.n) for _ in problems]
     walk_steps = 0
     for i in range(n_samples):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .estimators import (AlphaStrategy, accumulate_forests, gradient_step, resolve_alpha,
+from .estimators import (AlphaStrategy, accumulate_forests, forest_estimates, resolve_alpha,
                          safe_alpha)
 from .forests import derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
@@ -20,7 +20,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     estimate is linear in alpha, so the whole grid (and the safe and
     empirical step sizes) is evaluated from the same sample mean. Errors
     are measured against the conjugate-gradient solution and averaged
-    over realizations.
+    over realizations. Returns a dict whose list entries hold one value
+    per grid step and whose other entries are scalars.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
     if alpha_grid.size == 0:
@@ -69,9 +70,10 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
 
     One noisy signal (Gaussian noise on `clean`) is shared by the whole
     grid. At each q one pass of n_samples forests feeds a single
-    accumulator, and the plain-average, safe-step, and empirical-step
-    columns are all read from it (the stepped estimate is linear in the
-    step size). The empirical-step column is None when n_samples < 2.
+    accumulator, and a psnr_NAME column of each estimator of
+    `forest_estimates` is read from it (the stepped estimate is linear in
+    the step size). The empirical-step column is None when n_samples < 2.
+    Returns a list of row dicts, in column order.
     """
     q_grid = np.asarray(q_grid, dtype=np.float64)
     if q_grid.size == 0 or (q_grid <= 0).any():
@@ -89,18 +91,11 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
         problem = SmoothingProblem(graph, y, float(qv))
         xhat, _ = solve_exact_cg(problem)
         (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 5, qi))
-
-        def column(strategy):
-            alpha, _ = resolve_alpha(strategy, problem, acc)
-            return psnr(clean, gradient_step(acc.mean_x, problem, alpha), peak=peak)
-
         rows.append({
             "q": float(qv),
             "psnr_noisy": psnr_noisy,
             "psnr_exact": psnr(clean, xhat, peak=peak),
-            "psnr_xbar": column(AlphaStrategy.fixed(0.0)),
-            "psnr_zbar_safe": column(AlphaStrategy.safe()),
-            "psnr_zbar_empirical": (column(AlphaStrategy.empirical())
-                                    if n_samples >= 2 else None),
+            **{f"psnr_{name}": None if x is None else psnr(clean, x, peak=peak)
+               for name, x in forest_estimates(problem, acc).items()},
         })
     return rows

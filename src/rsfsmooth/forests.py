@@ -108,6 +108,18 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     return RootedForest(root_of=out[0], parent_of=out[1], rng_draws=steps)
 
 
+def walk_steps_floor(g, q):
+    """A lower bound, 1 + sum(d) / sum(q), on the expected walk steps of
+    one forest draw with (n,) absorption weights q.
+
+    The expected count is tr(G (Q + D)) = sum_i G_ii (q_i + d_i) with
+    G = (Q + L)^{-1}, and G_ii >= 1 / (1' (Q + L) 1) = 1 / sum(q) by
+    Cauchy-Schwarz. A pass whose bound exceeds the step budget is
+    hopeless; one below it may still take long, so the budget stays.
+    """
+    return 1.0 + float(g.degrees.sum()) / float(q.sum())
+
+
 def _uniforms(key, start, count):
     """The stream's uniforms at positions start, ..., start + count - 1."""
     z = np.arange(start, start + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)

@@ -5,6 +5,7 @@ and the random-graph generators used by the experiment harness (random
 regular, Barabasi-Albert, grid, k-nearest-neighbour).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -161,6 +162,22 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
 
 
+def _lines(path, sep, form, counts):
+    """(line number, line, fields) of each data line of a text file: '#'
+    starts a comment, blank lines are skipped, and every other line is
+    split on `sep` (None: whitespace) into one of `counts` fields, else
+    DataError "PATH: line N: expected 'FORM', got '...'"."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+            if not line:
+                continue
+            fields = line.split(sep)
+            if len(fields) not in counts:
+                raise DataError(f"{path}: line {lineno}: expected {form!r}, got {raw!r}")
+            yield lineno, raw, fields
+
+
 def load_graph(path):
     """Load a graph from an edge-list text file.
 
@@ -171,31 +188,24 @@ def load_graph(path):
     """
     edges = []
     ids = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise DataError(f"{path}: line {lineno}: expected 'u v [w]', got {raw!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-            if u < 0 or v < 0:
-                raise DataError(f"{path}: line {lineno}: negative vertex id")
-            if not 0 < w < math.inf:
-                raise DataError(f"{path}: line {lineno}: nonpositive or non-finite weight {w}")
-            edges.append((u, v, w))
-            ids.add(u)
-            ids.add(v)
+    for lineno, raw, parts in _lines(path, None, "u v [w]", (2, 3)):
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+        if u < 0 or v < 0:
+            raise DataError(f"{path}: line {lineno}: negative vertex id")
+        if not 0 < w < math.inf:
+            raise DataError(f"{path}: line {lineno}: nonpositive or non-finite weight {w}")
+        edges.append((u, v, w))
+        ids.add(u)
+        ids.add(v)
     if not edges:
         raise DataError(f"{path}: no edges")
     n = max(ids) + 1
     if len(ids) != n:
-        missing = sorted(set(range(n)) - ids)[:5]
+        missing = list(itertools.islice((i for i in range(n) if i not in ids), 5))
         raise DataError(f"{path}: vertex ids have gaps (missing {missing})")
     return Graph.from_edges(n, np.array(edges))
 
@@ -208,20 +218,17 @@ def save_graph(g, path):
 
 
 def load_positions(path):
-    """Load per-vertex "x,y" coordinates, one line per vertex."""
+    """Load per-vertex "x,y" coordinates, one line per vertex; both must
+    be finite."""
     coords = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'x,y'")
-            try:
-                coords.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+    for lineno, raw, parts in _lines(path, ",", "x,y", (2,)):
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}: line {lineno}: non-finite coordinate in {raw!r}")
+        coords.append((x, y))
     if not coords:
         raise DataError(f"{path}: no coordinates")
     return np.array(coords, dtype=np.float64)

@@ -5,9 +5,12 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .graphs import _lines
 from .linalg import DENSE_LIMIT, LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
+PSNR_CONVENTION = ("psnr = 10 log10(peak^2 / mse), peak = max|clean signal|, "
+                   f"mse floor {PSNR_MSE_FLOOR:g}")
 
 
 def load_signal(path, n):
@@ -17,19 +20,17 @@ def load_signal(path, n):
     node exactly once. '#' starts a comment.
     """
     plain, keyed = [], {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    for lineno, raw, parts in _lines(path, ",", "[node,]value", (1, 2)):
+        try:
+            if len(parts) == 1:
+                plain.append(float(parts[0]))
                 continue
-            try:
-                if "," in line:
-                    node_s, val_s = line.split(",")
-                    keyed[int(node_s)] = float(val_s)
-                else:
-                    plain.append(float(line))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+            node, value = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+        if node in keyed:
+            raise DataError(f"{path}: line {lineno}: duplicate node {node}")
+        keyed[node] = value
     if keyed and plain:
         raise DataError(f"{path}: mixed plain and node,value lines")
     if keyed:

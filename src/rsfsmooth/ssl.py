@@ -11,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .estimators import AlphaStrategy, accumulate_forests, gradient_step, resolve_alpha
+from .estimators import (FOREST_ESTIMATORS, accumulate_forests, forest_estimates,
+                         gradient_step, resolve_alpha)
 from .forests import derive_seed
+from .graphs import _lines
 from .linalg import SmoothingProblem, solve_exact_cg
 
 
@@ -128,8 +130,13 @@ def _forest_pass(problem, n_samples, seed):
     return (subproblems, *accumulate_forests(subproblems, n_samples, seed))
 
 
-def _forest_result(problem, subproblems, accs, walk_steps, strategy):
-    """Scores, predictions and accuracy of one step-size strategy."""
+def ssl_forest(problem, n_samples, strategy, seed=0):
+    """Forest Monte Carlo classification scores.
+
+    Each forest draw is shared by all k classes, at a k-fold cost saving
+    over sampling per class.
+    """
+    subproblems, accs, walk_steps = _forest_pass(problem, n_samples, seed)
     columns, alphas, fallbacks = [], [], []
     for sp, acc in zip(subproblems, accs):
         alpha, fallback = resolve_alpha(strategy, sp, acc)
@@ -146,23 +153,6 @@ def _forest_result(problem, subproblems, accs, walk_steps, strategy):
     return _finish(problem, columns, diagnostics)
 
 
-def ssl_forest(problem, n_samples, strategy, seed=0):
-    """Forest Monte Carlo classification scores.
-
-    Each forest draw is shared by all k classes, at a k-fold cost saving
-    over sampling per class.
-    """
-    return _forest_result(problem, *_forest_pass(problem, n_samples, seed), strategy)
-
-
-FOREST_STRATEGIES = {
-    "xbar": AlphaStrategy.fixed(0.0),
-    "zbar_safe": AlphaStrategy.safe(),
-    "zbar_empirical": AlphaStrategy.empirical(),
-}
-METHODS = ("exact", *FOREST_STRATEGIES)
-
-
 def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0):
     """Mean/std holdout accuracy per method over random labeled sets.
 
@@ -170,7 +160,9 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     uniformly without replacement from the ground-truth labels of
     `problem`, classifies with every method (one forest pass per repeat
     serves all three forest methods), and scores on the unlabeled
-    remainder.
+    remainder. The methods are "exact" and the estimators of
+    `forest_estimates`; where one is absent by design (the empirical step
+    at n_samples = 1) its mean_acc and std_acc are None.
 
     Returns a list of row dicts: {m, method, mean_acc, std_acc}.
     """
@@ -189,7 +181,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         raise DataError(f"no held-out vertex: every labeled vertex would be among "
                         f"the m={m} per class")
 
-    scores = {method: [] for method in METHODS}
+    scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
     for r in range(repeats):
         pick_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1, r)))
         labeled = np.concatenate([
@@ -198,45 +190,32 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
         scores["exact"].append(ssl_exact(sub).accuracy)
-        forest_pass = _forest_pass(sub, n_samples, derive_seed(seed, 2, r))
-        for method, strategy in FOREST_STRATEGIES.items():
-            scores[method].append(_forest_result(sub, *forest_pass, strategy).accuracy)
-    rows = []
-    for method in METHODS:
-        accs = np.array(scores[method])
-        rows.append({
-            "m": m,
-            "method": method,
-            "mean_acc": float(np.mean(accs)),
-            "std_acc": float(np.std(accs)),
-        })
-    return rows
+        subproblems, accs, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r))
+        per_class = [forest_estimates(sp, acc) for sp, acc in zip(subproblems, accs)]
+        for name in FOREST_ESTIMATORS:
+            if per_class[0][name] is not None:
+                scores[name].append(_finish(sub, [e[name] for e in per_class], {}).accuracy)
+    return [{"m": m, "method": method,
+             "mean_acc": float(np.mean(values)) if values else None,
+             "std_acc": float(np.std(values)) if values else None}
+            for method, values in scores.items()]
 
 
 def load_labels(path, n):
     """Load "node,class_id" CSV labels; unlisted nodes get -1."""
     labels = np.full(n, -1, dtype=np.int64)
-    seen = set()
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'node,class_id'")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-            if not 0 <= node < n:
-                raise DataError(f"{path}: line {lineno}: node {node} out of range")
-            if cls < 0:
-                raise DataError(f"{path}: line {lineno}: negative class id")
-            if node in seen:
-                raise DataError(f"{path}: line {lineno}: duplicate node {node}")
-            seen.add(node)
-            labels[node] = cls
-    if not seen:
+    for lineno, raw, parts in _lines(path, ",", "node,class_id", (2,)):
+        try:
+            node, cls = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
+        if not 0 <= node < n:
+            raise DataError(f"{path}: line {lineno}: node {node} out of range")
+        if cls < 0:
+            raise DataError(f"{path}: line {lineno}: negative class id")
+        if labels[node] >= 0:
+            raise DataError(f"{path}: line {lineno}: duplicate node {node}")
+        labels[node] = cls
+    if labels.max() < 0:
         raise DataError(f"{path}: no labels")
     return labels

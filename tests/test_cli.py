@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -130,6 +131,24 @@ class TestSmooth:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    # These csv outputs pass through no BLAS reduction (the forest kernel,
+    # the bincount tree averages, elementwise means and step, scipy's CSR
+    # matvec), so their bytes are the same on every CPU.
+    @pytest.mark.parametrize("alpha,digest", [
+        ("safe", "26a0a47e9f5d2c35e0c14a4a675774252e34b090261a5132b73c4a735f7f1a7f"),
+        ("0.3", "03d4fe0e9a76cd734bfb09d43232155cb6d14900c69f7f697c36c8f3cc1542dd"),
+    ])
+    def test_sampled_csv_bytes_are_pinned(self, tmp_path, alpha, digest):
+        gpath, spath = tmp_path / "g.txt", tmp_path / "y.csv"
+        gpath.write_text("# weighted 5-cycle with a chord\n0 1 0.5\n1 2 1.25  # heavy\n\n"
+                         "2 3\n3 4 2\n4 0 0.75\n\n1 3 1.5\n")
+        spath.write_text("# node,value\n3,-1.5\n0,2\n\n4,0.25\n1,-0.5\n2,1\n")
+        out = tmp_path / "est.csv"
+        assert run(["smooth", "--graph", str(gpath), "--signal", str(spath), "--q", "0.6",
+                    "--n-samples", "7", "--alpha", alpha, "--seed", "3",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_fixed_alpha_flag(self, tmp_path):
         out = tmp_path / "est.json"
         run(["smooth", "--graph", p3_file(tmp_path),
@@ -260,6 +279,26 @@ class TestSSLCommand:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "1"
         assert len(payload["rows"]) == 4
+
+    def test_single_sample_leaves_empirical_empty(self, tmp_path):
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("0,0\n1,1\n2,0\n3,1\n")
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"acc.{fmt}"
+            assert run(["ssl", "--graph", c4_file(tmp_path), "--labels", str(lpath),
+                        "--n-samples", "1", "--repeats", "2", "--format", fmt,
+                        "--out", str(out)]) == 0
+            if fmt == "csv":
+                _, rows = read_csv(out)
+            else:
+                rows = json.loads(out.read_text())["rows"]
+            empty = "" if fmt == "csv" else None
+            by_method = {r["method"]: r for r in rows}
+            assert list(by_method) == ["exact", "xbar", "zbar_safe", "zbar_empirical"]
+            assert by_method["zbar_empirical"]["mean_acc"] == empty
+            assert by_method["zbar_empirical"]["std_acc"] == empty
+            assert all(by_method[m]["mean_acc"] != empty
+                       for m in ("exact", "xbar", "zbar_safe"))
 
     def test_deterministic_bytes(self, tmp_path):
         gpath, lpath = self.build_inputs(tmp_path)
@@ -438,6 +477,71 @@ class TestExitCodes:
                         "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["numerical failure: output has a non-finite value (inf)"]
+        assert not out.exists()
+
+    # the same signal with every warning shown: numpy's overflow warnings
+    # are silenced while a command runs, so stderr holds the refusal alone,
+    # and a csv smooth, which writes only the finite estimate, succeeds
+    @pytest.mark.parametrize("command,code", [
+        (["smooth", "--q", "1", "--format", "json"], 4),
+        (["sweep-alpha", "--q", "0.001", "--alpha-grid", "lin:0,1,3",
+          "--realizations", "2"], 4),
+        (["smooth", "--q", "1", "--format", "csv"], 0),
+    ], ids=["smooth-json", "sweep-alpha-csv", "smooth-csv"])
+    def test_overflow_prints_no_warning(self, tmp_path, command, code, capsys):
+        out = tmp_path / "out.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*command, "--graph", c4_file(tmp_path), "--signal",
+                        signal_file(tmp_path, [1e155, -1e155, 1e155, 0.0]),
+                        "--out", str(out)]) == code
+        assert not caught
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1, err
+            assert err[0].startswith("numerical failure: output has a non-finite value")
+            assert not out.exists()
+        else:
+            assert err == [] and out.exists()
+
+    # the expected walk steps of one forest are at least 1 + sum(d) / sum(q)
+    # = 1.8e12 here, past the 1e9 budget: refused before any draw
+    def test_hopeless_run_is_refused_up_front(self, tmp_path, capsys, monkeypatch):
+        import rsfsmooth.estimators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a forest was drawn")
+
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
+        gpath = tmp_path / "p10.txt"
+        gpath.write_text("".join(f"{i} {i + 1}\n" for i in range(9)))
+        out = tmp_path / "est.csv"
+        assert run(["smooth", "--graph", str(gpath), "--signal", "gaussian",
+                    "--q", "1e-12", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert "1.8e+12" in err[0] and "1e+09" in err[0]
+        assert not out.exists()
+
+    def test_duplicate_signal_node_is_data_error(self, tmp_path, capsys):
+        spath = tmp_path / "sig.csv"
+        spath.write_text("0,1\n1,2\n2,3\n1,5\n")
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--graph", p3_file(tmp_path), "--signal", str(spath),
+                    "--q", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {spath}: line 4: duplicate node 1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_is_data_error(self, tmp_path, capsys, value):
+        cpath = tmp_path / "coords.csv"
+        cpath.write_text(f"0,0\n1,{value}\n2,2\n")
+        out = tmp_path / "g.txt"
+        assert run(["gen-graph", "--gen", "knn:k=1", "--coords", str(cpath),
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cpath}: line 2: non-finite"), err
         assert not out.exists()
 
     # max|clean|^2 overflows: refused before any solve, with one line and

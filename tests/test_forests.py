@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rsfsmooth import (DataError, Graph, NumericalError, RootedForest,
+from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError, RootedForest,
                        enumerate_forests, forest_rng, sample_forest)
+from rsfsmooth.forests import walk_steps_floor
 from rsfsmooth.oracle import forest_edge_key, forest_roots, forest_trees
 
 from conftest import (complete_graph, cycle_graph, enumeration_corpus,
@@ -154,6 +155,16 @@ class TestSampler:
         g = random_connected_graph(50, extra_edges=50, rng=np.random.default_rng(9))
         with pytest.raises(NumericalError, match="step budget"):
             sample_forest(g, 0.01, forest_rng(0, 0), max_steps=3)
+
+    # the expected walk steps of a draw are tr((Q + L)^{-1} (Q + D)); the
+    # pre-flight floor must never exceed them
+    def test_walk_steps_floor_below_dense_trace(self):
+        rng = np.random.default_rng(8)
+        for name, g in enumeration_corpus():
+            for q in (np.full(g.n, 1e-3), np.full(g.n, 2.0), rng.uniform(0.05, 3.0, g.n)):
+                G = np.linalg.inv(np.diag(q) + LaplacianOperator(g).dense())
+                trace = float(np.sum(np.diag(G) * (q + g.degrees)))
+                assert 1.0 < walk_steps_floor(g, q) <= trace * (1 + 1e-12), name
 
     def test_nonpositive_q_rejected(self, p3):
         with pytest.raises(DataError, match="positive"):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from rsfsmooth import DataError, Graph, gen_graph, load_graph, save_graph
+from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, load_signal,
+                       save_graph)
 from rsfsmooth.graphs import load_positions
 
 from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
@@ -63,6 +66,34 @@ class TestLoad:
     def test_too_many_fields(self, tmp_path):
         with pytest.raises(DataError, match="line 1"):
             load_graph(write(tmp_path, "0 1 1.0 9\n"))
+
+    def test_id_gap_message_does_not_scale_with_the_largest_id(self, tmp_path):
+        path = write(tmp_path, "0 1\n1 1000000\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match=r"missing \[2, 3, 4, 5, 6\]"):
+                load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # a set of every id up to 10^6 takes tens of MB
+
+
+class TestLineReader:
+    """All four text inputs share one line protocol: '#' comments, blank
+    lines skipped, a wrong field count refused naming the line's form."""
+
+    @pytest.mark.parametrize("load,text,form", [
+        (load_graph, "0 1\n# c\n\n1 2 1.0 9\n", "u v [w]"),
+        (load_positions, "0,1  # c\n\n# c\n2\n", "x,y"),
+        (lambda path: load_signal(path, 3), "# c\n0,1\n\n0,1,2\n", "[node,]value"),
+        (lambda path: load_labels(path, 3), "0,1\n\n# 1,1\n2,1,0\n", "node,class_id"),
+    ], ids=["graph", "positions", "signal", "labels"])
+    def test_wrong_field_count_names_the_form(self, tmp_path, load, text, form):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"{re.escape(path)}: line 4: "
+                                            f"expected {re.escape(repr(form))}, got"):
+            load(path)
 
 
 class TestRoundTrip:
