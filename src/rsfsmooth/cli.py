@@ -76,12 +76,12 @@ def _parse_grid(text):
 
 
 def _resolve_graph(args):
+    name, params = _parse_gen_spec(args.gen or "")
+    if bool(args.coords) != (name == "knn"):
+        raise DataError("--coords goes with --gen knn, and only with it")
     if getattr(args, "graph", None):
         return load_graph(args.graph)
-    name, params = _parse_gen_spec(args.gen)
-    if name == "knn":
-        if not getattr(args, "coords", None):
-            raise DataError("knn generator needs --coords")
+    if args.coords:
         params["coords"] = load_positions(args.coords)
     return gen_graph(name, seed=args.seed, **params)
 
@@ -339,10 +339,7 @@ def run(argv=None):
         # it would only crowd stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except NumericalError as err:

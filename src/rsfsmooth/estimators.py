@@ -83,18 +83,18 @@ class MonteCarloAccumulator:
         out._m_xy = self._m_xy + other._m_xy + f * float(dx @ dy)
         return out
 
-    # --- trace statistics ----------------------------------------------
+    # --- trace statistics: None, absent by design, below two samples ---
     @property
     def tr_var_xbar(self):
-        return self._m_xx / (self.count - 1) if self.count >= 2 else math.nan
+        return self._m_xx / (self.count - 1) if self.count >= 2 else None
 
     @property
     def tr_var_ybar(self):
-        return self._m_yy / (self.count - 1) if self.count >= 2 else math.nan
+        return self._m_yy / (self.count - 1) if self.count >= 2 else None
 
     @property
     def tr_cov_xy(self):
-        return self._m_xy / (self.count - 1) if self.count >= 2 else math.nan
+        return self._m_xy / (self.count - 1) if self.count >= 2 else None
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,12 @@ class AlphaStrategy:
     def __post_init__(self):
         if self.kind == "fixed" and (self.value is None or not math.isfinite(self.value)):
             raise DataError(f"fixed step size must be a finite number, got {self.value!r}")
+
+    @property
+    def min_samples(self):
+        """Forest samples an estimate with this step needs: two for the
+        empirical ratio, read from the samples; one where alpha is known."""
+        return 2 if self.kind == "empirical" else 1
 
     @classmethod
     def safe(cls):
@@ -169,13 +175,13 @@ def resolve_alpha(strategy, problem, acc=None):
     for constant signals; the plain average is exact there and a gradient
     step has nothing to correct.
     """
+    if strategy.min_samples > 1 and (acc is None or acc.count < strategy.min_samples):
+        raise DataError(f"the {strategy.kind} step size needs >= {strategy.min_samples} samples")
     if strategy.kind == "fixed":
         return float(strategy.value), False
     if strategy.kind == "safe_constant":
         return safe_alpha(problem), False
     if strategy.kind == "empirical":
-        if acc is None or acc.count < 2:
-            raise DataError("empirical step size needs >= 2 accumulated samples")
         if acc.tr_var_ybar <= ZERO_VARIANCE_TOL * problem.graph.n:
             return 0.0, True
         return acc._m_xy / acc._m_yy, False
@@ -195,11 +201,11 @@ FOREST_ESTIMATORS = {
 def forest_estimates(problem, acc):
     """Each estimator of FOREST_ESTIMATORS, by name, read from one
     accumulator: the plain average and the safe- and empirical-step
-    estimates. The empirical one is None, absent by design, when acc holds
-    a single sample."""
+    estimates. One is None, absent by design, when acc holds fewer samples
+    than its strategy needs (the empirical one, at a single sample)."""
     estimates = dict.fromkeys(FOREST_ESTIMATORS)
     for name, strategy in FOREST_ESTIMATORS.items():
-        if strategy.kind != "empirical" or acc.count >= 2:
+        if acc.count >= strategy.min_samples:
             alpha, _ = resolve_alpha(strategy, problem, acc)
             estimates[name] = gradient_step(acc.mean_x, problem, alpha)
     return estimates
@@ -251,8 +257,6 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
     strategy resolves its step size from the same samples; the small
     O(1/N) bias this introduces is flagged in the diagnostics.
     """
-    if strategy.kind == "empirical" and n_samples < 2:
-        raise DataError("the empirical strategy needs n_samples >= 2")
     (acc,), walk_steps = accumulate_forests([problem], n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)
@@ -260,11 +264,11 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
         "n_samples": n_samples,
         "strategy": strategy.kind,
         "alpha": alpha,
-        "tr_var_xbar": acc.tr_var_xbar if n_samples >= 2 else None,
-        "tr_var_ybar": acc.tr_var_ybar if n_samples >= 2 else None,
-        "tr_cov_xy": acc.tr_cov_xy if n_samples >= 2 else None,
+        "tr_var_xbar": acc.tr_var_xbar,
+        "tr_var_ybar": acc.tr_var_ybar,
+        "tr_cov_xy": acc.tr_cov_xy,
         "total_walk_steps": walk_steps,
         "zero_variance_fallback": fallback,
-        "alpha_from_same_samples": strategy.kind == "empirical",
+        "alpha_from_same_samples": strategy.min_samples > 1,
     }
     return MonteCarloResult(estimate=estimate, alpha=alpha, diagnostics=diagnostics)

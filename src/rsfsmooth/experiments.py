@@ -9,7 +9,7 @@ from .estimators import (AlphaStrategy, accumulate_forests, forest_estimates, re
                          safe_alpha)
 from .forests import derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
-from .oracle import ENUM_MAX_VERTICES, exact_estimator_moments
+from .oracle import exact_estimator_moments, in_enumeration_reach
 from .signals import psnr
 
 
@@ -28,8 +28,9 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
         raise DataError("alpha grid is empty")
     if not np.isfinite(alpha_grid).all():
         raise DataError(f"alpha grid values must be finite, got {alpha_grid.tolist()}")
-    if realizations < 1 or n_samples < 2:
-        raise DataError("need realizations >= 1 and n_samples >= 2")
+    empirical = AlphaStrategy.empirical()
+    if realizations < 1 or n_samples < empirical.min_samples:
+        raise DataError(f"need realizations >= 1 and n_samples >= {empirical.min_samples}")
     problem = SmoothingProblem(graph, y, q)
     xhat, _ = solve_exact_cg(problem)
     a_safe = safe_alpha(problem)
@@ -41,7 +42,7 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     alpha_hats = []
     for r in range(realizations):
         (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
-        alpha_hat, _ = resolve_alpha(AlphaStrategy.empirical(), problem, acc)
+        alpha_hat, _ = resolve_alpha(empirical, problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
         steps = np.concatenate([alpha_grid, [0.0, a_safe, alpha_hat]])
@@ -50,9 +51,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
         alpha_hats.append(alpha_hat)
     sq /= realizations
 
-    alpha_star = None
-    if graph.n <= ENUM_MAX_VERTICES:
-        alpha_star = exact_estimator_moments(graph, q, y).alpha_star
+    alpha_star = (exact_estimator_moments(graph, q, y).alpha_star
+                  if in_enumeration_reach(graph) else None)
     return {
         "alphas": alpha_grid.tolist(),
         "mse_zbar": sq[:-3].tolist(),

@@ -39,13 +39,12 @@ class CounterStream:
 
 
 def forest_rng(seed, *key):
-    """Deterministic per-sample random stream.
+    """Deterministic per-sample random stream, keyed by derive_seed(seed, *key).
 
     Streams are derived from (seed, key) so that samples are reproducible
     and independent of the order in which they are drawn.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return CounterStream(int(ss.generate_state(1, np.uint64)[0]))
+    return CounterStream(derive_seed(seed, *key))
 
 
 def derive_seed(seed, *key):

@@ -38,6 +38,14 @@ class LaplacianOperator:
         return np.diag(g.degrees) - g.adjacency.toarray()
 
 
+def _absorption_weights(q, n):
+    """q, a scalar or one per vertex, as a fresh (n,) array if finite and > 0."""
+    q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
+    if not ((q > 0) & (q < np.inf)).all():
+        raise DataError("absorption weights q must be finite and strictly positive")
+    return q
+
+
 class SmoothingProblem:
     """A graph, a signal y, and per-node positive absorption weights q_i.
 
@@ -54,11 +62,7 @@ class SmoothingProblem:
         if not np.isfinite(self.y).all():
             raise DataError("signal values must be finite")
         self.q_uniform = np.isscalar(q) or np.ndim(q) == 0
-        self.q = np.broadcast_to(
-            np.asarray(q, dtype=np.float64), (graph.n,)
-        ).copy()
-        if not ((self.q > 0) & (self.q < np.inf)).all():
-            raise DataError("absorption weights q must be finite and strictly positive")
+        self.q = _absorption_weights(q, graph.n)
         # q (y_i - y_j) is the largest term the estimators form; Python
         # floats overflow to inf without a warning
         spread = float(self.y.max()) - float(self.y.min())

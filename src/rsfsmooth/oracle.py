@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .forests import _tree_averages
-from .linalg import DENSE_LIMIT, SmoothingProblem, apply_K_inverse
+from .linalg import SmoothingProblem, _absorption_weights, apply_K_inverse
 
 ENUM_MAX_VERTICES = 9
 ENUM_MAX_EDGES = 24
@@ -70,22 +70,25 @@ def forest_edge_key(forest):
                         for v, p in enumerate(forest.parent_of.tolist()) if p >= 0))
 
 
+def in_enumeration_reach(g):
+    """Whether `enumerate_forests` lists g's forests: n <= 9 and m <= 24,
+    since it iterates all 2^m edge subsets."""
+    return g.n <= ENUM_MAX_VERTICES and g.m <= ENUM_MAX_EDGES
+
+
 def enumerate_forests(g, q):
     """Enumerate every spanning forest of a tiny graph with its weight.
 
-    Iterates all acyclic edge subsets (so the graph must satisfy n <= 9
-    and m <= 24) and collapses the per-tree root choice analytically.
-    The total weight is verified against det(Q + L), the matrix-forest
-    identity; a mismatch raises `NumericalError`.
+    Iterates all acyclic edge subsets of a graph `in_enumeration_reach`
+    and collapses the per-tree root choice analytically. The total weight
+    is verified against det(Q + L), the matrix-forest identity; a
+    mismatch raises `NumericalError`.
     """
     n, m = g.n, g.m
-    if n > ENUM_MAX_VERTICES:
-        raise DataError(f"forest enumeration limited to n <= {ENUM_MAX_VERTICES}, got {n}")
-    if m > ENUM_MAX_EDGES:
-        raise DataError(f"forest enumeration limited to m <= {ENUM_MAX_EDGES}, got {m}")
-    qvec = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,))
-    if not (qvec > 0).all():
-        raise DataError("absorption weights q must be strictly positive")
+    if not in_enumeration_reach(g):
+        raise DataError(f"forest enumeration limited to n <= {ENUM_MAX_VERTICES} and "
+                        f"m <= {ENUM_MAX_EDGES}, got n = {n}, m = {m}")
+    qvec = _absorption_weights(q, n)
 
     edge_list = list(g.edges())
     families = []
@@ -179,10 +182,7 @@ def exact_estimator_moments(graph, q, y):
 
 def solve_exact_dense(problem):
     """Direct dense solve of (Q + L) x = Q y; the test oracle."""
-    g = problem.graph
-    if g.n > DENSE_LIMIT:
-        raise DataError(f"dense solver limited to n <= {DENSE_LIMIT}, got {g.n}")
-    A = np.diag(problem.q) + problem.laplacian.dense()
+    A = problem.laplacian.dense() + np.diag(problem.q)
     return np.linalg.solve(A, problem.q * problem.y)
 
 
@@ -201,11 +201,8 @@ def contraction_check(problem, alpha):
     radius is <= 1 + 1e-10, i.e. the gradient step with this alpha never
     moves an estimate away from the exact solution.
     """
-    g = problem.graph
-    if g.n > DENSE_LIMIT:
-        raise DataError(f"contraction check limited to n <= {DENSE_LIMIT}, got {g.n}")
+    A = problem.laplacian.dense() + np.diag(problem.q)
     sq = np.sqrt(problem.q)
-    A = np.diag(problem.q) + problem.laplacian.dense()
     S = A / sq[:, None] / sq[None, :]
     eigs = np.linalg.eigvalsh(S)
     radius = float(np.max(np.abs(1.0 - alpha * eigs)))

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .graphs import _lines
-from .linalg import DENSE_LIMIT, LaplacianOperator
+from .linalg import LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
 PSNR_CONVENTION = ("psnr = 10 log10(peak^2 / mse), peak = max|clean signal|, "
@@ -55,8 +55,6 @@ def synthetic_signal(graph, kind, seed=0, modes=3, value=1.0):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x516)))
         return rng.standard_normal(n)
     if kind == "smooth":
-        if n > DENSE_LIMIT:
-            raise DataError(f"smooth synthetic signal limited to n <= {DENSE_LIMIT}")
         if not float(modes).is_integer() or not 1 <= modes < n:
             raise DataError(f"smooth signal needs an integer 1 <= modes < n, got {modes}")
         modes = int(modes)

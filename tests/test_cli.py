@@ -192,6 +192,16 @@ class TestSweepAlpha:
         payload = json.loads(out.read_text())
         assert payload["alpha_star"] == pytest.approx(0.3181818181818182)
 
+    def test_alpha_star_absent_beyond_enumeration_reach(self, tmp_path):
+        # K9 has n = 9 but m = 36 > 24: no enumeration, no alpha_star
+        gpath = tmp_path / "k9.txt"
+        gpath.write_text("".join(f"{i} {j}\n" for i in range(9) for j in range(i + 1, 9)))
+        out = tmp_path / "sweep.json"
+        assert run(["sweep-alpha", "--graph", str(gpath), "--q", "1",
+                    "--alpha-grid", "lin:0,1,3", "--n-samples", "4", "--realizations", "2",
+                    "--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text())["alpha_star"] is None
+
     def test_deterministic_bytes(self, tmp_path):
         args = ["sweep-alpha", "--graph", p3_file(tmp_path), "--signal", "gaussian",
                 "--q", "0.7", "--alpha-grid", "lin:0,0.5,5", "--n-samples", "3",
@@ -542,6 +552,27 @@ class TestExitCodes:
                     "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cpath}: line 2: non-finite"), err
+        assert not out.exists()
+
+    # --coords is read only by the knn generator; anywhere else it is
+    # refused before any file is read
+    @pytest.mark.parametrize("gen", [None, "grid:rows=2,cols=2"])
+    def test_coords_without_knn_is_data_error(self, tmp_path, capsys, gen):
+        source = ["--gen", gen] if gen else ["--graph", p3_file(tmp_path)]
+        out = tmp_path / "x.csv"
+        assert run(["exact", *source, "--coords", str(tmp_path / "nonexistent.csv"),
+                    "--signal", "gaussian", "--q", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --coords goes with --gen knn, and only with it"]
+        assert not out.exists()
+
+    def test_single_sample_empirical_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["smooth", "--graph", p3_file(tmp_path), "--signal", "gaussian",
+                    "--q", "1", "--n-samples", "1", "--alpha", "empirical",
+                    "--format", "json", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the empirical step size needs >= 2 samples"]
         assert not out.exists()
 
     # max|clean|^2 overflows: refused before any solve, with one line and

@@ -2,13 +2,15 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rsfsmooth import (AlphaStrategy, DataError, MonteCarloAccumulator,
+from rsfsmooth import (AlphaStrategy, DataError, Graph, MonteCarloAccumulator,
                        RootedForest, SmoothingProblem, apply_K_inverse,
                        enumerate_forests, exact_estimator_moments, forest_rng,
                        gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
                        sample_forest, solve_exact_dense, xbar_from_forest)
-from rsfsmooth.oracle import forest_trees
+from rsfsmooth.estimators import accumulate_forests
+from rsfsmooth.oracle import forest_trees, in_enumeration_reach
 
 from conftest import enumeration_corpus, path_graph, random_connected_graph
 
@@ -163,6 +165,13 @@ class TestAccumulator:
             assert merged.count == 5
             np.testing.assert_array_equal(merged.mean_x, acc.mean_x)
 
+    def test_trace_statistics_absent_below_two_samples(self):
+        acc = MonteCarloAccumulator(3)
+        for _ in range(2):
+            assert acc.tr_var_xbar is acc.tr_var_ybar is acc.tr_cov_xy is None
+            acc.add(np.ones(3), np.zeros(3))
+        assert acc.tr_var_xbar == acc.tr_var_ybar == acc.tr_cov_xy == 0.0
+
     def test_merge_size_mismatch(self):
         with pytest.raises(DataError):
             MonteCarloAccumulator(3).merge(MonteCarloAccumulator(4))
@@ -213,6 +222,11 @@ class TestResolveAlpha:
             AlphaStrategy.fixed(value)
         with pytest.raises(DataError, match="finite"):
             AlphaStrategy.parse(str(value))
+
+    def test_sample_need(self):
+        assert AlphaStrategy.empirical().min_samples == 2
+        for strategy in (AlphaStrategy.safe(), AlphaStrategy.fixed(0.3), AlphaStrategy.oracle()):
+            assert strategy.min_samples == 1
 
     def test_parse(self):
         assert AlphaStrategy.parse("safe").kind == "safe_constant"
@@ -472,3 +486,88 @@ class TestEmpiricalAlphaConsistency:
         alpha_full, _ = resolve_alpha(AlphaStrategy.empirical(), problem, whole)
         se = np.std(batch_alphas, ddof=1) / np.sqrt(batches)
         assert abs(alpha_full - alpha_star) <= 3 * se
+
+
+@st.composite
+def small_problems(draw):
+    """A connected weighted graph inside the enumeration reach (n <= 6,
+    m <= 10) with per-vertex q and a signal y: (graph, q, y)."""
+    n = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}  # a spanning tree
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=10 - len(pairs))):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    g = Graph.from_edges(n, [(a, b, draw(st.floats(0.5, 2.0))) for a, b in sorted(pairs)])
+    q = np.array(draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    return g, q, y
+
+
+properties = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestEstimatorProperties:
+    """The statistical contract on random graphs within the enumeration
+    reach, at the tolerances of the fixed-corpus tests above."""
+
+    @properties
+    @given(small_problems(), st.sampled_from([0.1, 0.4, 1.0]))
+    def test_exactly_unbiased(self, case, alpha):
+        g, q, y = case
+        assert in_enumeration_reach(g)
+        xhat = solve_exact_dense(SmoothingProblem(g, y, q))
+        dist = enumerate_forests(g, q)
+        Kinv = dense_k_inverse(g, q)
+        e_x, e_z = np.zeros(g.n), np.zeros(g.n)
+        for fam in dist.families:
+            p = fam.weight / dist.normalizer
+            xbar = oracle_tree_averages(fam.components, q, y)
+            e_x += p * xbar
+            e_z += p * (xbar - alpha * (Kinv @ xbar - y))
+        atol = 1e-12 * max(1, abs(xhat).max())
+        np.testing.assert_allclose(e_x, xhat, atol=atol, rtol=0)
+        np.testing.assert_allclose(e_z, xhat, atol=atol, rtol=0)
+
+    @properties
+    @given(small_problems(), st.floats(-1e3, 1e3), st.integers(0, 2**32))
+    def test_constant_signal_returned_bit_exactly(self, case, c, seed):
+        g, q, _ = case
+        problem = SmoothingProblem(g, np.full(g.n, c), q)
+        for strategy in (AlphaStrategy.fixed(0.7), AlphaStrategy.safe(),
+                         AlphaStrategy.empirical()):
+            result = run_monte_carlo(problem, 3, strategy, seed=seed)
+            assert np.array_equal(result.estimate, problem.y), strategy.kind
+
+    @properties
+    @given(small_problems(), st.integers(2, 12), st.data())
+    def test_split_accumulators_merge_to_one_pass(self, case, n_samples, data):
+        g, q, y = case
+        problem = SmoothingProblem(g, y, q)
+        cut = data.draw(st.integers(0, n_samples))
+        whole, head, tail = (MonteCarloAccumulator(g.n) for _ in range(3))
+        for i in range(n_samples):
+            xbar = xbar_from_forest(sample_forest(g, q, forest_rng(7, i)), problem)
+            pair = (xbar, apply_K_inverse(problem, xbar))
+            whole.add(*pair)
+            (head if i < cut else tail).add(*pair)
+        merged = head.merge(tail)
+        assert merged.count == whole.count
+        np.testing.assert_allclose(merged.mean_x, whole.mean_x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(merged.mean_y, whole.mean_y, rtol=1e-10, atol=1e-12)
+        for stat in ("tr_var_xbar", "tr_var_ybar", "tr_cov_xy"):
+            assert getattr(merged, stat) == pytest.approx(getattr(whole, stat), rel=1e-10)
+
+    @properties
+    @given(small_problems(), st.integers(0, 2**32), st.integers(2, 6))
+    def test_same_seed_same_arrays(self, case, seed, n_samples):
+        g, q, y = case
+        problem = SmoothingProblem(g, y, q)
+        (a,), steps_a = accumulate_forests([problem], n_samples, seed)
+        (b,), steps_b = accumulate_forests([problem], n_samples, seed)
+        assert steps_a == steps_b
+        assert np.array_equal(a.mean_x, b.mean_x) and np.array_equal(a.mean_y, b.mean_y)
+        first, second = (run_monte_carlo(problem, n_samples, AlphaStrategy.empirical(),
+                                         seed=seed) for _ in range(2))
+        assert np.array_equal(first.estimate, second.estimate)
+        assert first.diagnostics == second.diagnostics

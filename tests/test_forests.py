@@ -5,7 +5,8 @@ from scipy import stats
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError, RootedForest,
                        enumerate_forests, forest_rng, sample_forest)
 from rsfsmooth.forests import walk_steps_floor
-from rsfsmooth.oracle import forest_edge_key, forest_roots, forest_trees
+from rsfsmooth.oracle import (forest_edge_key, forest_roots, forest_trees,
+                              in_enumeration_reach)
 
 from conftest import (complete_graph, cycle_graph, enumeration_corpus,
                       path_graph, random_connected_graph)
@@ -58,6 +59,18 @@ class TestEnumeration:
         g = complete_graph(8)  # 28 edges
         with pytest.raises(DataError, match="m <= 24"):
             enumerate_forests(g, np.ones(8))
+
+    def test_reach(self):
+        assert in_enumeration_reach(path_graph(9))
+        assert in_enumeration_reach(complete_graph(7))  # 21 edges
+        assert not in_enumeration_reach(path_graph(10))
+        assert not in_enumeration_reach(complete_graph(9))  # n = 9 but 36 edges
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan, 0.0, [1.0, 1.0, np.inf, 1.0]])
+    def test_q_refused_as_by_smoothing_problem(self, q):
+        g = Graph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+        with pytest.raises(DataError, match="finite and strictly positive"):
+            enumerate_forests(g, q)
 
 
 def family_chisquare(g, q, n_draws, seed):

@@ -1,6 +1,7 @@
 """Import-time and layering guards: the CLI loads no optional dependency
 and leaves the forest kernel unbuilt until the first draw, the test-scale
-oracles sit below the estimators, and one loop draws every forest."""
+oracles sit below the estimators, one loop draws every forest, and each
+step-size rule and the enumeration reach are stated in one place."""
 
 import ast
 import os
@@ -54,9 +55,9 @@ def test_oracle_imports_only_lower_layers():
     assert package_imports <= {"errors", "forests", "linalg"}
 
 
-def test_only_accumulate_forests_draws_forests():
-    # every reference to sample_forest in the package, by enclosing
-    # function; imports and the definition itself are not references
+def package_scopes(matches):
+    """The enclosing scopes ("module.function", "module.Class.method") of
+    every node of the package for which matches(node) holds."""
     package = Path(rsfsmooth.__file__).parent
     users = set()
 
@@ -65,11 +66,48 @@ def test_only_accumulate_forests_draws_forests():
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if (isinstance(child, ast.Name) and child.id == "sample_forest"
-                    or isinstance(child, ast.Attribute) and child.attr == "sample_forest"):
+            if matches(child):
                 users.add(".".join(scope))
             visit(child, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), [path.stem])
+    return users
+
+
+def names(node, *identifiers):
+    """Whether node reads or imports one of the identifiers."""
+    return (isinstance(node, ast.Name) and node.id in identifiers
+            or isinstance(node, ast.Attribute) and node.attr in identifiers
+            or isinstance(node, ast.alias) and node.name in identifiers)
+
+
+def test_only_accumulate_forests_draws_forests():
+    # every reference to sample_forest in the package, by enclosing
+    # function; imports and the definition itself are not references
+    users = package_scopes(lambda node: names(node, "sample_forest")
+                           and not isinstance(node, ast.alias))
     assert users == {"estimators.accumulate_forests"}
+
+
+def test_only_the_oracle_names_the_enumeration_limits():
+    users = package_scopes(lambda node: names(node, "ENUM_MAX_VERTICES", "ENUM_MAX_EDGES"))
+    assert {scope.split(".")[0] for scope in users} == {"oracle"}
+
+
+def test_only_the_strategy_and_resolve_alpha_compare_step_kinds():
+    # a comparison with a kind's name, also inside a tuple ("x in (...)")
+    kinds = {"empirical", "safe_constant", "oracle_optimal", "fixed"}
+
+    def compares_kind(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        operands += [e for o in operands if isinstance(o, (ast.Tuple, ast.List, ast.Set))
+                     for e in o.elts]
+        return any(isinstance(o, ast.Constant) and o.value in kinds for o in operands)
+
+    users = package_scopes(compares_kind)
+    assert users, "the guard found no comparison at all"
+    assert all(scope.startswith("estimators.AlphaStrategy.")
+               or scope == "estimators.resolve_alpha" for scope in users), users

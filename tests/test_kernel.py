@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsfsmooth
-from rsfsmooth import (DataError, Graph, NumericalError, forest_rng, forests, gen_graph,
-                       sample_forest)
+from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng, forests,
+                       gen_graph, sample_forest)
 
 from conftest import path_graph, random_connected_graph, star_graph
 
@@ -91,6 +91,11 @@ def test_stream_position_advances_by_draws():
     assert stream.position == first.rng_draws + second.rng_draws
     again = forests.CounterStream(stream.key, first.rng_draws)
     assert np.array_equal(sample_forest(g, 0.5, again).parent_of, second.parent_of)
+
+
+@pytest.mark.parametrize("seed,key", [(0, ()), (0, (0,)), (7, (3, 1)), (2**40 + 5, (2, 9, 4))])
+def test_stream_key_is_derive_seed(seed, key):
+    assert forest_rng(seed, *key).key == derive_seed(seed, *key)
 
 
 @pytest.mark.parametrize("q", [np.nan, np.inf, -1.0, [1.0, np.nan, 1.0], [1.0, 1.0]])
