@@ -1,11 +1,15 @@
-/* Wilson's algorithm with absorption: one rooted spanning forest per call.
+/* The package's two compiled loops, built together with -ffp-contract=off
+ * so that every product and sum rounds as numpy's and Python's do.
  *
- * The same walk as the Python loop in forests.py, step for step: the
- * uniform of step k is the counter-based splitmix64 value at position
+ * wilson: Wilson's algorithm with absorption, one rooted spanning forest
+ * per call. The same walk as the Python loop in forests.py, step for step:
+ * the uniform of step k is the counter-based splitmix64 value at position
  * pos + k of the stream `key`. root_of and parent_of come in filled with -1;
  * root_of[u] >= 0 marks u as part of the forest. Returns the number of
- * steps taken, or -1 once more than max_steps would be needed. Built with
- * -ffp-contract=off so that every product and sum rounds as Python's do.
+ * steps taken, or -1 once more than max_steps would be needed.
+ *
+ * laplacian: out = L v over the CSR adjacency, each row summed from +0.0 in
+ * arc order, the same sums as the bincount form in linalg.py.
  */
 #include <stdint.h>
 
@@ -49,4 +53,15 @@ int64_t wilson(int64_t n, const int64_t *indptr, const int64_t *indices,
             root_of[u] = root;
     }
     return steps;
+}
+
+void laplacian(int64_t n, const int64_t *indptr, const int64_t *indices,
+               const double *weights, const double *v, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double s = 0.0;
+        for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
+            s += weights[a] * (v[i] - v[indices[a]]);
+        out[i] = s;
+    }
 }

@@ -3,24 +3,23 @@
 `sample_forest` draws a rooted spanning forest with probability
 proportional to prod_{edges} w(e) * prod_{roots} q_root, using
 loop-erased random walks killed at rate q; `_tree_averages` averages a
-signal over the trees of a forest. The walk runs in a small C kernel,
-`_wilson.c`, compiled on first use into the user's cache directory; where
+signal over the trees of a forest. The walk runs in a small C kernel in
+`_native.c`, compiled on first use into the user's cache directory; where
 it cannot be built, a Python loop draws the same forests. The exhaustive
 enumeration of the same distribution on tiny graphs lives in
 `rsfsmooth.oracle`.
 """
 
 import math
-import os
+import weakref
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError
 
 DEFAULT_STEP_BUDGET = 10**9
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 class CounterStream:
@@ -181,67 +180,27 @@ _KERNEL = None  # the draw function, chosen on the first draw
 
 
 def _kernel():
-    """The compiled kernel's draw function, or `_wilson_python` where it
-    cannot be built; both take (g, q, key, position, max_steps, out)."""
+    """The compiled kernel's draw function, or `_wilson_python` where the
+    library cannot be built; both take (g, q, key, position, max_steps, out)."""
     global _KERNEL
     if _KERNEL is None:
-        _KERNEL = _build_kernel() or _wilson_python
+        lib = _native.library()
+        _KERNEL = _wilson_python if lib is None else _compiled_wilson(lib.wilson)
     return _KERNEL
 
 
-def _build_kernel():
-    """Compile `_wilson.c` once into $XDG_CACHE_HOME/rsfsmooth (default
-    ~/.cache/rsfsmooth), keyed by the sha256 of the source, the flags and
-    the machine, and load it. Returns None when there is no `cc`, or the
-    library cannot be built, written or loaded."""
-    import ctypes
-    import hashlib
-    import platform
-    import shutil
-    import subprocess
-    import tempfile
-    import weakref
-
-    cc = shutil.which("cc")
-    source = Path(__file__).with_name("_wilson.c")
-    if cc is None or not source.is_file():
-        return None
-    text = source.read_bytes()
-    tag = hashlib.sha256(b"\0".join([text, " ".join(_CFLAGS).encode(),
-                                     platform.system().encode(),
-                                     platform.machine().encode()])).hexdigest()
-    try:
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "rsfsmooth"
-        lib = cache / f"wilson-{tag[:16]}.so"
-        if not lib.is_file():
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run([cc, *_CFLAGS, "-x", "c", "-", "-o", tmp], input=text,
-                               capture_output=True, check=True, timeout=120)
-                os.replace(tmp, lib)  # atomic: readers see the whole library or none
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).wilson
-    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    fn.argtypes = [i64, ptr, ptr, ptr, ptr, ctypes.c_uint64, ctypes.c_uint64, i64, ptr, ptr]
-    fn.restype = i64
-    graph_args = weakref.WeakKeyDictionary()  # per graph: its arrays, kept alive, and addresses
-
-    def address(a):  # cheaper than a.ctypes.data; needs a writable array
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+def _compiled_wilson(fn):
+    """A draw function calling the library's `wilson` with each graph's
+    arrays, kept alive and their addresses computed once per graph."""
+    graph_args = weakref.WeakKeyDictionary()
 
     def wilson(g, q, key, position, max_steps, out):
         if g not in graph_args:
             arrays = (np.ascontiguousarray(g.indptr, np.int64),
                       np.ascontiguousarray(g.indices, np.int64), g.walk_tables())
             graph_args[g] = arrays, [g.n, *(a.ctypes.data for a in arrays)]
-        root_of = address(out)
-        return fn(*graph_args[g][1], address(q), key, position, max_steps, root_of,
+        root_of = _native.address(out)
+        return fn(*graph_args[g][1], _native.address(q), key, position, max_steps, root_of,
                   root_of + 8 * g.n)
 
     return wilson

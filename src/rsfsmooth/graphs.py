@@ -5,12 +5,11 @@ and the random-graph generators used by the experiment harness (random
 regular, Barabasi-Albert, grid, k-nearest-neighbour).
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import DataError
 
@@ -36,7 +35,9 @@ class Graph:
         CSR adjacency; every undirected edge is stored as two arcs with
         equal weight.
     adjacency : scipy CSR matrix
-        The same adjacency as a sparse matrix.
+        The same adjacency as a sparse matrix, built on first use; the
+        package's own computations read only the arrays above, so scipy
+        is imported only here (and by the knn generator).
     degrees : (n,) float array
         Weighted degree d_i = sum_j w(i, j).
     d_max : float
@@ -91,16 +92,25 @@ class Graph:
         g.d_max = float(g.degrees.max())
         for arr in (g.indptr, g.indices, g.weights, g.degrees):
             arr.flags.writeable = False
-        g.adjacency = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(n, n))
-        ncomp, _ = csgraph.connected_components(g.adjacency, directed=False)
+        ncomp = _component_count(g.n, u, v)
         if ncomp != 1:
             raise DataError(f"disconnected graph: {ncomp} connected components")
-        g._walk_cum = g._incidence = None
+        g._walk_cum = None
         return g
 
+    @functools.cached_property
+    def adjacency(self):
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.weights, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
+    @functools.cached_property
     def _arc_rows(self):
         """Source vertex of each stored arc, aligned with `indices`."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
 
     def walk_tables(self):
         """Cumulative arc weights for random walks, aligned with `indices`.
@@ -125,41 +135,36 @@ class Graph:
             self._walk_cum = cum
         return self._walk_cum
 
-    def incidence(self):
-        """Edge endpoints and the weighted signed incidence, `(eu, ev, C)`.
-
-        Edge e joins eu[e] < ev[e]; edges are numbered in sorted order.
-        C is the n x m CSR matrix with +w_e in row eu[e] and -w_e in row
-        ev[e], sharing `indptr` with the adjacency, so each row's entries
-        come in arc order and edge-id order at once. Then L v =
-        C (v[eu] - v[ev]) sums the terms of sum_j w_ij (v_i - v_j) in
-        the same order from +0.0, each term equal bit for bit up to the
-        sign of a zero (-w (a - b) == w (b - a)), so it matches that form
-        exactly and keeps L 1 == 0 bitwise. Built on first use.
-        """
-        if self._incidence is None:
-            rows = self._arc_rows()
-            upper = rows < self.indices
-            lower = np.flatnonzero(~upper)
-            edge = np.empty(2 * self.m, dtype=np.int64)
-            edge[upper] = np.arange(self.m)
-            # lower arcs (ev, eu) come sorted by (ev, eu); a stable sort by
-            # eu puts them in edge order
-            edge[lower[np.argsort(self.indices[lower], kind="stable")]] = np.arange(self.m)
-            signed = np.where(upper, self.weights, -self.weights)
-            C = sparse.csr_matrix((signed, edge, self.indptr), shape=(self.n, self.m))
-            self._incidence = rows[upper], self.indices[upper], C
-        return self._incidence
-
     def edges(self):
         """Iterate over the undirected edges (u, v, w) with u < v, sorted."""
-        rows = self._arc_rows()
+        rows = self._arc_rows
         upper = rows < self.indices
         return zip(rows[upper].tolist(), self.indices[upper].tolist(),
                    self.weights[upper].tolist())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
+
+
+def _component_count(n, u, v):
+    """Connected components of n vertices joined by the edges (u[e], v[e]),
+    by hook and shortcut. Every vertex points at a label no larger than
+    itself, at first itself. Each round hooks the larger label of every
+    edge whose ends differ onto the smallest label across from it, then
+    jumps pointers until each vertex points at a root; it ends when every
+    edge lies within one label, and the roots left are the components."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def _lines(path, sep, form, counts):

@@ -7,28 +7,31 @@ For uniform q this reduces to K = q (qI + L)^{-1}.
 """
 
 import math
+import weakref
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError
 
 DENSE_LIMIT = 2000
 
 
 class LaplacianOperator:
-    """Application of L = D - W through the graph's signed incidence.
-
-    L v = C (v[eu] - v[ev]) evaluates the edge-difference form
-    (Lv)_i = sum_j w_ij (v_i - v_j), which is exact on constant vectors:
-    L 1 == 0 bitwise (see `Graph.incidence`).
+    """Application of L = D - W in the edge-difference form
+    (Lv)_i = sum_j w_ij (v_i - v_j), summed from +0.0 over row i's arcs in
+    arc order. It is exact on constant vectors: L 1 == 0 bitwise.
     """
 
     def __init__(self, graph):
         self.graph = graph
 
     def apply(self, v):
-        eu, ev, C = self.graph.incidence()
-        return C @ (v[eu] - v[ev])
+        g = self.graph
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        if v.shape != (g.n,):
+            raise DataError(f"vector of shape {v.shape} does not match n={g.n}")
+        return _laplacian()(g, v)
 
     def dense(self):
         """Dense L for oracle-scale graphs (n <= DENSE_LIMIT)."""
@@ -36,6 +39,45 @@ class LaplacianOperator:
         if g.n > DENSE_LIMIT:
             raise DataError(f"dense Laplacian limited to n <= {DENSE_LIMIT}, got {g.n}")
         return np.diag(g.degrees) - g.adjacency.toarray()
+
+
+_APPLY = None  # the apply function, chosen on the first apply
+
+
+def _laplacian():
+    """The compiled loop's apply function, or `_laplacian_bincount` where
+    the library cannot be built; both take (g, v) and return L v."""
+    global _APPLY
+    if _APPLY is None:
+        lib = _native.library()
+        _APPLY = _laplacian_bincount if lib is None else _compiled_laplacian(lib.laplacian)
+    return _APPLY
+
+
+def _compiled_laplacian(fn):
+    """An apply function calling the library's `laplacian` with each
+    graph's arrays, kept alive and their addresses computed once per graph."""
+    graph_args = weakref.WeakKeyDictionary()
+
+    def laplacian(g, v):
+        if g not in graph_args:
+            arrays = (np.ascontiguousarray(g.indptr, np.int64),
+                      np.ascontiguousarray(g.indices, np.int64),
+                      np.ascontiguousarray(g.weights, np.float64))
+            graph_args[g] = arrays, [g.n, *(a.ctypes.data for a in arrays)]
+        out = np.empty(g.n)
+        fn(*graph_args[g][1], v.ctypes.data, _native.address(out))
+        return out
+
+    return laplacian
+
+
+def _laplacian_bincount(g, v):
+    """The compiled loop in numpy, for machines where it cannot be built:
+    one bincount over the stored arcs adds the same terms in the same
+    order, so the result is the same bit for bit."""
+    rows = g._arc_rows
+    return np.bincount(rows, weights=g.weights * (v[rows] - v[g.indices]), minlength=g.n)
 
 
 def _absorption_weights(q, n):

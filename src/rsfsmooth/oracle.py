@@ -72,16 +72,39 @@ def forest_edge_key(forest):
 
 def in_enumeration_reach(g):
     """Whether `enumerate_forests` lists g's forests: n <= 9 and m <= 24,
-    since it iterates all 2^m edge subsets."""
+    since it lists every acyclic edge subset, of which there can be up
+    to 2^m."""
     return g.n <= ENUM_MAX_VERTICES and g.m <= ENUM_MAX_EDGES
+
+
+def _acyclic_masks(n, edge_list):
+    """The bit masks of the acyclic edge subsets, in increasing order.
+
+    Decides the edges depth first from the highest index down, leaving
+    each out before taking it in, so the subsets come out in increasing
+    mask order; a branch ends at its first cycle, so only acyclic subsets
+    are visited."""
+    masks = []
+
+    def grow(idx, mask, comp):  # comp: a component label per vertex
+        if idx < 0:
+            masks.append(mask)
+            return
+        grow(idx - 1, mask, comp)
+        a, b = comp[edge_list[idx][0]], comp[edge_list[idx][1]]
+        if a != b:
+            grow(idx - 1, mask | 1 << idx, [a if c == b else c for c in comp])
+
+    grow(len(edge_list) - 1, 0, list(range(n)))
+    return masks
 
 
 def enumerate_forests(g, q):
     """Enumerate every spanning forest of a tiny graph with its weight.
 
-    Iterates all acyclic edge subsets of a graph `in_enumeration_reach`
-    and collapses the per-tree root choice analytically. The total weight
-    is verified against det(Q + L), the matrix-forest identity; a
+    Lists the acyclic edge subsets of a graph `in_enumeration_reach` in
+    increasing mask order and collapses the per-tree root choice
+    analytically. The total weight is verified against det(Q + L), the matrix-forest identity; a
     mismatch raises `NumericalError`.
     """
     n, m = g.n, g.m
@@ -93,7 +116,7 @@ def enumerate_forests(g, q):
     edge_list = list(g.edges())
     families = []
     total = 0.0
-    for mask in range(1 << m):
+    for mask in _acyclic_masks(n, edge_list):
         parent = list(range(n))
 
         def find(a):
@@ -103,18 +126,12 @@ def enumerate_forests(g, q):
             return a
 
         wprod = 1.0
-        acyclic = True
         for idx in range(m):
             if mask >> idx & 1:
                 u, v, w = edge_list[idx]
                 ru, rv = find(u), find(v)
-                if ru == rv:
-                    acyclic = False
-                    break
                 parent[ru] = rv
                 wprod *= w
-        if not acyclic:
-            continue
         comps = np.array([find(v) for v in range(n)], dtype=np.int64)
         qsums = np.bincount(comps, weights=qvec, minlength=n)
         sizes = np.bincount(comps, minlength=n)

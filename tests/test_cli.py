@@ -132,8 +132,8 @@ class TestSmooth:
         assert a.read_bytes() == b.read_bytes()
 
     # These csv outputs pass through no BLAS reduction (the forest kernel,
-    # the bincount tree averages, elementwise means and step, scipy's CSR
-    # matvec), so their bytes are the same on every CPU.
+    # the bincount tree averages, elementwise means and step, the Laplacian
+    # rows summed in arc order), so their bytes are the same on every CPU.
     @pytest.mark.parametrize("alpha,digest", [
         ("safe", "26a0a47e9f5d2c35e0c14a4a675774252e34b090261a5132b73c4a735f7f1a7f"),
         ("0.3", "03d4fe0e9a76cd734bfb09d43232155cb6d14900c69f7f697c36c8f3cc1542dd"),

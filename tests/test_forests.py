@@ -4,6 +4,7 @@ from scipy import stats
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError, RootedForest,
                        enumerate_forests, forest_rng, sample_forest)
+from rsfsmooth import oracle
 from rsfsmooth.forests import walk_steps_floor
 from rsfsmooth.oracle import (forest_edge_key, forest_roots, forest_trees,
                               in_enumeration_reach)
@@ -45,6 +46,25 @@ class TestEnumeration:
             A = np.diag(q + g.degrees) - g.adjacency.toarray()
             det = np.linalg.det(A)
             assert dist.normalizer == pytest.approx(det, rel=1e-9), name
+
+    def test_pruned_search_lists_the_acyclic_subsets_in_mask_order(self):
+        # the depth-first search against the filter over all 2^m masks that
+        # enumerate_forests ran before: the same masks in the same order
+        dense = random_connected_graph(9, extra_edges=6, rng=np.random.default_rng(4))
+        for name, g in enumeration_corpus() + [("K6", complete_graph(6)), ("n9m14", dense)]:
+            edges = list(g.edges())
+
+            def acyclic(mask):
+                comp = list(range(g.n))
+                for i, (u, v, _) in enumerate(edges):
+                    if mask >> i & 1:
+                        if comp[u] == comp[v]:
+                            return False
+                        comp = [comp[u] if c == comp[v] else c for c in comp]
+                return True
+
+            expected = [mask for mask in range(1 << g.m) if acyclic(mask)]
+            assert oracle._acyclic_masks(g.n, edges) == expected, name
 
     def test_probabilities_sum_to_one(self, triangle):
         dist = enumerate_forests(triangle, np.array([0.5, 1.0, 2.0]))

@@ -11,6 +11,7 @@ from scipy.sparse import csgraph
 
 from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, load_signal,
                        save_graph)
+from rsfsmooth import graphs
 from rsfsmooth.graphs import load_positions
 
 from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
@@ -212,6 +213,48 @@ def test_knn_disconnected_fails():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.5, 0.0]])
     with pytest.raises(DataError, match="connected"):
         gen_graph("knn", coords=coords, k=1)
+
+
+@st.composite
+def edge_sets(draw):
+    """Simple edge sets on 1 to 40 vertices, with none to about three edges
+    per vertex, so that any number of components and isolated vertices
+    occur, in shuffled order and orientation."""
+    n = draw(st.integers(1, 40))
+    ids = st.integers(0, n - 1)
+    drawn = draw(st.lists(st.tuples(ids, ids), max_size=draw(st.sampled_from([0, n, 3 * n]))))
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in drawn if a != b})
+    pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edge_sets())
+def test_component_count_matches_csgraph(case):
+    n, pairs = case
+    u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    adj = sparse.coo_matrix((np.ones(len(pairs)), (u, v)), shape=(n, n))
+    expected = csgraph.connected_components(adj, directed=False)[0]
+    assert graphs._component_count(n, u, v) == expected
+    edges = [(a, b, 1.0) for a, b in pairs]
+    if expected == 1:
+        assert Graph.from_edges(n, edges).n == n
+    else:
+        with pytest.raises(DataError) as err:
+            Graph.from_edges(n, edges)
+        assert str(err.value) == f"disconnected graph: {expected} connected components"
+
+
+def test_component_count_on_long_shuffled_paths():
+    # paths whose labels are a random permutation take the most hooking
+    # rounds and the longest pointer chains
+    rng = np.random.default_rng(5)
+    for n, cuts in ((1, 0), (2, 1), (5000, 0), (5000, 3), (20000, 40)):
+        order = rng.permutation(n)
+        keep = np.ones(max(n - 1, 0), dtype=bool)
+        keep[rng.choice(n - 1, size=cuts, replace=False)] = False
+        u, v = order[:-1][keep], order[1:][keep]
+        assert graphs._component_count(n, u, v) == cuts + 1
 
 
 def test_single_vertex_graph_is_valid():

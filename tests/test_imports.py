@@ -1,10 +1,11 @@
-"""Import-time and layering guards: the CLI loads no optional dependency
-and leaves the forest kernel unbuilt until the first draw, the test-scale
-oracles sit below the estimators, one loop draws every forest, and each
-step-size rule and the enumeration reach are stated in one place."""
+"""Import-time and layering guards: the CLI and its exact and sampled runs
+load no scipy, the CLI import leaves the compiled library unbuilt, the
+test-scale oracles sit below the estimators, one loop draws every forest,
+and each step-size rule and the enumeration reach are stated in one place."""
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,28 +23,53 @@ def fresh_python(code, **env):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_cli_import_leaves_out_networkx_and_spatial():
-    res = fresh_python("import sys, rsfsmooth.cli; print(sorted(m for m in sys.modules "
-                       "if m.split('.')[0] == 'networkx' or m.startswith('scipy.spatial')))")
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
-
-
-def test_cli_import_and_exact_leave_the_kernel_unbuilt(tmp_path):
-    # numpy itself imports ctypes, so the guarantee is about the kernel:
-    # importing the CLI and running a command that draws no forest neither
-    # loads nor compiles it, and writes nothing to the kernel cache
+def test_cli_import_leaves_out_networkx_and_spatial(tmp_path):
+    # scipy is only for `--gen knn` and `Graph.adjacency`: neither the CLI
+    # import nor an exact solve or a sampled smooth on a file graph loads it
     gpath = tmp_path / "p3.txt"
     gpath.write_text("0 1\n1 2\n")
-    cache = tmp_path / "cache"
+    common = f"'--graph', {str(gpath)!r}, '--signal', 'gaussian', '--q', '1'"
     res = fresh_python(
-        "import rsfsmooth.cli as cli, rsfsmooth.forests as f; "
-        f"print(f._KERNEL); code = cli.run(['exact', '--graph', {str(gpath)!r}, "
-        f"'--signal', 'gaussian', '--q', '1', '--out', {str(tmp_path / 'x.csv')!r}]); "
-        "print(code, f._KERNEL)", XDG_CACHE_HOME=str(cache))
+        "import sys, rsfsmooth.cli as cli\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('networkx', 'scipy'))\n"
+        "print(loaded())\n"
+        f"assert cli.run(['exact', {common}, '--out', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+        f"assert cli.run(['smooth', {common}, '--n-samples', '3', "
+        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+        "print(loaded())", XDG_CACHE_HOME=str(tmp_path / "cache"))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["None", "0", "None"]
-    assert not cache.exists()
+    assert res.stdout.split() == ["[]", "[]"]
+
+
+EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat, rsfsmooth.linalg as la; "
+         "print(nat._LIBRARY is nat._UNSET); code = cli.run(['exact', '--graph', {graph!r}, "
+         "'--signal', 'gaussian', '--q', '0.5', '--format', 'json', '--out', {out!r}]); "
+         "print(code, la._APPLY is la._laplacian_bincount)")
+
+
+def test_cli_import_leaves_the_library_unbuilt_and_exact_matches_the_fallback(tmp_path):
+    # numpy itself imports ctypes, so the guarantee is about the library:
+    # importing the CLI neither loads nor compiles it. `exact` applies the
+    # Laplacian through it, and without a compiler through the bincount
+    # form, writing the same bytes; the cache holds the one library.
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 1 0.5\n1 2 1.25\n2 3\n3 4 2\n4 0 0.75\n1 3 1.5\n")
+    cache, bare_cache, no_cc = tmp_path / "cache", tmp_path / "bare", tmp_path / "bin"
+    no_cc.mkdir()
+    out_c, out_py = tmp_path / "c.json", tmp_path / "py.json"
+    compiled = fresh_python(EXACT.format(graph=str(gpath), out=str(out_c)),
+                            XDG_CACHE_HOME=str(cache))
+    assert compiled.returncode == 0, compiled.stderr
+    fallback = fresh_python(EXACT.format(graph=str(gpath), out=str(out_py)),
+                            XDG_CACHE_HOME=str(bare_cache), PATH=str(no_cc))
+    assert fallback.returncode == 0, fallback.stderr
+    if shutil.which("cc") is not None:
+        assert compiled.stdout.split() == ["True", "0", "False"]
+        assert len(list((cache / "rsfsmooth").iterdir())) == 1
+    assert fallback.stdout.split() == ["True", "0", "True"]
+    assert not bare_cache.exists()
+    assert out_py.read_bytes() == out_c.read_bytes()
 
 
 def test_oracle_imports_only_lower_layers():

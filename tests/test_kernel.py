@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsfsmooth
+from rsfsmooth import _native
 from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng, forests,
                        gen_graph, sample_forest)
 
@@ -24,7 +25,7 @@ HAS_CC = shutil.which("cc") is not None
 
 @functools.cache
 def compiled():
-    return forests._build_kernel()
+    return forests._compiled_wilson(_native.library().wilson)
 
 
 def draw(kernel, g, q, stream, max_steps=forests.DEFAULT_STEP_BUDGET):
@@ -147,7 +148,7 @@ def test_kernel_builds_once_and_matches_the_fallback(tmp_path):
     out_c, out_py = tmp_path / "c.json", tmp_path / "py.json"
     assert fresh_python(SMOOTH.format(out=str(out_c)), cache).strip() == "False"
     built = sorted((cache / "rsfsmooth").iterdir())
-    assert len(built) == 1 and built[0].name.startswith("wilson-") and built[0].suffix == ".so"
+    assert len(built) == 1 and built[0].name.startswith("native-") and built[0].suffix == ".so"
     stamp = built[0].stat().st_mtime_ns
     fresh_python(SMOOTH.format(out=str(out_c)), cache)
     assert sorted((cache / "rsfsmooth").iterdir()) == built  # reused, not rebuilt

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
                        SmoothingProblem, apply_K_inverse, contraction_check,
                        solve_exact_cg, solve_exact_dense)
+from rsfsmooth import _native, linalg
 
 from conftest import path_graph, random_connected_graph
 
@@ -81,6 +82,42 @@ def test_apply_matches_bincount_form_bitwise(case):
     got, ref = LaplacianOperator(g).apply(v), bincount_laplacian(g, v)
     assert got.dtype == np.float64 and got.shape == (g.n,)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def with_apply(apply, fn, *args):
+    """fn(*args) with the given Laplacian apply in place of the loaded one;
+    its result, or the text of the error it raised."""
+    saved, linalg._APPLY = linalg._APPLY, apply
+    try:
+        return fn(*args)
+    except (DataError, NumericalError) as err:
+        return f"{type(err).__name__}: {err}"
+    finally:
+        linalg._APPLY = saved
+
+
+@pytest.mark.skipif(_native.library() is None, reason="the compiled library cannot be built")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors(), st.floats(1e-3, 1e3))
+def test_compiled_apply_and_cg_match_the_fallback_bitwise(case, q):
+    g, v = case
+    compiled = linalg._compiled_laplacian(_native.library().laplacian)
+    fast, slow = compiled(g, v), linalg._laplacian_bincount(g, v)
+    assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+    problem = SmoothingProblem(g, v, q)
+    fast = with_apply(compiled, solve_exact_cg, problem)
+    slow = with_apply(linalg._laplacian_bincount, solve_exact_cg, problem)
+    if isinstance(slow, str):  # weights over 60 binades can stall CG
+        assert fast == slow
+    else:
+        assert np.array_equal(fast[0].view(np.uint64), slow[0].view(np.uint64))
+        assert fast[1] == slow[1]
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+def test_apply_refuses_a_vector_of_another_length(p3, shape):
+    with pytest.raises(DataError, match="does not match n=3"):
+        LaplacianOperator(p3).apply(np.zeros(shape))
 
 
 class TestApplyKInverse:
