@@ -13,9 +13,8 @@ from .estimators import (AlphaStrategy, MonteCarloAccumulator, MonteCarloResult,
 from .forests import RootedForest, derive_seed, forest_rng, sample_forest
 from .graphs import Graph, gen_graph, load_graph, load_positions, save_graph
 from .linalg import LaplacianOperator, SmoothingProblem, apply_K_inverse, solve_exact_cg
-from .oracle import (ExactMoments, ForestDistribution, ForestFamily,
-                     SpectralCheckReport, contraction_check, enumerate_forests,
-                     exact_estimator_moments, solve_exact_dense)
+from .oracle import (ExactMoments, ForestDistribution, ForestFamily, enumerate_forests,
+                     exact_estimator_moments)
 from .signals import load_signal, psnr, synthetic_signal
 from .ssl import (ClassificationResult, SSLProblem, accuracy_experiment,
                   load_labels, ssl_exact, ssl_forest)
@@ -27,11 +26,10 @@ __all__ = [
     "ExactMoments", "ForestDistribution", "ForestFamily", "Graph",
     "LaplacianOperator", "MonteCarloAccumulator", "MonteCarloResult",
     "NumericalError", "RootedForest", "SSLProblem", "SmoothingProblem",
-    "SpectralCheckReport", "accuracy_experiment", "apply_K_inverse",
-    "contraction_check", "derive_seed", "enumerate_forests",
+    "accuracy_experiment", "apply_K_inverse", "derive_seed", "enumerate_forests",
     "exact_estimator_moments", "forest_rng", "gen_graph", "gradient_step",
     "load_graph", "load_labels", "load_positions",
     "load_signal", "psnr", "resolve_alpha", "run_monte_carlo", "safe_alpha",
-    "sample_forest", "save_graph", "solve_exact_cg", "solve_exact_dense",
+    "sample_forest", "save_graph", "solve_exact_cg",
     "ssl_exact", "ssl_forest", "synthetic_signal", "xbar_from_forest",
 ]

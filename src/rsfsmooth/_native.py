@@ -10,7 +10,9 @@ same results bit for bit: `forests._wilson_python` and
 """
 
 import ctypes  # numpy imports it too
+import functools
 import os
+import weakref
 from pathlib import Path
 
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -30,6 +32,20 @@ def library():
 def address(a):
     """Address of a writable array's buffer; cheaper than a.ctypes.data."""
     return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+
+def bind(fn, graph_arrays):
+    """A function of g returning `fn` with its leading arguments, g.n and
+    the addresses of graph_arrays(g), filled in once per graph. The arrays
+    must be ones g holds, so that they live as long as the binding."""
+    bound = weakref.WeakKeyDictionary()
+
+    def routine(g):
+        if g not in bound:
+            bound[g] = functools.partial(fn, g.n, *(a.ctypes.data for a in graph_arrays(g)))
+        return bound[g]
+
+    return routine
 
 
 def _build():

@@ -97,8 +97,9 @@ def _resolve_signal(args, graph):
 
 def _finite(v):
     """v, if it is finite. Both writers pass every float through here
-    before they open the file, so a NaN or infinite output writes nothing;
-    None, a value absent by design, is written as null or an empty cell."""
+    before they open the file (an array only if it holds a non-finite
+    value), so a NaN or infinite output writes nothing; None, a value
+    absent by design, is written as null or an empty cell."""
     if not math.isfinite(v):
         raise NumericalError(f"output has a non-finite value ({v})")
     return v
@@ -109,8 +110,8 @@ def _pyify(obj):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # one check; a value walk only to name the culprit
+        return obj.tolist() if np.isfinite(obj).all() else _pyify(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):

@@ -11,7 +11,6 @@ enumeration of the same distribution on tiny graphs lives in
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,18 +189,14 @@ def _kernel():
 
 
 def _compiled_wilson(fn):
-    """A draw function calling the library's `wilson` with each graph's
-    arrays, kept alive and their addresses computed once per graph."""
-    graph_args = weakref.WeakKeyDictionary()
+    """A draw function calling the library's `wilson` on each graph's CSR
+    arrays and walk tables."""
+    routine = _native.bind(fn, lambda g: (g.indptr, g.indices, g.walk_tables()))
 
     def wilson(g, q, key, position, max_steps, out):
-        if g not in graph_args:
-            arrays = (np.ascontiguousarray(g.indptr, np.int64),
-                      np.ascontiguousarray(g.indices, np.int64), g.walk_tables())
-            graph_args[g] = arrays, [g.n, *(a.ctypes.data for a in arrays)]
         root_of = _native.address(out)
-        return fn(*graph_args[g][1], _native.address(q), key, position, max_steps, root_of,
-                  root_of + 8 * g.n)
+        return routine(g)(_native.address(q), key, position, max_steps, root_of,
+                          root_of + 8 * g.n)
 
     return wilson
 

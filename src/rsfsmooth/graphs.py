@@ -31,13 +31,9 @@ class Graph:
         Vertex count.
     m : int
         Undirected edge count.
-    indptr, indices, weights : numpy arrays
+    indptr, indices, weights : int64, int64 and float64 arrays
         CSR adjacency; every undirected edge is stored as two arcs with
-        equal weight.
-    adjacency : scipy CSR matrix
-        The same adjacency as a sparse matrix, built on first use; the
-        package's own computations read only the arrays above, so scipy
-        is imported only here (and by the knn generator).
+        equal weight. Every computation of the package reads these arrays.
     degrees : (n,) float array
         Weighted degree d_i = sum_j w(i, j).
     d_max : float
@@ -87,8 +83,10 @@ class Graph:
         g.n, g.m = int(n), len(w)
         g.indices = cols[order]
         g.weights = np.concatenate([w, w])[order]
-        g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        g.degrees = np.bincount(rows[order], weights=g.weights, minlength=n)
+        g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n),
+                                                  dtype=np.int64)])
+        # floats also where there is no arc, for which bincount returns ints
+        g.degrees = np.bincount(rows[order], weights=g.weights, minlength=n).astype(np.float64)
         g.d_max = float(g.degrees.max())
         for arr in (g.indptr, g.indices, g.weights, g.degrees):
             arr.flags.writeable = False
@@ -97,13 +95,6 @@ class Graph:
             raise DataError(f"disconnected graph: {ncomp} connected components")
         g._walk_cum = None
         return g
-
-    @functools.cached_property
-    def adjacency(self):
-        from scipy import sparse
-
-        return sparse.csr_matrix((self.weights, self.indices, self.indptr),
-                                 shape=(self.n, self.n))
 
     @functools.cached_property
     def _arc_rows(self):
@@ -306,7 +297,10 @@ def _grid_edges(rows, cols):
 
 
 def _knn_edges(coords, k):
-    from scipy.spatial import cKDTree  # only this generator needs scipy.spatial
+    try:
+        from scipy.spatial import cKDTree  # the package's one use of scipy
+    except ImportError:
+        raise DataError("the knn generator needs scipy: pip install rsfsmooth[knn]") from None
 
     n = len(coords)
     _, nearest = cKDTree(coords).query(coords, k=k + 1)  # includes the point itself

@@ -7,7 +7,6 @@ For uniform q this reduces to K = q (qI + L)^{-1}.
 """
 
 import math
-import weakref
 
 import numpy as np
 
@@ -38,7 +37,9 @@ class LaplacianOperator:
         g = self.graph
         if g.n > DENSE_LIMIT:
             raise DataError(f"dense Laplacian limited to n <= {DENSE_LIMIT}, got {g.n}")
-        return np.diag(g.degrees) - g.adjacency.toarray()
+        L = np.diag(g.degrees)
+        L[g._arc_rows, g.indices] -= g.weights
+        return L
 
 
 _APPLY = None  # the apply function, chosen on the first apply
@@ -55,18 +56,13 @@ def _laplacian():
 
 
 def _compiled_laplacian(fn):
-    """An apply function calling the library's `laplacian` with each
-    graph's arrays, kept alive and their addresses computed once per graph."""
-    graph_args = weakref.WeakKeyDictionary()
+    """An apply function calling the library's `laplacian` on each graph's
+    CSR arrays."""
+    routine = _native.bind(fn, lambda g: (g.indptr, g.indices, g.weights))
 
     def laplacian(g, v):
-        if g not in graph_args:
-            arrays = (np.ascontiguousarray(g.indptr, np.int64),
-                      np.ascontiguousarray(g.indices, np.int64),
-                      np.ascontiguousarray(g.weights, np.float64))
-            graph_args[g] = arrays, [g.n, *(a.ctypes.data for a in arrays)]
         out = np.empty(g.n)
-        fn(*graph_args[g][1], v.ctypes.data, _native.address(out))
+        routine(g)(v.ctypes.data, _native.address(out))
         return out
 
     return laplacian

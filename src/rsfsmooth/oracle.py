@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .forests import _tree_averages
-from .linalg import SmoothingProblem, _absorption_weights, apply_K_inverse
+from .linalg import LaplacianOperator, SmoothingProblem, _absorption_weights, apply_K_inverse
 
 ENUM_MAX_VERTICES = 9
 ENUM_MAX_EDGES = 24
@@ -143,8 +143,7 @@ def enumerate_forests(g, q):
         families.append(ForestFamily(edges=edges, components=comps, weight=weight))
         total += weight
 
-    A = np.diag(qvec + g.degrees) - g.adjacency.toarray()
-    det = float(np.linalg.det(A))
+    det = float(np.linalg.det(np.diag(qvec) + LaplacianOperator(g).dense()))
     if abs(total - det) > 1e-9 * abs(det):
         raise NumericalError(
             f"matrix-forest identity violated: weight sum {total!r} vs det {det!r}"

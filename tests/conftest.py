@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rsfsmooth import Graph
+
+
+def adjacency(g):
+    """g's weighted adjacency as a scipy CSR matrix, assembled from the
+    graph's CSR arrays; the tests' dense oracles build on it."""
+    return sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
 
 
 def path_graph(n, weights=None):

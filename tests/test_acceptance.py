@@ -11,23 +11,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rsfsmooth import (AlphaStrategy, SmoothingProblem, contraction_check,
+from rsfsmooth import (AlphaStrategy, SmoothingProblem,
                        enumerate_forests, exact_estimator_moments, forest_rng,
                        gen_graph, gradient_step, run_monte_carlo, safe_alpha,
-                       sample_forest, save_graph, solve_exact_cg,
-                       solve_exact_dense, ssl_exact, ssl_forest,
-                       synthetic_signal, xbar_from_forest, SSLProblem,
+                       sample_forest, save_graph, solve_exact_cg, ssl_exact,
+                       ssl_forest, synthetic_signal, xbar_from_forest, SSLProblem,
                        accuracy_experiment)
 from rsfsmooth.cli import run as cli_run
 from rsfsmooth.experiments import sweep_alpha
-from rsfsmooth.oracle import forest_edge_key
+from rsfsmooth.oracle import contraction_check, forest_edge_key, solve_exact_dense
 
-from conftest import (cycle_graph, enumeration_corpus, path_graph,
+from conftest import (adjacency, cycle_graph, enumeration_corpus, path_graph,
                       random_connected_graph, two_clique_graph)
 
 
 def dense_k_inverse(g, q):
-    W = g.adjacency.toarray()
+    W = adjacency(g).toarray()
     L = np.diag(W.sum(axis=1)) - W
     return np.linalg.solve(np.diag(q), np.diag(q) + L)
 
@@ -51,7 +50,7 @@ def test_criterion_01_matrix_forest_identity():
     for name, g in corpus:
         for q in (np.ones(g.n), rng.uniform(0.3, 2.5, g.n)):
             dist = enumerate_forests(g, q)
-            det = np.linalg.det(np.diag(q + g.degrees) - g.adjacency.toarray())
+            det = np.linalg.det(np.diag(q + g.degrees) - adjacency(g).toarray())
             assert abs(dist.normalizer - det) <= 1e-9 * abs(det), name
             checks += 1
     elapsed = time.perf_counter() - t0

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rsfsmooth import load_graph, save_graph
-from rsfsmooth.cli import run
+from rsfsmooth import NumericalError, load_graph, save_graph
+from rsfsmooth.cli import _write_json, run
 
 from conftest import random_connected_graph, two_clique_graph
 
@@ -626,3 +626,26 @@ class TestExitCodes:
             run(["gen-graph", "--gen", "grid:rows=2,cols=2", "--seed", "-1",
                  "--out", str(out)])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("array,shown", [
+    (np.array([[1.0, -np.inf], [np.nan, 2.0]]), "-inf"),
+    (np.array([0.5, np.nan, np.inf]), "nan"),
+])
+def test_json_writer_names_an_arrays_first_non_finite_value(tmp_path, array, shown):
+    # each array is checked at once, and the refusal names its first
+    # non-finite value in index order before the file is opened
+    out = tmp_path / "out.json"
+    with pytest.raises(NumericalError) as err:
+        _write_json(out, {"estimate": array, "alpha": 0.5})
+    assert str(err.value) == f"output has a non-finite value ({shown})"
+    assert not out.exists()
+
+
+def test_json_writer_writes_arrays_as_lists(tmp_path):
+    out = tmp_path / "out.json"
+    _write_json(out, {"estimate": np.array([0.1, -2.0]), "counts": np.arange(2),
+                      "grid": np.eye(2), "alpha": None})
+    assert json.loads(out.read_text()) == {"schema": "1", "estimate": [0.1, -2.0],
+                                           "counts": [0, 1],
+                                           "grid": [[1.0, 0.0], [0.0, 1.0]], "alpha": None}

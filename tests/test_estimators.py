@@ -8,11 +8,11 @@ from rsfsmooth import (AlphaStrategy, DataError, Graph, MonteCarloAccumulator,
                        RootedForest, SmoothingProblem, apply_K_inverse,
                        enumerate_forests, exact_estimator_moments, forest_rng,
                        gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
-                       sample_forest, solve_exact_dense, xbar_from_forest)
+                       sample_forest, xbar_from_forest)
 from rsfsmooth.estimators import accumulate_forests
-from rsfsmooth.oracle import forest_trees, in_enumeration_reach
+from rsfsmooth.oracle import forest_trees, in_enumeration_reach, solve_exact_dense
 
-from conftest import enumeration_corpus, path_graph, random_connected_graph
+from conftest import adjacency, enumeration_corpus, path_graph, random_connected_graph
 
 
 def oracle_tree_averages(components, q, y):
@@ -27,7 +27,7 @@ def oracle_tree_averages(components, q, y):
 
 
 def dense_k_inverse(g, q):
-    W = g.adjacency.toarray()
+    W = adjacency(g).toarray()
     L = np.diag(W.sum(axis=1)) - W
     return np.linalg.solve(np.diag(q), np.diag(q) + L)
 

@@ -9,7 +9,7 @@ from rsfsmooth.forests import walk_steps_floor
 from rsfsmooth.oracle import (forest_edge_key, forest_roots, forest_trees,
                               in_enumeration_reach)
 
-from conftest import (complete_graph, cycle_graph, enumeration_corpus,
+from conftest import (adjacency, complete_graph, cycle_graph, enumeration_corpus,
                       path_graph, random_connected_graph)
 
 
@@ -43,7 +43,7 @@ class TestEnumeration:
         for name, g in enumeration_corpus():
             q = rng.uniform(0.3, 2.5, g.n)
             dist = enumerate_forests(g, q)
-            A = np.diag(q + g.degrees) - g.adjacency.toarray()
+            A = np.diag(q + g.degrees) - adjacency(g).toarray()
             det = np.linalg.det(A)
             assert dist.normalizer == pytest.approx(det, rel=1e-9), name
 

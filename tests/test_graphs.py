@@ -14,7 +14,7 @@ from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, loa
 from rsfsmooth import graphs
 from rsfsmooth.graphs import load_positions
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import adjacency, cycle_graph, path_graph, random_connected_graph, star_graph
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -156,7 +156,7 @@ class TestGenerators:
         assert not np.any(arc_rows == g.indices)  # no self-loop
         edges = [(u, v) for u, v, _ in g.edges()]
         assert len(set(edges)) == len(edges) == n * d // 2  # no repeated edge
-        assert csgraph.connected_components(g.adjacency, directed=False)[0] == 1
+        assert csgraph.connected_components(adjacency(g), directed=False)[0] == 1
 
     def test_regular_covers_every_labelled_cycle(self):
         # 6!/(2*6) = 60 labelled 6-cycles; the two-triangle draws are
@@ -274,7 +274,7 @@ def test_cycle_graph_shape():
 
 def test_adjacency_symmetric():
     g = gen_graph("ba", n=80, k=3, seed=6)
-    asym = g.adjacency - g.adjacency.T
+    asym = adjacency(g) - adjacency(g).T
     assert asym.nnz == 0
 
 

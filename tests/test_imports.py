@@ -1,9 +1,11 @@
-"""Import-time and layering guards: the CLI and its exact and sampled runs
-load no scipy, the CLI import leaves the compiled library unbuilt, the
-test-scale oracles sit below the estimators, one loop draws every forest,
-and each step-size rule and the enumeration reach are stated in one place."""
+"""Import-time and layering guards: no command but `--gen knn` loads
+scipy, and that one refuses in one line where scipy is absent, the CLI
+import leaves the compiled library unbuilt, the test-scale oracles sit
+below the estimators, one loop draws every forest, and each step-size
+rule and the enumeration reach are stated in one place."""
 
 import ast
+import json
 import os
 import shutil
 import subprocess
@@ -23,23 +25,49 @@ def fresh_python(code, **env):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_cli_import_leaves_out_networkx_and_spatial(tmp_path):
-    # scipy is only for `--gen knn` and `Graph.adjacency`: neither the CLI
-    # import nor an exact solve or a sampled smooth on a file graph loads it
-    gpath = tmp_path / "p3.txt"
-    gpath.write_text("0 1\n1 2\n")
-    common = f"'--graph', {str(gpath)!r}, '--signal', 'gaussian', '--q', '1'"
+def test_no_command_but_gen_knn_loads_scipy(tmp_path):
+    # numpy is the one dependency of the run path: neither the CLI import
+    # nor any command but `gen-graph --gen knn` loads a scipy module, also
+    # where a command builds the dense Laplacian (a smooth signal, the
+    # oracle step size) or enumerates forests (sweep-alpha on a tiny graph)
+    gpath, labels = tmp_path / "c4.txt", tmp_path / "labels.csv"
+    gpath.write_text("0 1\n1 2 0.5\n2 3\n3 0 2\n")
+    labels.write_text("0,0\n1,0\n2,1\n3,1\n")
+    graph = ["--graph", str(gpath)]
+    runs = [
+        ["exact", *graph, "--signal", "gaussian", "--q", "1"],
+        ["smooth", *graph, "--signal", "smooth:modes=1", "--q", "1", "--n-samples", "3"],
+        ["smooth", *graph, "--signal", "gaussian", "--q", "1", "--alpha", "oracle"],
+        ["sweep-alpha", *graph, "--q", "1", "--alpha-grid", "lin:0,1,3", "--n-samples", "4",
+         "--realizations", "2"],
+        ["denoise", *graph, "--signal", "smooth", "--noise-std", "0.1", "--q-grid", "1"],
+        ["ssl", *graph, "--labels", str(labels), "--n-samples", "3", "--repeats", "2"],
+        ["gen-graph", "--gen", "grid:rows=2,cols=3"],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
     res = fresh_python(
-        "import sys, rsfsmooth.cli as cli\n"
-        "def loaded(): return sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('networkx', 'scipy'))\n"
+        "import json, sys, rsfsmooth.cli as cli\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(loaded())\n"
-        f"assert cli.run(['exact', {common}, '--out', {str(tmp_path / 'x.csv')!r}]) == 0\n"
-        f"assert cli.run(['smooth', {common}, '--n-samples', '3', "
-        f"'--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
-        "print(loaded())", XDG_CACHE_HOME=str(tmp_path / "cache"))
+        f"for argv in json.loads({json.dumps(runs)!r}):\n"
+        "    assert cli.run(argv) == 0, argv\n"
+        "    print(loaded())", XDG_CACHE_HOME=str(tmp_path / "cache"))
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["[]", "[]"]
+    assert res.stdout.split() == ["[]"] * (1 + len(runs))
+
+
+def test_gen_knn_without_scipy_ends_in_one_line(tmp_path):
+    coords, out = tmp_path / "xy.csv", tmp_path / "g.txt"
+    coords.write_text("0,0\n1,0\n0,1\n1,1\n")
+    res = fresh_python(
+        "import sys; sys.modules['scipy'] = None  # as if scipy were not installed\n"
+        "import rsfsmooth.cli as cli\n"
+        f"sys.exit(cli.run(['gen-graph', '--gen', 'knn:k=2', '--coords', {str(coords)!r}, "
+        f"'--out', {str(out)!r}]))")
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        "error: the knn generator needs scipy: pip install rsfsmooth[knn]"]
+    assert not out.exists()
 
 
 EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat, rsfsmooth.linalg as la; "
@@ -114,6 +142,15 @@ def test_only_accumulate_forests_draws_forests():
     users = package_scopes(lambda node: names(node, "sample_forest")
                            and not isinstance(node, ast.alias))
     assert users == {"estimators.accumulate_forests"}
+
+
+def test_only_the_knn_generator_imports_scipy():
+    def imports_scipy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+    assert package_scopes(imports_scipy) == {"graphs._knn_edges"}
 
 
 def test_only_the_oracle_names_the_enumeration_limits():

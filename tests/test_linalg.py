@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
-                       SmoothingProblem, apply_K_inverse, contraction_check,
-                       solve_exact_cg, solve_exact_dense)
+                       SmoothingProblem, apply_K_inverse, solve_exact_cg)
 from rsfsmooth import _native, linalg
+from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
-from conftest import path_graph, random_connected_graph
+from conftest import adjacency, path_graph, random_connected_graph
 
 
 def dense_system(problem):
     """Independent assembly of Q + L from the raw adjacency."""
     g = problem.graph
-    W = g.adjacency.toarray()
+    W = adjacency(g).toarray()
     L = np.diag(W.sum(axis=1)) - W
     return np.diag(problem.q) + L
 
@@ -251,7 +251,7 @@ class TestSSLParameterization:
         rng = np.random.default_rng(15)
         for mu in (0.5, 1.0, 2.7):
             g = random_connected_graph(25, extra_edges=30, rng=rng, weighted=True)
-            W = g.adjacency.toarray()
+            W = adjacency(g).toarray()
             D = np.diag(g.degrees)
             L = D - W
             K_direct = np.linalg.solve(D + (2.0 / mu) * L, D)

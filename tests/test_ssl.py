@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from rsfsmooth import (AlphaStrategy, DataError, SSLProblem, SmoothingProblem,
-                       accuracy_experiment, contraction_check, forest_rng,
-                       gradient_step, load_labels, run_monte_carlo, safe_alpha,
-                       sample_forest, ssl_exact, ssl_forest, xbar_from_forest)
+                       accuracy_experiment, forest_rng, gradient_step, load_labels,
+                       run_monte_carlo, safe_alpha, sample_forest, ssl_exact, ssl_forest,
+                       xbar_from_forest)
+from rsfsmooth.oracle import contraction_check
 
-from conftest import random_connected_graph, two_clique_graph
+from conftest import adjacency, random_connected_graph, two_clique_graph
 
 
 def dense_scores(problem):
     """Assembled-matrix oracle for the classification scores."""
     g = problem.graph
-    W = g.adjacency.toarray()
+    W = adjacency(g).toarray()
     D = np.diag(g.degrees)
     L = D - W
     K = np.linalg.solve(D + (2.0 / problem.mu) * L, D)
@@ -84,7 +85,7 @@ class TestExact:
         labels = (np.arange(15) % 3).astype(np.int64)
         p = SSLProblem(graph=g, labels=labels, mu=2.0, sigma=1.0)
         result = ssl_exact(p)
-        W = g.adjacency.toarray()
+        W = adjacency(g).toarray()
         D = np.diag(g.degrees)
         K = np.linalg.solve(D + (2.0 / 2.0) * (D - W), D)
         np.testing.assert_allclose(result.F, K @ p.label_matrix(), rtol=1e-8, atol=1e-10)
