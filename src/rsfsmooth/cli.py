@@ -335,10 +335,10 @@ def run(argv=None):
     """Parse arguments and execute; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        # an overflow either reaches an output, which the writers then
-        # refuse with one line, or nothing written; numpy's warnings about
-        # it would only crowd stderr
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow or a division by zero either reaches an output, which
+        # the writers then refuse with one line, or nothing written; numpy's
+        # warnings about it would only crowd stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -211,7 +211,7 @@ def forest_estimates(problem, acc):
     return estimates
 
 
-def accumulate_forests(problems, n_samples, seed):
+def accumulate_forests(problems, n_samples, seed, passes=1):
     """One accumulator per problem, all fed by the same n_samples forests;
     returns (accumulators, total walk steps of the draws).
 
@@ -219,16 +219,16 @@ def accumulate_forests(problems, n_samples, seed):
     signal), so forest i is drawn once, on the stream derived from
     (seed, i), and its tree average of every signal, with that average's
     control variate K^{-1} xbar, goes to that signal's accumulator. This
-    is the package's only forest-sampling loop. A pass whose forests
-    cannot be drawn within the step budget is refused before the first.
+    is the package's only forest-sampling loop. A run of `passes` passes
+    that cannot be drawn within the step budget is refused before a draw.
     """
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     g, q = problems[0].graph, problems[0].q
-    floor = walk_steps_floor(g, q)
-    if floor > DEFAULT_STEP_BUDGET:
-        raise NumericalError(f"a forest draw needs at least {floor:.3g} walk steps in "
-                             f"expectation, over the step budget of {DEFAULT_STEP_BUDGET:.3g}")
+    draws, floor = passes * n_samples, walk_steps_floor(g, q)
+    if draws > DEFAULT_STEP_BUDGET / floor:  # an int of any size compares with a float
+        raise NumericalError(f"{draws} forest draws of at least {floor:.3g} walk steps each in "
+                             f"expectation exceed the step budget of {DEFAULT_STEP_BUDGET:.3g}")
     accs = [MonteCarloAccumulator(g.n) for _ in problems]
     walk_steps = 0
     for i in range(n_samples):

@@ -41,7 +41,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     sq = np.zeros(alpha_grid.size + 3)
     alpha_hats = []
     for r in range(realizations):
-        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r))
+        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r),
+                                       passes=realizations)
         alpha_hat, _ = resolve_alpha(empirical, problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
@@ -78,8 +79,8 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     q_grid = np.asarray(q_grid, dtype=np.float64)
     if q_grid.size == 0 or (q_grid <= 0).any():
         raise DataError("q grid must be nonempty and positive")
-    if not math.isfinite(noise_std):
-        raise DataError(f"noise standard deviation must be finite, got {noise_std!r}")
+    if not 0 <= noise_std < math.inf:
+        raise DataError(f"noise standard deviation must be finite and >= 0, got {noise_std!r}")
     clean = np.asarray(clean, dtype=np.float64)
     noise_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4)))
     y = clean + noise_std * noise_rng.standard_normal(graph.n)

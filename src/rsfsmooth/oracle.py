@@ -77,26 +77,39 @@ def in_enumeration_reach(g):
     return g.n <= ENUM_MAX_VERTICES and g.m <= ENUM_MAX_EDGES
 
 
-def _acyclic_masks(n, edge_list):
-    """The bit masks of the acyclic edge subsets, in increasing order.
+def _forest_search(n, edge_list):
+    """(mask, edges, weight product, root) of every acyclic edge subset,
+    in increasing mask order.
 
-    Decides the edges depth first from the highest index down, leaving
-    each out before taking it in, so the subsets come out in increasing
-    mask order; a branch ends at its first cycle, so only acyclic subsets
-    are visited."""
-    masks = []
+    Decides the edges depth first in index order, leaving each out before
+    taking it in; a branch ends at its first cycle, so only acyclic
+    subsets are visited. Taking (u, v) relabels u's tree with v's root,
+    the root that an index-order union-find setting parent[find(u)] =
+    find(v) picks, and the weight product is multiplied in that order.
+    Index order decides the lowest bit first, so the leaves are sorted."""
+    leaves = []
 
-    def grow(idx, mask, comp):  # comp: a component label per vertex
-        if idx < 0:
-            masks.append(mask)
+    def grow(idx, mask, edges, wprod, root):  # root: each vertex's tree root
+        if idx == len(edge_list):
+            leaves.append((mask, edges, wprod, root))
             return
-        grow(idx - 1, mask, comp)
-        a, b = comp[edge_list[idx][0]], comp[edge_list[idx][1]]
+        grow(idx + 1, mask, edges, wprod, root)
+        u, v, w = edge_list[idx]
+        a, b = root[u], root[v]
         if a != b:
-            grow(idx - 1, mask | 1 << idx, [a if c == b else c for c in comp])
+            grow(idx + 1, mask | 1 << idx, edges + ((u, v),), wprod * w,
+                 [b if r == a else r for r in root])
 
-    grow(len(edge_list) - 1, 0, list(range(n)))
-    return masks
+    grow(0, 0, (), 1.0, list(range(n)))
+    leaves.sort(key=lambda leaf: leaf[0])
+    return leaves
+
+
+def _block_labels(components):
+    """The (F, n) tree labels of F forests, offset by n per row and
+    flattened, so that one bincount reads every tree of every forest."""
+    f, n = components.shape
+    return (components + n * np.arange(f)[:, None]).ravel()
 
 
 def enumerate_forests(g, q):
@@ -113,35 +126,16 @@ def enumerate_forests(g, q):
                         f"m <= {ENUM_MAX_EDGES}, got n = {n}, m = {m}")
     qvec = _absorption_weights(q, n)
 
-    edge_list = list(g.edges())
-    families = []
-    total = 0.0
-    for mask in _acyclic_masks(n, edge_list):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        wprod = 1.0
-        for idx in range(m):
-            if mask >> idx & 1:
-                u, v, w = edge_list[idx]
-                ru, rv = find(u), find(v)
-                parent[ru] = rv
-                wprod *= w
-        comps = np.array([find(v) for v in range(n)], dtype=np.int64)
-        qsums = np.bincount(comps, weights=qvec, minlength=n)
-        sizes = np.bincount(comps, minlength=n)
-        reps = np.flatnonzero(sizes)
-        weight = wprod * float(np.prod(qsums[reps]))
-        edges = tuple(
-            (edge_list[i][0], edge_list[i][1]) for i in range(m) if mask >> i & 1
-        )
-        families.append(ForestFamily(edges=edges, components=comps, weight=weight))
-        total += weight
+    _, edges, wprods, roots = zip(*_forest_search(n, list(g.edges())))
+    comps = np.array(roots, dtype=np.int64)
+    qsums = np.bincount(_block_labels(comps), weights=np.tile(qvec, len(comps)),
+                        minlength=comps.size).reshape(comps.shape)
+    # each family's tree q-sums multiplied from 1.0 in increasing root
+    # order (a vertex that is no root has q-sum 0 and contributes 1.0)
+    weights = np.array(wprods) * np.where(qsums > 0, qsums, 1.0).prod(axis=1)
+    total = float(np.cumsum(weights)[-1])  # summed in family order
+    families = [ForestFamily(edges=e, components=c, weight=w)
+                for e, c, w in zip(edges, comps, weights.tolist())]
 
     det = float(np.linalg.det(np.diag(qvec) + LaplacianOperator(g).dense()))
     if abs(total - det) > 1e-9 * abs(det):
@@ -174,13 +168,15 @@ def exact_estimator_moments(graph, q, y):
     """Moments of (xbar, ybar) by exhaustive forest enumeration (n <= 9)."""
     problem = SmoothingProblem(graph, y, q)
     dist = enumerate_forests(graph, problem.q)
-    n = graph.n
+    n, f = graph.n, len(dist.families)
+    comps = np.array([fam.components for fam in dist.families])
+    xbars = _tree_averages(_block_labels(comps), np.tile(problem.q, f),
+                           np.tile(problem.y, f)).reshape(f, n)
     e_x = np.zeros(n)
     e_y = np.zeros(n)
     e_xx = e_yy = e_xy = 0.0
-    for fam in dist.families:
+    for fam, xbar in zip(dist.families, xbars):  # summed in family order
         p = fam.weight / dist.normalizer
-        xbar = _tree_averages(fam.components, problem.q, problem.y)
         ybar = apply_K_inverse(problem, xbar)
         e_x += p * xbar
         e_y += p * ybar

@@ -121,13 +121,13 @@ def ssl_exact(problem):
                    {"cg_iterations": [it for _, it in solves]})
 
 
-def _forest_pass(problem, n_samples, seed):
-    """One forest pass: the per-class smoothing problems, their
-    accumulators and the walk steps of the draws. The forest law depends
-    only on q_i = (mu/2) d_i, not on the class signal, so each draw serves
-    every column of Y."""
+def _forest_pass(problem, n_samples, seed, passes=1):
+    """One of `passes` forest passes: the per-class smoothing problems,
+    their accumulators and the walk steps of the draws. The forest law
+    depends only on q_i = (mu/2) d_i, not on the class signal, so each
+    draw serves every column of Y."""
     subproblems = _class_problems(problem)
-    return (subproblems, *accumulate_forests(subproblems, n_samples, seed))
+    return (subproblems, *accumulate_forests(subproblems, n_samples, seed, passes))
 
 
 def ssl_forest(problem, n_samples, strategy, seed=0):
@@ -190,7 +190,8 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
         scores["exact"].append(ssl_exact(sub).accuracy)
-        subproblems, accs, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r))
+        subproblems, accs, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r),
+                                                passes=repeats)
         per_class = [forest_estimates(sp, acc) for sp, acc in zip(subproblems, accs)]
         for name in FOREST_ESTIMATORS:
             if per_class[0][name] is not None:

@@ -533,6 +533,57 @@ class TestExitCodes:
         assert "1.8e+12" in err[0] and "1e+09" in err[0]
         assert not out.exists()
 
+    # 10^20 draws of at least 3 walk steps each on a 4-cycle at q = 1: far
+    # past the budget in all, though one draw is cheap; refused before any
+    # draw, as are as many sweep realizations or ssl repeats
+    @pytest.mark.parametrize("command", [
+        ["smooth", "--signal", "gaussian", "--q", "1", "--n-samples", str(10**20)],
+        ["sweep-alpha", "--q", "1", "--alpha-grid", "0,0.5", "--n-samples", "2",
+         "--realizations", str(10**20)],
+        ["ssl", "--labels", "@labels", "--n-samples", "2", "--repeats", str(10**20)],
+    ], ids=["smooth", "sweep-alpha", "ssl"])
+    def test_huge_draw_count_is_refused_up_front(self, tmp_path, command, capsys,
+                                                 monkeypatch):
+        import rsfsmooth.estimators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a forest was drawn")
+
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("0,0\n1,1\n2,0\n3,1\n")
+        out = tmp_path / "out.csv"
+        command = [str(lpath) if a == "@labels" else a for a in command]
+        assert run([*command, "--graph", c4_file(tmp_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert "forest draws of at least 3 walk steps" in err[0] and "1e+09" in err[0]
+        assert not out.exists()
+
+    # noise of std 1e300 overflows the noisy signal's MSE, so its PSNR takes
+    # log10(0) before CG refuses the overflowing Qy: numpy's divide warning
+    # is silenced like its overflow warnings, so stderr holds the one line
+    def test_huge_noise_prints_no_warning(self, tmp_path, capsys):
+        out = tmp_path / "psnr.csv"
+        with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+            warnings.simplefilter("always")
+            assert run(["denoise", "--graph", c4_file(tmp_path), "--signal",
+                        signal_file(tmp_path, [1.0, 0.5, -1.0, 0.0]),
+                        "--noise-std", "1e300", "--q-grid", "1", "--out", str(out)]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert not out.exists()
+
+    def test_negative_noise_std_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "psnr.csv"
+        assert run(["denoise", "--graph", c4_file(tmp_path), "--signal",
+                    signal_file(tmp_path, [1.0, 0.5, -1.0, 0.0]),
+                    "--noise-std", "-1", "--q-grid", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: noise standard deviation must be finite and >= 0, got -1.0"]
+        assert not out.exists()
+
     def test_duplicate_signal_node_is_data_error(self, tmp_path, capsys):
         spath = tmp_path / "sig.csv"
         spath.write_text("0,1\n1,2\n2,3\n1,5\n")

@@ -5,9 +5,10 @@ from scipy import stats
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError, RootedForest,
                        enumerate_forests, forest_rng, sample_forest)
 from rsfsmooth import oracle
-from rsfsmooth.forests import walk_steps_floor
-from rsfsmooth.oracle import (forest_edge_key, forest_roots, forest_trees,
-                              in_enumeration_reach)
+from rsfsmooth.forests import _tree_averages, walk_steps_floor
+from rsfsmooth.linalg import SmoothingProblem, apply_K_inverse
+from rsfsmooth.oracle import (ZERO_VARIANCE_TOL, exact_estimator_moments, forest_edge_key,
+                              forest_roots, forest_trees, in_enumeration_reach)
 
 from conftest import (adjacency, complete_graph, cycle_graph, enumeration_corpus,
                       path_graph, random_connected_graph)
@@ -64,7 +65,7 @@ class TestEnumeration:
                 return True
 
             expected = [mask for mask in range(1 << g.m) if acyclic(mask)]
-            assert oracle._acyclic_masks(g.n, edges) == expected, name
+            assert [leaf[0] for leaf in oracle._forest_search(g.n, edges)] == expected, name
 
     def test_probabilities_sum_to_one(self, triangle):
         dist = enumerate_forests(triangle, np.array([0.5, 1.0, 2.0]))
@@ -91,6 +92,125 @@ class TestEnumeration:
         g = Graph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         with pytest.raises(DataError, match="finite and strictly positive"):
             enumerate_forests(g, q)
+
+
+def reference_forests(g, q):
+    """The enumeration as a per-leaf computation: the acyclic masks by a
+    search from the highest edge down, then for each mask a fresh
+    index-order union-find, a weight product and an edge scan over all m
+    bits. Returns ([(edges, components, weight)], normalizer)."""
+    n, m, edge_list = g.n, g.m, list(g.edges())
+    qvec = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
+    masks = []
+
+    def grow(idx, mask, comp):
+        if idx < 0:
+            masks.append(mask)
+            return
+        grow(idx - 1, mask, comp)
+        a, b = comp[edge_list[idx][0]], comp[edge_list[idx][1]]
+        if a != b:
+            grow(idx - 1, mask | 1 << idx, [a if c == b else c for c in comp])
+
+    grow(m - 1, 0, list(range(n)))
+    families, total = [], 0.0
+    for mask in masks:
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        wprod = 1.0
+        for idx in range(m):
+            if mask >> idx & 1:
+                u, v, w = edge_list[idx]
+                ru, rv = find(u), find(v)
+                parent[ru] = rv
+                wprod *= w
+        comps = np.array([find(v) for v in range(n)], dtype=np.int64)
+        qsums = np.bincount(comps, weights=qvec, minlength=n)
+        reps = np.flatnonzero(np.bincount(comps, minlength=n))
+        weight = wprod * float(np.prod(qsums[reps]))
+        edges = tuple((edge_list[i][0], edge_list[i][1]) for i in range(m) if mask >> i & 1)
+        families.append((edges, comps, weight))
+        total += weight
+    return families, total
+
+
+def reference_moments(g, q, y, families, total):
+    """The exact moments as a loop over families, one tree average and
+    one K^{-1} apply each; returns the ExactMoments fields in order."""
+    problem = SmoothingProblem(g, y, q)
+    e_x, e_y = np.zeros(g.n), np.zeros(g.n)
+    e_xx = e_yy = e_xy = 0.0
+    for _, comps, weight in families:
+        p = weight / total
+        xbar = _tree_averages(comps, problem.q, problem.y)
+        ybar = apply_K_inverse(problem, xbar)
+        e_x += p * xbar
+        e_y += p * ybar
+        e_xx += p * float(xbar @ xbar)
+        e_yy += p * float(ybar @ ybar)
+        e_xy += p * float(xbar @ ybar)
+    tr_var_x = e_xx - float(e_x @ e_x)
+    tr_var_y = e_yy - float(e_y @ e_y)
+    tr_cov = e_xy - float(e_x @ e_y)
+    alpha_star = tr_cov / tr_var_y if tr_var_y > ZERO_VARIANCE_TOL * g.n else None
+    return e_x, e_y, tr_var_x, tr_var_y, tr_cov, alpha_star
+
+
+def same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def pinning_cases():
+    """(name, graph, q): the corpus and K6, each with a scalar, a
+    uniform-array and a node-varying q, and a weighted 9-vertex, 20-edge
+    graph (about 96,000 families) with a node-varying q."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for name, g in enumeration_corpus() + [("K6", complete_graph(6))]:
+        level = float(rng.uniform(0.3, 2.5))
+        for kind, q in (("scalar", level), ("uniform", np.full(g.n, level)),
+                        ("varying", rng.uniform(0.3, 2.5, g.n))):
+            cases.append((f"{name}-{kind}", g, q))
+    g9 = random_connected_graph(9, extra_edges=12, rng=np.random.default_rng(20), weighted=True)
+    assert (g9.n, g9.m) == (9, 20)
+    return cases + [("n9m20-varying", g9, rng.uniform(0.3, 2.5, g9.n))]
+
+
+class TestOnePassOracle:
+    """The one-pass search and the block moments against the per-leaf and
+    per-family computations they replace: the same bits throughout."""
+
+    def test_families_moments_and_normalizer_match_the_per_leaf_reference(self):
+        rng = np.random.default_rng(5)
+        reference = {}
+        for name, g, q in pinning_cases():
+            key = (id(g), np.broadcast_to(q, (g.n,)).tobytes())  # scalar = uniform array
+            if key not in reference:
+                reference[key] = reference_forests(g, q)
+            families, total = reference[key]
+            dist = enumerate_forests(g, q)
+            assert same_bits(dist.normalizer, total), name
+            edges, comps, weights = zip(*families)
+            assert [fam.edges for fam in dist.families] == list(edges), name
+            assert same_bits(np.array([fam.components for fam in dist.families]),
+                             np.array(comps)), name
+            assert all(type(fam.weight) is float for fam in dist.families), name
+            assert same_bits([fam.weight for fam in dist.families], weights), name
+            y = rng.standard_normal(g.n)
+            exact = exact_estimator_moments(g, q, y)
+            fields = (exact.e_xbar, exact.e_ybar, exact.tr_var_xbar, exact.tr_var_ybar,
+                      exact.tr_cov_xy, exact.alpha_star)
+            for got, want in zip(fields, reference_moments(g, q, y, families, total)):
+                assert same_bits(got, want), name
 
 
 def family_chisquare(g, q, n_draws, seed):
