@@ -1,4 +1,4 @@
-/* The package's two compiled loops, built together with -ffp-contract=off
+/* The package's compiled loops, built together with -ffp-contract=off
  * so that every product and sum rounds as numpy's and Python's do.
  *
  * wilson: Wilson's algorithm with absorption, one rooted spanning forest
@@ -9,7 +9,14 @@
  * steps taken, or -1 once more than max_steps would be needed.
  *
  * laplacian: out = L v over the CSR adjacency, each row summed from +0.0 in
- * arc order, the same sums as the bincount form in linalg.py.
+ * arc order, the same sums as linalg._laplacian_slots computes in numpy.
+ *
+ * dot and the three conjugate-gradient passes: every dot product sums
+ * element i into lane i % 4, each lane from +0.0 in index order, and
+ * returns (s0 + s1) + (s2 + s3), so its bits depend on nothing but the
+ * inputs. cg_product writes ap = q p + L p and returns p . ap; cg_residual
+ * makes r -= a ap and returns r . r; cg_direction makes x += a p, then
+ * p = r + b p.
  */
 #include <stdint.h>
 
@@ -55,13 +62,66 @@ int64_t wilson(int64_t n, const int64_t *indptr, const int64_t *indices,
     return steps;
 }
 
+static double laplacian_row(const int64_t *indptr, const int64_t *indices,
+                            const double *weights, const double *v, int64_t i)
+{
+    double s = 0.0;
+    for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
+        s += weights[a] * (v[i] - v[indices[a]]);
+    return s;
+}
+
 void laplacian(int64_t n, const int64_t *indptr, const int64_t *indices,
                const double *weights, const double *v, double *out)
 {
+    for (int64_t i = 0; i < n; i++)
+        out[i] = laplacian_row(indptr, indices, weights, v, i);
+}
+
+/* Declares the lane sums s0..s3, each +0.0, and runs STEP(k, s) for k = 0,
+ * ..., n - 1 in order, where STEP adds element k's term into s, the lane
+ * k % 4. Four named lanes keep the sums in registers. */
+#define FOUR_LANES(n, STEP)                                              \
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;                       \
+    int64_t i = 0;                                                       \
+    for (; i + 4 <= (n); i += 4) {                                       \
+        STEP(i, s0); STEP(i + 1, s1); STEP(i + 2, s2); STEP(i + 3, s3); \
+    }                                                                    \
+    if (i < (n)) STEP(i, s0);                                            \
+    if (i + 1 < (n)) STEP(i + 1, s1);                                    \
+    if (i + 2 < (n)) STEP(i + 2, s2)
+#define LANE_TOTAL ((s0 + s1) + (s2 + s3))
+
+#define DOT_STEP(k, s) s += a[k] * b[k]
+double dot(int64_t n, const double *a, const double *b)
+{
+    FOUR_LANES(n, DOT_STEP);
+    return LANE_TOTAL;
+}
+
+#define PRODUCT_STEP(k, s) do {                                               \
+        double v = q[k] * p[k] + laplacian_row(indptr, indices, weights, p, k); \
+        ap[k] = v;                                                            \
+        s += p[k] * v;                                                        \
+    } while (0)
+double cg_product(int64_t n, const int64_t *indptr, const int64_t *indices,
+                  const double *weights, const double *q, const double *p, double *ap)
+{
+    FOUR_LANES(n, PRODUCT_STEP);
+    return LANE_TOTAL;
+}
+
+#define RESIDUAL_STEP(k, s) do { double v = r[k] - a * ap[k]; r[k] = v; s += v * v; } while (0)
+double cg_residual(int64_t n, double *r, const double *ap, double a)
+{
+    FOUR_LANES(n, RESIDUAL_STEP);
+    return LANE_TOTAL;
+}
+
+void cg_direction(int64_t n, double *x, double *p, const double *r, double a, double b)
+{
     for (int64_t i = 0; i < n; i++) {
-        double s = 0.0;
-        for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
-            s += weights[a] * (v[i] - v[indices[a]]);
-        out[i] = s;
+        x[i] += a * p[i];
+        p[i] = r[i] + b * p[i];
     }
 }

@@ -1,12 +1,13 @@
-"""The package's compiled loops, `_native.c`: the forest draw and the
-Laplacian apply.
+"""The package's compiled loops, `_native.c`: the forest draw, the
+Laplacian apply, and the conjugate-gradient passes with their fixed-order
+dot product.
 
 `library()` compiles the source once into $XDG_CACHE_HOME/rsfsmooth
 (default ~/.cache/rsfsmooth), loads it through `ctypes` and returns it, or
 returns None where it cannot be built. That is the one decision between
 the compiled loops and their twins in Python and numpy, which give the
-same results bit for bit: `forests._wilson_python` and
-`linalg._laplacian_bincount`.
+same results bit for bit: `forests._wilson_python` and the numpy kernels
+of `linalg._NUMPY`.
 """
 
 import ctypes  # numpy imports it too
@@ -21,8 +22,8 @@ _LIBRARY = _UNSET  # the loaded library or None, decided on first use
 
 
 def library():
-    """The loaded library, with the argument types of `wilson` and
-    `laplacian` declared, or None where it cannot be built."""
+    """The loaded library, with the argument types of its functions
+    declared, or None where it cannot be built."""
     global _LIBRARY
     if _LIBRARY is _UNSET:
         _LIBRARY = _build()
@@ -83,10 +84,14 @@ def _build():
         lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
         return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.wilson.argtypes = [i64, ptr, ptr, ptr, ptr, ctypes.c_uint64, ctypes.c_uint64, i64,
-                           ptr, ptr]
-    lib.wilson.restype = i64
-    lib.laplacian.argtypes = [i64, ptr, ptr, ptr, ptr, ptr]
-    lib.laplacian.restype = None
+    i64, u64, f64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
+    for name, argtypes, restype in (
+            ("wilson", [i64, ptr, ptr, ptr, ptr, u64, u64, i64, ptr, ptr], i64),
+            ("laplacian", [i64, ptr, ptr, ptr, ptr, ptr], None),
+            ("dot", [i64, ptr, ptr], f64),
+            ("cg_product", [i64, ptr, ptr, ptr, ptr, ptr, ptr], f64),
+            ("cg_residual", [i64, ptr, ptr, f64], f64),
+            ("cg_direction", [i64, ptr, ptr, ptr, f64, f64], None)):
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return lib

@@ -49,6 +49,14 @@ def _parse_gen_spec(spec):
     return name.strip(), _parse_kv(rest, "generator", GENERATOR_KEYS)
 
 
+def _pow10(e):
+    """10 ** e by the C library's pow, inf where that overflows."""
+    try:
+        return math.pow(10.0, e)
+    except OverflowError:
+        return math.inf
+
+
 def _parse_grid(text):
     """"lin:a,b,n", "log:a,b,n", or a comma-separated list of values."""
     if text.startswith("lin:") or text.startswith("log:"):
@@ -64,11 +72,17 @@ def _parse_grid(text):
             raise DataError("grid count must be >= 1")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise DataError(f"grid endpoints must be finite, got {text!r}")
-        if kind == "lin":
-            return np.linspace(start, stop, count)
-        if start <= 0 or stop <= 0:
+        if kind == "log" and (start <= 0 or stop <= 0):
             raise DataError("log grid endpoints must be positive")
-        return np.logspace(math.log10(start), math.log10(stop), count)
+        try:
+            if kind == "lin":
+                return np.linspace(start, stop, count)
+            exponents = np.linspace(math.log10(start), math.log10(stop), count)
+        except (ValueError, MemoryError):  # a count numpy cannot allocate
+            raise DataError(f"grid count {count} is too large") from None
+        # np.logspace, but with the C library's pow: numpy's power picks a
+        # SIMD kernel by CPU, and its last bit with it
+        return np.fromiter(map(_pow10, exponents), float, count)
     try:
         return np.array([float(v) for v in text.split(",") if v])
     except ValueError:
@@ -119,11 +133,32 @@ def _pyify(obj):
     return obj
 
 
+_JSON_SCALARS = {float, int, str, bool, type(None)}
+
+
+def _json_text(obj, indent=""):
+    """json.dumps(obj, indent=2), nested `indent` deep, the same text. A
+    list of scalars goes through the C encoder, which the indenting
+    encoder does not use: its items joined by the same separator."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+        body, brackets = (",\n" + inner).join(items), "{}"
+    elif isinstance(obj, list) and obj:
+        if set(map(type, obj)) <= _JSON_SCALARS:
+            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def _write_json(path, payload):
-    payload = {"schema": "1", **_pyify(payload)}
+    text = _json_text({"schema": "1", **_pyify(payload)})
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _csv_cell(v):

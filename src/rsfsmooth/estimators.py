@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .forests import (DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest,
                       walk_steps_floor)
-from .linalg import apply_K_inverse
+from .linalg import _dot, apply_K_inverse
 from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
 
 
@@ -36,8 +36,9 @@ class MonteCarloAccumulator:
 
     Keeps running means plus centered scalar co-moments (Welford/Chan
     updates), enough for the trace statistics and the empirical step size
-    without storing samples. Merging two accumulators is associative and
-    commutative up to rounding.
+    without storing samples. Each co-moment is a fixed-lane dot product
+    (`linalg._dot`), with the same bits on every CPU. Merging two
+    accumulators is associative and commutative up to rounding.
     """
 
     def __init__(self, n):
@@ -55,9 +56,9 @@ class MonteCarloAccumulator:
         dy = ybar - self.mean_y
         self.mean_x = self.mean_x + dx / self.count
         self.mean_y = self.mean_y + dy / self.count
-        self._m_xx += float(dx @ (x - self.mean_x))
-        self._m_yy += float(dy @ (ybar - self.mean_y))
-        self._m_xy += float(dx @ (ybar - self.mean_y))
+        self._m_xx += _dot(dx, x - self.mean_x)
+        self._m_yy += _dot(dy, ybar - self.mean_y)
+        self._m_xy += _dot(dx, ybar - self.mean_y)
 
     def merge(self, other):
         """Combined accumulator, equal to single-pass accumulation."""
@@ -78,9 +79,9 @@ class MonteCarloAccumulator:
         out.count = total
         out.mean_x = self.mean_x + dx * (other.count / total)
         out.mean_y = self.mean_y + dy * (other.count / total)
-        out._m_xx = self._m_xx + other._m_xx + f * float(dx @ dx)
-        out._m_yy = self._m_yy + other._m_yy + f * float(dy @ dy)
-        out._m_xy = self._m_xy + other._m_xy + f * float(dx @ dy)
+        out._m_xx = self._m_xx + other._m_xx + f * _dot(dx, dx)
+        out._m_yy = self._m_yy + other._m_yy + f * _dot(dy, dy)
+        out._m_xy = self._m_xy + other._m_xy + f * _dot(dx, dy)
         return out
 
     # --- trace statistics: None, absent by design, below two samples ---

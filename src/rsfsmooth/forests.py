@@ -106,15 +106,18 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
 
 
 def walk_steps_floor(g, q):
-    """A lower bound, 1 + sum(d) / sum(q), on the expected walk steps of
-    one forest draw with (n,) absorption weights q.
+    """A lower bound, max(n, 1 + sum(d) / sum(q)), on the expected walk
+    steps of one forest draw with (n,) absorption weights q.
 
     The expected count is tr(G (Q + D)) = sum_i G_ii (q_i + d_i) with
-    G = (Q + L)^{-1}, and G_ii >= 1 / (1' (Q + L) 1) = 1 / sum(q) by
-    Cauchy-Schwarz. A pass whose bound exceeds the step budget is
-    hopeless; one below it may still take long, so the budget stays.
+    G = (Q + L)^{-1}. Every vertex takes at least one step (it is absorbed
+    or moves on), and G_ii >= 1 / (q_i + d_i), the inverse of the
+    diagonal entry of Q + L, so each term is at least 1; and
+    G_ii >= 1 / (1' (Q + L) 1) = 1 / sum(q) by Cauchy-Schwarz. A pass
+    whose bound exceeds the step budget is hopeless; one below it may
+    still take long, so the budget stays.
     """
-    return 1.0 + float(g.degrees.sum()) / float(q.sum())
+    return max(float(g.n), 1.0 + float(g.degrees.sum()) / float(q.sum()))
 
 
 def _uniforms(key, start, count):

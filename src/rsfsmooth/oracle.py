@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .forests import _tree_averages
-from .linalg import LaplacianOperator, SmoothingProblem, _absorption_weights, apply_K_inverse
+from .linalg import (LaplacianOperator, SmoothingProblem, _absorption_weights, _dot,
+                     apply_K_inverse)
 
 ENUM_MAX_VERTICES = 9
 ENUM_MAX_EDGES = 24
@@ -180,12 +181,12 @@ def exact_estimator_moments(graph, q, y):
         ybar = apply_K_inverse(problem, xbar)
         e_x += p * xbar
         e_y += p * ybar
-        e_xx += p * float(xbar @ xbar)
-        e_yy += p * float(ybar @ ybar)
-        e_xy += p * float(xbar @ ybar)
-    tr_var_x = e_xx - float(e_x @ e_x)
-    tr_var_y = e_yy - float(e_y @ e_y)
-    tr_cov = e_xy - float(e_x @ e_y)
+        e_xx += p * _dot(xbar, xbar)
+        e_yy += p * _dot(ybar, ybar)
+        e_xy += p * _dot(xbar, ybar)
+    tr_var_x = e_xx - _dot(e_x, e_x)
+    tr_var_y = e_yy - _dot(e_y, e_y)
+    tr_cov = e_xy - _dot(e_x, e_y)
     alpha_star = tr_cov / tr_var_y if tr_var_y > ZERO_VARIANCE_TOL * n else None
     return ExactMoments(e_xbar=e_x, e_ybar=e_y, tr_var_xbar=tr_var_x,
                         tr_var_ybar=tr_var_y, tr_cov_xy=tr_cov,

@@ -87,4 +87,7 @@ def psnr(clean, estimate, peak=None):
     if not math.isfinite(peak * peak):
         raise NumericalError(f"PSNR peak {peak:g} overflows when squared")
     mse = float(np.mean((clean - estimate) ** 2))
-    return 10.0 * np.log10(peak**2 / max(mse, PSNR_MSE_FLOOR))
+    ratio = peak**2 / max(mse, PSNR_MSE_FLOOR)
+    # math.log10 is the C library's: numpy's log10 picks a SIMD kernel by
+    # CPU, and its last bit with it
+    return -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsfsmooth import NumericalError, load_graph, save_graph
 from rsfsmooth.cli import _write_json, run
@@ -533,9 +535,10 @@ class TestExitCodes:
         assert "1.8e+12" in err[0] and "1e+09" in err[0]
         assert not out.exists()
 
-    # 10^20 draws of at least 3 walk steps each on a 4-cycle at q = 1: far
-    # past the budget in all, though one draw is cheap; refused before any
-    # draw, as are as many sweep realizations or ssl repeats
+    # 10^20 draws of at least 4 walk steps each (one per vertex) on a
+    # 4-cycle at q = 1: far past the budget in all, though one draw is
+    # cheap; refused before any draw, as are as many sweep realizations or
+    # ssl repeats
     @pytest.mark.parametrize("command", [
         ["smooth", "--signal", "gaussian", "--q", "1", "--n-samples", str(10**20)],
         ["sweep-alpha", "--q", "1", "--alpha-grid", "0,0.5", "--n-samples", "2",
@@ -557,7 +560,50 @@ class TestExitCodes:
         assert run([*command, "--graph", c4_file(tmp_path), "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure"), err
-        assert "forest draws of at least 3 walk steps" in err[0] and "1e+09" in err[0]
+        assert "forest draws of at least 4 walk steps" in err[0] and "1e+09" in err[0]
+        assert not out.exists()
+
+    # every vertex takes a step, so 3e8 draws on 4 vertices need 1.2e9
+    # steps; the old floor 1 + sum(d)/sum(q) = 3 admitted them
+    def test_draws_of_one_step_per_vertex_past_the_budget_are_refused(self, tmp_path,
+                                                                      capsys, monkeypatch):
+        import rsfsmooth.estimators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a forest was drawn")
+
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
+        out = tmp_path / "est.csv"
+        assert run(["smooth", "--gen", "grid:rows=2,cols=2", "--signal", "gaussian",
+                    "--q", "1", "--n-samples", "300000000", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert "forest draws of at least 4 walk steps" in err[0]
+        assert not out.exists()
+
+    # 10 ** log10(max float) overflows by a rounding: the grid holds inf, as
+    # numpy's logspace did, and the run ends in one line
+    def test_log_grid_at_the_largest_float_ends_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run(["denoise", "--gen", "grid:rows=2,cols=2", "--signal", "gaussian",
+                    "--noise-std", "0.1", "--q-grid", "log:1e308,1.7976931348623157e308,2",
+                    "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert not out.exists()
+
+    # np.linspace cannot allocate 10^20 values; the count is refused as data
+    @pytest.mark.parametrize("command", [
+        ["sweep-alpha", "--signal", "gaussian", "--q", "1", "--realizations", "1",
+         "--alpha-grid", "lin:0,1,100000000000000000000"],
+        ["denoise", "--signal", "gaussian", "--noise-std", "0.1",
+         "--q-grid", "log:0.1,1,100000000000000000000"],
+    ], ids=["alpha-grid", "q-grid"])
+    def test_grid_count_numpy_cannot_allocate_is_data_error(self, tmp_path, command, capsys):
+        out = tmp_path / "out.csv"
+        assert run([*command, "--gen", "grid:rows=2,cols=2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: grid count 100000000000000000000 is too large"]
         assert not out.exists()
 
     # noise of std 1e300 overflows the noisy signal's MSE, so its PSNR takes
@@ -691,6 +737,25 @@ def test_json_writer_names_an_arrays_first_non_finite_value(tmp_path, array, sho
         _write_json(out, {"estimate": array, "alpha": 0.5})
     assert str(err.value) == f"output has a non-finite value ({shown})"
     assert not out.exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=6), json_values, max_size=5),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_json_writer_writes_the_bytes_of_the_indenting_encoder(tmp_path_factory, payload, values):
+    out = tmp_path_factory.mktemp("json") / "out.json"
+    payload = {**payload, "estimate": np.array(values)}
+    _write_json(out, payload)
+    expected = {"schema": "1", **payload, "estimate": values}
+    assert out.read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 def test_json_writer_writes_arrays_as_lists(tmp_path):

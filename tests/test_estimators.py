@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (AlphaStrategy, DataError, Graph, MonteCarloAccumulator,
-                       RootedForest, SmoothingProblem, apply_K_inverse,
-                       enumerate_forests, exact_estimator_moments, forest_rng,
+                       NumericalError, RootedForest, SmoothingProblem, apply_K_inverse,
+                       enumerate_forests, exact_estimator_moments, forest_rng, gen_graph,
                        gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
                        sample_forest, xbar_from_forest)
+import rsfsmooth.estimators
 from rsfsmooth.estimators import accumulate_forests
 from rsfsmooth.oracle import forest_trees, in_enumeration_reach, solve_exact_dense
 
@@ -393,6 +394,32 @@ class TestPathwiseContraction:
                 xbar = xbar_from_forest(forest, problem)
                 z = gradient_step(xbar, problem, alpha)
                 assert np.linalg.norm(z - xhat) <= np.linalg.norm(xbar - xhat) * (1 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def regular20k():
+    return gen_graph("regular", n=20000, d=10, seed=0)
+
+
+class FirstDraw(Exception):
+    """Raised in place of the first forest draw of an admitted run."""
+
+
+# a draw takes at least n expected walk steps, so a run holds at most
+# 1e9 / n draws: 50,000 on the 20,000-vertex 10-regular graph at q = 1,
+# where 1 + sum(d)/sum(q) = 11 alone admitted about 9e7
+@pytest.mark.parametrize("passes, n_samples, admitted", [
+    (2, 10, True), (5, 1000, True), (50, 1000, True), (50001, 1, False),
+    (100, 1000, False)])
+def test_run_cap_on_a_20000_vertex_graph(monkeypatch, regular20k, passes, n_samples,
+                                         admitted):
+    def first_draw(*args, **kwargs):
+        raise FirstDraw
+
+    monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", first_draw)
+    problem = SmoothingProblem(regular20k, np.zeros(regular20k.n), 1.0)
+    with pytest.raises(FirstDraw if admitted else NumericalError):
+        accumulate_forests([problem], n_samples, seed=0, passes=passes)
 
 
 class TestRunMonteCarlo:

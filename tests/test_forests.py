@@ -6,7 +6,7 @@ from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError, Root
                        enumerate_forests, forest_rng, sample_forest)
 from rsfsmooth import oracle
 from rsfsmooth.forests import _tree_averages, walk_steps_floor
-from rsfsmooth.linalg import SmoothingProblem, apply_K_inverse
+from rsfsmooth.linalg import SmoothingProblem, _dot, apply_K_inverse
 from rsfsmooth.oracle import (ZERO_VARIANCE_TOL, exact_estimator_moments, forest_edge_key,
                               forest_roots, forest_trees, in_enumeration_reach)
 
@@ -141,8 +141,9 @@ def reference_forests(g, q):
 
 
 def reference_moments(g, q, y, families, total):
-    """The exact moments as a loop over families, one tree average and
-    one K^{-1} apply each; returns the ExactMoments fields in order."""
+    """The exact moments as a loop over families, one tree average, one
+    K^{-1} apply and the package's fixed-lane dots each; returns the
+    ExactMoments fields in order."""
     problem = SmoothingProblem(g, y, q)
     e_x, e_y = np.zeros(g.n), np.zeros(g.n)
     e_xx = e_yy = e_xy = 0.0
@@ -152,12 +153,12 @@ def reference_moments(g, q, y, families, total):
         ybar = apply_K_inverse(problem, xbar)
         e_x += p * xbar
         e_y += p * ybar
-        e_xx += p * float(xbar @ xbar)
-        e_yy += p * float(ybar @ ybar)
-        e_xy += p * float(xbar @ ybar)
-    tr_var_x = e_xx - float(e_x @ e_x)
-    tr_var_y = e_yy - float(e_y @ e_y)
-    tr_cov = e_xy - float(e_x @ e_y)
+        e_xx += p * _dot(xbar, xbar)
+        e_yy += p * _dot(ybar, ybar)
+        e_xy += p * _dot(xbar, ybar)
+    tr_var_x = e_xx - _dot(e_x, e_x)
+    tr_var_y = e_yy - _dot(e_y, e_y)
+    tr_cov = e_xy - _dot(e_x, e_y)
     alpha_star = tr_cov / tr_var_y if tr_var_y > ZERO_VARIANCE_TOL * g.n else None
     return e_x, e_y, tr_var_x, tr_var_y, tr_cov, alpha_star
 

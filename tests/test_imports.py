@@ -73,13 +73,13 @@ def test_gen_knn_without_scipy_ends_in_one_line(tmp_path):
 EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat, rsfsmooth.linalg as la; "
          "print(nat._LIBRARY is nat._UNSET); code = cli.run(['exact', '--graph', {graph!r}, "
          "'--signal', 'gaussian', '--q', '0.5', '--format', 'json', '--out', {out!r}]); "
-         "print(code, la._APPLY is la._laplacian_bincount)")
+         "print(code, la._KERNELS is la._NUMPY)")
 
 
 def test_cli_import_leaves_the_library_unbuilt_and_exact_matches_the_fallback(tmp_path):
     # numpy itself imports ctypes, so the guarantee is about the library:
     # importing the CLI neither loads nor compiles it. `exact` applies the
-    # Laplacian through it, and without a compiler through the bincount
+    # Laplacian through it, and without a compiler through its numpy
     # form, writing the same bytes; the cache holds the one library.
     gpath = tmp_path / "g.txt"
     gpath.write_text("0 1 0.5\n1 2 1.25\n2 3\n3 4 2\n4 0 0.75\n1 3 1.5\n")

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
-                       SmoothingProblem, apply_K_inverse, solve_exact_cg)
+                       SmoothingProblem, apply_K_inverse, gen_graph, solve_exact_cg)
 from rsfsmooth import _native, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
-from conftest import adjacency, path_graph, random_connected_graph
+from conftest import adjacency, path_graph, random_connected_graph, star_graph
 
 
 def dense_system(problem):
@@ -55,6 +55,18 @@ def bincount_laplacian(g, v):
     return np.bincount(rows, weights=g.weights * (v[rows] - v[g.indices]), minlength=g.n)
 
 
+# magnitudes over many binades, and values mixing them with signs and
+# signed zeros
+scaled = st.builds(lambda mant, exp: mant * 2.0 ** exp,
+                   st.floats(1.0, 2.0, exclude_max=True), st.integers(-30, 30))
+value = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.builds(lambda x, s: x * s, scaled, st.sampled_from([1.0, -1.0])))
+
+
+def vectors(n):
+    return st.lists(value, min_size=n, max_size=n).map(np.array)
+
+
 @st.composite
 def weighted_graphs_and_vectors(draw):
     """Small connected graphs (a random spanning tree plus extra edges, each
@@ -67,12 +79,8 @@ def weighted_graphs_and_vectors(draw):
                                                   st.integers(0, n - 1)), max_size=12))
               if a != b}
     pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in sorted(pairs)]
-    scaled = st.builds(lambda mant, exp: mant * 2.0 ** exp,
-                       st.floats(1.0, 2.0, exclude_max=True), st.integers(-30, 30))
     edges = [(a, b, draw(scaled)) for a, b in draw(st.permutations(pairs))]
-    value = st.one_of(st.sampled_from([0.0, -0.0]),
-                      st.builds(lambda x, s: x * s, scaled, st.sampled_from([1.0, -1.0])))
-    return Graph.from_edges(n, edges), np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return Graph.from_edges(n, edges), draw(vectors(n))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -82,36 +90,126 @@ def test_apply_matches_bincount_form_bitwise(case):
     got, ref = LaplacianOperator(g).apply(v), bincount_laplacian(g, v)
     assert got.dtype == np.float64 and got.shape == (g.n,)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    twin = linalg._NUMPY.laplacian(g, v)
+    assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))
 
 
-def with_apply(apply, fn, *args):
-    """fn(*args) with the given Laplacian apply in place of the loaded one;
+@pytest.mark.parametrize("make", [
+    lambda: star_graph(40),  # the hub's later arcs go through np.add.at
+    lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
+    lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
+                                   weighted=True),
+    lambda: path_graph(7),
+    lambda: Graph.from_edges(1, []),
+])
+def test_numpy_apply_matches_bincount_form_on_uneven_degrees(make):
+    g = make()
+    rng = np.random.default_rng(g.n)
+    v = rng.standard_normal(g.n) * 10.0 ** rng.integers(-8, 9, g.n)
+    got, ref = linalg._NUMPY.laplacian(g, v), bincount_laplacian(g, v)
+    assert got.tobytes() == ref.tobytes()
+
+
+def with_kernels(kernels, fn, *args):
+    """fn(*args) with the given kernel set in place of the loaded one;
     its result, or the text of the error it raised."""
-    saved, linalg._APPLY = linalg._APPLY, apply
+    saved, linalg._KERNELS = linalg._KERNELS, kernels
     try:
         return fn(*args)
     except (DataError, NumericalError) as err:
         return f"{type(err).__name__}: {err}"
     finally:
-        linalg._APPLY = saved
+        linalg._KERNELS = saved
 
 
-@pytest.mark.skipif(_native.library() is None, reason="the compiled library cannot be built")
+needs_library = pytest.mark.skipif(_native.library() is None,
+                                   reason="the compiled library cannot be built")
+
+
+def compiled_kernels():
+    return linalg._compiled_kernels(_native.library())
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@needs_library
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(weighted_graphs_and_vectors(), st.floats(1e-3, 1e3))
 def test_compiled_apply_and_cg_match_the_fallback_bitwise(case, q):
     g, v = case
-    compiled = linalg._compiled_laplacian(_native.library().laplacian)
-    fast, slow = compiled(g, v), linalg._laplacian_bincount(g, v)
+    compiled = compiled_kernels()
+    fast, slow = compiled.laplacian(g, v), linalg._NUMPY.laplacian(g, v)
     assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
     problem = SmoothingProblem(g, v, q)
-    fast = with_apply(compiled, solve_exact_cg, problem)
-    slow = with_apply(linalg._laplacian_bincount, solve_exact_cg, problem)
+    fast = with_kernels(compiled, solve_exact_cg, problem)
+    slow = with_kernels(linalg._NUMPY, solve_exact_cg, problem)
     if isinstance(slow, str):  # weights over 60 binades can stall CG
         assert fast == slow
     else:
         assert np.array_equal(fast[0].view(np.uint64), slow[0].view(np.uint64))
         assert fast[1] == slow[1]
+
+
+def lane_dot(a, b):
+    """The kernels' dot product as a plain loop: element i into lane i % 4,
+    each lane from +0.0 in index order, then (s0 + s1) + (s2 + s3)."""
+    s = [0.0] * 4
+    for i, (u, v) in enumerate(zip(a.tolist(), b.tolist())):
+        s[i % 4] += u * v
+    return (s[0] + s[1]) + (s[2] + s[3])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(vectors(n), vectors(n))))
+def test_dot_sums_four_lanes_in_index_order(pair):
+    a, b = pair
+    expected = lane_dot(a, b)
+    assert same_bits(linalg._NUMPY.dot(a, b), expected)
+    if _native.library() is not None:
+        assert same_bits(compiled_kernels().dot(a, b), expected)
+
+
+@needs_library
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors(), st.data())
+def test_compiled_passes_match_their_numpy_twins_bitwise(case, data):
+    # n from 2 to 9 covers n < 4 and every n % 4 tail
+    g, p = case
+    q = data.draw(st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array))
+    r, x = data.draw(vectors(g.n)), data.draw(vectors(g.n))
+    a, b = data.draw(value), data.draw(value)
+    fast, slow = compiled_kernels(), linalg._NUMPY
+    results = []
+    for kernels in (fast, slow):
+        ap, rk, xk, pk = np.empty(g.n), r.copy(), x.copy(), p.copy()
+        pap = kernels.product(g, q, p, ap)
+        rr = kernels.residual(rk, ap, a)
+        kernels.direction(xk, pk, rk, a, b)
+        results.append((pap, ap, rr, rk, xk, pk))
+    for got, want in zip(*results):
+        assert same_bits(got, want)
+    # the elementwise formulas are the plain loop's, and the dots lane_dot
+    pap, ap, rr, rk, xk, pk = results[1]
+    assert same_bits(ap, q * p + bincount_laplacian(g, p)) and same_bits(pap, lane_dot(p, ap))
+    assert same_bits(rk, r - a * ap) and same_bits(rr, lane_dot(rk, rk))
+    assert same_bits(xk, x + a * p) and same_bits(pk, rk + b * p)
+
+
+@needs_library
+@pytest.mark.parametrize("rows,cols,q", [(19, 23, 0.01), (13, 31, "varying"), (1, 7, 0.5)])
+def test_a_long_cg_solve_matches_the_numpy_twins_bitwise(rows, cols, q):
+    g = gen_graph("grid", rows=rows, cols=cols)
+    rng = np.random.default_rng(rows)
+    if q == "varying":
+        q = rng.uniform(1e-3, 2.0, g.n)
+    problem = SmoothingProblem(g, rng.standard_normal(g.n), q)
+    fast = with_kernels(compiled_kernels(), solve_exact_cg, problem, 1e-12)
+    slow = with_kernels(linalg._NUMPY, solve_exact_cg, problem, 1e-12)
+    assert fast[1] == slow[1] > 5
+    assert same_bits(fast[0], slow[0])
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
