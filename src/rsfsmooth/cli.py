@@ -378,6 +378,9 @@ def run(argv=None):
     except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:  # an input too large to hold, refused like a size limit
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        return 3
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4

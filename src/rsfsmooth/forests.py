@@ -3,11 +3,10 @@
 `sample_forest` draws a rooted spanning forest with probability
 proportional to prod_{edges} w(e) * prod_{roots} q_root, using
 loop-erased random walks killed at rate q; `_tree_averages` averages a
-signal over the trees of a forest. The walk runs in a small C kernel in
-`_native.c`, compiled on first use into the user's cache directory; where
-it cannot be built, a Python loop draws the same forests. The exhaustive
-enumeration of the same distribution on tiny graphs lives in
-`rsfsmooth.oracle`.
+signal over the trees of a forest. The walk is the `wilson` loop of
+`_native.kernels()`: a small C kernel, or where that cannot be built, a
+Python loop that draws the same forests. The exhaustive enumeration of
+the same distribution on tiny graphs lives in `rsfsmooth.oracle`.
 """
 
 import math
@@ -98,7 +97,8 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
                         "a scalar or one per vertex")
     out = np.empty((2, n), dtype=np.int64)  # root_of, parent_of
     out.fill(-1)
-    steps = _kernel()(g, q, rng.key, rng.position, min(int(max_steps), 2**63 - 1), out)
+    steps = _native.kernels().wilson(g, q, rng.key, rng.position,
+                                     min(int(max_steps), 2**63 - 1), out)
     if steps < 0:
         raise NumericalError(f"forest sampling exceeded the step budget of {max_steps}")
     rng.position += steps
@@ -118,90 +118,6 @@ def walk_steps_floor(g, q):
     still take long, so the budget stays.
     """
     return max(float(g.n), 1.0 + float(g.degrees.sum()) / float(q.sum()))
-
-
-def _uniforms(key, start, count):
-    """The stream's uniforms at positions start, ..., start + count - 1."""
-    z = np.arange(start, start + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z += np.uint64(key)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
-
-
-def _stream(key, start, chunk):
-    """Uniforms from position start on, computed chunk by chunk."""
-    while True:
-        yield from _uniforms(key, start, chunk)
-        start += chunk
-        chunk *= 2
-
-
-def _wilson_python(g, q, key, position, max_steps, out):
-    """The C kernel's loop in Python, for machines where it cannot be
-    built: same uniforms, same search, same forests. Fills `out` (root_of,
-    parent_of, all -1 on entry) and returns the step count, or -1 past
-    max_steps."""
-    indptr, indices, cum = g.indptr.tolist(), g.indices.tolist(), g.walk_tables().tolist()
-    q = q.tolist()
-    root_of, parent = [-1] * len(q), [-1] * len(q)
-    rand = _stream(key, position, max(len(q), 16)).__next__
-    steps = 0
-    for start in range(len(q)):
-        u = start
-        while root_of[u] < 0:
-            if steps >= max_steps:
-                return -1
-            steps += 1
-            lo, hi = indptr[u], indptr[u + 1]
-            d = cum[hi - 1] if lo < hi else 0.0
-            r = rand() * (q[u] + d)
-            if r >= d:  # absorbed: u becomes a root
-                root_of[u] = u
-                parent[u] = -1
-                break
-            hi -= 1  # bisect_right over the row, capped at its last arc
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if r < cum[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            parent[u] = u = indices[lo]
-        root = root_of[u]
-        u = start
-        while root_of[u] < 0:
-            root_of[u] = root
-            u = parent[u]
-    out[0], out[1] = root_of, parent
-    return steps
-
-
-_KERNEL = None  # the draw function, chosen on the first draw
-
-
-def _kernel():
-    """The compiled kernel's draw function, or `_wilson_python` where the
-    library cannot be built; both take (g, q, key, position, max_steps, out)."""
-    global _KERNEL
-    if _KERNEL is None:
-        lib = _native.library()
-        _KERNEL = _wilson_python if lib is None else _compiled_wilson(lib.wilson)
-    return _KERNEL
-
-
-def _compiled_wilson(fn):
-    """A draw function calling the library's `wilson` on each graph's CSR
-    arrays and walk tables."""
-    routine = _native.bind(fn, lambda g: (g.indptr, g.indices, g.walk_tables()))
-
-    def wilson(g, q, key, position, max_steps, out):
-        root_of = _native.address(out)
-        return routine(g)(_native.address(q), key, position, max_steps, root_of,
-                          root_of + 8 * g.n)
-
-    return wilson
 
 
 def _tree_averages(labels, q, y):

@@ -6,10 +6,7 @@ whose solution is x_hat = K y with K = (Q + L)^{-1} Q, Q = diag(q_i).
 For uniform q this reduces to K = q (qI + L)^{-1}.
 """
 
-import functools
 import math
-import weakref
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +30,7 @@ class LaplacianOperator:
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (g.n,):
             raise DataError(f"vector of shape {v.shape} does not match n={g.n}")
-        return _kernels().laplacian(g, v)
+        return _native.kernels().laplacian(g, v)
 
     def dense(self):
         """Dense L for oracle-scale graphs (n <= DENSE_LIMIT)."""
@@ -45,143 +42,10 @@ class LaplacianOperator:
         return L
 
 
-class _Kernels(NamedTuple):
-    """The loops of the Laplacian apply, CG and the accumulator's
-    co-moments, on contiguous float64 arrays, writing only the arrays
-    named below. Every dot product sums element i into lane i % 4, each
-    lane from +0.0 in index order, and returns (s0 + s1) + (s2 + s3), so
-    its bits depend on the inputs alone, not on the CPU or the BLAS."""
-
-    laplacian: Callable  # (g, v) -> L v, a new array
-    dot: Callable        # (a, b) -> a . b
-    product: Callable    # (g, q, p, ap) -> p . ap, after ap = q p + L p
-    residual: Callable   # (r, ap, a) -> r . r, after r -= a ap
-    direction: Callable  # (x, p, r, a, b) -> None, after x += a p; p = r + b p
-
-
-def _compiled_kernels(lib):
-    """The kernel set calling the library's loops, with each graph's CSR
-    arrays bound once."""
-    def csr(g):
-        return g.indptr, g.indices, g.weights
-
-    apply, product, address = (_native.bind(lib.laplacian, csr),
-                               _native.bind(lib.cg_product, csr), _native.address)
-
-    def laplacian(g, v):
-        out = np.empty(g.n)
-        apply(g)(v.ctypes.data, address(out))
-        return out
-
-    return _Kernels(
-        laplacian=laplacian,
-        dot=lambda a, b: lib.dot(len(a), address(a), address(b)),
-        product=lambda g, q, p, ap: product(g)(q.ctypes.data, address(p), address(ap)),
-        residual=lambda r, ap, a: lib.cg_residual(len(r), address(r), address(ap), a),
-        direction=lambda x, p, r, a, b: lib.cg_direction(len(x), address(x), address(p),
-                                                         address(r), a, b))
-
-
-_SLOTS = weakref.WeakKeyDictionary()  # graph -> its arcs laid out for _laplacian_slots
-
-
-def _arc_slots(g):
-    """(perm, slots, rest) for `_laplacian_slots`: perm orders the rows by
-    decreasing degree; slot t is (count, neighbours, weights) of the t-th
-    arc of the first count rows of perm, the rows that have one. Slots go
-    on while they reach an eighth of the rows; rest holds the later arcs,
-    in arc order, as (position in perm, row, neighbour, weight) arrays.
-    Without that cutoff every arc of a hub costs a slot of three numpy
-    calls: on Barabasi-Albert graphs the apply was 1.5x (n = 20000) and
-    3.6x (n = 1500) slower than the bincount form, and 0.65x and 0.88x of
-    it with the cutoff."""
-    if g not in _SLOTS:
-        deg = np.diff(g.indptr)
-        perm = np.argsort(-deg, kind="stable")
-        counts = g.n - np.searchsorted(np.sort(deg), np.arange(deg.max()), "right")
-        starts, slots = g.indptr[perm], []
-        for t, count in enumerate(counts.tolist()):
-            if 8 * count < g.n:
-                break
-            arcs = starts[:count] + t
-            slots.append((count, g.indices[arcs], g.weights[arcs]))
-        rows = g._arc_rows
-        later = np.flatnonzero(np.arange(2 * g.m) - g.indptr[rows] >= len(slots))
-        position = np.empty(g.n, dtype=np.int64)
-        position[perm] = np.arange(g.n)
-        rest = (position[rows[later]], rows[later], g.indices[later], g.weights[later])
-        _SLOTS[g] = perm, slots, rest
-    return _SLOTS[g]
-
-
-def _laplacian_slots(g, v):
-    """The compiled row loop in numpy, the same sums bit for bit: each
-    row's sum starts at +0.0 and adds its arcs in arc order. One add per
-    slot extends the sums of all the rows it holds by one arc, and
-    np.add.at, which adds in index order, the few rows' later arcs."""
-    perm, slots, (position, rows, nbr, w) = _arc_slots(g)
-    vp, out = v[perm], np.zeros(g.n)
-    for count, slot_nbr, slot_w in slots:
-        terms = vp[:count] - v[slot_nbr]
-        terms *= slot_w
-        out[:count] += terms
-    if len(position):
-        np.add.at(out, position, w * (v[rows] - v[nbr]))
-    res = np.empty(g.n)
-    res[perm] = out
-    return res
-
-
-@functools.lru_cache(maxsize=8)
-def _lanes(n):
-    """The lane of each of n indices, i % 4. Writable, because np.bincount
-    copies a read-only input on every call."""
-    return np.arange(n) & 3
-
-
-def _dot_numpy(a, b):
-    """The compiled dot in numpy: bincount adds each product into its
-    lane in index order, from +0.0."""
-    s0, s1, s2, s3 = np.bincount(_lanes(len(a)), weights=a * b, minlength=4).tolist()
-    return (s0 + s1) + (s2 + s3)
-
-
-def _product_numpy(g, q, p, ap):
-    np.multiply(q, p, out=ap)
-    ap += _laplacian_slots(g, p)
-    return _dot_numpy(p, ap)
-
-
-def _residual_numpy(r, ap, a):
-    r -= a * ap
-    return _dot_numpy(r, r)
-
-
-def _direction_numpy(x, p, r, a, b):
-    x += a * p
-    p *= b
-    p += r  # r + b p: addition commutes exactly
-
-
-_NUMPY = _Kernels(_laplacian_slots, _dot_numpy, _product_numpy, _residual_numpy,
-                  _direction_numpy)
-_KERNELS = None  # the kernel set, chosen on first use
-
-
-def _kernels():
-    """The compiled kernel set, or `_NUMPY` where the library cannot be
-    built; the two give the same results bit for bit."""
-    global _KERNELS
-    if _KERNELS is None:
-        lib = _native.library()
-        _KERNELS = _NUMPY if lib is None else _compiled_kernels(lib)
-    return _KERNELS
-
-
 def _dot(a, b):
     """a . b for two contiguous float64 arrays of one length, summed in
     the kernels' four fixed lanes."""
-    return _kernels().dot(a, b)
+    return _native.kernels().dot(a, b)
 
 
 def _absorption_weights(q, n):
@@ -231,12 +95,12 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
     if ||Qy|| is not finite, or if that is not reached within max_iter
     (default 10n) iterations. Each iteration makes three passes over the
-    vectors (`_Kernels`), and every norm and dot product is summed in
+    vectors (`_native.Kernels`), and every norm and dot product is summed in
     fixed lanes, so x has the same bits on every CPU.
     """
     if not 0 < tol < np.inf:
         raise DataError(f"tol must be positive and finite, got {tol!r}")
-    g, q, k = problem.graph, problem.q, _kernels()
+    g, q, k = problem.graph, problem.q, _native.kernels()
     if max_iter is None:
         max_iter = 10 * g.n
     b = q * problem.y

@@ -6,6 +6,7 @@ with absorption weights q_i = (mu/2) d_i. Scores are computed either
 exactly (conjugate gradient) or by the forest Monte Carlo estimators.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +56,10 @@ class SSLProblem:
             raise DataError("labeled set contains vertices without a known label")
         self.k = int(self.labels.max()) + 1
         seen = set(self.labels[self.labeled_set].tolist())
-        missing = [c for c in range(self.k) if c not in seen]
-        if missing:
-            raise DataError(f"classes without a labeled vertex: {missing}")
+        if len(seen) < self.k:  # the first five lie below len(seen) + 5
+            missing = list(itertools.islice((c for c in range(self.k) if c not in seen), 5))
+            raise DataError(f"classes without a labeled vertex: {self.k - len(seen)}, "
+                            f"the first {missing}")
 
     def label_matrix(self):
         """n x k indicator matrix: Y[i, c] = 1 iff i is labeled with class c."""

@@ -1,14 +1,27 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
-from rsfsmooth import Graph
+from rsfsmooth import Graph, _native
 
 
 def adjacency(g):
     """g's weighted adjacency as a scipy CSR matrix, assembled from the
     graph's CSR arrays; the tests' dense oracles build on it."""
     return sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+
+
+@contextlib.contextmanager
+def using_kernels(chosen):
+    """The package's hot loops swapped for the set `chosen` inside the
+    block, and the set chosen before restored after it."""
+    saved, _native._KERNELS = _native._KERNELS, chosen
+    try:
+        yield
+    finally:
+        _native._KERNELS = saved
 
 
 def path_graph(n, weights=None):

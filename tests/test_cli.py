@@ -1,12 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsfsmooth
 from rsfsmooth import NumericalError, load_graph, save_graph
 from rsfsmooth.cli import _write_json, run
 
@@ -604,6 +609,39 @@ class TestExitCodes:
         assert run([*command, "--gen", "grid:rows=2,cols=2", "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: grid count 100000000000000000000 is too large"]
+        assert not out.exists()
+
+    # 10^12 vertices need 7.28 TiB per array: a 4 GB address space makes
+    # the allocation fail at once, whatever the machine's overcommit policy
+    @pytest.mark.parametrize("command", [
+        ["gen-graph", "--gen", "grid:rows=1000000,cols=1000000"],
+        ["exact", "--gen", "regular:n=1000000000000,d=2", "--signal", "gaussian", "--q", "1"],
+    ], ids=["gen-graph", "exact"])
+    def test_out_of_memory_ends_in_one_line(self, tmp_path, command):
+        out = tmp_path / "out.txt"
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30)); "
+                "from rsfsmooth.cli import run; sys.exit(run(sys.argv[1:]))")
+        src = str(Path(rsfsmooth.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code, *command, "--out", str(out)],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True, timeout=120)
+        assert res.returncode == 3
+        err = res.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate 7.28 TiB"), err
+        assert not out.exists()
+
+    # a class id of 10^6 leaves 999,999 classes without a labeled vertex;
+    # the error names how many and the first five
+    def test_missing_classes_are_counted_in_one_short_line(self, tmp_path, capsys):
+        lpath, out = tmp_path / "labels.csv", tmp_path / "acc.csv"
+        lpath.write_text("0,0\n1,1000000\n")
+        assert run(["ssl", "--graph", c4_file(tmp_path), "--labels", str(lpath),
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: classes without a labeled vertex: 999999, the first "
+                       "[1, 2, 3, 4, 5]"]
+        assert len(err[0].encode()) < 200
         assert not out.exists()
 
     # noise of std 1e300 overflows the noisy signal's MSE, so its PSNR takes

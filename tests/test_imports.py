@@ -70,10 +70,11 @@ def test_gen_knn_without_scipy_ends_in_one_line(tmp_path):
     assert not out.exists()
 
 
-EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat, rsfsmooth.linalg as la; "
-         "print(nat._LIBRARY is nat._UNSET); code = cli.run(['exact', '--graph', {graph!r}, "
+EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat; "
+         "print(nat.compiled.cache_info().currsize == 0); "
+         "code = cli.run(['exact', '--graph', {graph!r}, "
          "'--signal', 'gaussian', '--q', '0.5', '--format', 'json', '--out', {out!r}]); "
-         "print(code, la._KERNELS is la._NUMPY)")
+         "print(code, nat._KERNELS is nat.TWINS)")
 
 
 def test_cli_import_leaves_the_library_unbuilt_and_exact_matches_the_fallback(tmp_path):

@@ -1,7 +1,7 @@
 """The compiled Wilson kernel against its Python twin, the counter-based
-stream, the walk tables, and how the kernel is built and cached."""
+stream, the walk tables, and how the kernels are built, cached and
+chosen."""
 
-import functools
 import os
 import shutil
 import subprocess
@@ -17,24 +17,21 @@ import rsfsmooth
 from rsfsmooth import _native
 from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng, forests,
                        gen_graph, sample_forest)
+from rsfsmooth.cli import run
 
-from conftest import path_graph, random_connected_graph, star_graph
+from conftest import path_graph, random_connected_graph, star_graph, using_kernels
 
 HAS_CC = shutil.which("cc") is not None
 
 
-@functools.cache
 def compiled():
-    return forests._compiled_wilson(_native.library().wilson)
+    return _native.compiled().wilson
 
 
 def draw(kernel, g, q, stream, max_steps=forests.DEFAULT_STEP_BUDGET):
     """sample_forest with the given draw function in place of the loaded one."""
-    saved, forests._KERNEL = forests._KERNEL, kernel
-    try:
+    with using_kernels(_native.kernels()._replace(wilson=kernel)):
         return sample_forest(g, q, stream, max_steps=max_steps)
-    finally:
-        forests._KERNEL = saved
 
 
 @st.composite
@@ -60,7 +57,7 @@ def test_kernel_matches_python_loop(case, n_draws):
     g, q, key, position = case
     fast, slow = forests.CounterStream(key, position), forests.CounterStream(key, position)
     for _ in range(n_draws):
-        a, b = draw(compiled(), g, q, fast), draw(forests._wilson_python, g, q, slow)
+        a, b = draw(compiled(), g, q, fast), draw(_native._wilson_python, g, q, slow)
         assert np.array_equal(a.root_of, b.root_of)
         assert np.array_equal(a.parent_of, b.parent_of)
         assert a.rng_draws == b.rng_draws
@@ -68,7 +65,7 @@ def test_kernel_matches_python_loop(case, n_draws):
     # the step budget: the next draw fails at one step short of its length,
     # in both, leaving both streams where they were
     steps = draw(compiled(), g, q, forests.CounterStream(key, fast.position)).rng_draws
-    for kernel, stream in ((compiled(), fast), (forests._wilson_python, slow)):
+    for kernel, stream in ((compiled(), fast), (_native._wilson_python, slow)):
         before = stream.position
         with pytest.raises(NumericalError, match="step budget"):
             draw(kernel, g, q, stream, max_steps=steps - 1)
@@ -78,9 +75,9 @@ def test_kernel_matches_python_loop(case, n_draws):
 
 def test_uniform_is_splitmix64():
     # splitmix64 seeded with 0 first outputs 0xE220A8397B1DCDAF
-    assert forests._uniforms(0, 1, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
-    chunked = forests._stream(12345, 7, 3)
-    assert [next(chunked) for _ in range(10)] == forests._uniforms(12345, 7, 10)
+    assert _native._uniforms(0, 1, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
+    chunked = _native._stream(12345, 7, 3)
+    assert [next(chunked) for _ in range(10)] == _native._uniforms(12345, 7, 10)
 
 
 def test_stream_position_advances_by_draws():
@@ -135,11 +132,11 @@ def fresh_python(code, cache, path=None):
     return res.stdout
 
 
-SMOOTH = ("from rsfsmooth import forests; from rsfsmooth.cli import run; "
+SMOOTH = ("from rsfsmooth import _native; from rsfsmooth.cli import run; "
           "run(['smooth', '--gen', 'grid:rows=12,cols=12', '--signal', 'gaussian', "
           "'--q', '0.2', '--n-samples', '5', '--alpha', 'empirical', '--seed', '3', "
           "'--format', 'json', '--out', {out!r}]); "
-          "print(forests._KERNEL is forests._wilson_python)")
+          "print(_native._KERNELS is _native.TWINS)")
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -159,3 +156,61 @@ def test_kernel_builds_once_and_matches_the_fallback(tmp_path):
     assert fresh_python(SMOOTH.format(out=str(out_py)), bare_cache, path=no_cc).strip() == "True"
     assert not bare_cache.exists()
     assert out_py.read_bytes() == out_c.read_bytes()
+
+
+def fake_cc_that_fails(tmp_path):
+    """A directory holding only a `cc` that exits 1, to stand for PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text("#!/bin/sh\nexit 1\n")
+    (bin_dir / "cc").chmod(0o755)
+    return bin_dir, tmp_path / "cache"
+
+
+def cache_under_a_file(tmp_path):
+    """A cache directory whose parent is a regular file, so it cannot be
+    made; chmod would not do, since root writes anyway."""
+    (tmp_path / "blocker").write_bytes(b"")
+    return None, tmp_path / "blocker" / "cache"
+
+
+@pytest.mark.parametrize("failure", [fake_cc_that_fails, cache_under_a_file],
+                         ids=["cc-exits-1", "cache-under-a-file"])
+def test_every_build_failure_falls_back_to_the_twins(tmp_path, failure):
+    out_c, out_py = tmp_path / "c.json", tmp_path / "py.json"
+    fresh_python(SMOOTH.format(out=str(out_c)), tmp_path / "good-cache")
+    case = tmp_path / "case"
+    case.mkdir()
+    path, cache = failure(case)
+    assert fresh_python(SMOOTH.format(out=str(out_py)), cache, path=path).strip() == "True"
+    assert out_py.read_bytes() == out_c.read_bytes()
+    left = sorted(p.relative_to(case).as_posix() for p in case.rglob("*"))
+    # nothing but the inputs and an empty cache directory: no .so, no temp file
+    assert left in (["bin", "bin/cc", "cache", "cache/rsfsmooth"], ["blocker"])
+
+
+def test_the_one_switch_reaches_all_six_loops(tmp_path):
+    # the same commands through the chosen set and through the twins, each
+    # loop wrapped in a call counter, write the same bytes
+    calls = dict.fromkeys(_native.Kernels._fields, 0)
+
+    def counted(name, loop):
+        def counting(*args):
+            calls[name] += 1
+            return loop(*args)
+        return counting
+
+    twins = _native.Kernels(*(counted(name, loop)
+                              for name, loop in zip(_native.Kernels._fields, _native.TWINS)))
+    commands = [["smooth", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3",
+                 "--n-samples", "4", "--alpha", "empirical"],
+                ["exact", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3"]]
+    written = []
+    for chosen in (_native.kernels(), twins):
+        with using_kernels(chosen):
+            for argv in commands:
+                out = tmp_path / f"{len(written)}.json"
+                assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+                written.append(out.read_bytes())
+    assert written[:2] == written[2:]
+    assert all(calls.values()), calls

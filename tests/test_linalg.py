@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
                        SmoothingProblem, apply_K_inverse, gen_graph, solve_exact_cg)
-from rsfsmooth import _native, linalg
+from rsfsmooth import _native
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
-from conftest import adjacency, path_graph, random_connected_graph, star_graph
+from conftest import adjacency, path_graph, random_connected_graph, star_graph, using_kernels
 
 
 def dense_system(problem):
@@ -90,7 +90,7 @@ def test_apply_matches_bincount_form_bitwise(case):
     got, ref = LaplacianOperator(g).apply(v), bincount_laplacian(g, v)
     assert got.dtype == np.float64 and got.shape == (g.n,)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    twin = linalg._NUMPY.laplacian(g, v)
+    twin = _native.TWINS.laplacian(g, v)
     assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))
 
 
@@ -106,28 +106,22 @@ def test_numpy_apply_matches_bincount_form_on_uneven_degrees(make):
     g = make()
     rng = np.random.default_rng(g.n)
     v = rng.standard_normal(g.n) * 10.0 ** rng.integers(-8, 9, g.n)
-    got, ref = linalg._NUMPY.laplacian(g, v), bincount_laplacian(g, v)
+    got, ref = _native.TWINS.laplacian(g, v), bincount_laplacian(g, v)
     assert got.tobytes() == ref.tobytes()
 
 
 def with_kernels(kernels, fn, *args):
     """fn(*args) with the given kernel set in place of the loaded one;
     its result, or the text of the error it raised."""
-    saved, linalg._KERNELS = linalg._KERNELS, kernels
-    try:
-        return fn(*args)
-    except (DataError, NumericalError) as err:
-        return f"{type(err).__name__}: {err}"
-    finally:
-        linalg._KERNELS = saved
+    with using_kernels(kernels):
+        try:
+            return fn(*args)
+        except (DataError, NumericalError) as err:
+            return f"{type(err).__name__}: {err}"
 
 
-needs_library = pytest.mark.skipif(_native.library() is None,
+needs_library = pytest.mark.skipif(_native.compiled() is None,
                                    reason="the compiled library cannot be built")
-
-
-def compiled_kernels():
-    return linalg._compiled_kernels(_native.library())
 
 
 def same_bits(a, b):
@@ -140,12 +134,12 @@ def same_bits(a, b):
 @given(weighted_graphs_and_vectors(), st.floats(1e-3, 1e3))
 def test_compiled_apply_and_cg_match_the_fallback_bitwise(case, q):
     g, v = case
-    compiled = compiled_kernels()
-    fast, slow = compiled.laplacian(g, v), linalg._NUMPY.laplacian(g, v)
+    compiled = _native.compiled()
+    fast, slow = compiled.laplacian(g, v), _native.TWINS.laplacian(g, v)
     assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
     problem = SmoothingProblem(g, v, q)
     fast = with_kernels(compiled, solve_exact_cg, problem)
-    slow = with_kernels(linalg._NUMPY, solve_exact_cg, problem)
+    slow = with_kernels(_native.TWINS, solve_exact_cg, problem)
     if isinstance(slow, str):  # weights over 60 binades can stall CG
         assert fast == slow
     else:
@@ -167,9 +161,9 @@ def lane_dot(a, b):
 def test_dot_sums_four_lanes_in_index_order(pair):
     a, b = pair
     expected = lane_dot(a, b)
-    assert same_bits(linalg._NUMPY.dot(a, b), expected)
-    if _native.library() is not None:
-        assert same_bits(compiled_kernels().dot(a, b), expected)
+    assert same_bits(_native.TWINS.dot(a, b), expected)
+    if _native.compiled() is not None:
+        assert same_bits(_native.compiled().dot(a, b), expected)
 
 
 @needs_library
@@ -181,7 +175,7 @@ def test_compiled_passes_match_their_numpy_twins_bitwise(case, data):
     q = data.draw(st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array))
     r, x = data.draw(vectors(g.n)), data.draw(vectors(g.n))
     a, b = data.draw(value), data.draw(value)
-    fast, slow = compiled_kernels(), linalg._NUMPY
+    fast, slow = _native.compiled(), _native.TWINS
     results = []
     for kernels in (fast, slow):
         ap, rk, xk, pk = np.empty(g.n), r.copy(), x.copy(), p.copy()
@@ -206,8 +200,8 @@ def test_a_long_cg_solve_matches_the_numpy_twins_bitwise(rows, cols, q):
     if q == "varying":
         q = rng.uniform(1e-3, 2.0, g.n)
     problem = SmoothingProblem(g, rng.standard_normal(g.n), q)
-    fast = with_kernels(compiled_kernels(), solve_exact_cg, problem, 1e-12)
-    slow = with_kernels(linalg._NUMPY, solve_exact_cg, problem, 1e-12)
+    fast = with_kernels(_native.compiled(), solve_exact_cg, problem, 1e-12)
+    slow = with_kernels(_native.TWINS, solve_exact_cg, problem, 1e-12)
     assert fast[1] == slow[1] > 5
     assert same_bits(fast[0], slow[0])
 
