@@ -19,7 +19,18 @@
  * inputs. cg_product writes ap = q p + L p and returns p . ap; cg_residual
  * makes r -= a ap and returns r . r; cg_direction makes x += a p, then
  * p = r + b p.
+ *
+ * The multigrid preconditioner of CG (linalg._Multigrid): with A = Q + L,
+ * D its diagonal, winv = omega / D and lab the aggregate of each vertex,
+ * mg_restrict makes x = winv b, then rc[lab[i]] += b_i - (A x)_i in index
+ * order into rc zeroed first; mg_prolong makes x += ec[lab], then
+ * out = x + winv (b - A x). cholesky overwrites a dense symmetric positive
+ * definite matrix by its lower factor, zeros above the diagonal, column by
+ * column; cholesky_solve overwrites b by (L L^T)^{-1} b by column-wise
+ * forward and back substitution. No BLAS or LAPACK routine is called, so
+ * these bits too depend on nothing but the inputs.
  */
+#include <math.h>
 #include <stdint.h>
 
 static double uniform(uint64_t key, uint64_t k)
@@ -125,5 +136,65 @@ void cg_direction(int64_t n, double *x, double *p, const double *r, double a, do
     for (int64_t i = 0; i < n; i++) {
         x[i] += a * p[i];
         p[i] = r[i] + b * p[i];
+    }
+}
+
+void mg_restrict(int64_t n, const int64_t *indptr, const int64_t *indices,
+                 const double *weights, const double *q, const double *winv,
+                 const double *b, double *x, const int64_t *lab, int64_t nc, double *rc)
+{
+    for (int64_t c = 0; c < nc; c++)
+        rc[c] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        double xi = winv[i] * b[i], s = 0.0; /* x_j = winv_j b_j is formed where read */
+        for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
+            s += weights[a] * (xi - winv[indices[a]] * b[indices[a]]);
+        x[i] = xi;
+        rc[lab[i]] += b[i] - (q[i] * xi + s);
+    }
+}
+
+void mg_prolong(int64_t n, const int64_t *indptr, const int64_t *indices,
+                const double *weights, const double *q, const double *winv,
+                const double *b, double *x, const int64_t *lab, const double *ec,
+                double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        x[i] += ec[lab[i]];
+    for (int64_t i = 0; i < n; i++)
+        out[i] = x[i] + winv[i] * (b[i] - (q[i] * x[i]
+                                           + laplacian_row(indptr, indices, weights, x, i)));
+}
+
+void cholesky(int64_t n, double *a)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double d = sqrt(a[k * n + k]);
+        a[k * n + k] = d;
+        for (int64_t i = k + 1; i < n; i++)
+            a[i * n + k] /= d;
+        for (int64_t i = k + 1; i < n; i++) {
+            double l = a[i * n + k];
+            for (int64_t j = k + 1; j <= i; j++)
+                a[i * n + j] -= l * a[j * n + k];
+        }
+        for (int64_t j = k + 1; j < n; j++)
+            a[k * n + j] = 0.0;
+    }
+}
+
+void cholesky_solve(int64_t n, const double *l, double *b)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double y = b[k] / l[k * n + k];
+        b[k] = y;
+        for (int64_t i = k + 1; i < n; i++)
+            b[i] -= l[i * n + k] * y;
+    }
+    for (int64_t k = n - 1; k >= 0; k--) {
+        double x = b[k] / l[k * n + k];
+        b[k] = x;
+        for (int64_t i = 0; i < k; i++)
+            b[i] -= l[k * n + i] * x;
     }
 }

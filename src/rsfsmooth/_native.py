@@ -1,5 +1,6 @@
-"""The package's hot loops: the forest draw, the Laplacian apply, and the
-conjugate-gradient passes with their fixed-order dot product.
+"""The package's hot loops: the forest draw, the Laplacian apply, the
+conjugate-gradient passes with their fixed-order dot product, and the
+passes and dense Cholesky solve of CG's multigrid preconditioner.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -18,15 +19,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 class Kernels(NamedTuple):
-    """The loops of the forest draw, the Laplacian apply, CG and the
-    accumulator's co-moments, on contiguous arrays, writing only the
-    arrays named below. Every dot product sums element i into lane i % 4,
-    each lane from +0.0 in index order, and returns (s0 + s1) + (s2 + s3),
-    so its bits depend on the inputs alone, not on the CPU or the BLAS."""
+    """The loops of the forest draw, the Laplacian apply, CG, its multigrid
+    preconditioner and the accumulator's co-moments, on contiguous arrays,
+    writing only the arrays named below. Every dot product sums element i
+    into lane i % 4, each lane from +0.0 in index order, and returns
+    (s0 + s1) + (s2 + s3), so its bits depend on the inputs alone, not on
+    the CPU or the BLAS."""
 
     wilson: Callable     # (g, q, key, position, max_steps, out) -> steps, or -1 past
                          # max_steps, after out = (root_of, parent_of) of one forest
@@ -35,6 +37,13 @@ class Kernels(NamedTuple):
     product: Callable    # (g, q, p, ap) -> p . ap, after ap = q p + L p
     residual: Callable   # (r, ap, a) -> r . r, after r -= a ap
     direction: Callable  # (x, p, r, a, b) -> None, after x += a p; p = r + b p
+    # with A = q + L, winv = omega / diag(A) and lab the aggregate of each vertex:
+    restrict: Callable   # (g, q, winv, b, x, lab, rc) -> None, after x = winv b;
+                         # rc = 0; rc[lab[i]] += (b - A x)_i for i in index order
+    prolong: Callable    # (g, q, winv, b, x, lab, ec, out) -> None, after
+                         # x += ec[lab]; out = x + winv (b - A x)
+    cholesky: Callable   # (a) -> None, after a = its lower Cholesky factor L, by columns
+    solve: Callable      # (l, b) -> None, after b = (L L^T)^{-1} b, by columns
 
 
 _KERNELS = None  # the chosen set, decided on first use
@@ -78,8 +87,10 @@ def compiled():
     def csr(g):
         return g.indptr, g.indices, g.weights
 
-    walk, apply, product = (bind(lib.wilson, lambda g: (g.indptr, g.indices, g.walk_tables())),
-                            bind(lib.laplacian, csr), bind(lib.cg_product, csr))
+    walk, apply, product, down, up = (
+        bind(lib.wilson, lambda g: (g.indptr, g.indices, g.walk_tables())),
+        bind(lib.laplacian, csr), bind(lib.cg_product, csr),
+        bind(lib.mg_restrict, csr), bind(lib.mg_prolong, csr))
 
     def wilson(g, q, key, position, max_steps, out):
         root_of = address(out)
@@ -97,7 +108,15 @@ def compiled():
         product=lambda g, q, p, ap: product(g)(q.ctypes.data, address(p), address(ap)),
         residual=lambda r, ap, a: lib.cg_residual(len(r), address(r), address(ap), a),
         direction=lambda x, p, r, a, b: lib.cg_direction(len(x), address(x), address(p),
-                                                         address(r), a, b))
+                                                         address(r), a, b),
+        restrict=lambda g, q, winv, b, x, lab, rc: down(g)(
+            address(q), address(winv), address(b), address(x), address(lab), len(rc),
+            address(rc)),
+        prolong=lambda g, q, winv, b, x, lab, ec, out: up(g)(
+            address(q), address(winv), address(b), address(x), address(lab), address(ec),
+            address(out)),
+        cholesky=lambda a: lib.cholesky(len(a), address(a)),
+        solve=lambda l, b: lib.cholesky_solve(len(b), address(l), address(b)))
 
 
 def _build():
@@ -143,7 +162,11 @@ def _build():
             ("dot", [i64, ptr, ptr], f64),
             ("cg_product", [i64, ptr, ptr, ptr, ptr, ptr, ptr], f64),
             ("cg_residual", [i64, ptr, ptr, f64], f64),
-            ("cg_direction", [i64, ptr, ptr, ptr, f64, f64], None)):
+            ("cg_direction", [i64, ptr, ptr, ptr, f64, f64], None),
+            ("mg_restrict", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr], None),
+            ("mg_prolong", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr], None),
+            ("cholesky", [i64, ptr], None),
+            ("cholesky_solve", [i64, ptr, ptr], None)):
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
     return lib
@@ -288,5 +311,47 @@ def _direction_numpy(x, p, r, a, b):
     p += r  # r + b p: addition commutes exactly
 
 
+def _residual_of(g, q, b, x):
+    """b - (q x + L x), rounded as the compiled passes round it."""
+    ax = q * x
+    ax += _laplacian_slots(g, x)
+    return np.subtract(b, ax, out=ax)
+
+
+def _restrict_numpy(g, q, winv, b, x, lab, rc):
+    np.multiply(winv, b, out=x)
+    # bincount adds in index order, from +0.0
+    rc[:] = np.bincount(lab, weights=_residual_of(g, q, b, x), minlength=len(rc))
+
+
+def _prolong_numpy(g, q, winv, b, x, lab, ec, out):
+    x += ec[lab]
+    res = _residual_of(g, q, b, x)
+    res *= winv
+    np.add(x, res, out=out)
+
+
+def _cholesky_numpy(a):
+    """The compiled factor by columns: column k is divided by its pivot's
+    square root, then l_i l_j is taken off each later a_ij; np.outer forms
+    the same products, and the entries above the diagonal are zeroed."""
+    for k in range(len(a)):
+        a[k, k] = np.sqrt(a[k, k])
+        col = a[k + 1:, k]
+        col /= a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(col, col)
+        a[k, k + 1:] = 0.0
+
+
+def _solve_numpy(l, b):
+    for k in range(len(b)):
+        b[k] /= l[k, k]
+        b[k + 1:] -= l[k + 1:, k] * b[k]
+    for k in reversed(range(len(b))):
+        b[k] /= l[k, k]
+        b[:k] -= l[k, :k] * b[k]
+
+
 TWINS = Kernels(_wilson_python, _laplacian_slots, _dot_numpy, _product_numpy,
-                _residual_numpy, _direction_numpy)
+                _residual_numpy, _direction_numpy, _restrict_numpy, _prolong_numpy,
+                _cholesky_numpy, _solve_numpy)

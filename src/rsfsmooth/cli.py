@@ -202,8 +202,10 @@ def cmd_exact(args):
     y = _resolve_signal(args, g)
     problem = SmoothingProblem(g, y, args.q)
     x, iterations = solve_exact_cg(problem, tol=args.tol)
-    _write_estimate(args, x, alpha=None,
-                    diagnostics={"method": "exact-cg", "iterations": iterations})
+    diagnostics = {"method": "exact-cg", "iterations": iterations}
+    if problem.multigrid:  # the vertex count of each level, finest first
+        diagnostics["levels"] = problem.multigrid.sizes
+    _write_estimate(args, x, alpha=None, diagnostics=diagnostics)
     return 0
 
 

@@ -216,6 +216,8 @@ def load_labels(path, n):
             raise DataError(f"{path}: line {lineno}: node {node} out of range")
         if cls < 0:
             raise DataError(f"{path}: line {lineno}: negative class id")
+        if cls > np.iinfo(np.int64).max:
+            raise DataError(f"{path}: line {lineno}: class id {cls} exceeds 2^63 - 1")
         if labels[node] >= 0:
             raise DataError(f"{path}: line {lineno}: duplicate node {node}")
         labels[node] = cls

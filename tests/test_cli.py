@@ -96,6 +96,17 @@ class TestExact:
         assert payload["estimate"] == pytest.approx([5.0, 2.0, 1.0], rel=1e-9)
         assert payload["diagnostics"]["method"] == "exact-cg"
 
+    # the level sizes appear only where CG built its multigrid: on a 20x20
+    # grid the bound 1 + 2 d_max / q is 8001 at q = 0.001, and 27.7 at 0.3
+    @pytest.mark.parametrize("q,levels", [("0.001", [400, 49]), ("0.3", None)])
+    def test_levels_only_where_the_multigrid_was_built(self, tmp_path, q, levels):
+        out = tmp_path / "xhat.json"
+        assert run(["exact", "--gen", "grid:rows=20,cols=20", "--signal", "gaussian",
+                    "--q", q, "--seed", "5", "--out", str(out), "--format", "json"]) == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        assert diagnostics.get("levels") == levels
+        assert sorted(diagnostics) == sorted(["method", "iterations"] + ["levels"] * bool(levels))
+
 
 class TestSmooth:
     def test_constant_signal_returned_unchanged(self, tmp_path):
@@ -642,6 +653,19 @@ class TestExitCodes:
         assert err == ["error: classes without a labeled vertex: 999999, the first "
                        "[1, 2, 3, 4, 5]"]
         assert len(err[0].encode()) < 200
+        assert not out.exists()
+
+    # a class id past int64 is refused like every other bad labels line,
+    # before numpy's OverflowError on storing it
+    @pytest.mark.parametrize("cls", ["9223372036854775808", "100000000000000000000"],
+                             ids=["2^63", "10^20"])
+    def test_class_id_past_int64_ends_in_one_line(self, tmp_path, capsys, cls):
+        lpath, out = tmp_path / "labels.csv", tmp_path / "acc.csv"
+        lpath.write_text(f"0,0\n1,{cls}\n")
+        assert run(["ssl", "--graph", c4_file(tmp_path), "--labels", str(lpath),
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {lpath}: line 2: class id {cls} exceeds 2^63 - 1"]
         assert not out.exists()
 
     # noise of std 1e300 overflows the noisy signal's MSE, so its PSNR takes

@@ -1,10 +1,12 @@
 """Outputs that pass through CG and the Monte Carlo co-moments have the
 same bytes whichever BLAS kernel numpy dispatches to: every dot product
 of the solver and the accumulator is summed in fixed lanes by the
-package's own loops. A DYNAMIC_ARCH OpenBLAS picks its kernel from the
+package's own loops, and the dense coarsest solve of CG's multigrid
+calls no LAPACK. A DYNAMIC_ARCH OpenBLAS picks its kernel from the
 CPU, or from OPENBLAS_CORETYPE, so each run below forces one kernel in a
 fresh interpreter."""
 
+import json
 import os
 import platform
 import subprocess
@@ -19,6 +21,9 @@ import rsfsmooth
 COMMANDS = {
     "exact": ["exact", "--gen", "grid:rows=30,cols=30", "--signal", "gaussian",
               "--q", "0.01"],
+    # bound 1 + 2 d_max / q = 8001: CG builds its multigrid preconditioner
+    "exact-multigrid": ["exact", "--gen", "grid:rows=60,cols=60", "--signal", "gaussian",
+                        "--q", "0.001"],
     "smooth": ["smooth", "--gen", "regular:n=500,d=10", "--signal", "gaussian",
                "--q", "0.5", "--alpha", "empirical", "--n-samples", "20"],
     "sweep-alpha": ["sweep-alpha", "--gen", "grid:rows=20,cols=20", "--q", "0.1",
@@ -93,3 +98,7 @@ def test_cg_and_sampled_outputs_have_one_hash_under_every_blas_kernel(tmp_path):
     assert sorted(hashes) == sorted(COMMANDS)
     for name, by_core in hashes.items():
         assert len(set(by_core.values())) == 1, (name, by_core)
+    for i in range(len(runs)):
+        levels = [json.loads((tmp_path / f"run{i}" / f"{name}.json").read_text())
+                  ["diagnostics"].get("levels") for name in ("exact", "exact-multigrid")]
+        assert levels[0] is None and levels[1][0] == 3600, levels

@@ -139,10 +139,12 @@ def names(node, *identifiers):
 
 def test_only_accumulate_forests_draws_forests():
     # every reference to sample_forest in the package, by enclosing
-    # function; imports and the definition itself are not references
+    # function; imports and the definition itself are not references. The
+    # estimators draw only through accumulate_forests; CG's multigrid
+    # draws one forest per level, on a fixed stream, for its aggregates.
     users = package_scopes(lambda node: names(node, "sample_forest")
                            and not isinstance(node, ast.alias))
-    assert users == {"estimators.accumulate_forests"}
+    assert users == {"estimators.accumulate_forests", "linalg._Multigrid.build"}
 
 
 def test_only_the_knn_generator_imports_scipy():

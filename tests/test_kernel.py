@@ -189,9 +189,10 @@ def test_every_build_failure_falls_back_to_the_twins(tmp_path, failure):
     assert left in (["bin", "bin/cc", "cache", "cache/rsfsmooth"], ["blocker"])
 
 
-def test_the_one_switch_reaches_all_six_loops(tmp_path):
+def test_the_one_switch_reaches_every_loop(tmp_path):
     # the same commands through the chosen set and through the twins, each
-    # loop wrapped in a call counter, write the same bytes
+    # loop wrapped in a call counter, write the same bytes; the second
+    # `exact` (bound 8001, more than 64 iterations) builds CG's multigrid
     calls = dict.fromkeys(_native.Kernels._fields, 0)
 
     def counted(name, loop):
@@ -204,7 +205,9 @@ def test_the_one_switch_reaches_all_six_loops(tmp_path):
                               for name, loop in zip(_native.Kernels._fields, _native.TWINS)))
     commands = [["smooth", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3",
                  "--n-samples", "4", "--alpha", "empirical"],
-                ["exact", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3"]]
+                ["exact", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3"],
+                ["exact", "--gen", "grid:rows=20,cols=20", "--signal", "gaussian",
+                 "--q", "0.001"]]
     written = []
     for chosen in (_native.kernels(), twins):
         with using_kernels(chosen):
@@ -212,5 +215,5 @@ def test_the_one_switch_reaches_all_six_loops(tmp_path):
                 out = tmp_path / f"{len(written)}.json"
                 assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
                 written.append(out.read_bytes())
-    assert written[:2] == written[2:]
+    assert written[:3] == written[3:]
     assert all(calls.values()), calls

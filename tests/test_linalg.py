@@ -1,10 +1,14 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
-                       SmoothingProblem, apply_K_inverse, gen_graph, solve_exact_cg)
-from rsfsmooth import _native
+                       SmoothingProblem, apply_K_inverse, gen_graph, solve_exact_cg,
+                       synthetic_signal)
+from rsfsmooth import _native, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
 from conftest import adjacency, path_graph, random_connected_graph, star_graph, using_kernels
@@ -204,6 +208,218 @@ def test_a_long_cg_solve_matches_the_numpy_twins_bitwise(rows, cols, q):
     slow = with_kernels(_native.TWINS, solve_exact_cg, problem, 1e-12)
     assert fast[1] == slow[1] > 5
     assert same_bits(fast[0], slow[0])
+
+
+def multigrid_passes(kernels, g, q, winv, b, x0, lab, ec):
+    """x and rc of `restrict`, then x and out of `prolong` from x0, in one
+    kernel set, each output array filled with NaN before the call."""
+    x, rc, out = np.full(g.n, np.nan), np.full(len(ec), np.nan), np.full(g.n, np.nan)
+    xp = x0.copy()
+    kernels.restrict(g, q, winv, b, x, lab, rc)
+    kernels.prolong(g, q, winv, b, xp, lab, ec, out)
+    return x, rc, xp, out
+
+
+def check_multigrid_passes(g, q, winv, b, x0, lab, ec):
+    """The twins' passes are the stated formulas, with the Laplacian in its
+    bincount form and the restriction a bincount in index order, and the
+    compiled passes, where the library builds, have the same bits."""
+    results = [multigrid_passes(_native.TWINS, g, q, winv, b, x0, lab, ec)]
+    x, rc, xp, out = results[0]
+    assert same_bits(x, winv * b)
+    assert same_bits(rc, np.bincount(lab, weights=b - (q * x + bincount_laplacian(g, x)),
+                                     minlength=len(ec)))
+    assert same_bits(xp, x0 + ec[lab])
+    assert same_bits(out, xp + winv * (b - (q * xp + bincount_laplacian(g, xp))))
+    if _native.compiled() is not None:
+        results.append(multigrid_passes(_native.compiled(), g, q, winv, b, x0, lab, ec))
+        for got, want in zip(*results):
+            assert same_bits(got, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors(), st.data())
+def test_multigrid_passes_match_their_numpy_twins_bitwise(case, data):
+    # n from 2 to 9 covers every n % 4 tail
+    g, b = case
+    positive = st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array)
+    q, winv, x0 = data.draw(positive), data.draw(positive), data.draw(vectors(g.n))
+    nc = data.draw(st.integers(1, g.n))
+    lab = np.array(data.draw(st.lists(st.integers(0, nc - 1), min_size=g.n, max_size=g.n)),
+                   dtype=np.int64)
+    check_multigrid_passes(g, q, winv, b, x0, lab, data.draw(vectors(nc)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: star_graph(40),  # the hub's later arcs go through np.add.at
+    lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
+    lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
+                                   weighted=True),
+    lambda: path_graph(7),
+    lambda: Graph.from_edges(1, []),
+])
+def test_multigrid_passes_on_uneven_degrees(make):
+    g = make()
+    rng = np.random.default_rng(g.n)
+    nc = max(1, g.n // 5)
+    b, x0 = rng.standard_normal((2, g.n)) * 10.0 ** rng.integers(-8, 9, (2, g.n))
+    check_multigrid_passes(g, rng.uniform(1e-3, 2.0, g.n), rng.uniform(0.01, 1.0, g.n), b, x0,
+                           rng.integers(0, nc, g.n), rng.standard_normal(nc))
+
+
+def cholesky_loop(a):
+    """The compiled factor as a plain loop over Python floats: column k is
+    divided by the square root of its pivot, then l_i l_k' is taken off
+    each a_ik' below the diagonal."""
+    n, a = len(a), a.tolist()
+    for k in range(n):
+        a[k][k] = math.sqrt(a[k][k])
+        for i in range(k + 1, n):
+            a[i][k] /= a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                a[i][j] -= a[i][k] * a[j][k]
+        for j in range(k + 1, n):
+            a[k][j] = 0.0
+    return np.array(a)
+
+
+def solve_loop(l, b):
+    """The compiled forward and back substitution, by columns, as a loop."""
+    n, l, b = len(b), l.tolist(), b.tolist()
+    for k in range(n):
+        b[k] /= l[k][k]
+        for i in range(k + 1, n):
+            b[i] -= l[i][k] * b[k]
+    for k in reversed(range(n)):
+        b[k] /= l[k][k]
+        for i in range(k):
+            b[i] -= l[k][i] * b[k]
+    return np.array(b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors(), st.data())
+def test_dense_cholesky_and_solve_match_their_numpy_twins_bitwise(case, data):
+    # the coarsest level's Q + L: symmetric, positive definite, and
+    # diagonally dominant, with weights over 60 binades
+    g, v = case
+    q = data.draw(st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array))
+    a = dense_system(SmoothingProblem(g, np.zeros(g.n), q))
+    want = cholesky_loop(a)
+    assert same_bits(want, np.tril(want))
+    np.testing.assert_allclose(want @ want.T, a, rtol=1e-12, atol=1e-12 * np.abs(a).max())
+    x = solve_loop(want, v)
+    assert np.linalg.norm(a @ x - v) <= 1e-12 * (np.abs(a).max() * np.linalg.norm(x)
+                                                 + np.linalg.norm(v))
+    for kernels in (_native.TWINS, _native.compiled()):
+        if kernels is not None:
+            factor, solved = a.copy(), v.copy()
+            kernels.cholesky(factor)
+            kernels.solve(factor, solved)
+            assert same_bits(factor, want) and same_bits(solved, x)
+
+
+def plain_cg(problem, monkeypatch):
+    """solve_exact_cg with the multigrid switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_MULTIGRID_BOUND", math.inf)
+        return solve_exact_cg(problem)
+
+
+def relative_residual(problem, x):
+    b = problem.q * problem.y
+    return np.linalg.norm(b - (problem.q * x + bincount_laplacian(problem.graph, x))) / \
+        np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("make,q", [
+    (lambda: gen_graph("grid", rows=60, cols=60), 0.001),
+    (lambda: gen_graph("barabasi_albert", n=3000, k=3, seed=4), 0.001),
+    (lambda: gen_graph("grid", rows=45, cols=41), "varying"),
+], ids=["grid", "barabasi-albert", "varying-q"])
+def test_a_preconditioned_solve_agrees_with_plain_cg(make, q, monkeypatch):
+    g = make()
+    rng = np.random.default_rng(g.n)
+    if q == "varying":
+        q = rng.uniform(1e-4, 1e-2, g.n)
+    problem = SmoothingProblem(g, rng.standard_normal(g.n), q)
+    x, iterations = solve_exact_cg(problem)
+    assert problem.multigrid and problem.multigrid.sizes[0] == g.n
+    assert problem.multigrid.sizes[-1] <= linalg._COARSEST
+    x_plain, plain_iterations = plain_cg(SmoothingProblem(g, problem.y, q), monkeypatch)
+    assert linalg._PLAIN_ITERATIONS < iterations < plain_iterations
+    r, r_plain = relative_residual(problem, x), relative_residual(problem, x_plain)
+    assert r <= 1e-10 * (1 + 1e-9) and r_plain <= 1e-10 * (1 + 1e-9)
+    # both residuals are at most 1e-10 ||Qy||, and (Q + L)^{-1} has norm at
+    # most 1 / q_min, so the two solutions differ by at most that much
+    bnorm = np.linalg.norm(problem.q * problem.y)
+    assert np.linalg.norm(x - x_plain) <= (r + r_plain) * bnorm / problem.q.min()
+    assert np.linalg.norm(x - x_plain) <= 1e-6 * np.linalg.norm(x_plain)
+
+
+def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
+    g = gen_graph("grid", rows=30, cols=40)
+    q = np.random.default_rng(3).uniform(1e-3, 1e-1, g.n)
+    mg = linalg._Multigrid.build(SmoothingProblem(g, np.zeros(g.n), q))
+    assert mg.sizes[0] == g.n and mg.sizes[-1] <= linalg._COARSEST < mg.sizes[-2]
+    coarse = [lvl.problem for lvl in mg.levels[1:]]
+    for lvl, nxt in zip(mg.levels, coarse):
+        fine = dense_system(lvl.problem)
+        P = np.zeros((lvl.problem.graph.n, nxt.graph.n))
+        P[np.arange(lvl.problem.graph.n), lvl.lab] = 1.0
+        np.testing.assert_allclose(P.T @ fine @ P, dense_system(nxt), rtol=1e-12, atol=1e-12)
+    # the coarsest factor is that of the last Galerkin product
+    last = mg.levels[-1]
+    P = np.zeros((last.problem.graph.n, mg.sizes[-1]))
+    P[np.arange(last.problem.graph.n), last.lab] = 1.0
+    galerkin = P.T @ dense_system(last.problem) @ P
+    np.testing.assert_allclose(mg.factor @ mg.factor.T, galerkin, rtol=1e-10,
+                               atol=1e-12 * np.abs(galerkin).max())
+
+
+def test_the_v_cycle_is_symmetric_and_positive_definite():
+    g = gen_graph("grid", rows=40, cols=40)
+    mg = linalg._Multigrid.build(SmoothingProblem(g, np.zeros(g.n), 0.001))
+    rng = np.random.default_rng(9)
+    u, v, mu, mv = rng.standard_normal(g.n), rng.standard_normal(g.n), np.empty(g.n), np.empty(g.n)
+    mg.cycle(u, mu)
+    mg.cycle(v, mv)
+    assert abs(mu @ v - u @ mv) <= 1e-12 * np.linalg.norm(mu) * np.linalg.norm(v)
+    assert mu @ u > 0 and mv @ v > 0
+
+
+# x's sha256 and the iteration count, the same as before CG had a
+# preconditioner: the bound 1 + 2 d_max / q_min is 801 on the grid, at or
+# below _MULTIGRID_BOUND, and the expander converges in 30 iterations
+@pytest.mark.parametrize("gen,params,q,digest,iterations", [
+    ("grid", dict(rows=30, cols=30), 0.01,
+     "d011828c2cb6f5f6b1bdfd053c18d991964490068d00a73269672cc3d2803973", 138),
+    ("regular", dict(n=2000, d=10), 0.001,
+     "52055d645a3c0b8037114e21998d009220c75d65fbadebd3bbd4bb68baa34cb1", 30),
+], ids=["small-bound", "converges-first"])
+def test_the_plain_path_keeps_its_bits(gen, params, q, digest, iterations, monkeypatch):
+    def no_build(problem):
+        raise AssertionError("the multigrid was built")
+
+    monkeypatch.setattr(linalg._Multigrid, "build", no_build)
+    g = gen_graph(gen, seed=5, **params)
+    problem = SmoothingProblem(g, synthetic_signal(g, "gaussian", seed=5), q)
+    x, its = solve_exact_cg(problem)
+    assert (hashlib.sha256(x.tobytes()).hexdigest(), its) == (digest, iterations)
+    assert problem.multigrid is None
+
+
+def test_a_forest_keeping_most_vertices_leaves_cg_plain(monkeypatch):
+    # one edge of weight 1e6 on a 400-vertex path: the forest's rate, 0.1
+    # times the mean degree (about 500), makes most vertices roots
+    g = path_graph(400, weights=[1.0] * 199 + [1e6] + [1.0] * 199)
+    y = np.random.default_rng(1).standard_normal(g.n)
+    problem = SmoothingProblem(g, y, 0.01)
+    x, iterations = solve_exact_cg(problem)
+    assert problem.multigrid is False and iterations > linalg._PLAIN_ITERATIONS
+    x_plain, plain_iterations = plain_cg(SmoothingProblem(g, y, 0.01), monkeypatch)
+    assert same_bits(x, x_plain) and iterations == plain_iterations
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
