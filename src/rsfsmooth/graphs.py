@@ -116,10 +116,15 @@ class Graph:
             order = np.argsort(-deg, kind="stable")
             starts = self.indptr[order]
             # rows longer than k come first in `order`; add the running sum
-            # at offset k - 1 onto offset k in each of them, k = 1, 2, ...
+            # at offset k - 1 onto offset k in each of them, k = 1, 2, ...,
+            # while they are at least an eighth of the rows, as
+            # _native._arc_slots cuts its slots
             longer = self.n - np.searchsorted(np.sort(deg), np.arange(1, deg.max()), "right")
             cum = self.weights.copy()
             for k, count in enumerate(longer.tolist(), start=1):
+                if 8 * count < self.n:
+                    _running_sums(cum, starts[:count] + k - 1, deg[order[:count]] - k + 1)
+                    break
                 arcs = starts[:count] + k
                 cum[arcs] += cum[arcs - 1]
             cum.flags.writeable = False
@@ -135,6 +140,24 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
+
+
+def _running_sums(cum, first, length):
+    """Extend cum's running sums along the arc runs first[i], ...,
+    first[i] + length[i] - 1 (in decreasing length), each from its first
+    entry, with one sequential cumsum along the rows of a zero-padded block
+    per run length within a factor of two: a bounded number of numpy calls
+    however long the longest run, in at most twice the runs' arcs."""
+    exponent = np.frexp(length.astype(np.float64))[1]  # 2^(e-1) <= length < 2^e
+    _, starts, counts = np.unique(-exponent, return_index=True, return_counts=True)
+    for lo, hi in zip(starts, starts + counts):
+        width = np.arange(1 << int(exponent[lo]))
+        arcs = first[lo:hi, None] + width
+        inside = width < length[lo:hi, None]
+        arcs = arcs[inside]
+        block = np.zeros(inside.shape)
+        block[inside] = cum[arcs]
+        cum[arcs] = np.cumsum(block, axis=1)[inside]
 
 
 def _component_count(n, u, v):

@@ -83,7 +83,7 @@ class SmoothingProblem:
             raise NumericalError(f"q times the signal's range overflows "
                                  f"(max q {float(self.q.max()):g}, range {spread:g})")
         self.laplacian = LaplacianOperator(graph)
-        # CG's preconditioner once a solve has built it, False where it cannot be
+        # CG's preconditioner once a solve has taken it, False where it cannot be built
         self.multigrid = None
 
 
@@ -93,24 +93,29 @@ def apply_K_inverse(problem, v):
     return v + problem.laplacian.apply(v) / problem.q
 
 
-# When CG builds its multigrid preconditioner. CG needs about sqrt(kappa)
+# When CG takes its multigrid preconditioner. CG needs about sqrt(kappa)
 # iterations, and kappa <= 1 + 2 d_max / q_min. Measured on a 2-core Xeon,
-# best of three solves, plain against preconditioned: on 100x100 and
-# 300x300 grids the two break even near a bound of 800 (39 against 45 ms,
-# 342 against 328 ms); the preconditioned solve wins by 7 and 14 % at 1600
-# and by 40 and 38 % at 8000 (912 iterations and 0.92 s against 195 and
-# 0.57 s). On a 20,000-vertex Barabasi-Albert graph, where the set-up
-# takes 40 ms, it loses by 10 to 40 ms at bounds 200 to 8000 and breaks
-# even at q = 0.001 (206 iterations in 110 ms against 80 in 105 ms). So
-# the hierarchy is built only above a bound of 2000, and only once
-# _PLAIN_ITERATIONS plain iterations have not converged: expanders
-# converge first, as a 20,000-vertex 10-regular graph at q = 0.001 does
-# in 31 iterations and 15 ms (preconditioned from the start: 14
-# iterations and 91 ms, 54 ms of it the set-up).
+# best of seven solves, plain against preconditioned from iteration 16:
+# on 100x100 and 300x300 grids plain wins near a bound of 800 (31 against
+# 38 ms, 262 against 288 ms); at 1600 the small grid still loses by 13 %
+# and the large one wins by 22 %; at 8000 they win by 4 and 53 % (919
+# iterations and 0.78 s against 89 and 0.36 s on the large one). On a
+# 20,000-vertex Barabasi-Albert graph, where the set-up takes about
+# 20 ms, it ties at a bound of 1087 (122 against 28 iterations, 46 ms)
+# and wins by 8 to 31 % from 2173 up (at q = 0.001, 204 iterations in
+# 82 ms against 32 in 57 ms). So the hierarchy is built only above a
+# bound of 2000. Plain CG's relative residual after _PLAIN_ITERATIONS / 4
+# iterations tells the rest apart: 0.1 to 0.2 on these grids and graphs,
+# above tol^(1/4) = 3.2e-3 at the default tol, and 4.6e-4 on a
+# 20,000-vertex 10-regular graph at q = 0.001, an expander, which then
+# converges plain in 30 iterations and 13 ms. Above that residual CG
+# takes the hierarchy at once; below it, only where _PLAIN_ITERATIONS
+# have not converged.
 _MULTIGRID_BOUND = 2000.0
 _PLAIN_ITERATIONS = 64
 _COARSEST = 300   # a level this small is solved by its dense Cholesky factor
 _COARSE_RATE = 0.1  # the forest that aggregates a level is drawn at q_c = 0.1 mean degree
+_KRYLOV_CUT = 4.0  # the K-cycle's second step is taken unless its first cuts the residual 4x
 _OMEGA = 2.0 / 3.0  # the Jacobi smoothers' weight
 
 
@@ -128,7 +133,7 @@ class _Level(NamedTuple):
 
 
 class _Multigrid:
-    """A V-cycle preconditioner for Q + L from forest aggregates (Avena,
+    """A K-cycle preconditioner for Q + L from forest aggregates (Avena,
     Castell, Gaudilliere and Melot, arXiv 1707.04616; as aggregation AMG,
     Vanek, Mandel and Brezina 1996).
 
@@ -137,14 +142,22 @@ class _Multigrid:
     with P the aggregates' indicator matrix the next level's Pt (Q + L) P
     is again Q_c + L_c: q summed over each tree, and the weights between
     two trees summed onto one edge. Levels are added until one has at most
-    _COARSEST vertices, which is factored densely. A cycle pre-smooths by
+    _COARSEST vertices, which is factored densely. A V-cycle pre-smooths by
     one Jacobi sweep from zero, corrects from the next level, and
-    post-smooths by one more, so it is symmetric, as CG needs.
+    post-smooths by one more, so it is symmetric. Unsmoothed aggregates
+    make V-cycles weaker as levels are added, so a cycle on three or more
+    levels corrects the finest from a K-cycle on the second (Notay and
+    Vassilevski, NLAA 15, 2008): at most two flexible-CG steps, each
+    preconditioned by a V-cycle from there down. That cycle is not a
+    fixed linear map, which is why CG takes its flexible form with it.
     """
 
     def __init__(self, levels, factor):
         self.levels, self.factor = levels, factor
         self.sizes = [lvl.problem.graph.n for lvl in levels] + [len(factor)]
+        # the K-cycle's directions c1, c2, their products A c1 and the
+        # residual left by its first step, on the second level
+        self.krylov = [np.empty(self.sizes[1]) for _ in range(4)] if len(levels) > 1 else None
 
     @classmethod
     def build(cls, problem):
@@ -172,22 +185,63 @@ class _Multigrid:
         return cls(levels, factor)
 
     def cycle(self, r, z):
-        """z = M^{-1} r: one V-cycle on the residual r."""
-        k = _native.kernels()
+        """z = M^{-1} r: a V-cycle on the residual r, with the K-cycle as
+        the second level's correction where there is a third."""
+        if self.krylov is None:
+            self.v_cycle(0, r, z)
+            return
+        k, top = _native.kernels(), self.levels[0]
+        g, q = top.problem.graph, top.problem.q
+        k.restrict(g, q, top.winv, r, top.x, top.lab, top.rc)
+        self.k_cycle(top.rc, self.levels[1].e)
+        k.prolong(g, q, top.winv, r, top.x, top.lab, self.levels[1].e, z)
+
+    def v_cycle(self, start, r, z):
+        """z = one V-cycle on the residual r of level `start`: the dense
+        solve alone where that level is the coarsest."""
+        k, levels = _native.kernels(), self.levels[start:]
         b = r
-        for lvl in self.levels:
+        for lvl in levels:
             k.restrict(lvl.problem.graph, lvl.problem.q, lvl.winv, b, lvl.x, lvl.lab, lvl.rc)
             b = lvl.rc
         if b is r:  # no level above the coarsest: the dense solve alone
             b = z
             b[:] = r
         k.solve(self.factor, b)  # the coarsest residual becomes its correction
-        for i in reversed(range(len(self.levels))):
-            lvl = self.levels[i]
-            rhs = self.levels[i - 1].rc if i else r
+        for i in reversed(range(len(levels))):
+            lvl = levels[i]
+            rhs = levels[i - 1].rc if i else r
             out = lvl.e if i else z
             k.prolong(lvl.problem.graph, lvl.problem.q, lvl.winv, rhs, lvl.x, lvl.lab, b, out)
             b = out
+
+    def k_cycle(self, r, e):
+        """e ~ A^{-1} r on the second level, A = Q_c + L_c: flexible CG
+        from zero, each step preconditioned by a V-cycle from there down,
+        that stops after one step where it cuts the residual _KRYLOV_CUT
+        times, else after two. e is A's projection of A^{-1} r onto the two
+        directions: r - A e is orthogonal to both."""
+        k, (c1, c2, v1, rt) = _native.kernels(), self.krylov
+        g, q = self.levels[1].problem.graph, self.levels[1].problem.q
+        rr = k.dot(r, r)
+        if rr == 0.0:  # c1 would be zero, and so would rho1
+            e[:] = 0.0
+            return
+        self.v_cycle(1, r, c1)
+        rho1 = k.product(g, q, c1, v1)
+        a1 = k.dot(c1, r) / rho1
+        np.copyto(rt, r)
+        if k.residual(rt, v1, a1) * _KRYLOV_CUT**2 > rr:
+            self.v_cycle(1, rt, c2)
+            gamma, a2 = k.dot(c2, v1), k.dot(c2, rt)
+            rho2 = k.product(g, q, c2, rt) - gamma * gamma / rho1  # rt = A c2 from here
+            if rho2 > 0.0:  # else c2 adds nothing to c1 that rounding leaves
+                a2 /= rho2
+                np.multiply(c1, a1 - gamma / rho1 * a2, out=e)
+                c2 *= a2
+                e += c2
+                return
+        np.multiply(c1, a1, out=e)
 
 
 def _quotient(problem, lab, nc):
@@ -205,21 +259,35 @@ def _quotient(problem, lab, nc):
     return SmoothingProblem(coarse, np.zeros(nc), q)
 
 
+def _hierarchy(problem):
+    """The multigrid of problem's graph and q, or False where it cannot be
+    built. It depends on nothing else, since its forests are drawn on a
+    fixed stream, so it is built once and kept on the graph, keyed by q's
+    bytes: the k classes and repeats of an `ssl` run share one."""
+    cache = vars(problem.graph).setdefault("_multigrids", {})
+    key = problem.q.tobytes()
+    if key not in cache:
+        cache[key] = _Multigrid.build(problem) or False
+    return cache[key]
+
+
 def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     """Solve (Q + L) x = Q y by conjugate gradient, preconditioned by a
-    forest-aggregation multigrid V-cycle on hard problems.
+    forest-aggregation multigrid K-cycle on hard problems.
 
     Returns (x, iterations). The iteration stops once the residual
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
     if ||Qy|| is not finite, or if that is not reached within max_iter
     (default 10n) iterations, plain and preconditioned together. CG runs
-    plain; where 1 + 2 d_max / q_min exceeds _MULTIGRID_BOUND and
-    _PLAIN_ITERATIONS iterations have not converged, it builds the
-    hierarchy (`problem.multigrid`) and goes on preconditioned from the
-    current iterate. Each plain iteration makes three passes over the
-    vectors (`_native.Kernels`), a preconditioned one also a V-cycle, and
-    every norm and dot product is summed in fixed lanes, so x has the same
-    bits on every CPU.
+    plain; where 1 + 2 d_max / q_min exceeds _MULTIGRID_BOUND, it takes
+    the hierarchy (`problem.multigrid`) after _PLAIN_ITERATIONS / 4
+    iterations if the relative residual is then above tol^(1/4), else
+    after _PLAIN_ITERATIONS if it has not converged, and goes on
+    preconditioned from the current iterate, with beta in its flexible
+    form -z . Ap / p . Ap (Notay, SISC 22, 2000). Each plain iteration
+    makes three passes over the vectors (`_native.Kernels`), a
+    preconditioned one also a cycle, and every norm and dot product is
+    summed in fixed lanes, so x has the same bits on every CPU.
     """
     if not 0 < tol < np.inf:
         raise DataError(f"tol must be positive and finite, got {tol!r}")
@@ -233,6 +301,9 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     if bnorm == 0.0:
         return np.zeros(g.n), 0
     hard = 1.0 + 2.0 * g.d_max / float(q.min()) > _MULTIGRID_BOUND
+    # plain CG above this residual after a quarter of _PLAIN_ITERATIONS is
+    # on course to miss tol after all of them
+    stalled = tol ** 0.25 * bnorm
 
     def true_residual():
         """b - (Q + L) x and its norm."""
@@ -275,15 +346,18 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
                 f"CG did not converge in {max_iter} iterations "
                 f"(relative residual {true_residual()[1] / bnorm:.3e})"
             )
-        if hard and iterations == _PLAIN_ITERATIONS:
-            if problem.multigrid is None:
-                problem.multigrid = _Multigrid.build(problem) or False
+        if hard and mg is None and (
+                iterations == _PLAIN_ITERATIONS
+                or iterations == _PLAIN_ITERATIONS // 4 and math.sqrt(rs) > stalled):
+            problem.multigrid = _hierarchy(problem)
             if problem.multigrid:
                 mg = problem.multigrid
                 p, rz = restart()
-        alpha = rz / k.product(g, q, p, ap)
+        pap = k.product(g, q, p, ap)
+        alpha = rz / pap
         rs = k.residual(r, ap, alpha)
         zr, rz_new = precondition()
-        k.direction(x, p, zr, alpha, rz_new / rz)
+        beta = rz_new / rz if mg is None else -k.dot(zr, ap) / pap
+        k.direction(x, p, zr, alpha, beta)
         rz = rz_new
         iterations += 1

@@ -101,4 +101,5 @@ def test_cg_and_sampled_outputs_have_one_hash_under_every_blas_kernel(tmp_path):
     for i in range(len(runs)):
         levels = [json.loads((tmp_path / f"run{i}" / f"{name}.json").read_text())
                   ["diagnostics"].get("levels") for name in ("exact", "exact-multigrid")]
-        assert levels[0] is None and levels[1][0] == 3600, levels
+        # three levels or more: the second is corrected by the K-cycle
+        assert levels[0] is None and levels[1][0] == 3600 and len(levels[1]) >= 3, levels

@@ -102,12 +102,21 @@ def test_bad_q_rejected(p3, q):
         sample_forest(p3, q, forest_rng(0, 0))
 
 
+def weighted_hubs():
+    """Hubs of many degrees, past the per-offset passes' cutoff, with
+    weights whose running sums round."""
+    g = gen_graph("barabasi_albert", n=2000, k=2, seed=3)
+    w = np.random.default_rng(5).uniform(0.1, 10.0, g.m)
+    return Graph.from_edges(g.n, [(u, v, x) for (u, v, _), x in zip(g.edges(), w)])
+
+
 @pytest.mark.parametrize("make", [
     lambda: path_graph(5, weights=[0.1, 0.7, 3.3, 1e-9]),
     lambda: star_graph(40),
     lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
                                    weighted=True),
     lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
+    weighted_hubs,
     lambda: Graph.from_edges(1, []),
 ])
 def test_walk_tables_are_rowwise_cumsums(make):

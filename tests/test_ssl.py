@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rsfsmooth import (AlphaStrategy, DataError, SSLProblem, SmoothingProblem,
-                       accuracy_experiment, forest_rng, gradient_step, load_labels,
-                       run_monte_carlo, safe_alpha, sample_forest, ssl_exact, ssl_forest,
-                       xbar_from_forest)
+                       accuracy_experiment, forest_rng, gen_graph, gradient_step, linalg,
+                       load_labels, run_monte_carlo, safe_alpha, sample_forest, ssl_exact,
+                       ssl_forest, xbar_from_forest)
 from rsfsmooth.oracle import contraction_check
 
 from conftest import adjacency, random_connected_graph, two_clique_graph
@@ -237,6 +237,26 @@ class TestAccuracyExperiment:
         with pytest.raises(DataError, match="no held-out vertex"):
             accuracy_experiment(p, 20, repeats=2, n_samples=5, seed=0)
         assert len(accuracy_experiment(p, 19, repeats=1, n_samples=2, seed=0)) == 4
+
+    def test_one_hierarchy_per_graph_and_q(self, monkeypatch):
+        # at mu = 0.001 the bound 1 + 4 d_max / (mu d_min) is 8001, so every
+        # exact solve reaches CG's multigrid: 3 repeats x 3 classes share one
+        builds = []
+        build = linalg._Multigrid.build.__func__
+
+        def counted(cls, problem):
+            builds.append(problem.graph)
+            return build(cls, problem)
+
+        monkeypatch.setattr(linalg._Multigrid, "build", classmethod(counted))
+        g = gen_graph("grid", rows=30, cols=30)
+        labels = np.arange(g.n) % 30 // 10  # three bands of columns
+        p = SSLProblem(graph=g, labels=labels, mu=0.001, sigma=0.0)
+        accuracy_experiment(p, 1, repeats=3, n_samples=2, seed=0)
+        assert builds == [g]
+        accuracy_experiment(SSLProblem(graph=g, labels=labels, mu=0.002, sigma=0.0), 1,
+                            repeats=1, n_samples=2, seed=0)
+        assert builds == [g, g]
 
 
 class TestLoaders:
