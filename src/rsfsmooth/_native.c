@@ -22,9 +22,9 @@
  *
  * The multigrid preconditioner of CG (linalg._Multigrid): with A = Q + L,
  * D its diagonal, winv = omega / D and lab the aggregate of each vertex,
- * mg_restrict makes x = winv b, then rc[lab[i]] += b_i - (A x)_i in index
- * order into rc zeroed first; mg_prolong makes x += ec[lab], then
- * out = x + winv (b - A x). cholesky overwrites a dense symmetric positive
+ * mg_restrict stores x = winv b, then adds b_i - (A x)_i into rc[lab[i]] in
+ * index order, rc zeroed first; mg_prolong makes x += ec[lab], then
+ * out = x + winv (b - A x). Every pass takes (L x)_i from laplacian_row. cholesky overwrites a dense symmetric positive
  * definite matrix by its lower factor, zeros above the diagonal, column by
  * column; cholesky_solve overwrites b by (L L^T)^{-1} b by column-wise
  * forward and back substitution. No BLAS or LAPACK routine is called, so
@@ -143,15 +143,12 @@ void mg_restrict(int64_t n, const int64_t *indptr, const int64_t *indices,
                  const double *weights, const double *q, const double *winv,
                  const double *b, double *x, const int64_t *lab, int64_t nc, double *rc)
 {
+    for (int64_t i = 0; i < n; i++)
+        x[i] = winv[i] * b[i];
     for (int64_t c = 0; c < nc; c++)
         rc[c] = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        double xi = winv[i] * b[i], s = 0.0; /* x_j = winv_j b_j is formed where read */
-        for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
-            s += weights[a] * (xi - winv[indices[a]] * b[indices[a]]);
-        x[i] = xi;
-        rc[lab[i]] += b[i] - (q[i] * xi + s);
-    }
+    for (int64_t i = 0; i < n; i++)
+        rc[lab[i]] += b[i] - (q[i] * x[i] + laplacian_row(indptr, indices, weights, x, i));
 }
 
 void mg_prolong(int64_t n, const int64_t *indptr, const int64_t *indices,

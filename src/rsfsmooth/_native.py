@@ -94,7 +94,7 @@ def compiled():
 
     def wilson(g, q, key, position, max_steps, out):
         root_of = address(out)
-        return walk(g)(address(q), key, position, max_steps, root_of, root_of + 8 * g.n)
+        return walk(g)(address(q), key, position, max_steps, root_of, root_of + out.strides[0])
 
     def laplacian(g, v):
         out = np.empty(g.n)
@@ -236,23 +236,14 @@ _SLOTS = weakref.WeakKeyDictionary()  # graph -> its arcs laid out for _laplacia
 def _arc_slots(g):
     """(perm, slots, rest) for `_laplacian_slots`: perm orders the rows by
     decreasing degree; slot t is (count, neighbours, weights) of the t-th
-    arc of the first count rows of perm, the rows that have one. Slots go
-    on while they reach an eighth of the rows; rest holds the later arcs,
-    in arc order, as (position in perm, row, neighbour, weight) arrays.
-    Without that cutoff every arc of a hub costs a slot of three numpy
-    calls: on Barabasi-Albert graphs the apply was 1.5x (n = 20000) and
-    3.6x (n = 1500) slower than the bincount form, and 0.65x and 0.88x of
-    it with the cutoff."""
+    arc of the first count rows of perm, for each offset t that
+    `Graph._arc_offsets` takes one by one; rest holds the later arcs, in
+    arc order, as (position in perm, row, neighbour, weight) arrays."""
     if g not in _SLOTS:
-        deg = np.diff(g.indptr)
-        perm = np.argsort(-deg, kind="stable")
-        counts = g.n - np.searchsorted(np.sort(deg), np.arange(deg.max()), "right")
-        starts, slots = g.indptr[perm], []
-        for t, count in enumerate(counts.tolist()):
-            if 8 * count < g.n:
-                break
-            arcs = starts[:count] + t
-            slots.append((count, g.indices[arcs], g.weights[arcs]))
+        perm, counts = g._arc_offsets
+        starts = g.indptr[perm]
+        arcs = [starts[:count] + t for t, count in enumerate(counts)]
+        slots = [(len(a), g.indices[a], g.weights[a]) for a in arcs]
         rows = g._arc_rows
         later = np.flatnonzero(np.arange(2 * g.m) - g.indptr[rows] >= len(slots))
         position = np.empty(g.n, dtype=np.int64)

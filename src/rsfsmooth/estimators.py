@@ -159,13 +159,14 @@ def safe_alpha(problem):
 
     The eigenvalues of K^{-1} = I + Q^{-1} L are bounded by
     1 + max_i 2 d_i / q_i, so this step keeps every |1 - alpha mu| <= 1.
-    For uniform q the bound is the familiar 2q / (q + 2 d_max).
+    Where every q_i is one value q, however q was given, it is evaluated
+    as the familiar 2q / (q + 2 d_max), which can differ in the last bit.
     """
-    g = problem.graph
-    if problem.q_uniform:
-        q = float(problem.q[0])
-        return 2.0 * q / (q + 2.0 * g.d_max)
-    return 2.0 / (1.0 + float(np.max(2.0 * g.degrees / problem.q)))
+    g, q = problem.graph, problem.q
+    if np.minimum.reduce(q) < np.maximum.reduce(q):
+        return 2.0 / (1.0 + float(np.max(2.0 * g.degrees / q)))
+    q = float(q[0])
+    return 2.0 * q / (q + 2.0 * g.d_max)
 
 
 def resolve_alpha(strategy, problem, acc=None):

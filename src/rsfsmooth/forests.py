@@ -64,6 +64,19 @@ class RootedForest:
     rng_draws: int = 0
 
 
+def _absorption_weights(q, n):
+    """q, a scalar or one per vertex, as a fresh (n,) float64 array;
+    raises `DataError` unless every weight is finite and > 0."""
+    q = np.array(q, dtype=np.float64)  # a private, writable copy
+    if q.ndim == 0:
+        q = np.full(n, q)
+    # NaN fails the comparisons too
+    if not (q.shape == (n,) and np.minimum.reduce(q) > 0 and np.maximum.reduce(q) < math.inf):
+        raise DataError(f"absorption weights q must be finite and strictly positive, "
+                        f"a scalar or one per vertex (n={n})")
+    return q
+
+
 def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     """Draw a rooted spanning forest by absorbed loop-erased random walks.
 
@@ -84,18 +97,8 @@ def sample_forest(g, q, rng, max_steps=DEFAULT_STEP_BUDGET):
     max_steps : int
         Guard against the (almost surely finite) walk running away.
     """
-    n = g.n
-    q = np.array(q, dtype=np.float64)  # a private, writable copy
-    if q.ndim == 0:
-        valid = 0 < float(q) < math.inf
-        q = np.full(n, q)
-    else:  # NaN fails the comparisons too
-        valid = (q.shape == (n,) and np.minimum.reduce(q) > 0
-                 and np.maximum.reduce(q) < math.inf)
-    if not valid:
-        raise DataError("absorption weights q must be finite and strictly positive, "
-                        "a scalar or one per vertex")
-    out = np.empty((2, n), dtype=np.int64)  # root_of, parent_of
+    q = _absorption_weights(q, g.n)
+    out = np.empty((2, g.n), dtype=np.int64)  # root_of, parent_of
     out.fill(-1)
     steps = _native.kernels().wilson(g, q, rng.key, rng.position,
                                      min(int(max_steps), 2**63 - 1), out)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _native
 from .errors import DataError, NumericalError
-from .forests import CounterStream, sample_forest
+from .forests import CounterStream, _absorption_weights, sample_forest
 from .graphs import Graph
 
 DENSE_LIMIT = 2000
@@ -51,14 +51,6 @@ def _dot(a, b):
     return _native.kernels().dot(a, b)
 
 
-def _absorption_weights(q, n):
-    """q, a scalar or one per vertex, as a fresh (n,) array if finite and > 0."""
-    q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,)).copy()
-    if not ((q > 0) & (q < np.inf)).all():
-        raise DataError("absorption weights q must be finite and strictly positive")
-    return q
-
-
 class SmoothingProblem:
     """A graph, a signal y, and per-node positive absorption weights q_i.
 
@@ -74,7 +66,6 @@ class SmoothingProblem:
             raise DataError(f"signal length {self.y.shape} does not match n={graph.n}")
         if not np.isfinite(self.y).all():
             raise DataError("signal values must be finite")
-        self.q_uniform = np.isscalar(q) or np.ndim(q) == 0
         self.q = _absorption_weights(q, graph.n)
         # q (y_i - y_j) is the largest term the estimators form; Python
         # floats overflow to inf without a warning
@@ -120,11 +111,12 @@ _OMEGA = 2.0 / 3.0  # the Jacobi smoothers' weight
 
 
 class _Level(NamedTuple):
-    """A level above the coarsest: its problem, omega / diag(Q + L), the
+    """A level above the coarsest: its graph and q, omega / diag(Q + L), the
     aggregate of each vertex on the next level, and the buffers of its
     smoothed iterate x, its restricted residual rc and its correction e."""
 
-    problem: SmoothingProblem
+    graph: Graph
+    q: np.ndarray
     winv: np.ndarray
     lab: np.ndarray
     x: np.ndarray
@@ -137,12 +129,16 @@ class _Multigrid:
     Castell, Gaudilliere and Melot, arXiv 1707.04616; as aggregation AMG,
     Vanek, Mandel and Brezina 1996).
 
-    Each level is a SmoothingProblem. Its aggregates are the trees of one
+    Each level is a graph and its q. Its aggregates are the trees of one
     forest drawn at q_c = 0.1 times its mean degree on a fixed stream, and
     with P the aggregates' indicator matrix the next level's Pt (Q + L) P
     is again Q_c + L_c: q summed over each tree, and the weights between
     two trees summed onto one edge. Levels are added until one has at most
-    _COARSEST vertices, which is factored densely. A V-cycle pre-smooths by
+    _COARSEST vertices, which is factored densely. Where a forest below
+    the finest level keeps more than half of its level's vertices as roots
+    (and more than _COARSEST), as around the hubs of Barabasi-Albert
+    graphs, that level is aggregated into one vertex instead, whose
+    Galerkin matrix is the 1 x 1 [sum q]. A V-cycle pre-smooths by
     one Jacobi sweep from zero, corrects from the next level, and
     post-smooths by one more, so it is symmetric. Unsmoothed aggregates
     make V-cycles weaker as levels are added, so a cycle on three or more
@@ -154,33 +150,34 @@ class _Multigrid:
 
     def __init__(self, levels, factor):
         self.levels, self.factor = levels, factor
-        self.sizes = [lvl.problem.graph.n for lvl in levels] + [len(factor)]
+        self.sizes = [lvl.graph.n for lvl in levels] + [len(factor)]
         # the K-cycle's directions c1, c2, their products A c1 and the
         # residual left by its first step, on the second level
         self.krylov = [np.empty(self.sizes[1]) for _ in range(4)] if len(levels) > 1 else None
 
     @classmethod
-    def build(cls, problem):
-        """The hierarchy of problem, or None where a coarse level overflows,
-        or a forest keeps more than half of a level's vertices as roots and
-        more than _COARSEST."""
+    def build(cls, g, q):
+        """The hierarchy of Q + L on graph g, or None where a coarse level
+        overflows, or the finest level's forest keeps more than half of its
+        vertices as roots and more than _COARSEST."""
         k, levels = _native.kernels(), []
-        while problem.graph.n > _COARSEST:
-            g = problem.graph
+        while g.n > _COARSEST:
             # the mean degree summed in fixed lanes: the forest is the same on every CPU
             rate = _COARSE_RATE * k.dot(np.array(g.degrees), np.ones(g.n)) / g.n
             roots, lab = np.unique(sample_forest(g, rate, CounterStream(0)).root_of,
                                    return_inverse=True)
-            stalled = 2 * len(roots) > g.n and len(roots) > _COARSEST
-            coarse = None if stalled else _quotient(problem, lab, len(roots))
+            nc = len(roots)
+            if 2 * nc > g.n and nc > _COARSEST:  # the forest barely coarsens
+                if not levels:
+                    return None
+                lab, nc = np.zeros(g.n, dtype=np.int64), 1
+            coarse = _quotient(g, q, lab, nc)
             if coarse is None:
                 return None
-            levels.append(_Level(problem, _OMEGA / (problem.q + g.degrees), lab,
-                                 np.empty(g.n), np.empty(len(roots)), np.empty(g.n)))
-            problem = coarse
-        g = problem.graph
-        factor = np.diag(problem.q + g.degrees)
-        factor[g._arc_rows, g.indices] -= g.weights
+            levels.append(_Level(g, q, _OMEGA / (q + g.degrees), lab,
+                                 np.empty(g.n), np.empty(nc), np.empty(g.n)))
+            g, q = coarse
+        factor = LaplacianOperator(g).dense() + np.diag(q)
         k.cholesky(factor)
         return cls(levels, factor)
 
@@ -191,10 +188,9 @@ class _Multigrid:
             self.v_cycle(0, r, z)
             return
         k, top = _native.kernels(), self.levels[0]
-        g, q = top.problem.graph, top.problem.q
-        k.restrict(g, q, top.winv, r, top.x, top.lab, top.rc)
+        k.restrict(top.graph, top.q, top.winv, r, top.x, top.lab, top.rc)
         self.k_cycle(top.rc, self.levels[1].e)
-        k.prolong(g, q, top.winv, r, top.x, top.lab, self.levels[1].e, z)
+        k.prolong(top.graph, top.q, top.winv, r, top.x, top.lab, self.levels[1].e, z)
 
     def v_cycle(self, start, r, z):
         """z = one V-cycle on the residual r of level `start`: the dense
@@ -202,7 +198,7 @@ class _Multigrid:
         k, levels = _native.kernels(), self.levels[start:]
         b = r
         for lvl in levels:
-            k.restrict(lvl.problem.graph, lvl.problem.q, lvl.winv, b, lvl.x, lvl.lab, lvl.rc)
+            k.restrict(lvl.graph, lvl.q, lvl.winv, b, lvl.x, lvl.lab, lvl.rc)
             b = lvl.rc
         if b is r:  # no level above the coarsest: the dense solve alone
             b = z
@@ -212,7 +208,7 @@ class _Multigrid:
             lvl = levels[i]
             rhs = levels[i - 1].rc if i else r
             out = lvl.e if i else z
-            k.prolong(lvl.problem.graph, lvl.problem.q, lvl.winv, rhs, lvl.x, lvl.lab, b, out)
+            k.prolong(lvl.graph, lvl.q, lvl.winv, rhs, lvl.x, lvl.lab, b, out)
             b = out
 
     def k_cycle(self, r, e):
@@ -222,7 +218,7 @@ class _Multigrid:
         times, else after two. e is A's projection of A^{-1} r onto the two
         directions: r - A e is orthogonal to both."""
         k, (c1, c2, v1, rt) = _native.kernels(), self.krylov
-        g, q = self.levels[1].problem.graph, self.levels[1].problem.q
+        g, q = self.levels[1].graph, self.levels[1].q
         rr = k.dot(r, r)
         if rr == 0.0:  # c1 would be zero, and so would rho1
             e[:] = 0.0
@@ -244,19 +240,17 @@ class _Multigrid:
         np.multiply(c1, a1, out=e)
 
 
-def _quotient(problem, lab, nc):
-    """The problem on the nc aggregates `lab`, with Q_c + L_c = Pt (Q + L) P,
-    or None where its weights or q overflow."""
-    g = problem.graph
+def _quotient(g, q, lab, nc):
+    """(graph, q) on the nc aggregates `lab` of g, with Q_c + L_c =
+    Pt (Q + L) P, or None where its weights or q overflow."""
     rows, cols = lab[g._arc_rows], lab[g.indices]
     cross = rows < cols  # one arc of each edge between two aggregates
     keys, edge_of = np.unique(rows[cross] * nc + cols[cross], return_inverse=True)
     w = np.bincount(edge_of, weights=g.weights[cross], minlength=len(keys))
-    q = np.bincount(lab, weights=problem.q, minlength=nc)
-    if not (np.isfinite(w).all() and np.isfinite(q).all()):
+    qc = np.bincount(lab, weights=q, minlength=nc)
+    if not (np.isfinite(w).all() and np.isfinite(qc).all()):
         return None
-    coarse = Graph.from_edges(nc, np.column_stack([keys // nc, keys % nc, w]))
-    return SmoothingProblem(coarse, np.zeros(nc), q)
+    return Graph.from_edges(nc, np.column_stack([keys // nc, keys % nc, w])), qc
 
 
 def _hierarchy(problem):
@@ -267,7 +261,7 @@ def _hierarchy(problem):
     cache = vars(problem.graph).setdefault("_multigrids", {})
     key = problem.q.tobytes()
     if key not in cache:
-        cache[key] = _Multigrid.build(problem) or False
+        cache[key] = _Multigrid.build(problem.graph, problem.q) or False
     return cache[key]
 
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .forests import _tree_averages
-from .linalg import (LaplacianOperator, SmoothingProblem, _absorption_weights, _dot,
-                     apply_K_inverse)
+from .forests import _absorption_weights, _tree_averages
+from .linalg import LaplacianOperator, SmoothingProblem, _dot, apply_K_inverse
 
 ENUM_MAX_VERTICES = 9
 ENUM_MAX_EDGES = 24

@@ -1,0 +1,97 @@
+"""A pinned byte-identity corpus: each row is one CLI command on generated
+inputs, run in process at `--seed 5 --format json` with the kernel set
+`_native.kernels()` chooses, and the sha256 of the file it writes.
+
+A change that is meant to keep every output's bytes proves it with
+
+    PYTHONPATH=src python -m pytest -q tests/test_corpus.py
+
+run once as it is and once with a PATH that holds no `cc` (the numpy
+twins). `python tests/test_corpus.py` prints the current hashes, to
+re-pin a row that moves on purpose.
+"""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rsfsmooth.cli import run
+
+# LABELS stands for a file giving each vertex of the 30 x 30 grid the class
+# of its band of ten columns
+SSL = ("ssl --gen grid:rows=30,cols=30 --labels LABELS --n-samples 10 --repeats 2 "
+       "--labels-per-class 1,5")
+
+ROWS = {
+    "exact-grid30": (
+        "exact --gen grid:rows=30,cols=30 --signal gaussian --q 0.01",
+        "2c09176a99bfd78c605fa2191c5f87fbd75ef207ceae4ee7cac1c8c91115f48c"),
+    "exact-grid60": (
+        "exact --gen grid:rows=60,cols=60 --signal gaussian --q 0.01",
+        "85758effb0bcfdf28ba46b7bf670837d3e86e42d1c5e591928d966d593ee0643"),
+    # bound 8001: CG takes its multigrid, with a K-cycle on three levels
+    "exact-multigrid": (
+        "exact --gen grid:rows=60,cols=60 --signal gaussian --q 0.001",
+        "548b134c2b96dcf8a60560c2633e8007f2e29f4b087f84e39ad8578b33e0c075"),
+    # the exact-grid benchmark's command
+    "exact-grid300": (
+        "exact --gen grid:rows=300,cols=300 --signal gaussian --q 0.001",
+        "7cd8a50684b3cb001607e3730fccdb8275ab2ea78ae2bbaa6a8e665577a2e4d1"),
+    "exact-ba": (
+        "exact --gen barabasi_albert:n=3000,k=3 --signal gaussian --q 0.001",
+        "eff550a4c147fd71134559d703a7c651173454574f1046381e33cab162247587"),
+    "smooth-empirical": (
+        "smooth --gen regular:n=2000,d=10 --signal gaussian --q 0.5 --alpha empirical "
+        "--n-samples 20",
+        "6b6b200a291245044905f6bbbb8c8a7bfbb32c78f018353936ea07574f13e2ea"),
+    "sweep-grid20": (
+        "sweep-alpha --gen grid:rows=20,cols=20 --q 0.1 --alpha-grid lin:0,0.2,3 "
+        "--n-samples 4 --realizations 3",
+        "a3ea13e42f5d7bfd3eede86784daa2f81aa50655b4a90b5df5efc1a03d8bd8df"),
+    # the sweep-reg20k benchmark's command
+    "sweep-reg20k": (
+        "sweep-alpha --gen regular:n=20000,d=10 --signal gaussian --q 1.0 "
+        "--alpha-grid lin:0,0.12,13 --n-samples 10 --realizations 2",
+        "cf1f02ac5de9e7502050b1e23df04fb99fd491ff921ee303c80e197d4c8770a1"),
+    "denoise-grid30": (
+        "denoise --gen grid:rows=30,cols=30 --signal gaussian --noise-std 0.5 "
+        "--q-grid log:0.01,10,5 --n-samples 2",
+        "d8a239c1eed25cbcfce86cc28b566ff1c65a5da88440265d118a0d42495135cc"),
+    # bounds 80001, 8001 and 801: the multigrid at the two smaller q
+    "denoise-multigrid": (
+        "denoise --gen grid:rows=30,cols=30 --signal gaussian --noise-std 0.5 "
+        "--q-grid log:0.0001,0.01,3 --n-samples 2",
+        "ecfd9194feda49874a811eb8d627140e8247a2c2f558d2e7f1ed5036643aa3d5"),
+    # q_i = mu d_i / 2 varies by vertex
+    "ssl-mu1": (
+        SSL + " --mu 1",
+        "a2074961917b2d558c6511ad911db90f14eac24ab4e829a6cbe1283efde2cedd"),
+    # bound 1 + 4 d_max / (mu d_min) = 8001: the multigrid
+    "ssl-mu0.001": (
+        SSL + " --mu 0.001",
+        "bf59081808a822aa6b0309c9cc7281902301b5b7e72bc5a97993811adbeab57f"),
+}
+
+
+def output_hash(name, work):
+    """The sha256 of the file row `name` writes, run in the directory work."""
+    labels = work / "labels.csv"
+    if not labels.exists():
+        labels.write_text("".join(f"{v},{v % 30 // 10}\n" for v in range(900)))
+    out = work / f"{name}.json"
+    argv = [str(labels) if a == "LABELS" else a for a in ROWS[name][0].split()]
+    assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_output_keeps_its_pinned_bytes(name, tmp_path):
+    assert output_hash(name, tmp_path) == ROWS[name][1]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for row in ROWS:
+            print(row, output_hash(row, Path(tmp)))

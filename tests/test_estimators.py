@@ -201,6 +201,14 @@ class TestResolveAlpha:
             assert safe_alpha(problem) == pytest.approx(
                 2 * q / (q + 2 * g.d_max), rel=1e-15)
 
+    def test_safe_depends_on_q_not_on_its_form(self):
+        # on a grid at these q the two forms of the bound, 2q / (q + 2 d_max)
+        # and 2 / (1 + 2 d_max / q), differ in the last bit
+        g = gen_graph("grid", rows=5, cols=5)
+        for q in (0.1, 0.001):
+            assert safe_alpha(SmoothingProblem(g, np.zeros(g.n), q)) == \
+                safe_alpha(SmoothingProblem(g, np.zeros(g.n), np.full(g.n, q)))
+
     def test_safe_ssl_parameterization(self):
         g = random_connected_graph(20, extra_edges=25,
                                    rng=np.random.default_rng(11), weighted=True)

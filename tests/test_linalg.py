@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
-                       SmoothingProblem, apply_K_inverse, gen_graph, solve_exact_cg,
-                       synthetic_signal)
+                       SmoothingProblem, apply_K_inverse, forest_rng, gen_graph,
+                       sample_forest, solve_exact_cg, synthetic_signal)
 from rsfsmooth import _native, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
@@ -361,19 +361,19 @@ def test_a_preconditioned_solve_agrees_with_plain_cg(make, q, monkeypatch):
 def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
     g = gen_graph("grid", rows=30, cols=40)
     q = np.random.default_rng(3).uniform(1e-3, 1e-1, g.n)
-    mg = linalg._Multigrid.build(SmoothingProblem(g, np.zeros(g.n), q))
+    mg = linalg._Multigrid.build(g, q)
     assert mg.sizes[0] == g.n and mg.sizes[-1] <= linalg._COARSEST < mg.sizes[-2]
-    coarse = [lvl.problem for lvl in mg.levels[1:]]
+    coarse = mg.levels[1:]
     for lvl, nxt in zip(mg.levels, coarse):
-        fine = dense_system(lvl.problem)
-        P = np.zeros((lvl.problem.graph.n, nxt.graph.n))
-        P[np.arange(lvl.problem.graph.n), lvl.lab] = 1.0
+        fine = dense_system(lvl)
+        P = np.zeros((lvl.graph.n, nxt.graph.n))
+        P[np.arange(lvl.graph.n), lvl.lab] = 1.0
         np.testing.assert_allclose(P.T @ fine @ P, dense_system(nxt), rtol=1e-12, atol=1e-12)
     # the coarsest factor is that of the last Galerkin product
     last = mg.levels[-1]
-    P = np.zeros((last.problem.graph.n, mg.sizes[-1]))
-    P[np.arange(last.problem.graph.n), last.lab] = 1.0
-    galerkin = P.T @ dense_system(last.problem) @ P
+    P = np.zeros((last.graph.n, mg.sizes[-1]))
+    P[np.arange(last.graph.n), last.lab] = 1.0
+    galerkin = P.T @ dense_system(last) @ P
     np.testing.assert_allclose(mg.factor @ mg.factor.T, galerkin, rtol=1e-10,
                                atol=1e-12 * np.abs(galerkin).max())
 
@@ -382,7 +382,7 @@ def test_the_v_cycle_is_symmetric_and_positive_definite():
     # the inner V-cycle, from the second level down, preconditions the
     # K-cycle's CG steps; the one from the finest serves two-level hierarchies
     g = gen_graph("grid", rows=60, cols=60)
-    mg = linalg._Multigrid.build(SmoothingProblem(g, np.zeros(g.n), 0.001))
+    mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
     assert len(mg.sizes) == 3
     rng = np.random.default_rng(9)
     for start in (1, 0):
@@ -396,8 +396,8 @@ def test_the_v_cycle_is_symmetric_and_positive_definite():
 
 def test_the_k_cycle_projects_onto_its_two_directions():
     g = gen_graph("grid", rows=60, cols=60)
-    mg = linalg._Multigrid.build(SmoothingProblem(g, np.zeros(g.n), 0.001))
-    coarse = mg.levels[1].problem
+    mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
+    coarse = mg.levels[1]
     A = dense_system(coarse)
     for seed in range(3):
         r = np.random.default_rng(seed).standard_normal(coarse.graph.n)
@@ -444,6 +444,24 @@ def test_a_forest_keeping_most_vertices_leaves_cg_plain(monkeypatch):
     assert problem.multigrid is False and iterations > linalg._PLAIN_ITERATIONS
     x_plain, plain_iterations = plain_cg(SmoothingProblem(g, y, 0.01), monkeypatch)
     assert same_bits(x, x_plain) and iterations == plain_iterations
+
+
+def test_a_coarse_level_that_barely_coarsens_becomes_one_aggregate(monkeypatch):
+    # the third level, about 945 vertices around a hub of degree about
+    # 17,000, keeps more than half of them as roots in its forest
+    g = gen_graph("barabasi_albert", n=20000, k=3, seed=11)
+    y = synthetic_signal(g, "gaussian", seed=11)
+    problem = SmoothingProblem(g, y, 0.001)
+    x, iterations = solve_exact_cg(problem)
+    assert problem.multigrid.sizes[0] == g.n and problem.multigrid.sizes[-1] == 1
+    assert iterations <= 40
+    x_plain, plain_iterations = plain_cg(SmoothingProblem(g, y, 0.001), monkeypatch)
+    assert iterations < plain_iterations
+    r, r_plain = relative_residual(problem, x), relative_residual(problem, x_plain)
+    assert r <= 1e-10 * (1 + 1e-9) and r_plain <= 1e-10 * (1 + 1e-9)
+    bnorm = np.linalg.norm(problem.q * problem.y)
+    assert np.linalg.norm(x - x_plain) <= (r + r_plain) * bnorm / problem.q.min()
+    assert np.linalg.norm(x - x_plain) <= 1e-6 * np.linalg.norm(x_plain)
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
@@ -602,6 +620,14 @@ class TestProblemValidation:
             SmoothingProblem(p3, np.zeros(3), 0.0)
         with pytest.raises(DataError, match="positive"):
             SmoothingProblem(p3, np.zeros(3), np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)], ids=["n-1", "n+1", "column"])
+    def test_a_wrong_shaped_q_is_refused_naming_n(self, p3, shape):
+        # one check serves the problem and the sampler
+        for make in (lambda q: SmoothingProblem(p3, np.zeros(3), q),
+                     lambda q: sample_forest(p3, q, forest_rng(0, 0))):
+            with pytest.raises(DataError, match=r"absorption weights .*\(n=3\)"):
+                make(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_signal(self, p3, bad):
