@@ -37,8 +37,7 @@ class MonteCarloAccumulator:
     Keeps running means plus centered scalar co-moments (Welford/Chan
     updates), enough for the trace statistics and the empirical step size
     without storing samples. Each co-moment is a fixed-lane dot product
-    (`linalg._dot`), with the same bits on every CPU. Merging two
-    accumulators is associative and commutative up to rounding.
+    (`linalg._dot`), with the same bits on every CPU.
     """
 
     def __init__(self, n):
@@ -59,30 +58,6 @@ class MonteCarloAccumulator:
         self._m_xx += _dot(dx, x - self.mean_x)
         self._m_yy += _dot(dy, ybar - self.mean_y)
         self._m_xy += _dot(dx, ybar - self.mean_y)
-
-    def merge(self, other):
-        """Combined accumulator, equal to single-pass accumulation."""
-        if self.n != other.n:
-            raise DataError("cannot merge accumulators of different sizes")
-        out = MonteCarloAccumulator(self.n)
-        if self.count == 0 or other.count == 0:
-            src = other if self.count == 0 else self
-            out.count = src.count
-            out.mean_x = src.mean_x.copy()
-            out.mean_y = src.mean_y.copy()
-            out._m_xx, out._m_yy, out._m_xy = src._m_xx, src._m_yy, src._m_xy
-            return out
-        total = self.count + other.count
-        dx = other.mean_x - self.mean_x
-        dy = other.mean_y - self.mean_y
-        f = self.count * other.count / total
-        out.count = total
-        out.mean_x = self.mean_x + dx * (other.count / total)
-        out.mean_y = self.mean_y + dy * (other.count / total)
-        out._m_xx = self._m_xx + other._m_xx + f * _dot(dx, dx)
-        out._m_yy = self._m_yy + other._m_yy + f * _dot(dy, dy)
-        out._m_xy = self._m_xy + other._m_xy + f * _dot(dx, dy)
-        return out
 
     # --- trace statistics: None, absent by design, below two samples ---
     @property

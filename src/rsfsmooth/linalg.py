@@ -111,17 +111,13 @@ _OMEGA = 2.0 / 3.0  # the Jacobi smoothers' weight
 
 
 class _Level(NamedTuple):
-    """A level above the coarsest: its graph and q, omega / diag(Q + L), the
-    aggregate of each vertex on the next level, and the buffers of its
-    smoothed iterate x, its restricted residual rc and its correction e."""
+    """A level above the coarsest: its graph and q, omega / diag(Q + L) and
+    the aggregate of each vertex on the next level."""
 
     graph: Graph
     q: np.ndarray
     winv: np.ndarray
     lab: np.ndarray
-    x: np.ndarray
-    rc: np.ndarray
-    e: np.ndarray
 
 
 class _Multigrid:
@@ -146,14 +142,14 @@ class _Multigrid:
     Vassilevski, NLAA 15, 2008): at most two flexible-CG steps, each
     preconditioned by a V-cycle from there down. That cycle is not a
     fixed linear map, which is why CG takes its flexible form with it.
+    A built hierarchy holds its levels and the coarsest factor alone, and
+    every cycle allocates its own work vectors, so solves that share one
+    may run at once.
     """
 
     def __init__(self, levels, factor):
         self.levels, self.factor = levels, factor
         self.sizes = [lvl.graph.n for lvl in levels] + [len(factor)]
-        # the K-cycle's directions c1, c2, their products A c1 and the
-        # residual left by its first step, on the second level
-        self.krylov = [np.empty(self.sizes[1]) for _ in range(4)] if len(levels) > 1 else None
 
     @classmethod
     def build(cls, g, q):
@@ -174,42 +170,31 @@ class _Multigrid:
             coarse = _quotient(g, q, lab, nc)
             if coarse is None:
                 return None
-            levels.append(_Level(g, q, _OMEGA / (q + g.degrees), lab,
-                                 np.empty(g.n), np.empty(nc), np.empty(g.n)))
+            levels.append(_Level(g, q, _OMEGA / (q + g.degrees), lab))
             g, q = coarse
         factor = LaplacianOperator(g).dense() + np.diag(q)
         k.cholesky(factor)
         return cls(levels, factor)
 
-    def cycle(self, r, z):
-        """z = M^{-1} r: a V-cycle on the residual r, with the K-cycle as
-        the second level's correction where there is a third."""
-        if self.krylov is None:
-            self.v_cycle(0, r, z)
+    def cycle(self, r, z, level=0):
+        """z = M^{-1} r on `level`: the dense solve at the coarsest, else
+        pre-smoothing and restriction, the next level's correction, and
+        prolongation with post-smoothing. The finest level of three or more
+        takes that correction from the K-cycle, every other from this
+        cycle. Its work vectors are the call's own."""
+        k = _native.kernels()
+        if level == len(self.levels):
+            np.copyto(z, r)
+            k.solve(self.factor, z)
             return
-        k, top = _native.kernels(), self.levels[0]
-        k.restrict(top.graph, top.q, top.winv, r, top.x, top.lab, top.rc)
-        self.k_cycle(top.rc, self.levels[1].e)
-        k.prolong(top.graph, top.q, top.winv, r, top.x, top.lab, self.levels[1].e, z)
-
-    def v_cycle(self, start, r, z):
-        """z = one V-cycle on the residual r of level `start`: the dense
-        solve alone where that level is the coarsest."""
-        k, levels = _native.kernels(), self.levels[start:]
-        b = r
-        for lvl in levels:
-            k.restrict(lvl.graph, lvl.q, lvl.winv, b, lvl.x, lvl.lab, lvl.rc)
-            b = lvl.rc
-        if b is r:  # no level above the coarsest: the dense solve alone
-            b = z
-            b[:] = r
-        k.solve(self.factor, b)  # the coarsest residual becomes its correction
-        for i in reversed(range(len(levels))):
-            lvl = levels[i]
-            rhs = levels[i - 1].rc if i else r
-            out = lvl.e if i else z
-            k.prolong(lvl.graph, lvl.q, lvl.winv, rhs, lvl.x, lvl.lab, b, out)
-            b = out
+        lvl, nc = self.levels[level], self.sizes[level + 1]
+        x, rc, ec = np.empty(len(r)), np.empty(nc), np.empty(nc)
+        k.restrict(lvl.graph, lvl.q, lvl.winv, r, x, lvl.lab, rc)
+        if level == 0 and len(self.levels) > 1:
+            self.k_cycle(rc, ec)
+        else:
+            self.cycle(rc, ec, level + 1)
+        k.prolong(lvl.graph, lvl.q, lvl.winv, r, x, lvl.lab, ec, z)
 
     def k_cycle(self, r, e):
         """e ~ A^{-1} r on the second level, A = Q_c + L_c: flexible CG
@@ -217,18 +202,19 @@ class _Multigrid:
         that stops after one step where it cuts the residual _KRYLOV_CUT
         times, else after two. e is A's projection of A^{-1} r onto the two
         directions: r - A e is orthogonal to both."""
-        k, (c1, c2, v1, rt) = _native.kernels(), self.krylov
+        k = _native.kernels()
         g, q = self.levels[1].graph, self.levels[1].q
         rr = k.dot(r, r)
         if rr == 0.0:  # c1 would be zero, and so would rho1
             e[:] = 0.0
             return
-        self.v_cycle(1, r, c1)
+        c1, c2, v1, rt = (np.empty(len(r)) for _ in range(4))
+        self.cycle(r, c1, 1)
         rho1 = k.product(g, q, c1, v1)
         a1 = k.dot(c1, r) / rho1
         np.copyto(rt, r)
         if k.residual(rt, v1, a1) * _KRYLOV_CUT**2 > rr:
-            self.v_cycle(1, rt, c2)
+            self.cycle(rt, c2, 1)
             gamma, a2 = k.dot(c2, v1), k.dot(c2, rt)
             rho2 = k.product(g, q, c2, rt) - gamma * gamma / rho1  # rt = A c2 from here
             if rho2 > 0.0:  # else c2 adds nothing to c1 that rounding leaves

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .graphs import _lines
-from .linalg import LaplacianOperator
+from .linalg import DENSE_LIMIT, LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
 PSNR_CONVENTION = ("psnr = 10 log10(peak^2 / mse), peak = max|clean signal|, "
@@ -45,16 +45,19 @@ def load_signal(path, n):
 def synthetic_signal(graph, kind, seed=0, modes=3, value=1.0):
     """Generate a deterministic test signal on the graph's nodes.
 
-    kind "gaussian": standard normal per node. kind "smooth": a
-    low-frequency combination of the first few nontrivial Laplacian
-    eigenvectors, scaled to peak amplitude 1. kind "constant": all nodes
-    equal to `value`.
+    kind "gaussian": standard normal per node. kind "smooth" (n <=
+    DENSE_LIMIT): a low-frequency combination of the first few nontrivial
+    Laplacian eigenvectors, scaled to peak amplitude 1. kind "constant":
+    all nodes equal to `value`.
     """
     n = graph.n
     if kind == "gaussian":
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x516)))
         return rng.standard_normal(n)
     if kind == "smooth":
+        if n > DENSE_LIMIT:
+            raise DataError(f"smooth signal needs n <= {DENSE_LIMIT} "
+                            f"(a dense eigendecomposition), got n={n}")
         if not float(modes).is_integer() or not 1 <= modes < n:
             raise DataError(f"smooth signal needs an integer 1 <= modes < n, got {modes}")
         modes = int(modes)

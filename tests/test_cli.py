@@ -440,6 +440,15 @@ class TestExitCodes:
                     "--q", "1.0", "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_smooth_signal_past_the_dense_limit_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--gen", "grid:rows=50,cols=50", "--signal", "smooth",
+                    "--q", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: smooth signal needs n <= 2000 (a dense eigendecomposition), "
+                       "got n=2500"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["nan", "lin:0,inf,3"])
     def test_non_finite_alpha_grid_is_data_error(self, tmp_path, grid):
         out = tmp_path / "s.csv"

@@ -1,14 +1,13 @@
-"""A pinned byte-identity corpus: each row is one CLI command on generated
-inputs, run in process at `--seed 5 --format json` with the kernel set
-`_native.kernels()` chooses, and the sha256 of the file it writes.
-
-A change that is meant to keep every output's bytes proves it with
+"""A pinned byte-identity corpus: each row is one CLI command, run in
+process at `--seed 5 --format json`, and the sha256 of the file it writes.
+Every row runs under both kernel sets, the compiled loops (skipped where
+they cannot be built) and their numpy twins `_native.TWINS`, so a change
+that is meant to keep every output's bytes proves it with
 
     PYTHONPATH=src python -m pytest -q tests/test_corpus.py
 
-run once as it is and once with a PATH that holds no `cc` (the numpy
-twins). `python tests/test_corpus.py` prints the current hashes, to
-re-pin a row that moves on purpose.
+`python tests/test_corpus.py` prints the current hashes, to re-pin a row
+that moves on purpose.
 """
 
 import hashlib
@@ -17,10 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import using_kernels
+from rsfsmooth import _native
 from rsfsmooth.cli import run
 
-# LABELS stands for a file giving each vertex of the 30 x 30 grid the class
-# of its band of ten columns
+# Input files, written by `inputs` into the run's directory. Each vertex
+# of the 30 x 30 grid has the class of its band of ten columns (LABELS) and
+# a clean signal of -1, 0 or 1 by that band (SIGNAL); GRAPH is the grid's
+# edge list, and COORDS jitters the grid's points for the knn generator.
 SSL = ("ssl --gen grid:rows=30,cols=30 --labels LABELS --n-samples 10 --repeats 2 "
        "--labels-per-class 1,5")
 
@@ -72,23 +75,53 @@ ROWS = {
     "ssl-mu0.001": (
         SSL + " --mu 0.001",
         "bf59081808a822aa6b0309c9cc7281902301b5b7e72bc5a97993811adbeab57f"),
+    # an edge-list graph and a signal read from files
+    "denoise-files": (
+        "denoise --graph GRAPH --signal SIGNAL --noise-std 0.5 --q-grid log:0.01,10,5 "
+        "--n-samples 2",
+        "936cc615a131125c1e6e8c3b02def3365989d39a584dac8195bbd71936f6bb74"),
+    "ssl-knn": (
+        "ssl --gen knn:k=8 --coords COORDS --labels LABELS --mu 1 --n-samples 10 "
+        "--repeats 2 --labels-per-class 1,5",
+        "4dd41daa54d8a014ffec06e10d865653be0e29482f27ee14ddfc338f6cbf46e1"),
 }
+
+
+def inputs(work):
+    """The input files' paths in work, written on first use."""
+    files = {"LABELS": work / "labels.csv", "SIGNAL": work / "signal.txt",
+             "GRAPH": work / "grid.txt", "COORDS": work / "coords.csv"}
+    if not files["LABELS"].exists():
+        band = [v % 30 // 10 for v in range(900)]
+        files["LABELS"].write_text("".join(f"{v},{c}\n" for v, c in enumerate(band)))
+        files["SIGNAL"].write_text("".join(f"{c - 1}\n" for c in band))
+        edges = [(v, v + 1) for v in range(900) if v % 30 < 29] + [
+            (v, v + 30) for v in range(870)]
+        files["GRAPH"].write_text("".join(f"{u} {w}\n" for u, w in edges))
+        files["COORDS"].write_text("".join(
+            f"{v % 30 + v * 37 % 101 / 202},{v // 30 + v * 53 % 103 / 206}\n"
+            for v in range(900)))
+    return {token: str(path) for token, path in files.items()}
 
 
 def output_hash(name, work):
     """The sha256 of the file row `name` writes, run in the directory work."""
-    labels = work / "labels.csv"
-    if not labels.exists():
-        labels.write_text("".join(f"{v},{v % 30 // 10}\n" for v in range(900)))
+    files = inputs(work)
     out = work / f"{name}.json"
-    argv = [str(labels) if a == "LABELS" else a for a in ROWS[name][0].split()]
+    argv = [files.get(a, a) for a in ROWS[name][0].split()]
     assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", ROWS)
-def test_output_keeps_its_pinned_bytes(name, tmp_path):
-    assert output_hash(name, tmp_path) == ROWS[name][1]
+@pytest.mark.parametrize("name,twins", [
+    *(pytest.param(name, False, id=name) for name in ROWS),
+    *(pytest.param(name, True, id=f"{name}-twins") for name in ROWS)])
+def test_output_keeps_its_pinned_bytes(name, twins, tmp_path):
+    chosen = _native.TWINS if twins else _native.compiled()
+    if chosen is None:
+        pytest.skip("the compiled loops cannot be built here")
+    with using_kernels(chosen):
+        assert output_hash(name, tmp_path) == ROWS[name][1]
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Outputs that pass through CG and the Monte Carlo co-moments have the
-same bytes whichever BLAS kernel numpy dispatches to: every dot product
-of the solver and the accumulator is summed in fixed lanes by the
-package's own loops, and the dense coarsest solve of CG's multigrid
-calls no LAPACK. A DYNAMIC_ARCH OpenBLAS picks its kernel from the
-CPU, or from OPENBLAS_CORETYPE, so each run below forces one kernel in a
-fresh interpreter."""
+bytes pinned in the corpus (`test_corpus.ROWS`) whichever BLAS kernel
+numpy dispatches to: every dot product of the solver and the accumulator
+is summed in fixed lanes by the package's own loops, and the dense
+coarsest solve of CG's multigrid calls no LAPACK. A DYNAMIC_ARCH
+OpenBLAS picks its kernel from the CPU, or from OPENBLAS_CORETYPE, so
+each run below forces one kernel in a fresh interpreter."""
 
 import json
 import os
@@ -17,21 +17,13 @@ import numpy as np
 import pytest
 
 import rsfsmooth
+from test_corpus import ROWS
 
-COMMANDS = {
-    "exact": ["exact", "--gen", "grid:rows=30,cols=30", "--signal", "gaussian",
-              "--q", "0.01"],
-    # bound 1 + 2 d_max / q = 8001: CG builds its multigrid preconditioner
-    "exact-multigrid": ["exact", "--gen", "grid:rows=60,cols=60", "--signal", "gaussian",
-                        "--q", "0.001"],
-    "smooth": ["smooth", "--gen", "regular:n=500,d=10", "--signal", "gaussian",
-               "--q", "0.5", "--alpha", "empirical", "--n-samples", "20"],
-    "sweep-alpha": ["sweep-alpha", "--gen", "grid:rows=20,cols=20", "--q", "0.1",
-                    "--alpha-grid", "lin:0,0.2,3", "--n-samples", "4",
-                    "--realizations", "3"],
-}
+# the corpus rows that pass through CG, its multigrid (bound 8001 on the
+# 60 x 60 grid) and the sampled estimators
+NAMES = ("exact-grid30", "exact-multigrid", "sweep-grid20", "smooth-empirical")
 
-# runs every command and prints one "name sha256" line each
+# runs every row and prints one "name sha256" line each
 SCRIPT = """
 import hashlib, sys
 from rsfsmooth.cli import run
@@ -75,6 +67,7 @@ def core_types():
 @pytest.mark.skipif(not dynamic_openblas(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS")
 def test_cg_and_sampled_outputs_have_one_hash_under_every_blas_kernel(tmp_path):
     src = str(Path(rsfsmooth.__file__).resolve().parents[1])
+    commands = {name: ROWS[name][0].split() for name in NAMES}
     no_cc = tmp_path / "bin"
     no_cc.mkdir()
     runs = [(core, None) for core in core_types()] + [(None, no_cc)]  # last: numpy twins
@@ -89,17 +82,17 @@ def test_cg_and_sampled_outputs_have_one_hash_under_every_blas_kernel(tmp_path):
             env["OPENBLAS_CORETYPE"] = core
         if path:
             env["PATH"] = str(path)
-        res = subprocess.run([sys.executable, "-c", SCRIPT.format(commands=COMMANDS, out=str(out))],
+        res = subprocess.run([sys.executable, "-c", SCRIPT.format(commands=commands, out=str(out))],
                              env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
         for line in res.stdout.splitlines():
             name, digest = line.split()
             hashes.setdefault(name, {})[core or ("unset, no cc" if path else "unset")] = digest
-    assert sorted(hashes) == sorted(COMMANDS)
+    assert sorted(hashes) == sorted(NAMES)
     for name, by_core in hashes.items():
-        assert len(set(by_core.values())) == 1, (name, by_core)
+        assert set(by_core.values()) == {ROWS[name][1]}, (name, by_core)
     for i in range(len(runs)):
         levels = [json.loads((tmp_path / f"run{i}" / f"{name}.json").read_text())
-                  ["diagnostics"].get("levels") for name in ("exact", "exact-multigrid")]
+                  ["diagnostics"].get("levels") for name in ("exact-grid30", "exact-multigrid")]
         # three levels or more: the second is corrected by the K-cycle
         assert levels[0] is None and levels[1][0] == 3600 and len(levels[1]) >= 3, levels

@@ -136,46 +136,12 @@ class TestAccumulator:
         tr_cov = sum(np.cov(X[:, i], Y[:, i], ddof=1)[0, 1] for i in range(6))
         assert acc.tr_cov_xy == pytest.approx(tr_cov, rel=1e-10)
 
-    def test_merge_equals_single_pass(self):
-        samples = self.stream(5, 30, 8)
-        whole = MonteCarloAccumulator(5)
-        for s in samples:
-            whole.add(*s)
-        a, b, c = (MonteCarloAccumulator(5) for _ in range(3))
-        for s in samples[:7]:
-            a.add(*s)
-        for s in samples[7:19]:
-            b.add(*s)
-        for s in samples[19:]:
-            c.add(*s)
-        for merged in (a.merge(b).merge(c), a.merge(b.merge(c)), c.merge(b).merge(a)):
-            assert merged.count == whole.count
-            np.testing.assert_allclose(merged.mean_x, whole.mean_x, rtol=1e-10)
-            np.testing.assert_allclose(merged.mean_y, whole.mean_y, rtol=1e-10)
-            assert merged.tr_var_xbar == pytest.approx(whole.tr_var_xbar, rel=1e-10)
-            assert merged.tr_cov_xy == pytest.approx(whole.tr_cov_xy, rel=1e-10)
-            assert merged.tr_var_ybar == pytest.approx(whole.tr_var_ybar, rel=1e-10)
-
-    def test_merge_with_empty(self):
-        samples = self.stream(4, 5, 9)
-        acc = MonteCarloAccumulator(4)
-        for s in samples:
-            acc.add(*s)
-        empty = MonteCarloAccumulator(4)
-        for merged in (acc.merge(empty), empty.merge(acc)):
-            assert merged.count == 5
-            np.testing.assert_array_equal(merged.mean_x, acc.mean_x)
-
     def test_trace_statistics_absent_below_two_samples(self):
         acc = MonteCarloAccumulator(3)
         for _ in range(2):
             assert acc.tr_var_xbar is acc.tr_var_ybar is acc.tr_cov_xy is None
             acc.add(np.ones(3), np.zeros(3))
         assert acc.tr_var_xbar == acc.tr_var_ybar == acc.tr_cov_xy == 0.0
-
-    def test_merge_size_mismatch(self):
-        with pytest.raises(DataError):
-            MonteCarloAccumulator(3).merge(MonteCarloAccumulator(4))
 
     def test_cauchy_schwarz_after_centering(self):
         for seed in range(5):
@@ -514,9 +480,10 @@ class TestEmpiricalAlphaConsistency:
             stream = forest_rng(36, b)
             for _ in range(per_batch):
                 xbar = xbar_from_forest(sample_forest(p3, 1.0, stream), problem)
-                acc.add(xbar, apply_K_inverse(problem, xbar))
+                pair = (xbar, apply_K_inverse(problem, xbar))
+                acc.add(*pair)
+                whole.add(*pair)
             batch_alphas.append(resolve_alpha(AlphaStrategy.empirical(), problem, acc)[0])
-            whole = whole.merge(acc)
         assert whole.count == 100000
         alpha_full, _ = resolve_alpha(AlphaStrategy.empirical(), problem, whole)
         se = np.std(batch_alphas, ddof=1) / np.sqrt(batches)
@@ -573,25 +540,6 @@ class TestEstimatorProperties:
                          AlphaStrategy.empirical()):
             result = run_monte_carlo(problem, 3, strategy, seed=seed)
             assert np.array_equal(result.estimate, problem.y), strategy.kind
-
-    @properties
-    @given(small_problems(), st.integers(2, 12), st.data())
-    def test_split_accumulators_merge_to_one_pass(self, case, n_samples, data):
-        g, q, y = case
-        problem = SmoothingProblem(g, y, q)
-        cut = data.draw(st.integers(0, n_samples))
-        whole, head, tail = (MonteCarloAccumulator(g.n) for _ in range(3))
-        for i in range(n_samples):
-            xbar = xbar_from_forest(sample_forest(g, q, forest_rng(7, i)), problem)
-            pair = (xbar, apply_K_inverse(problem, xbar))
-            whole.add(*pair)
-            (head if i < cut else tail).add(*pair)
-        merged = head.merge(tail)
-        assert merged.count == whole.count
-        np.testing.assert_allclose(merged.mean_x, whole.mean_x, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(merged.mean_y, whole.mean_y, rtol=1e-10, atol=1e-12)
-        for stat in ("tr_var_xbar", "tr_var_ybar", "tr_cov_xy"):
-            assert getattr(merged, stat) == pytest.approx(getattr(whole, stat), rel=1e-10)
 
     @properties
     @given(small_problems(), st.integers(0, 2**32), st.integers(2, 6))

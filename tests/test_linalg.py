@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -379,17 +381,18 @@ def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
 
 
 def test_the_v_cycle_is_symmetric_and_positive_definite():
-    # the inner V-cycle, from the second level down, preconditions the
-    # K-cycle's CG steps; the one from the finest serves two-level hierarchies
-    g = gen_graph("grid", rows=60, cols=60)
-    mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
-    assert len(mg.sizes) == 3
+    # the V-cycle from the second level down preconditions the K-cycle's
+    # CG steps on three levels; from the finest, it is the whole cycle of
+    # a two-level hierarchy
     rng = np.random.default_rng(9)
-    for start in (1, 0):
-        n = mg.sizes[start]
+    for side, level, depth in ((60, 1, 3), (30, 0, 2)):
+        g = gen_graph("grid", rows=side, cols=side)
+        mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
+        assert len(mg.sizes) == depth
+        n = mg.sizes[level]
         u, v, mu, mv = rng.standard_normal(n), rng.standard_normal(n), np.empty(n), np.empty(n)
-        mg.v_cycle(start, u, mu)
-        mg.v_cycle(start, v, mv)
+        mg.cycle(u, mu, level)
+        mg.cycle(v, mv, level)
         assert abs(mu @ v - u @ mv) <= 1e-12 * np.linalg.norm(mu) * np.linalg.norm(v)
         assert mu @ u > 0 and mv @ v > 0
 
@@ -398,19 +401,40 @@ def test_the_k_cycle_projects_onto_its_two_directions():
     g = gen_graph("grid", rows=60, cols=60)
     mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
     coarse = mg.levels[1]
-    A = dense_system(coarse)
+    A, n = dense_system(coarse), coarse.graph.n
     for seed in range(3):
-        r = np.random.default_rng(seed).standard_normal(coarse.graph.n)
-        e = np.empty(coarse.graph.n)
+        r = np.random.default_rng(seed).standard_normal(n)
+        c1, e = np.empty(n), np.empty(n)
+        mg.cycle(r, c1, 1)  # the K-cycle's first direction
         mg.k_cycle(r, e)
-        c1, c2 = mg.krylov[:2]  # c2 scaled by its step
         # one step along c1 leaves more than a quarter of r: the second was taken
         assert np.linalg.norm(r - (c1 @ r) / (c1 @ A @ c1) * (A @ c1)) > np.linalg.norm(r) / 4
-        # the error A^{-1} r - e is A-orthogonal to both directions
-        for c in (c1, c2):
+        # e is no multiple of c1, so the two span both directions, and the
+        # error A^{-1} r - e is A-orthogonal to each
+        assert np.linalg.norm(e - (e @ c1) / (c1 @ c1) * c1) > 1e-3 * np.linalg.norm(e)
+        for c in (c1, e):
             assert abs(c @ (r - A @ e)) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(r)
-    mg.k_cycle(np.zeros(coarse.graph.n), e)
+    mg.k_cycle(np.zeros(n), e)
     assert not e.any()
+
+
+def test_concurrent_solves_keep_their_bits():
+    # the four solves share the hierarchy cached on the graph for this q
+    g = gen_graph("grid", rows=60, cols=60)
+    signals = np.random.default_rng(12).standard_normal((4, g.n))
+
+    def solve(y):
+        x, iterations = solve_exact_cg(SmoothingProblem(g, y, 0.001))
+        return x.tobytes(), iterations
+
+    serial = [solve(y) for y in signals]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more switches inside each cycle
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(solve, signals, timeout=60)) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # x's sha256 and the iteration count, the same as before CG had a
