@@ -7,6 +7,7 @@ For uniform q this reduces to K = q (qI + L)^{-1}.
 """
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -86,28 +87,31 @@ def apply_K_inverse(problem, v):
 
 # When CG takes its multigrid preconditioner. CG needs about sqrt(kappa)
 # iterations, and kappa <= 1 + 2 d_max / q_min. Measured on a 2-core Xeon,
-# best of seven solves, plain against preconditioned from iteration 16:
-# on 100x100 and 300x300 grids plain wins near a bound of 800 (31 against
-# 38 ms, 262 against 288 ms); at 1600 the small grid still loses by 13 %
-# and the large one wins by 22 %; at 8000 they win by 4 and 53 % (919
-# iterations and 0.78 s against 89 and 0.36 s on the large one). On a
-# 20,000-vertex Barabasi-Albert graph, where the set-up takes about
-# 20 ms, it ties at a bound of 1087 (122 against 28 iterations, 46 ms)
-# and wins by 8 to 31 % from 2173 up (at q = 0.001, 204 iterations in
-# 82 ms against 32 in 57 ms). So the hierarchy is built only above a
-# bound of 2000. Plain CG's relative residual after _PLAIN_ITERATIONS / 4
+# best of seven solves that each build the hierarchy, plain against
+# preconditioned from iteration 16: on a 100x100 grid plain wins at a
+# bound of 801 (32 against 39 ms) and ties at 1601 (39 against 40 ms),
+# and the hierarchy wins by 35 % at 8001 (462 iterations against 91). On
+# a 300x300 grid it wins by 14, 24 and 49 % at those bounds (919
+# iterations and 0.53 s against 96 and 0.27 s at 8001). On a
+# 20,000-vertex Barabasi-Albert graph it wins by 20 % at a bound of 1087
+# (134 against 28 iterations), by 8 % at 2173 and by 44 % at q = 0.001
+# (203 iterations in 56 ms against 30 in 31 ms). So the hierarchy is
+# built only above a bound of 2000, where the small grid stops losing.
+# Plain CG's relative residual after _PLAIN_ITERATIONS / 4
 # iterations tells the rest apart: 0.1 to 0.2 on these grids and graphs,
 # above tol^(1/4) = 3.2e-3 at the default tol, and 4.6e-4 on a
 # 20,000-vertex 10-regular graph at q = 0.001, an expander, which then
-# converges plain in 30 iterations and 13 ms. Above that residual CG
+# converges plain in 30 iterations and 8 ms. Above that residual CG
 # takes the hierarchy at once; below it, only where _PLAIN_ITERATIONS
 # have not converged.
 _MULTIGRID_BOUND = 2000.0
 _PLAIN_ITERATIONS = 64
 _COARSEST = 300   # a level this small is solved by its dense Cholesky factor
-_COARSE_RATE = 0.1  # the forest that aggregates a level is drawn at q_c = 0.1 mean degree
+_COARSE_RATE = 0.05  # the forest that aggregates a level is drawn at q_c = 0.05 mean degree
 _KRYLOV_CUT = 4.0  # the K-cycle's second step is taken unless its first cuts the residual 4x
-_OMEGA = 2.0 / 3.0  # the Jacobi smoothers' weight
+# the Jacobi smoothers' weight, the smoothing optimum on the 2-D five-point
+# Laplacian (Trottenberg, Oosterlee and Schuller, Multigrid, 2001)
+_OMEGA = 4.0 / 5.0
 
 
 class _Level(NamedTuple):
@@ -126,14 +130,14 @@ class _Multigrid:
     Vanek, Mandel and Brezina 1996).
 
     Each level is a graph and its q. Its aggregates are the trees of one
-    forest drawn at q_c = 0.1 times its mean degree on a fixed stream, and
+    forest drawn at q_c = 0.05 times its mean degree on a fixed stream, and
     with P the aggregates' indicator matrix the next level's Pt (Q + L) P
     is again Q_c + L_c: q summed over each tree, and the weights between
     two trees summed onto one edge. Levels are added until one has at most
     _COARSEST vertices, which is factored densely. Where a forest below
     the finest level keeps more than half of its level's vertices as roots
-    (and more than _COARSEST), as around the hubs of Barabasi-Albert
-    graphs, that level is aggregated into one vertex instead, whose
+    (and more than _COARSEST), as where many light vertices hang on one
+    heavy hub, that level is aggregated into one vertex instead, whose
     Galerkin matrix is the 1 x 1 [sum q]. A V-cycle pre-smooths by
     one Jacobi sweep from zero, corrects from the next level, and
     post-smooths by one more, so it is symmetric. Unsmoothed aggregates
@@ -239,16 +243,22 @@ def _quotient(g, q, lab, nc):
     return Graph.from_edges(nc, np.column_stack([keys // nc, keys % nc, w])), qc
 
 
+_HIERARCHY_LOCK = threading.Lock()
+
+
 def _hierarchy(problem):
     """The multigrid of problem's graph and q, or False where it cannot be
     built. It depends on nothing else, since its forests are drawn on a
     fixed stream, so it is built once and kept on the graph, keyed by q's
-    bytes: the k classes and repeats of an `ssl` run share one."""
-    cache = vars(problem.graph).setdefault("_multigrids", {})
-    key = problem.q.tobytes()
-    if key not in cache:
-        cache[key] = _Multigrid.build(problem.graph, problem.q) or False
-    return cache[key]
+    bytes: the k classes and repeats of an `ssl` run share one. The look-up
+    and the build hold one lock, so solves that start together in threads
+    build it once too."""
+    with _HIERARCHY_LOCK:
+        cache = vars(problem.graph).setdefault("_multigrids", {})
+        key = problem.q.tobytes()
+        if key not in cache:
+            cache[key] = _Multigrid.build(problem.graph, problem.q) or False
+        return cache[key]
 
 
 def solve_exact_cg(problem, tol=1e-10, max_iter=None):

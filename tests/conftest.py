@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import rsfsmooth
 from rsfsmooth import Graph, _native
+
+
+def pytest_report_header(config):
+    """The package under test: pyproject.toml's `pythonpath = ["src"]` puts
+    this checkout's ahead of any on PYTHONPATH."""
+    return f"rsfsmooth: {rsfsmooth.__file__}"
 
 
 def adjacency(g):

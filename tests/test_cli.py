@@ -98,7 +98,7 @@ class TestExact:
 
     # the level sizes appear only where CG built its multigrid: on a 20x20
     # grid the bound 1 + 2 d_max / q is 8001 at q = 0.001, and 27.7 at 0.3
-    @pytest.mark.parametrize("q,levels", [("0.001", [400, 49]), ("0.3", None)])
+    @pytest.mark.parametrize("q,levels", [("0.001", [400, 30]), ("0.3", None)])
     def test_levels_only_where_the_multigrid_was_built(self, tmp_path, q, levels):
         out = tmp_path / "xhat.json"
         assert run(["exact", "--gen", "grid:rows=20,cols=20", "--signal", "gaussian",
@@ -585,7 +585,8 @@ class TestExitCodes:
         assert run([*command, "--graph", c4_file(tmp_path), "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure"), err
-        assert "forest draws of at least 4 walk steps" in err[0] and "1e+09" in err[0]
+        assert "forest draws of at least 1000 walk steps" in err[0] and "1e+09" in err[0]
+        assert "the larger of 4 expected" in err[0]
         assert not out.exists()
 
     # every vertex takes a step, so 3e8 draws on 4 vertices need 1.2e9
@@ -603,7 +604,27 @@ class TestExitCodes:
                     "--q", "1", "--n-samples", "300000000", "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure"), err
-        assert "forest draws of at least 4 walk steps" in err[0]
+        assert "forest draws of at least 1000 walk steps" in err[0]
+        assert "the larger of 4 expected" in err[0]
+        assert not out.exists()
+
+    # 2e8 draws of 4 expected steps fit the budget's 1e9 steps, but a draw
+    # costs about 70 us beyond its walk, so the run would take about 4 h:
+    # each draw is charged at least DRAW_FIXED_STEPS
+    def test_draws_past_the_budget_by_their_fixed_cost_are_refused(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        import rsfsmooth.estimators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a forest was drawn")
+
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_draw)
+        out = tmp_path / "est.csv"
+        assert run(["smooth", "--gen", "grid:rows=2,cols=2", "--signal", "gaussian",
+                    "--q", "1", "--n-samples", "200000000", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert "200000000 forest draws of at least 1000 walk steps" in err[0]
         assert not out.exists()
 
     # 10 ** log10(max float) overflows by a rounding: the grid holds inf, as

@@ -7,7 +7,14 @@ that is meant to keep every output's bytes proves it with
     PYTHONPATH=src python -m pytest -q tests/test_corpus.py
 
 `python tests/test_corpus.py` prints the current hashes, to re-pin a row
-that moves on purpose.
+that moves on purpose. It hashes the package it imports, so
+
+    PYTHONPATH=<checkout>/src python tests/test_corpus.py
+
+prints another checkout's hashes. pytest cannot do that: the
+`pythonpath = ["src"]` of pyproject.toml puts this checkout ahead of
+PYTHONPATH, and the header of every pytest run names the package it
+imported.
 """
 
 import hashlib
@@ -35,16 +42,17 @@ ROWS = {
         "exact --gen grid:rows=60,cols=60 --signal gaussian --q 0.01",
         "85758effb0bcfdf28ba46b7bf670837d3e86e42d1c5e591928d966d593ee0643"),
     # bound 8001: CG takes its multigrid, with a K-cycle on three levels
+    # ([10000, 799, 77])
     "exact-multigrid": (
-        "exact --gen grid:rows=60,cols=60 --signal gaussian --q 0.001",
-        "548b134c2b96dcf8a60560c2633e8007f2e29f4b087f84e39ad8578b33e0c075"),
+        "exact --gen grid:rows=100,cols=100 --signal gaussian --q 0.001",
+        "66203c55a7f2d24a754109b97f5ea8153cbbd54998e01e25a95c95b3bc84bc57"),
     # the exact-grid benchmark's command
     "exact-grid300": (
         "exact --gen grid:rows=300,cols=300 --signal gaussian --q 0.001",
-        "7cd8a50684b3cb001607e3730fccdb8275ab2ea78ae2bbaa6a8e665577a2e4d1"),
+        "67cdc53a721cc6ded8d72b06deb42c1d4e05671c3093b07f98c39da4d2db14b1"),
     "exact-ba": (
         "exact --gen barabasi_albert:n=3000,k=3 --signal gaussian --q 0.001",
-        "eff550a4c147fd71134559d703a7c651173454574f1046381e33cab162247587"),
+        "b3d268cf3a3f3cab58f986b68965a62cf227beada433604d37740fed1d7a17c4"),
     "smooth-empirical": (
         "smooth --gen regular:n=2000,d=10 --signal gaussian --q 0.5 --alpha empirical "
         "--n-samples 20",
@@ -66,7 +74,7 @@ ROWS = {
     "denoise-multigrid": (
         "denoise --gen grid:rows=30,cols=30 --signal gaussian --noise-std 0.5 "
         "--q-grid log:0.0001,0.01,3 --n-samples 2",
-        "ecfd9194feda49874a811eb8d627140e8247a2c2f558d2e7f1ed5036643aa3d5"),
+        "31a058a6e80490f3817546aa6876178ed23c3584fa04c8fa4f78d07a5ff69d8d"),
     # q_i = mu d_i / 2 varies by vertex
     "ssl-mu1": (
         SSL + " --mu 1",

@@ -20,7 +20,7 @@ import rsfsmooth
 from test_corpus import ROWS
 
 # the corpus rows that pass through CG, its multigrid (bound 8001 on the
-# 60 x 60 grid) and the sampled estimators
+# 100 x 100 grid) and the sampled estimators
 NAMES = ("exact-grid30", "exact-multigrid", "sweep-grid20", "smooth-empirical")
 
 # runs every row and prints one "name sha256" line each
@@ -95,4 +95,4 @@ def test_cg_and_sampled_outputs_have_one_hash_under_every_blas_kernel(tmp_path):
         levels = [json.loads((tmp_path / f"run{i}" / f"{name}.json").read_text())
                   ["diagnostics"].get("levels") for name in ("exact-grid30", "exact-multigrid")]
         # three levels or more: the second is corrected by the K-cycle
-        assert levels[0] is None and levels[1][0] == 3600 and len(levels[1]) >= 3, levels
+        assert levels[0] is None and levels[1][0] == 10000 and len(levels[1]) >= 3, levels

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -336,7 +338,7 @@ def relative_residual(problem, x):
 
 
 @pytest.mark.parametrize("make,q", [
-    (lambda: gen_graph("grid", rows=60, cols=60), 0.001),
+    (lambda: gen_graph("grid", rows=100, cols=100), 0.001),  # three levels: the K-cycle
     (lambda: gen_graph("barabasi_albert", n=3000, k=3, seed=4), 0.001),
     (lambda: gen_graph("grid", rows=45, cols=41), "varying"),
 ], ids=["grid", "barabasi-albert", "varying-q"])
@@ -382,10 +384,11 @@ def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
 
 def test_the_v_cycle_is_symmetric_and_positive_definite():
     # the V-cycle from the second level down preconditions the K-cycle's
-    # CG steps on three levels; from the finest, it is the whole cycle of
-    # a two-level hierarchy
+    # CG steps on three levels (100 x 100: [10000, 799, 77]); from the
+    # finest, it is the whole cycle of a two-level hierarchy (30 x 30:
+    # [900, 74])
     rng = np.random.default_rng(9)
-    for side, level, depth in ((60, 1, 3), (30, 0, 2)):
+    for side, level, depth in ((100, 1, 3), (30, 0, 2)):
         g = gen_graph("grid", rows=side, cols=side)
         mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
         assert len(mg.sizes) == depth
@@ -398,7 +401,7 @@ def test_the_v_cycle_is_symmetric_and_positive_definite():
 
 
 def test_the_k_cycle_projects_onto_its_two_directions():
-    g = gen_graph("grid", rows=60, cols=60)
+    g = gen_graph("grid", rows=100, cols=100)  # levels [10000, 799, 77]
     mg = linalg._Multigrid.build(g, np.full(g.n, 0.001))
     coarse = mg.levels[1]
     A, n = dense_system(coarse), coarse.graph.n
@@ -419,8 +422,9 @@ def test_the_k_cycle_projects_onto_its_two_directions():
 
 
 def test_concurrent_solves_keep_their_bits():
-    # the four solves share the hierarchy cached on the graph for this q
-    g = gen_graph("grid", rows=60, cols=60)
+    # the four solves share the hierarchy cached on the graph for this q,
+    # three levels with the K-cycle's vectors
+    g = gen_graph("grid", rows=100, cols=100)
     signals = np.random.default_rng(12).standard_normal((4, g.n))
 
     def solve(y):
@@ -435,6 +439,29 @@ def test_concurrent_solves_keep_their_bits():
             assert list(pool.map(solve, signals, timeout=60)) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_solves_that_start_together_build_one_hierarchy(monkeypatch):
+    builds = []
+    build = linalg._Multigrid.build.__func__
+
+    def counted(cls, graph, q):
+        builds.append(graph)
+        time.sleep(0.05)  # the other threads reach the look-up meanwhile
+        return build(cls, graph, q)
+
+    monkeypatch.setattr(linalg._Multigrid, "build", classmethod(counted))
+    g = gen_graph("grid", rows=60, cols=60)
+    signals = np.random.default_rng(13).standard_normal((4, g.n))
+    start = threading.Barrier(4, timeout=60)
+
+    def solve(y):
+        start.wait()
+        return solve_exact_cg(SmoothingProblem(g, y, 0.001))[1]
+
+    with ThreadPoolExecutor(4) as pool:
+        assert all(its > 0 for its in pool.map(solve, signals, timeout=60))
+    assert builds == [g]
 
 
 # x's sha256 and the iteration count, the same as before CG had a
@@ -459,8 +486,8 @@ def test_the_plain_path_keeps_its_bits(gen, params, q, digest, iterations, monke
 
 
 def test_a_forest_keeping_most_vertices_leaves_cg_plain(monkeypatch):
-    # one edge of weight 1e6 on a 400-vertex path: the forest's rate, 0.1
-    # times the mean degree (about 500), makes most vertices roots
+    # one edge of weight 1e6 on a 400-vertex path: the forest's rate, 0.05
+    # times the mean degree (about 250), makes most vertices roots
     g = path_graph(400, weights=[1.0] * 199 + [1e6] + [1.0] * 199)
     y = np.random.default_rng(1).standard_normal(g.n)
     problem = SmoothingProblem(g, y, 0.01)
@@ -471,9 +498,14 @@ def test_a_forest_keeping_most_vertices_leaves_cg_plain(monkeypatch):
 
 
 def test_a_coarse_level_that_barely_coarsens_becomes_one_aggregate(monkeypatch):
-    # the third level, about 945 vertices around a hub of degree about
-    # 17,000, keeps more than half of them as roots in its forest
-    g = gen_graph("barabasi_albert", n=20000, k=3, seed=11)
+    # a 5,000-vertex Barabasi-Albert graph (k = 3, seed 11) with 2,000
+    # pendant vertices on its hub by edges of weight 0.1. Most pendants are
+    # roots of the finest forest, so the second level (1,629 vertices)
+    # hangs them on the hub's aggregate, light next to its mean degree, and
+    # its forest keeps more than half of its vertices as roots
+    ba = gen_graph("barabasi_albert", n=5000, k=3, seed=11)
+    hub = int(np.argmax(ba.degrees))
+    g = Graph.from_edges(7000, [*ba.edges(), *((hub, v, 0.1) for v in range(5000, 7000))])
     y = synthetic_signal(g, "gaussian", seed=11)
     problem = SmoothingProblem(g, y, 0.001)
     x, iterations = solve_exact_cg(problem)
