@@ -6,30 +6,42 @@ over its trees (unbiased), and one gradient-descent step with a
 well-chosen size cuts the estimator's variance at negligible cost.
 """
 
-from .errors import DataError, NumericalError
-from .estimators import (AlphaStrategy, MonteCarloAccumulator, MonteCarloResult,
-                         gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
-                         xbar_from_forest)
-from .forests import RootedForest, derive_seed, forest_rng, sample_forest
-from .graphs import Graph, gen_graph, load_graph, load_positions, save_graph
-from .linalg import LaplacianOperator, SmoothingProblem, apply_K_inverse, solve_exact_cg
-from .oracle import (ExactMoments, ForestDistribution, ForestFamily, enumerate_forests,
-                     exact_estimator_moments)
-from .signals import load_signal, psnr, synthetic_signal
-from .ssl import (ClassificationResult, SSLProblem, accuracy_experiment,
-                  load_labels, ssl_exact, ssl_forest)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaStrategy", "ClassificationResult", "DataError",
-    "ExactMoments", "ForestDistribution", "ForestFamily", "Graph",
-    "LaplacianOperator", "MonteCarloAccumulator", "MonteCarloResult",
-    "NumericalError", "RootedForest", "SSLProblem", "SmoothingProblem",
-    "accuracy_experiment", "apply_K_inverse", "derive_seed", "enumerate_forests",
-    "exact_estimator_moments", "forest_rng", "gen_graph", "gradient_step",
-    "load_graph", "load_labels", "load_positions",
-    "load_signal", "psnr", "resolve_alpha", "run_monte_carlo", "safe_alpha",
-    "sample_forest", "save_graph", "solve_exact_cg",
-    "ssl_exact", "ssl_forest", "synthetic_signal", "xbar_from_forest",
-]
+# each public name and the module that defines it; a module is imported
+# on the first access to one of its names, so `import rsfsmooth.cli`
+# loads only what the CLI's commands import
+_HOMES = {
+    "DataError": "errors", "NumericalError": "errors",
+    "AlphaStrategy": "estimators", "MonteCarloAccumulator": "estimators",
+    "MonteCarloResult": "estimators", "gradient_step": "estimators",
+    "resolve_alpha": "estimators", "run_monte_carlo": "estimators",
+    "safe_alpha": "estimators", "xbar_from_forest": "estimators",
+    "RootedForest": "forests", "derive_seed": "forests", "forest_rng": "forests",
+    "sample_forest": "forests",
+    "Graph": "graphs", "gen_graph": "graphs", "load_graph": "graphs",
+    "load_positions": "graphs", "save_graph": "graphs",
+    "LaplacianOperator": "linalg", "SmoothingProblem": "linalg",
+    "apply_K_inverse": "linalg", "solve_exact_cg": "linalg",
+    "ExactMoments": "oracle", "ForestDistribution": "oracle", "ForestFamily": "oracle",
+    "enumerate_forests": "oracle", "exact_estimator_moments": "oracle",
+    "load_signal": "signals", "psnr": "signals", "synthetic_signal": "signals",
+    "ClassificationResult": "ssl", "SSLProblem": "ssl", "accuracy_experiment": "ssl",
+    "load_labels": "ssl", "ssl_exact": "ssl", "ssl_forest": "ssl",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

@@ -1,0 +1,189 @@
+"""The numpy twins of the compiled loops of `_native`: the same loops in
+Python and numpy, which give the same results bit for bit. `TWINS` is the
+set `_native.kernels()` chooses where the library cannot be built; it is
+imported only then, and by the tests that check the two sets against each
+other.
+"""
+
+import functools
+import weakref
+
+import numpy as np
+
+from ._native import Kernels
+
+
+def _uniforms(key, start, count):
+    """The stream's uniforms at positions start, ..., start + count - 1."""
+    z = np.arange(start, start + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)).astype(np.float64) * 2.0**-53).tolist()
+
+
+def _stream(key, start, chunk):
+    """Uniforms from position start on, computed chunk by chunk."""
+    while True:
+        yield from _uniforms(key, start, chunk)
+        start += chunk
+        chunk *= 2
+
+
+def _wilson_python(g, q, key, position, max_steps, out):
+    """The C kernel's loop in Python, for machines where it cannot be
+    built: same uniforms, same search, same forests. Fills `out` (root_of,
+    parent_of, all -1 on entry) and returns the step count, or -1 past
+    max_steps."""
+    indptr, indices, cum = g.indptr.tolist(), g.indices.tolist(), g.walk_tables().tolist()
+    q = q.tolist()
+    root_of, parent = [-1] * len(q), [-1] * len(q)
+    rand = _stream(key, position, max(len(q), 16)).__next__
+    steps = 0
+    for start in range(len(q)):
+        u = start
+        while root_of[u] < 0:
+            if steps >= max_steps:
+                return -1
+            steps += 1
+            lo, hi = indptr[u], indptr[u + 1]
+            d = cum[hi - 1] if lo < hi else 0.0
+            r = rand() * (q[u] + d)
+            if r >= d:  # absorbed: u becomes a root
+                root_of[u] = u
+                parent[u] = -1
+                break
+            hi -= 1  # bisect_right over the row, capped at its last arc
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if r < cum[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            parent[u] = u = indices[lo]
+        root = root_of[u]
+        u = start
+        while root_of[u] < 0:
+            root_of[u] = root
+            u = parent[u]
+    out[0], out[1] = root_of, parent
+    return steps
+
+
+_SLOTS = weakref.WeakKeyDictionary()  # graph -> its arcs laid out for _laplacian_slots
+
+
+def _arc_slots(g):
+    """(perm, slots, rest) for `_laplacian_slots`: perm orders the rows by
+    decreasing degree; slot t is (count, neighbours, weights) of the t-th
+    arc of the first count rows of perm, for each offset t that
+    `Graph._arc_offsets` takes one by one; rest holds the later arcs, in
+    arc order, as (position in perm, row, neighbour, weight) arrays."""
+    if g not in _SLOTS:
+        perm, counts = g._arc_offsets
+        starts = g.indptr[perm]
+        arcs = [starts[:count] + t for t, count in enumerate(counts)]
+        slots = [(len(a), g.indices[a], g.weights[a]) for a in arcs]
+        rows = g._arc_rows
+        later = np.flatnonzero(np.arange(2 * g.m) - g.indptr[rows] >= len(slots))
+        position = np.empty(g.n, dtype=np.int64)
+        position[perm] = np.arange(g.n)
+        rest = (position[rows[later]], rows[later], g.indices[later], g.weights[later])
+        _SLOTS[g] = perm, slots, rest
+    return _SLOTS[g]
+
+
+def _laplacian_slots(g, v):
+    """The compiled row loop in numpy, the same sums bit for bit: each
+    row's sum starts at +0.0 and adds its arcs in arc order. One add per
+    slot extends the sums of all the rows it holds by one arc, and
+    np.add.at, which adds in index order, the few rows' later arcs."""
+    perm, slots, (position, rows, nbr, w) = _arc_slots(g)
+    vp, out = v[perm], np.zeros(g.n)
+    for count, slot_nbr, slot_w in slots:
+        terms = vp[:count] - v[slot_nbr]
+        terms *= slot_w
+        out[:count] += terms
+    if len(position):
+        np.add.at(out, position, w * (v[rows] - v[nbr]))
+    res = np.empty(g.n)
+    res[perm] = out
+    return res
+
+
+@functools.lru_cache(maxsize=8)
+def _lanes(n):
+    """The lane of each of n indices, i % 4. Writable, because np.bincount
+    copies a read-only input on every call."""
+    return np.arange(n) & 3
+
+
+def _dot_numpy(a, b):
+    """The compiled dot in numpy: bincount adds each product into its
+    lane in index order, from +0.0."""
+    s0, s1, s2, s3 = np.bincount(_lanes(len(a)), weights=a * b, minlength=4).tolist()
+    return (s0 + s1) + (s2 + s3)
+
+
+def _product_numpy(g, q, p, ap):
+    np.multiply(q, p, out=ap)
+    ap += _laplacian_slots(g, p)
+    return _dot_numpy(p, ap)
+
+
+def _residual_numpy(r, ap, a):
+    r -= a * ap
+    return _dot_numpy(r, r)
+
+
+def _direction_numpy(x, p, r, a, b):
+    x += a * p
+    p *= b
+    p += r  # r + b p: addition commutes exactly
+
+
+def _residual_of(g, q, b, x):
+    """b - (q x + L x), rounded as the compiled passes round it."""
+    ax = q * x
+    ax += _laplacian_slots(g, x)
+    return np.subtract(b, ax, out=ax)
+
+
+def _restrict_numpy(g, q, winv, b, x, lab, rc):
+    np.multiply(winv, b, out=x)
+    # bincount adds in index order, from +0.0
+    rc[:] = np.bincount(lab, weights=_residual_of(g, q, b, x), minlength=len(rc))
+
+
+def _prolong_numpy(g, q, winv, b, x, lab, ec, out):
+    x += ec[lab]
+    res = _residual_of(g, q, b, x)
+    res *= winv
+    np.add(x, res, out=out)
+
+
+def _cholesky_numpy(a):
+    """The compiled factor by columns: column k is divided by its pivot's
+    square root, then l_i l_j is taken off each later a_ij; np.outer forms
+    the same products, and the entries above the diagonal are zeroed."""
+    for k in range(len(a)):
+        a[k, k] = np.sqrt(a[k, k])
+        col = a[k + 1:, k]
+        col /= a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(col, col)
+        a[k, k + 1:] = 0.0
+
+
+def _solve_numpy(l, b):
+    for k in range(len(b)):
+        b[k] /= l[k, k]
+        b[k + 1:] -= l[k + 1:, k] * b[k]
+    for k in reversed(range(len(b))):
+        b[k] /= l[k, k]
+        b[:k] -= l[k, :k] * b[k]
+
+
+TWINS = Kernels(_wilson_python, _laplacian_slots, _dot_numpy, _product_numpy,
+                _residual_numpy, _direction_numpy, _restrict_numpy, _prolong_numpy,
+                _cholesky_numpy, _solve_numpy)

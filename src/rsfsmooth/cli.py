@@ -13,12 +13,13 @@ import sys
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .estimators import AlphaStrategy, run_monte_carlo
-from .experiments import denoise_table, sweep_alpha
 from .graphs import gen_graph, load_graph, load_positions, save_graph
 from .linalg import SmoothingProblem, solve_exact_cg
 from .signals import PSNR_CONVENTION, load_signal, synthetic_signal
-from .ssl import SSLProblem, accuracy_experiment, load_labels
+
+# The estimators, the experiment drivers and the classifier are imported
+# by the commands that run them, so a process loads only what its command
+# uses.
 
 SYNTHETIC_KINDS = ("gaussian", "smooth", "constant")
 GENERATOR_KEYS = ("n", "d", "k", "rows", "cols")
@@ -210,6 +211,8 @@ def cmd_exact(args):
 
 
 def cmd_smooth(args):
+    from .estimators import AlphaStrategy, run_monte_carlo
+
     g = _resolve_graph(args)
     y = _resolve_signal(args, g)
     problem = SmoothingProblem(g, y, args.q)
@@ -221,6 +224,8 @@ def cmd_smooth(args):
 
 
 def cmd_sweep_alpha(args):
+    from .experiments import sweep_alpha
+
     g = _resolve_graph(args)
     y = _resolve_signal(args, g)
     out = sweep_alpha(g, y, args.q, _parse_grid(args.alpha_grid),
@@ -238,6 +243,8 @@ def cmd_sweep_alpha(args):
 
 
 def cmd_denoise(args):
+    from .experiments import denoise_table
+
     g = _resolve_graph(args)
     clean = _resolve_signal(args, g)
     rows = denoise_table(g, clean, args.noise_std, _parse_grid(args.q_grid),
@@ -250,6 +257,8 @@ def cmd_denoise(args):
 
 
 def cmd_ssl(args):
+    from .ssl import SSLProblem, accuracy_experiment, load_labels
+
     g = _resolve_graph(args)
     labels = load_labels(args.labels, g.n)
     problem = SSLProblem(graph=g, labels=labels, mu=args.mu, sigma=args.sigma)

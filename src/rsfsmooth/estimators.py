@@ -16,8 +16,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .forests import (DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest,
                       walk_steps_floor)
-from .linalg import _dot, apply_K_inverse
-from .oracle import ZERO_VARIANCE_TOL, exact_estimator_moments
+from .linalg import ZERO_VARIANCE_TOL, _dot, apply_K_inverse
 
 
 def xbar_from_forest(forest, problem):
@@ -163,6 +162,8 @@ def resolve_alpha(strategy, problem, acc=None):
             return 0.0, True
         return acc._m_xy / acc._m_yy, False
     if strategy.kind == "oracle_optimal":
+        from .oracle import exact_estimator_moments  # test-scale, loaded only here
+
         alpha_star = exact_estimator_moments(problem.graph, problem.q, problem.y).alpha_star
         return (0.0, True) if alpha_star is None else (alpha_star, False)
     raise DataError(f"unknown step-size strategy {strategy.kind!r}")

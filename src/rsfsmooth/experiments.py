@@ -9,7 +9,6 @@ from .estimators import (AlphaStrategy, accumulate_forests, forest_estimates, re
                          safe_alpha)
 from .forests import derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
-from .oracle import exact_estimator_moments, in_enumeration_reach
 from .signals import psnr
 
 
@@ -51,6 +50,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
         sq += (errs * errs).sum(axis=1)
         alpha_hats.append(alpha_hat)
     sq /= realizations
+
+    from .oracle import exact_estimator_moments, in_enumeration_reach  # test-scale
 
     alpha_star = (exact_estimator_moments(graph, q, y).alpha_star
                   if in_enumeration_reach(graph) else None)

@@ -46,39 +46,32 @@ class Graph:
         (u, v, w) rows.
 
         Each undirected edge must appear exactly once. Raises `DataError`
-        on self-loops, out-of-range ids, nonpositive or non-finite weights
-        and duplicates, naming the first such edge in input order, and on
-        a disconnected result.
+        on ids that are not integers, self-loops, out-of-range ids,
+        nonpositive or non-finite weights and duplicates, naming the first
+        such edge in input order, and on a disconnected result. Where
+        every check passes, the one sort that orders the arcs also finds
+        the duplicates; only a bad input pays for the pass that names it.
         """
         edges = np.asarray(edges, dtype=np.float64)
         if edges.size == 0:
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:
             raise DataError(f"edges must be (u, v, w) rows, got an array of shape {edges.shape}")
-        u, v, w = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64), edges[:, 2]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        loop = u == v
-        out_of_range = (lo < 0) | (hi >= n)
-        bad_weight = ~((w > 0) & (w < math.inf))
-        repeat = np.ones(len(w), dtype=bool)
-        repeat[np.unique(lo * n + hi, return_index=True)[1]] = False  # first of each edge
-        bad = loop | out_of_range | bad_weight | repeat
-        if bad.any():
-            i = int(np.argmax(bad))
-            a, b = int(u[i]), int(v[i])
-            if loop[i]:
-                raise DataError(f"self-loop at vertex {a}")
-            if out_of_range[i]:
-                raise DataError(f"vertex id out of range: edge ({a}, {b}) with n={n}")
-            if bad_weight[i]:
-                raise DataError(f"nonpositive or non-finite weight {float(w[i])} "
-                                f"on edge ({a}, {b})")
-            raise DataError(f"duplicate undirected edge ({int(lo[i])}, {int(hi[i])})")
+        ends, w = edges[:, :2], edges[:, 2]
+        # the ids are checked as floats, before the int cast; NaN fails every comparison
+        ids_ok = ((ends == np.trunc(ends)) & (ends >= 0) & (ends < n)).all(axis=1)
+        if not (ids_ok & (ends[:, 0] != ends[:, 1]) & (w > 0) & (w < math.inf)).all():
+            raise _edge_error(n, ends, w)
         if n < 1:
             raise DataError("graph must have at least one vertex")
 
+        u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(rows * n + cols)
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        keys = keys[order]
+        if (keys[1:] == keys[:-1]).any():  # the two arcs of a repeated edge, twice
+            raise _edge_error(n, ends, w)
         g = cls.__new__(cls)
         g.n, g.m = int(n), len(w)
         g.indices = cols[order]
@@ -108,7 +101,7 @@ class Graph:
         """(order, counts): the vertices by decreasing degree (a stable
         sort), and the count of rows with an arc at offset t = 0, 1, ...,
         the first counts[t] of order, while it is at least an eighth of the
-        rows. `walk_tables` and `_native._arc_slots` take these offsets one
+        rows. `walk_tables` and `_twins._arc_slots` take these offsets one
         numpy pass each and the few long rows' later arcs in bulk: a pass
         per hub arc made the numpy Laplacian 1.5x (n = 20000) and 3.6x
         (n = 1500) slower than the bincount form on Barabasi-Albert graphs,
@@ -151,6 +144,56 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, d_max={self.d_max:g})"
+
+
+def _id_text(x):
+    """A vertex id as it was given: an integer's digits, else the float's repr."""
+    x = float(x)
+    return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else repr(x)
+
+
+def _edge_error(n, ends, w):
+    """The DataError naming the first edge in input order that is not a
+    valid one of a graph on n vertices, given that there is one: an id
+    that is not an integer, a self-loop, an id out of range, a nonpositive
+    or non-finite weight, or a repeat of an earlier edge, checked in that
+    order within an edge."""
+    whole = np.isfinite(ends) & (ends == np.trunc(ends))
+    ids_ok = (whole & (ends >= 0) & (ends < n)).all(axis=1)
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
+    repeat = ids_ok.copy()  # only edges with valid ids are compared
+    valid = np.flatnonzero(ids_ok)
+    keys = lo[valid].astype(np.int64) * n + hi[valid].astype(np.int64)
+    repeat[valid[_first_occurrences(keys)]] = False
+    bad_weight = ~((w > 0) & (w < math.inf))
+    i = int(np.argmax(~ids_ok | (lo == hi) | bad_weight | repeat))
+    a, b = _id_text(ends[i, 0]), _id_text(ends[i, 1])
+    if not whole[i].all():
+        return DataError(f"vertex id is not an integer: edge ({a}, {b})")
+    if lo[i] == hi[i]:
+        return DataError(f"self-loop at vertex {a}")
+    if not ids_ok[i]:
+        return DataError(f"vertex id out of range: edge ({a}, {b}) with n={n}")
+    if bad_weight[i]:
+        return DataError(f"nonpositive or non-finite weight {float(w[i])} on edge ({a}, {b})")
+    return DataError(f"duplicate undirected edge ({_id_text(lo[i])}, {_id_text(hi[i])})")
+
+
+def _first_occurrences(keys):
+    """The index of the first occurrence of each distinct value of the
+    int64 array keys, in increasing order of the values: the array
+    np.unique(keys, return_index=True)[1], from the default argsort
+    instead of the stable sort np.unique runs (on 100,000 random keys, 2.8
+    against 9.0 ms on a 2-core AVX-512 Xeon). The smallest index of each
+    run of equal sorted keys is its first occurrence, whatever order the
+    sort left within the run."""
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    return np.minimum.reduceat(order, starts)
 
 
 def _running_sums(cum, first, length):
@@ -290,9 +333,9 @@ def _regular_edges(n, d, rng):
         return _unit_edges(*np.nonzero(keep))
     pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
     for _ in range(MAX_PAIRING_ROUNDS):
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         bad = np.ones(len(pairs), dtype=bool)
-        bad[np.unique(lo * n + hi, return_index=True)[1]] = False  # keep one of each edge
+        bad[_first_occurrences(lo * n + hi)] = False  # keep one of each edge
         bad |= lo == hi
         n_bad = int(bad.sum())
         if n_bad == 0:

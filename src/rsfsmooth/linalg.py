@@ -85,6 +85,11 @@ def apply_K_inverse(problem, v):
     return v + problem.laplacian.apply(v) / problem.q
 
 
+# per-node threshold on tr Var(ybar), ybar = K^{-1} xbar, below which the
+# empirical step size (`estimators`) and the exact one (`oracle`) fall back
+ZERO_VARIANCE_TOL = 1e-14
+
+
 # When CG takes its multigrid preconditioner. CG needs about sqrt(kappa)
 # iterations, and kappa <= 1 + 2 d_max / q_min. Measured on a 2-core Xeon,
 # best of seven solves that each build the hierarchy, plain against
@@ -267,14 +272,18 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
 
     Returns (x, iterations). The iteration stops once the residual
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
-    if ||Qy|| is not finite, or if that is not reached within max_iter
-    (default 10n) iterations, plain and preconditioned together. CG runs
-    plain; where 1 + 2 d_max / q_min exceeds _MULTIGRID_BOUND, it takes
-    the hierarchy (`problem.multigrid`) after _PLAIN_ITERATIONS / 4
-    iterations if the relative residual is then above tol^(1/4), else
-    after _PLAIN_ITERATIONS if it has not converged, and goes on
-    preconditioned from the current iterate, with beta in its flexible
-    form -z . Ap / p . Ap (Notay, SISC 22, 2000). Each plain iteration
+    if ||Qy|| is not finite, if that is not reached within max_iter
+    (default 10n) iterations, plain and preconditioned together, or if
+    the true residual stalls: where the recursive residual passes tol
+    and the true one does not, CG restarts from the true one, and it
+    stops where a restart's true residual is no smaller than the last's.
+    CG runs plain; where 1 + 2 d_max / q_min exceeds _MULTIGRID_BOUND,
+    it takes the hierarchy (`problem.multigrid`) after
+    _PLAIN_ITERATIONS / 4 iterations if the relative residual is then
+    above tol^(1/4), else after _PLAIN_ITERATIONS if it has not
+    converged, and goes on preconditioned from the current iterate, with
+    beta in its flexible form -z . Ap / p . Ap (Notay, SISC 22, 2000).
+    Each plain iteration
     makes three passes over the vectors (`_native.Kernels`), a
     preconditioned one also a cycle, and every norm and dot product is
     summed in fixed lanes, so x has the same bits on every CPU.
@@ -321,6 +330,7 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     mg = None
     p, rz = restart()
     threshold = tol * bnorm
+    failed = math.inf  # the true residual's norm at the last failed acceptance
     iterations = 0
     while True:
         if math.sqrt(rs) <= threshold:
@@ -328,6 +338,15 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
             true_r, tnorm = true_residual()
             if tnorm <= threshold:
                 return x, iterations
+            # A failed acceptance restarts from the true residual. Where its
+            # norm is not below the one at the previous failed acceptance,
+            # the restart gained nothing: rounding holds x where it is, and
+            # more iterations would only run on to max_iter.
+            if tnorm >= failed:
+                raise NumericalError(
+                    f"CG stalled after {iterations} iterations "
+                    f"(relative residual {tnorm / bnorm:.3e})")
+            failed = tnorm
             r = true_r
             rs = tnorm * tnorm
             p, rz = restart()

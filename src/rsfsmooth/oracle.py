@@ -16,13 +16,11 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .forests import _absorption_weights, _tree_averages
-from .linalg import LaplacianOperator, SmoothingProblem, _dot, apply_K_inverse
+from .linalg import (ZERO_VARIANCE_TOL, LaplacianOperator, SmoothingProblem, _dot,
+                     apply_K_inverse)
 
 ENUM_MAX_VERTICES = 9
 ENUM_MAX_EDGES = 24
-# per-node threshold on tr Var(ybar); the empirical step size in
-# `estimators` falls back at the same threshold
-ZERO_VARIANCE_TOL = 1e-14
 
 
 @dataclass

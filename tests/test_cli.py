@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rsfsmooth
+import rsfsmooth.estimators
+import rsfsmooth.experiments
 from rsfsmooth import NumericalError, load_graph, save_graph
 from rsfsmooth.cli import _write_json, run
 
@@ -625,6 +627,20 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure"), err
         assert "200000000 forest draws of at least 1000 walk steps" in err[0]
+        assert not out.exists()
+
+    # a tol below what rounding lets the true residual reach: the recursive
+    # residual passes it and the true one does not, twice with no gain, so
+    # CG stops there instead of running all 10n = 36,000 iterations
+    def test_cg_stops_once_its_true_residual_stalls(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert run(["exact", "--gen", "grid:rows=60,cols=60", "--signal", "gaussian",
+                    "--q", "1", "--tol", "1e-16", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        match = re.fullmatch(r"numerical failure: CG stalled after (\d+) iterations "
+                             r"\(relative residual (\S+)\)", err[0])
+        assert match and int(match[1]) <= 1000 and float(match[2]) > 1e-16, err
         assert not out.exists()
 
     # 10 ** log10(max float) overflows by a rounding: the grid holds inf, as

@@ -1,7 +1,8 @@
 """A pinned byte-identity corpus: each row is one CLI command, run in
-process at `--seed 5 --format json`, and the sha256 of the file it writes.
+process at `--seed 5 --format json` (`gen-graph`, which writes an edge
+list, at `--seed 5`), and the sha256 of the file it writes.
 Every row runs under both kernel sets, the compiled loops (skipped where
-they cannot be built) and their numpy twins `_native.TWINS`, so a change
+they cannot be built) and their numpy twins `_twins.TWINS`, so a change
 that is meant to keep every output's bytes proves it with
 
     PYTHONPATH=src python -m pytest -q tests/test_corpus.py
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from conftest import using_kernels
-from rsfsmooth import _native
+from rsfsmooth import _native, _twins
 from rsfsmooth.cli import run
 
 # Input files, written by `inputs` into the run's directory. Each vertex
@@ -92,6 +93,13 @@ ROWS = {
         "ssl --gen knn:k=8 --coords COORDS --labels LABELS --mu 1 --n-samples 10 "
         "--repeats 2 --labels-per-class 1,5",
         "4dd41daa54d8a014ffec06e10d865653be0e29482f27ee14ddfc338f6cbf46e1"),
+    # d > (n - 1) / 2: the complement of a 40-regular graph
+    "gen-regular-complement": (
+        "gen-graph --gen regular:n=101,d=60",
+        "20e28d2e3196b205eeb76d70c478dd46b03fb42ea913e7ad5e45507fa9bafad3"),
+    "gen-ba": (
+        "gen-graph --gen ba:n=2000,k=3",
+        "fffb6faff2d5d3836554e9efc515b4c6c231ef898cfc0e9ecd2e8407d670d04c"),
 }
 
 
@@ -117,7 +125,9 @@ def output_hash(name, work):
     files = inputs(work)
     out = work / f"{name}.json"
     argv = [files.get(a, a) for a in ROWS[name][0].split()]
-    assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+    if argv[0] != "gen-graph":
+        argv += ["--format", "json"]
+    assert run([*argv, "--seed", "5", "--out", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -125,7 +135,7 @@ def output_hash(name, work):
     *(pytest.param(name, False, id=name) for name in ROWS),
     *(pytest.param(name, True, id=f"{name}-twins") for name in ROWS)])
 def test_output_keeps_its_pinned_bytes(name, twins, tmp_path):
-    chosen = _native.TWINS if twins else _native.compiled()
+    chosen = _twins.TWINS if twins else _native.compiled()
     if chosen is None:
         pytest.skip("the compiled loops cannot be built here")
     with using_kernels(chosen):

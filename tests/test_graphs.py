@@ -2,10 +2,11 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -283,18 +284,27 @@ def test_path_graph_weighted():
     assert np.array_equal(g.degrees, [0.5, 2.5, 2.0])
 
 
+def id_text(x):
+    """An id as the error messages give it: an integer's digits, else repr."""
+    return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else repr(x)
+
+
 def reference_csr(n, edges):
     """Per-edge construction that `Graph.from_edges` must match: each edge
-    is checked in input order (self-loop, range, weight, duplicate), then
-    the arcs go through scipy's COO to CSR conversion."""
+    is checked in input order (integer ids, self-loop, range, weight,
+    duplicate), then the arcs go through scipy's COO to CSR conversion."""
     seen = set()
     rows, cols, vals = [], [], []
     for u, v, w in edges:
-        u, v, w = int(u), int(v), float(w)
+        u, v, w = float(u), float(v), float(w)
+        a, b = id_text(u), id_text(v)
+        if not (u.is_integer() and v.is_integer()):  # NaN and inf are not
+            raise DataError(f"vertex id is not an integer: edge ({a}, {b})")
         if u == v:
-            raise DataError(f"self-loop at vertex {u}")
+            raise DataError(f"self-loop at vertex {a}")
         if not (0 <= u < n and 0 <= v < n):
-            raise DataError(f"vertex id out of range: edge ({u}, {v}) with n={n}")
+            raise DataError(f"vertex id out of range: edge ({a}, {b}) with n={n}")
+        u, v = int(u), int(v)
         if not 0 < w < math.inf:
             raise DataError(f"nonpositive or non-finite weight {w} on edge ({u}, {v})")
         key = (u, v) if u < v else (v, u)
@@ -315,11 +325,13 @@ def reference_csr(n, edges):
 @st.composite
 def edge_lists(draw):
     """Small edge lists mixing valid edges (a spanning path half the time)
-    with self-loops, out-of-range ids, bad weights and repeated edges."""
+    with self-loops, out-of-range ids, ids that are not integers (or are
+    integral floats), bad weights and repeated edges."""
     n = draw(st.integers(1, 6))
     good = st.floats(0.1, 10.0)
     weight = st.one_of(good, st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
-    ids = st.integers(-1, n)
+    ids = st.one_of(st.integers(-1, n), st.sampled_from(
+        [0.0, 1.0, 0.5, 1.5, -0.5, math.nan, math.inf, -math.inf, 1e30, 2.0**63]))
     edges = [(i, i + 1, draw(good)) for i in range(n - 1)] if draw(st.booleans()) else []
     edges += draw(st.lists(st.tuples(ids, ids, weight), max_size=6))
     for _ in range(draw(st.integers(0, 2))):
@@ -345,6 +357,38 @@ def test_from_edges_matches_per_edge_reference(case):
     assert np.array_equal(g.indptr, ref.indptr)
     assert np.array_equal(g.indices, ref.indices)
     assert np.array_equal(g.weights, ref.data)
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1.5, 1.0), (1, 2, 1.0)], "vertex id is not an integer: edge (0, 1.5)"),
+    ([(0, 1, 1.0), (math.nan, 2, 1.0)], "vertex id is not an integer: edge (nan, 2)"),
+    ([(0, 1, 1.0), (1, 1e30, 1.0)], "vertex id out of range: edge (1, 1e+30) with n=3"),
+    ([(0, 1, 1.0), (1, 0, 1.0), (2, 2, 1.0)], "duplicate undirected edge (0, 1)"),
+    ([(0, 1, 1.0), (2, 2, 1.0), (1, 0, 1.0)], "self-loop at vertex 2"),
+], ids=["fraction", "nan", "huge", "duplicate-before-self-loop", "self-loop-before-duplicate"])
+def test_from_edges_names_the_first_bad_edge_as_given(edges, message):
+    # the ids are checked before the int cast, which made 1.5 a 1 and
+    # NaN or 1e30 the id -2^63; the first bad edge in input order wins
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as err:
+            Graph.from_edges(3, edges)
+    assert str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.lists(st.integers(-3, 3), max_size=200),  # many repeats, long enough for SIMD sorts
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=40),
+    st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(0, 100)).map(
+        lambda pair: [pair[0]] * pair[1])))  # all equal
+@example([])  # a 0-regular complement pairs no stubs
+@example([5])
+def test_first_occurrences_are_those_of_np_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = graphs._first_occurrences(keys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(keys, return_index=True)[1])
 
 
 def test_from_edges_takes_an_array():

@@ -1,8 +1,10 @@
 """Import-time and layering guards: no command but `--gen knn` loads
-scipy, and that one refuses in one line where scipy is absent, the CLI
-import leaves the compiled library unbuilt, the test-scale oracles sit
-below the estimators, one loop draws every forest, and each step-size
-rule and the enumeration reach are stated in one place."""
+scipy, and that one refuses in one line where scipy is absent, each
+command loads only the package modules it runs, every public name
+resolves on first access, the CLI import leaves the compiled library
+unbuilt, the test-scale oracles sit below the estimators, one loop draws
+every forest, and each step-size rule and the enumeration reach are
+stated in one place."""
 
 import ast
 import json
@@ -16,20 +18,20 @@ import rsfsmooth
 import rsfsmooth.oracle
 
 
-def fresh_python(code, **env):
-    """Run code in a new interpreter that imports this checkout's package."""
+def fresh_python(code, *args, **env):
+    """Run code, with sys.argv[1:] = args, in a new interpreter that
+    imports this checkout's package."""
     src = str(Path(rsfsmooth.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, timeout=60)
 
 
-def test_no_command_but_gen_knn_loads_scipy(tmp_path):
-    # numpy is the one dependency of the run path: neither the CLI import
-    # nor any command but `gen-graph --gen knn` loads a scipy module, also
-    # where a command builds the dense Laplacian (a smooth signal, the
-    # oracle step size) or enumerates forests (sweep-alpha on a tiny graph)
+def command_runs(tmp_path):
+    """One argv of each command on a 4-cycle, `exact` first: also where a
+    command builds the dense Laplacian (a smooth signal, the oracle step
+    size) or enumerates forests (sweep-alpha on a tiny graph)."""
     gpath, labels = tmp_path / "c4.txt", tmp_path / "labels.csv"
     gpath.write_text("0 1\n1 2 0.5\n2 3\n3 0 2\n")
     labels.write_text("0,0\n1,0\n2,1\n3,1\n")
@@ -44,7 +46,13 @@ def test_no_command_but_gen_knn_loads_scipy(tmp_path):
         ["ssl", *graph, "--labels", str(labels), "--n-samples", "3", "--repeats", "2"],
         ["gen-graph", "--gen", "grid:rows=2,cols=3"],
     ]
-    runs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    return [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+
+
+def test_no_command_but_gen_knn_loads_scipy(tmp_path):
+    # numpy is the one dependency of the run path: neither the CLI import
+    # nor any command but `gen-graph --gen knn` loads a scipy module
+    runs = command_runs(tmp_path)
     res = fresh_python(
         "import json, sys, rsfsmooth.cli as cli\n"
         "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
@@ -54,6 +62,60 @@ def test_no_command_but_gen_knn_loads_scipy(tmp_path):
         "    print(loaded())", XDG_CACHE_HOME=str(tmp_path / "cache"))
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["[]"] * (1 + len(runs))
+
+
+LOADED = """
+import json, sys
+before = set(sys.modules)
+import rsfsmooth.cli as cli, rsfsmooth._native as nat
+
+def loaded():
+    return sorted(set(sys.modules) - before)
+
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    assert cli.run(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps({"built": nat.compiled() is not None, "steps": steps}))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the modules the package has loaded after its import and after each
+    # command, in one interpreter, with the library already in the cache
+    cache = str(tmp_path / "cache")
+    warm = fresh_python("import rsfsmooth._native as nat; nat.kernels()", XDG_CACHE_HOME=cache)
+    assert warm.returncode == 0, warm.stderr
+    runs = command_runs(tmp_path)
+    res = fresh_python(LOADED, json.dumps(runs), XDG_CACHE_HOME=cache)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    imported, after_exact = (set(report["steps"][i]) for i in (0, 1))
+    assert runs[0][0] == "exact"
+    assert not {f"rsfsmooth.{m}" for m in ("estimators", "experiments", "ssl", "oracle",
+                                           "_twins")} & after_exact
+    assert {"rsfsmooth.cli", "rsfsmooth.linalg", "rsfsmooth.graphs"} <= imported
+    if report["built"]:
+        assert "rsfsmooth._twins" not in report["steps"][-1]
+        # the cached library is loaded without them; the interpreter's
+        # own start-up may have loaded them before the package
+        assert not {"subprocess", "tempfile"} & set(report["steps"][-1])
+    # the oracle comes in with the commands that use it, the rest as run
+    assert "rsfsmooth.oracle" in report["steps"][-1]
+    assert {"rsfsmooth.estimators", "rsfsmooth.experiments",
+            "rsfsmooth.ssl"} <= set(report["steps"][-1])
+
+
+def test_every_public_name_resolves_and_is_listed():
+    res = fresh_python(
+        "import json, rsfsmooth\n"
+        "missing = [n for n in rsfsmooth.__all__ if getattr(rsfsmooth, n, None) is None]\n"
+        "namespace = {}\n"
+        "exec('from rsfsmooth import *', namespace)\n"
+        "print(json.dumps([missing, sorted(set(rsfsmooth.__all__) - set(dir(rsfsmooth))),\n"
+        "                  sorted(set(rsfsmooth.__all__) - set(namespace))]))")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [[], [], []]
 
 
 def test_gen_knn_without_scipy_ends_in_one_line(tmp_path):
@@ -74,7 +136,7 @@ EXACT = ("import rsfsmooth.cli as cli, rsfsmooth._native as nat; "
          "print(nat.compiled.cache_info().currsize == 0); "
          "code = cli.run(['exact', '--graph', {graph!r}, "
          "'--signal', 'gaussian', '--q', '0.5', '--format', 'json', '--out', {out!r}]); "
-         "print(code, nat._KERNELS is nat.TWINS)")
+         "import rsfsmooth._twins as twins; print(code, nat._KERNELS is twins.TWINS)")
 
 
 def test_cli_import_leaves_the_library_unbuilt_and_exact_matches_the_fallback(tmp_path):

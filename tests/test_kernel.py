@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsfsmooth
-from rsfsmooth import _native
+from rsfsmooth import _native, _twins
 from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng, forests,
                        gen_graph, sample_forest)
 from rsfsmooth.cli import run
@@ -57,7 +57,7 @@ def test_kernel_matches_python_loop(case, n_draws):
     g, q, key, position = case
     fast, slow = forests.CounterStream(key, position), forests.CounterStream(key, position)
     for _ in range(n_draws):
-        a, b = draw(compiled(), g, q, fast), draw(_native._wilson_python, g, q, slow)
+        a, b = draw(compiled(), g, q, fast), draw(_twins._wilson_python, g, q, slow)
         assert np.array_equal(a.root_of, b.root_of)
         assert np.array_equal(a.parent_of, b.parent_of)
         assert a.rng_draws == b.rng_draws
@@ -65,7 +65,7 @@ def test_kernel_matches_python_loop(case, n_draws):
     # the step budget: the next draw fails at one step short of its length,
     # in both, leaving both streams where they were
     steps = draw(compiled(), g, q, forests.CounterStream(key, fast.position)).rng_draws
-    for kernel, stream in ((compiled(), fast), (_native._wilson_python, slow)):
+    for kernel, stream in ((compiled(), fast), (_twins._wilson_python, slow)):
         before = stream.position
         with pytest.raises(NumericalError, match="step budget"):
             draw(kernel, g, q, stream, max_steps=steps - 1)
@@ -75,9 +75,9 @@ def test_kernel_matches_python_loop(case, n_draws):
 
 def test_uniform_is_splitmix64():
     # splitmix64 seeded with 0 first outputs 0xE220A8397B1DCDAF
-    assert _native._uniforms(0, 1, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
-    chunked = _native._stream(12345, 7, 3)
-    assert [next(chunked) for _ in range(10)] == _native._uniforms(12345, 7, 10)
+    assert _twins._uniforms(0, 1, 1) == [(0xE220A8397B1DCDAF >> 11) * 2.0**-53]
+    chunked = _twins._stream(12345, 7, 3)
+    assert [next(chunked) for _ in range(10)] == _twins._uniforms(12345, 7, 10)
 
 
 def test_stream_position_advances_by_draws():
@@ -145,7 +145,7 @@ SMOOTH = ("from rsfsmooth import _native; from rsfsmooth.cli import run; "
           "run(['smooth', '--gen', 'grid:rows=12,cols=12', '--signal', 'gaussian', "
           "'--q', '0.2', '--n-samples', '5', '--alpha', 'empirical', '--seed', '3', "
           "'--format', 'json', '--out', {out!r}]); "
-          "print(_native._KERNELS is _native.TWINS)")
+          "from rsfsmooth import _twins; print(_native._KERNELS is _twins.TWINS)")
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -211,7 +211,7 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
         return counting
 
     twins = _native.Kernels(*(counted(name, loop)
-                              for name, loop in zip(_native.Kernels._fields, _native.TWINS)))
+                              for name, loop in zip(_native.Kernels._fields, _twins.TWINS)))
     commands = [["smooth", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3",
                  "--n-samples", "4", "--alpha", "empirical"],
                 ["exact", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3"],

@@ -8,11 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
                        SmoothingProblem, apply_K_inverse, forest_rng, gen_graph,
                        sample_forest, solve_exact_cg, synthetic_signal)
-from rsfsmooth import _native, linalg
+from rsfsmooth import _native, _twins, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
 from conftest import adjacency, path_graph, random_connected_graph, star_graph, using_kernels
@@ -98,7 +100,7 @@ def test_apply_matches_bincount_form_bitwise(case):
     got, ref = LaplacianOperator(g).apply(v), bincount_laplacian(g, v)
     assert got.dtype == np.float64 and got.shape == (g.n,)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    twin = _native.TWINS.laplacian(g, v)
+    twin = _twins.TWINS.laplacian(g, v)
     assert np.array_equal(twin.view(np.uint64), ref.view(np.uint64))
 
 
@@ -114,7 +116,7 @@ def test_numpy_apply_matches_bincount_form_on_uneven_degrees(make):
     g = make()
     rng = np.random.default_rng(g.n)
     v = rng.standard_normal(g.n) * 10.0 ** rng.integers(-8, 9, g.n)
-    got, ref = _native.TWINS.laplacian(g, v), bincount_laplacian(g, v)
+    got, ref = _twins.TWINS.laplacian(g, v), bincount_laplacian(g, v)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -143,11 +145,11 @@ def same_bits(a, b):
 def test_compiled_apply_and_cg_match_the_fallback_bitwise(case, q):
     g, v = case
     compiled = _native.compiled()
-    fast, slow = compiled.laplacian(g, v), _native.TWINS.laplacian(g, v)
+    fast, slow = compiled.laplacian(g, v), _twins.TWINS.laplacian(g, v)
     assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
     problem = SmoothingProblem(g, v, q)
     fast = with_kernels(compiled, solve_exact_cg, problem)
-    slow = with_kernels(_native.TWINS, solve_exact_cg, problem)
+    slow = with_kernels(_twins.TWINS, solve_exact_cg, problem)
     if isinstance(slow, str):  # weights over 60 binades can stall CG
         assert fast == slow
     else:
@@ -169,7 +171,7 @@ def lane_dot(a, b):
 def test_dot_sums_four_lanes_in_index_order(pair):
     a, b = pair
     expected = lane_dot(a, b)
-    assert same_bits(_native.TWINS.dot(a, b), expected)
+    assert same_bits(_twins.TWINS.dot(a, b), expected)
     if _native.compiled() is not None:
         assert same_bits(_native.compiled().dot(a, b), expected)
 
@@ -183,7 +185,7 @@ def test_compiled_passes_match_their_numpy_twins_bitwise(case, data):
     q = data.draw(st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array))
     r, x = data.draw(vectors(g.n)), data.draw(vectors(g.n))
     a, b = data.draw(value), data.draw(value)
-    fast, slow = _native.compiled(), _native.TWINS
+    fast, slow = _native.compiled(), _twins.TWINS
     results = []
     for kernels in (fast, slow):
         ap, rk, xk, pk = np.empty(g.n), r.copy(), x.copy(), p.copy()
@@ -209,7 +211,7 @@ def test_a_long_cg_solve_matches_the_numpy_twins_bitwise(rows, cols, q):
         q = rng.uniform(1e-3, 2.0, g.n)
     problem = SmoothingProblem(g, rng.standard_normal(g.n), q)
     fast = with_kernels(_native.compiled(), solve_exact_cg, problem, 1e-12)
-    slow = with_kernels(_native.TWINS, solve_exact_cg, problem, 1e-12)
+    slow = with_kernels(_twins.TWINS, solve_exact_cg, problem, 1e-12)
     assert fast[1] == slow[1] > 5
     assert same_bits(fast[0], slow[0])
 
@@ -228,7 +230,7 @@ def check_multigrid_passes(g, q, winv, b, x0, lab, ec):
     """The twins' passes are the stated formulas, with the Laplacian in its
     bincount form and the restriction a bincount in index order, and the
     compiled passes, where the library builds, have the same bits."""
-    results = [multigrid_passes(_native.TWINS, g, q, winv, b, x0, lab, ec)]
+    results = [multigrid_passes(_twins.TWINS, g, q, winv, b, x0, lab, ec)]
     x, rc, xp, out = results[0]
     assert same_bits(x, winv * b)
     assert same_bits(rc, np.bincount(lab, weights=b - (q * x + bincount_laplacian(g, x)),
@@ -316,7 +318,7 @@ def test_dense_cholesky_and_solve_match_their_numpy_twins_bitwise(case, data):
     x = solve_loop(want, v)
     assert np.linalg.norm(a @ x - v) <= 1e-12 * (np.abs(a).max() * np.linalg.norm(x)
                                                  + np.linalg.norm(v))
-    for kernels in (_native.TWINS, _native.compiled()):
+    for kernels in (_twins.TWINS, _native.compiled()):
         if kernels is not None:
             factor, solved = a.copy(), v.copy()
             kernels.cholesky(factor)
@@ -362,21 +364,30 @@ def test_a_preconditioned_solve_agrees_with_plain_cg(make, q, monkeypatch):
     assert np.linalg.norm(x - x_plain) <= 1e-6 * np.linalg.norm(x_plain)
 
 
+def aggregation(lvl, nc):
+    """The indicator matrix P of a level's aggregates, sparse."""
+    n = lvl.graph.n
+    return sparse.csr_matrix((np.ones(n), (np.arange(n), lvl.lab)), shape=(n, nc))
+
+
 def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
-    g = gen_graph("grid", rows=30, cols=40)
+    # the 100 x 100 grid's levels, [10000, 799, 77], do not depend on q
+    # (each forest is drawn at a rate set by the mean degree), so a varying
+    # q keeps two stored levels; Pt (Q + L) P is formed sparse, since the
+    # finest level is too large for a dense product
+    g = gen_graph("grid", rows=100, cols=100)
     q = np.random.default_rng(3).uniform(1e-3, 1e-1, g.n)
     mg = linalg._Multigrid.build(g, q)
+    assert len(mg.levels) >= 2
     assert mg.sizes[0] == g.n and mg.sizes[-1] <= linalg._COARSEST < mg.sizes[-2]
-    coarse = mg.levels[1:]
-    for lvl, nxt in zip(mg.levels, coarse):
-        fine = dense_system(lvl)
-        P = np.zeros((lvl.graph.n, nxt.graph.n))
-        P[np.arange(lvl.graph.n), lvl.lab] = 1.0
-        np.testing.assert_allclose(P.T @ fine @ P, dense_system(nxt), rtol=1e-12, atol=1e-12)
+    for lvl, nxt in zip(mg.levels, mg.levels[1:]):
+        P = aggregation(lvl, nxt.graph.n)
+        fine = sparse.diags(lvl.q) + csgraph.laplacian(adjacency(lvl.graph))
+        np.testing.assert_allclose((P.T @ fine @ P).toarray(), dense_system(nxt),
+                                   rtol=1e-12, atol=1e-12)
     # the coarsest factor is that of the last Galerkin product
     last = mg.levels[-1]
-    P = np.zeros((last.graph.n, mg.sizes[-1]))
-    P[np.arange(last.graph.n), last.lab] = 1.0
+    P = aggregation(last, mg.sizes[-1]).toarray()
     galerkin = P.T @ dense_system(last) @ P
     np.testing.assert_allclose(mg.factor @ mg.factor.T, galerkin, rtol=1e-10,
                                atol=1e-12 * np.abs(galerkin).max())
