@@ -48,30 +48,44 @@ class Graph:
         Each undirected edge must appear exactly once. Raises `DataError`
         on ids that are not integers, self-loops, out-of-range ids,
         nonpositive or non-finite weights and duplicates, naming the first
-        such edge in input order, and on a disconnected result. Where
-        every check passes, the one sort that orders the arcs also finds
-        the duplicates; only a bad input pays for the pass that names it.
+        such edge in input order and checking each edge in that order, and
+        on a disconnected result.
         """
         edges = np.asarray(edges, dtype=np.float64)
         if edges.size == 0:
             edges = edges.reshape(0, 3)
         if edges.ndim != 2 or edges.shape[1] != 3:
             raise DataError(f"edges must be (u, v, w) rows, got an array of shape {edges.shape}")
-        ends, w = edges[:, :2], edges[:, 2]
-        # the ids are checked as floats, before the int cast; NaN fails every comparison
-        ids_ok = ((ends == np.trunc(ends)) & (ends >= 0) & (ends < n)).all(axis=1)
-        if not (ids_ok & (ends[:, 0] != ends[:, 1]) & (w > 0) & (w < math.inf)).all():
-            raise _edge_error(n, ends, w)
+        a, b, w = edges.T
+        # the ids are checked as floats, before the int cast
+        ids_ok = ((a >= 0) & (a < n) & (a == np.trunc(a))
+                  & (b >= 0) & (b < n) & (b == np.trunc(b)))
+        # an edge with a bad id becomes a self-loop at 0, which no valid edge repeats
+        u, v = (np.where(ids_ok, x, 0).astype(np.int64) for x in (a, b))
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        loop = a == b
+        bad_weight = ~((w > 0) & (w < math.inf))
+        repeat = np.ones(len(w), dtype=bool)
+        repeat[_first_occurrences(lo * n + hi)] = False  # first of each edge
+        bad = ~ids_ok | loop | bad_weight | repeat
+        if bad.any():
+            i = int(np.argmax(bad))
+            x, y = float(a[i]), float(b[i])
+            edge = f"({_id_text(x)}, {_id_text(y)})"
+            if not (x.is_integer() and y.is_integer()):  # nor are NaN and infinities
+                raise DataError(f"vertex id is not an integer: edge {edge}")
+            if loop[i]:
+                raise DataError(f"self-loop at vertex {_id_text(x)}")
+            if not ids_ok[i]:
+                raise DataError(f"vertex id out of range: edge {edge} with n={n}")
+            if bad_weight[i]:
+                raise DataError(f"nonpositive or non-finite weight {float(w[i])} on edge {edge}")
+            raise DataError(f"duplicate undirected edge ({int(lo[i])}, {int(hi[i])})")
         if n < 1:
             raise DataError("graph must have at least one vertex")
 
-        u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        keys = rows * n + cols
-        order = np.argsort(keys)
-        keys = keys[order]
-        if (keys[1:] == keys[:-1]).any():  # the two arcs of a repeated edge, twice
-            raise _edge_error(n, ends, w)
+        order = np.argsort(rows * n + cols)
         g = cls.__new__(cls)
         g.n, g.m = int(n), len(w)
         g.indices = cols[order]
@@ -150,34 +164,6 @@ def _id_text(x):
     """A vertex id as it was given: an integer's digits, else the float's repr."""
     x = float(x)
     return str(int(x)) if x.is_integer() and abs(x) < 2.0**53 else repr(x)
-
-
-def _edge_error(n, ends, w):
-    """The DataError naming the first edge in input order that is not a
-    valid one of a graph on n vertices, given that there is one: an id
-    that is not an integer, a self-loop, an id out of range, a nonpositive
-    or non-finite weight, or a repeat of an earlier edge, checked in that
-    order within an edge."""
-    whole = np.isfinite(ends) & (ends == np.trunc(ends))
-    ids_ok = (whole & (ends >= 0) & (ends < n)).all(axis=1)
-    lo = np.minimum(ends[:, 0], ends[:, 1])
-    hi = np.maximum(ends[:, 0], ends[:, 1])
-    repeat = ids_ok.copy()  # only edges with valid ids are compared
-    valid = np.flatnonzero(ids_ok)
-    keys = lo[valid].astype(np.int64) * n + hi[valid].astype(np.int64)
-    repeat[valid[_first_occurrences(keys)]] = False
-    bad_weight = ~((w > 0) & (w < math.inf))
-    i = int(np.argmax(~ids_ok | (lo == hi) | bad_weight | repeat))
-    a, b = _id_text(ends[i, 0]), _id_text(ends[i, 1])
-    if not whole[i].all():
-        return DataError(f"vertex id is not an integer: edge ({a}, {b})")
-    if lo[i] == hi[i]:
-        return DataError(f"self-loop at vertex {a}")
-    if not ids_ok[i]:
-        return DataError(f"vertex id out of range: edge ({a}, {b}) with n={n}")
-    if bad_weight[i]:
-        return DataError(f"nonpositive or non-finite weight {float(w[i])} on edge ({a}, {b})")
-    return DataError(f"duplicate undirected edge ({_id_text(lo[i])}, {_id_text(hi[i])})")
 
 
 def _first_occurrences(keys):

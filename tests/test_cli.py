@@ -630,8 +630,9 @@ class TestExitCodes:
         assert not out.exists()
 
     # a tol below what rounding lets the true residual reach: the recursive
-    # residual passes it and the true one does not, twice with no gain, so
-    # CG stops there instead of running all 10n = 36,000 iterations
+    # residual passes it and the true one does not, 100 times in a row with
+    # no new low, so CG stops there instead of running all 10n = 36,000
+    # iterations
     def test_cg_stops_once_its_true_residual_stalls(self, tmp_path, capsys):
         out = tmp_path / "x.json"
         assert run(["exact", "--gen", "grid:rows=60,cols=60", "--signal", "gaussian",

@@ -508,6 +508,25 @@ def test_a_forest_keeping_most_vertices_leaves_cg_plain(monkeypatch):
     assert same_bits(x, x_plain) and iterations == plain_iterations
 
 
+def test_a_stall_before_the_hierarchy_does_not_end_cg():
+    # weights over 60 binades on 10 vertices: plain CG's true residual
+    # stays just above tol through 47 failed acceptances in a row with no
+    # new low, until CG takes the hierarchy after _PLAIN_ITERATIONS and
+    # converges in the next iteration
+    rng = np.random.default_rng(1531)
+    n = int(rng.integers(10, 40))
+    tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    extra = rng.integers(0, n, (2 * n, 2)).tolist()
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in [*tree, *extra] if a != b})
+    w = rng.uniform(1, 2, len(pairs)) * 2.0 ** rng.integers(-30, 31, len(pairs))
+    g = Graph.from_edges(n, [(a, b, x) for (a, b), x in zip(pairs, w)])
+    y = rng.uniform(1, 2, n) * 2.0 ** rng.integers(-30, 31, n) * rng.choice([-1.0, 1.0], n)
+    problem = SmoothingProblem(g, y, float(rng.uniform(1e-3, 1e3)))
+    x, iterations = solve_exact_cg(problem)
+    assert problem.multigrid and iterations == linalg._PLAIN_ITERATIONS + 1
+    assert relative_residual(problem, x) <= 1e-10 * (1 + 1e-9)
+
+
 def test_a_coarse_level_that_barely_coarsens_becomes_one_aggregate(monkeypatch):
     # a 5,000-vertex Barabasi-Albert graph (k = 3, seed 11) with 2,000
     # pendant vertices on its hub by edges of weight 0.1. Most pendants are
