@@ -124,25 +124,26 @@ def compiled():
 
 
 def _build():
-    """Compile `_native.c` into the cache, keyed by the sha256 of the
-    source, the flags and the machine, and load it, with the argument
-    types of its functions declared. Returns None when there is no `cc`,
-    or the library cannot be built, written or loaded."""
-    import hashlib
+    """Compile `_native.c` into the cache, keyed by a 64-bit checksum
+    (CRC-32 and Adler-32) of the source, the flags, the system and the
+    machine, and load it, with the argument types of its functions
+    declared. Returns None when there is no `cc`, or the library cannot be
+    built, written or loaded. numpy has loaded zlib already; hashlib, and
+    OpenSSL behind it, is left to the runs that load numpy.random."""
     import platform
     import shutil
+    import zlib
 
     cc = shutil.which("cc")
     source = Path(__file__).with_name("_native.c")
     if cc is None or not source.is_file():
         return None
     text = source.read_bytes()
-    tag = hashlib.sha256(b"\0".join([text, " ".join(_CFLAGS).encode(),
-                                     platform.system().encode(),
-                                     platform.machine().encode()])).hexdigest()
+    key = b"\0".join([text, " ".join(_CFLAGS).encode(), platform.system().encode(),
+                      platform.machine().encode()])
     try:
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "rsfsmooth"
-        path = cache / f"native-{tag[:16]}.so"
+        path = cache / f"native-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
         if not path.is_file():
             _compile(cc, text, path)
         lib = ctypes.CDLL(str(path))

@@ -6,8 +6,11 @@ regular, Barabasi-Albert, grid, k-nearest-neighbour).
 """
 
 import functools
+import io
 import itertools
 import math
+import os
+import warnings
 
 import numpy as np
 
@@ -222,19 +225,66 @@ def _component_count(n, u, v):
 
 
 def _lines(path, sep, form, counts):
-    """(line number, line, fields) of each data line of a text file: '#'
-    starts a comment, blank lines are skipped, and every other line is
-    split on `sep` (None: whitespace) into one of `counts` fields, else
-    DataError "PATH: line N: expected 'FORM', got '...'"."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-            if not line:
-                continue
-            fields = line.split(sep)
-            if len(fields) not in counts:
-                raise DataError(f"{path}: line {lineno}: expected {form!r}, got {raw!r}")
-            yield lineno, raw, fields
+    """(line number, line, fields) of each data line of a UTF-8 text file,
+    else DataError "PATH: line N: not valid UTF-8 text" naming the line of
+    the first byte that does not decode. Lines end at a line feed, CR LF
+    or a lone CR, '#' starts a comment, blank lines are skipped, and every
+    other line is split on `sep` (None: whitespace) into one of `counts`
+    fields, else DataError "PATH: line N: expected 'FORM', got '...'"."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].decode("utf-8")
+        lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise DataError(f"{path}: line {lineno}: not valid UTF-8 text") from None
+    # the lines open(path, encoding="utf-8") gives, from the bytes read once
+    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                                 start=1):
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        if not line:
+            continue
+        fields = line.split(sep)
+        if len(fields) not in counts:
+            raise DataError(f"{path}: line {lineno}: expected {form!r}, got {raw!r}")
+        yield lineno, raw, fields
+
+
+_COLUMN_TYPES = {"i": np.int64, "f": np.float64}
+
+
+def _table(path, sep, layouts):
+    """The data lines of a text file in the protocol of `_lines`, read by
+    numpy's C reader into a structured array with fields c0, c1, ...: the
+    first of `layouts` ("i": an int64 field, "f": float64, per column)
+    that every line fits, or None, also where the file is not UTF-8 or
+    holds no data line. Its callers check the array as their line loops
+    check each line, and fall back to the loop, which names the line,
+    wherever a check fails or this returns None.
+
+    The reader gives the value int() or float() gives, bit for bit, to
+    every field it parses, splits on the same whitespace and refuses the
+    rest (such as '1_0', non-ASCII digits, or '1.0' as an id), but it also
+    refuses some lines the loop reads, such as a whitespace-only line in a
+    comma-separated file. Any warning it raises means the same fallback.
+    Given a handle rather than a path, numpy loads none of its
+    decompressors. Anything but a regular file, such as a pipe, is left
+    to the loop, which reads it once.
+    """
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        for layout in layouts:
+            fh.seek(0)
+            dtype = np.dtype([(f"c{i}", _COLUMN_TYPES[kind]) for i, kind in enumerate(layout)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data", among others
+                try:
+                    return np.loadtxt(fh, dtype=dtype, comments="#", delimiter=sep, ndmin=1)
+                except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+                    continue
+    return None
 
 
 def load_graph(path):
@@ -245,6 +295,19 @@ def load_graph(path):
     offending line number on parse failures, and on duplicate edges,
     nonpositive or non-finite weights, id gaps, or disconnected graphs.
     """
+    table = _table(path, None, ("iif", "ii"))
+    if table is not None:
+        u, v = table["c0"], table["c1"]
+        w = table["c2"] if len(table.dtype) == 3 else np.ones(len(table))
+        n = int(max(u.max(), v.max())) + 1
+        # the checks of the loop below; with ids below 2m, no array is sized
+        # by a larger id before the gap check
+        if (min(u.min(), v.min()) >= 0 and ((w > 0) & (w < math.inf)).all()
+                and n <= 2 * len(table)):
+            seen = np.zeros(n, dtype=bool)
+            seen[u] = seen[v] = True
+            if seen.all():
+                return Graph.from_edges(n, np.column_stack([u, v, w]))
     edges = []
     ids = set()
     for lineno, raw, parts in _lines(path, None, "u v [w]", (2, 3)):
@@ -279,6 +342,11 @@ def save_graph(g, path):
 def load_positions(path):
     """Load per-vertex "x,y" coordinates, one line per vertex; both must
     be finite."""
+    table = _table(path, ",", ("ff",))
+    if table is not None:
+        coords = np.column_stack([table["c0"], table["c1"]])
+        if np.isfinite(coords).all():
+            return coords
     coords = []
     for lineno, raw, parts in _lines(path, ",", "x,y", (2,)):
         try:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graphs import _lines
+from .graphs import _lines, _table
 from .linalg import DENSE_LIMIT, LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
@@ -19,6 +19,14 @@ def load_signal(path, n):
     Accepts one value per line, or "node,value" CSV rows covering every
     node exactly once. '#' starts a comment.
     """
+    table = _table(path, ",", ("f", "if"))
+    if table is not None and len(table) == n:
+        if len(table.dtype) == 1:
+            return table["c0"].copy()
+        if np.array_equal(np.sort(table["c0"]), np.arange(n)):
+            y = np.empty(n)
+            y[table["c0"]] = table["c1"]
+            return y
     plain, keyed = [], {}
     for lineno, raw, parts in _lines(path, ",", "[node,]value", (1, 2)):
         try:

@@ -15,7 +15,7 @@ from .errors import DataError
 from .estimators import (FOREST_ESTIMATORS, accumulate_forests, forest_estimates,
                          gradient_step, resolve_alpha)
 from .forests import derive_seed
-from .graphs import _lines
+from .graphs import _lines, _table
 from .linalg import SmoothingProblem, solve_exact_cg
 
 
@@ -207,6 +207,13 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
 def load_labels(path, n):
     """Load "node,class_id" CSV labels; unlisted nodes get -1."""
     labels = np.full(n, -1, dtype=np.int64)
+    table = _table(path, ",", ("ii",))
+    if table is not None:
+        node, cls = table["c0"], table["c1"]
+        if (node.min() >= 0 and node.max() < n and cls.min() >= 0
+                and np.bincount(node, minlength=n).max() == 1):
+            labels[node] = cls
+            return labels
     for lineno, raw, parts in _lines(path, ",", "node,class_id", (2,)):
         try:
             node, cls = int(parts[0]), int(parts[1])

@@ -715,6 +715,20 @@ class TestExitCodes:
         assert err == [f"error: {lpath}: line 2: class id {cls} exceeds 2^63 - 1"]
         assert not out.exists()
 
+    # a byte that is not UTF-8, here at the end of line 2, is refused with
+    # its line, in a graph file as in a signal file
+    @pytest.mark.parametrize("flag,text", [("--graph", b"0 1\n1 2\xff\n"),
+                                           ("--signal", b"1\n2\xff\n3\n")])
+    def test_a_file_that_is_not_utf8_ends_in_one_line(self, tmp_path, capsys, flag, text):
+        bad, out = tmp_path / "bad.txt", tmp_path / "x.csv"
+        bad.write_bytes(text)
+        inputs = {"--graph": p3_file(tmp_path), "--signal": "gaussian", flag: str(bad)}
+        assert run(["exact", "--graph", inputs["--graph"], "--signal", inputs["--signal"],
+                    "--q", "1.0", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: line 2: not valid UTF-8 text"]
+        assert not out.exists()
+
     # noise of std 1e300 overflows the noisy signal's MSE, so its PSNR takes
     # log10(0) before CG refuses the overflowing Qy: numpy's divide warning
     # is silenced like its overflow warnings, so stderr holds the one line

@@ -1,8 +1,14 @@
+import contextlib
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
+import rsfsmooth
 from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, load_signal,
                        save_graph)
-from rsfsmooth import graphs
+from rsfsmooth import graphs, signals, ssl
 from rsfsmooth.graphs import load_positions
 
 from conftest import adjacency, cycle_graph, path_graph, random_connected_graph, star_graph
@@ -70,20 +77,42 @@ class TestLoad:
             load_graph(write(tmp_path, "0 1 1.0 9\n"))
 
     def test_id_gap_message_does_not_scale_with_the_largest_id(self, tmp_path):
-        path = write(tmp_path, "0 1\n1 1000000\n")
-        tracemalloc.start()
-        try:
-            with pytest.raises(DataError, match=r"missing \[2, 3, 4, 5, 6\]"):
-                load_graph(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6  # a set of every id up to 10^6 takes tens of MB
+        # 2^63 - 1 is int64's largest, which numpy's reader parses; 2^63 is
+        # past it: neither may size an array or wrap the vertex count
+        for big in (10**6, 10**12, 2**63 - 1, 2**63):
+            path = write(tmp_path, f"0 1\n1 {big}\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(DataError, match=r"gaps \(missing \[2, 3, 4, 5, 6\]\)$"):
+                    load_graph(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6  # a set of every id up to 10^6 takes tens of MB
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_a_pipe_is_read_once(self):
+        # two fields a line, so numpy's reader would refuse its first layout
+        # after consuming the pipe; the line loop alone reads it
+        src = str(Path(rsfsmooth.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-c", "import rsfsmooth as rs; "
+                                   "print(list(rs.load_graph('/dev/stdin').edges()))"],
+            input="0 1\n1 2\n", capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[(0, 1, 1.0), (1, 2, 1.0)]"
+
+
+LOADERS = [load_graph, load_positions, lambda path: load_signal(path, 3),
+           lambda path: load_labels(path, 3)]
+LOADER_IDS = ["graph", "positions", "signal", "labels"]
 
 
 class TestLineReader:
-    """All four text inputs share one line protocol: '#' comments, blank
-    lines skipped, a wrong field count refused naming the line's form."""
+    """All four text inputs share one line protocol: UTF-8 text, '#'
+    comments, blank lines skipped, a wrong field count refused naming the
+    line's form."""
 
     @pytest.mark.parametrize("load,text,form", [
         (load_graph, "0 1\n# c\n\n1 2 1.0 9\n", "u v [w]"),
@@ -96,6 +125,156 @@ class TestLineReader:
         with pytest.raises(DataError, match=f"{re.escape(path)}: line 4: "
                                             f"expected {re.escape(repr(form))}, got"):
             load(path)
+
+    @pytest.mark.parametrize("load", LOADERS, ids=LOADER_IDS)
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, load):
+        # lines end at LF, CR LF and a lone CR alike; é is UTF-8
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0,1 1\r\n# caf\xc3\xa9\r1,2 2\xff\n2,0 3\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: line 3: "
+                                            "not valid UTF-8 text$"):
+            load(str(path))
+
+    # numpy's reader warns on a file without data; the loop's message stands
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n  \n"], ids=["empty", "comments"])
+    @pytest.mark.parametrize("load,message", [
+        (load_graph, "no edges"), (load_positions, "no coordinates"),
+        (LOADERS[2], "expected 3 values, got 0"), (LOADERS[3], "no labels"),
+    ], ids=LOADER_IDS)
+    def test_a_file_without_data_lines(self, tmp_path, text, load, message):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
+            load(path)
+
+
+@contextlib.contextmanager
+def line_loop_only():
+    """Every reader with numpy's reader turned away: the line loop alone."""
+    with contextlib.ExitStack() as stack:
+        for module in (graphs, signals, ssl):
+            stack.enter_context(mock.patch.object(module, "_table", lambda *args: None))
+        yield
+
+
+def outcome(load, path):
+    """What load(path) gives: the dtype, shape and bytes of each array it
+    returns, or its DataError's text."""
+    try:
+        result = load(path)
+    except DataError as err:
+        return str(err)
+    arrays = (result,)
+    if isinstance(result, Graph):
+        arrays = (result.indptr, result.indices, result.weights)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+# fields that int() or float() reads and numpy's reader may not, or reads
+# to a value a check refuses: signs, leading zeros, underscores, non-ASCII
+# digits, ids past int64, and weights past the float range
+TRICKY = ["+1", "01", "1.0", "1_0", "\u0663", "-1", "9223372036854775808",
+          "9223372036854775807", "1000000000000", "inf", "-inf", "nan", "-nan", "1e400",
+          "1e-400", "0x1p3", "0", "-0", "4", " 2 ", ""]
+N_SIGNAL = 4
+
+
+def graph_rows(draw):
+    """A connected graph on 2 to 6 vertices: a shuffled path, oriented at
+    random, and some chords, with a weight on every line or none."""
+    k = draw(st.integers(2, 6))
+    pairs = [(i, i + 1) for i in range(k - 1)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                           max_size=3))
+    weighted = draw(st.booleans())
+    rows = []
+    for a, b in draw(st.permutations(pairs)):
+        ends = [str(b), str(a)] if draw(st.booleans()) else [str(a), str(b)]
+        rows.append(ends + [draw(st.sampled_from(["1", "2.5", "0.25", "1e-3"]))] * weighted)
+    return rows
+
+
+def position_rows(draw):
+    value = st.sampled_from(["0", "1.5", "-3", "4e-2", "+2", "1e300", ".5"])
+    return draw(st.lists(st.lists(value, min_size=2, max_size=2), min_size=1, max_size=5))
+
+
+def signal_rows(draw):
+    value = st.sampled_from(["0", "1.5", "-3", "4e-2", "+2", "nan", "inf", "-0"])
+    values = [[draw(value)] for _ in range(N_SIGNAL)]
+    if draw(st.booleans()):
+        return values
+    return [[str(i)] + values[i] for i in draw(st.permutations(range(N_SIGNAL)))]
+
+
+def label_rows(draw):
+    nodes = draw(st.lists(st.integers(0, N_SIGNAL - 1), min_size=1, max_size=N_SIGNAL,
+                          unique=True))
+    return [[str(i), draw(st.sampled_from(["0", "1", "2"]))] for i in nodes]
+
+
+READERS = {  # reader, field separators, the rows of a file it accepts
+    "graph": (load_graph, [" ", "\t", "  "], graph_rows),
+    "positions": (load_positions, [",", ", ", " ,"], position_rows),
+    "signal": (lambda path: load_signal(path, N_SIGNAL), [",", ", "], signal_rows),
+    "labels": (lambda path: load_labels(path, N_SIGNAL), [",", " , "], label_rows),
+}
+
+
+@st.composite
+def text_files(draw, separators, rows):
+    """The text of a file of `rows` with up to three changes, each a field
+    swapped for a tricky one, a field more or fewer, or a line dropped or
+    repeated, and with comments, blank lines and whitespace mixed in, and
+    LF or CR LF line ends."""
+    rows = rows(draw)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        fields = list(rows[i])
+        change = draw(st.sampled_from(["swap"] * 8 + ["more", "fewer", "drop", "repeat"]))
+        if change == "swap":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TRICKY))
+        elif change == "more":
+            fields.append(draw(st.sampled_from(["1", "2"])))
+        elif change == "fewer" and len(fields) > 1:
+            fields.pop()
+        rows[i:i + 1] = {"drop": [], "repeat": [fields, fields]}.get(change, [fields])
+    lines = []
+    for fields in rows:
+        extra = draw(st.sampled_from([None] * 10 + ["", "# c", "  ", "#0 1 2", "\t# 1,2"]))
+        lines += [] if extra is None else [extra]
+        lines.append(draw(st.sampled_from(separators)).join(fields)
+                     + draw(st.sampled_from(["", "", " # c 1", "#", " "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(READERS)).flatmap(
+    lambda reader: text_files(*READERS[reader][1:]).map(lambda text: (reader, text))))
+# for each check the readers make on what numpy's reader parsed, a file
+# that fails that check alone
+@example(case=("graph", "0 1\n-1 1\n"))
+@example(case=("graph", "0 1 1\n1 2 -0\n"))
+@example(case=("graph", "0 1 1\n1 2 1e400\n"))
+@example(case=("graph", "0 1\n1 3\n"))
+@example(case=("positions", "0,1\n1,inf\n"))
+@example(case=("signal", "1\n2\n3\n"))
+@example(case=("signal", "0,1\n1,2\n2,3\n2,4\n"))
+@example(case=("labels", "0,-1\n"))
+@example(case=("labels", "4,1\n"))
+@example(case=("labels", "0,1\n0,2\n"))
+def test_numpys_reader_gives_what_the_line_loop_gives(tmp_path_factory, case):
+    # the same arrays, bit for bit, or the same DataError text
+    reader, text = case
+    load = READERS[reader][0]
+    path = tmp_path_factory.getbasetemp() / f"{reader}.txt"
+    path.write_bytes(text.encode())
+    with line_loop_only():
+        expected = outcome(load, str(path))
+    assert outcome(load, str(path)) == expected
 
 
 class TestRoundTrip:

@@ -86,12 +86,23 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     cache = str(tmp_path / "cache")
     warm = fresh_python("import rsfsmooth._native as nat; nat.kernels()", XDG_CACHE_HOME=cache)
     assert warm.returncode == 0, warm.stderr
+    signal = tmp_path / "y.txt"
+    signal.write_text("1\n-2\n0.5\n3\n")
     runs = command_runs(tmp_path)
+    # first `exact` on files alone, which draws no random numbers
+    runs.insert(0, ["exact", "--graph", str(tmp_path / "c4.txt"), "--signal", str(signal),
+                    "--q", "1", "--out", str(tmp_path / "out_files")])
     res = fresh_python(LOADED, json.dumps(runs), XDG_CACHE_HOME=cache)
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
     imported, after_exact = (set(report["steps"][i]) for i in (0, 1))
     assert runs[0][0] == "exact"
+    # the library's name is a zlib checksum, and numpy's text reader is
+    # handed open files, not paths, which it would open through its
+    # decompressors; numpy.random, which every later command loads,
+    # imports hashlib itself (through secrets and hmac)
+    assert not {"hashlib", "gzip"} & after_exact
+    assert "gzip" not in report["steps"][-1]
     assert not {f"rsfsmooth.{m}" for m in ("estimators", "experiments", "ssl", "oracle",
                                            "_twins")} & after_exact
     assert {"rsfsmooth.cli", "rsfsmooth.linalg", "rsfsmooth.graphs"} <= imported
