@@ -234,14 +234,14 @@ def _lines(path, sep, form, counts):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         head = data[:err.start].decode("utf-8")
         lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise DataError(f"{path}: line {lineno}: not valid UTF-8 text") from None
-    # the lines open(path, encoding="utf-8") gives, from the bytes read once
-    for lineno, raw in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-                                 start=1):
+    del data
+    # the lines open(path, encoding="utf-8") gives, from the text decoded once
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue

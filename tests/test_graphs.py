@@ -251,7 +251,7 @@ def text_files(draw, separators, rows):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from(sorted(READERS)).flatmap(
     lambda reader: text_files(*READERS[reader][1:]).map(lambda text: (reader, text))))
 # for each check the readers make on what numpy's reader parsed, a file
