@@ -1,17 +1,17 @@
 /* The package's compiled loops, the set `_native.kernels()` picks where
  * this file can be built. They are built together with -ffp-contract=off
  * so that every product and sum rounds as numpy's and Python's do, and
- * each gives the same results as its twin in `_native.TWINS`.
+ * each gives the same results as its twin in `_twins.TWINS`.
  *
  * wilson: Wilson's algorithm with absorption, one rooted spanning forest
- * per call. The same walk as _native._wilson_python, step for step:
+ * per call. The same walk as _twins._wilson_python, step for step:
  * the uniform of step k is the counter-based splitmix64 value at position
  * pos + k of the stream `key`. root_of and parent_of come in filled with -1;
  * root_of[u] >= 0 marks u as part of the forest. Returns the number of
  * steps taken, or -1 once more than max_steps would be needed.
  *
  * laplacian: out = L v over the CSR adjacency, each row summed from +0.0 in
- * arc order, the same sums as _native._laplacian_slots computes in numpy.
+ * arc order, the same sums as _twins._laplacian_slots computes in numpy.
  *
  * dot and the three conjugate-gradient passes: every dot product sums
  * element i into lane i % 4, each lane from +0.0 in index order, and

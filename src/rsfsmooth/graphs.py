@@ -9,7 +9,6 @@ import functools
 import io
 import itertools
 import math
-import os
 import warnings
 
 import numpy as np
@@ -68,8 +67,7 @@ class Graph:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         loop = a == b
         bad_weight = ~((w > 0) & (w < math.inf))
-        repeat = np.ones(len(w), dtype=bool)
-        repeat[_first_occurrences(lo * n + hi)] = False  # first of each edge
+        repeat = _repeats(lo * n + hi)
         bad = ~ids_ok | loop | bad_weight | repeat
         if bad.any():
             i = int(np.argmax(bad))
@@ -171,7 +169,7 @@ def _id_text(x):
 
 def _first_occurrences(keys):
     """The index of the first occurrence of each distinct value of the
-    int64 array keys, in increasing order of the values: the array
+    int64 (or object) array keys, in increasing order of the values: the array
     np.unique(keys, return_index=True)[1], from the default argsort
     instead of the stable sort np.unique runs (on 100,000 random keys, 2.8
     against 9.0 ms on a 2-core AVX-512 Xeon). The smallest index of each
@@ -183,6 +181,14 @@ def _first_occurrences(keys):
     ordered = keys[order]
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
     return np.minimum.reduceat(order, starts)
+
+
+def _repeats(keys):
+    """Whether each entry of keys (as for `_first_occurrences`) equals an
+    earlier one."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[_first_occurrences(keys)] = False
+    return repeat
 
 
 def _running_sums(cum, first, length):
@@ -224,13 +230,79 @@ def _component_count(n, u, v):
             label = jumped
 
 
-def _lines(path, sep, form, counts):
-    """(line number, line, fields) of each data line of a UTF-8 text file,
-    else DataError "PATH: line N: not valid UTF-8 text" naming the line of
-    the first byte that does not decode. Lines end at a line feed, CR LF
-    or a lone CR, '#' starts a comment, blank lines are skipped, and every
-    other line is split on `sep` (None: whitespace) into one of `counts`
-    fields, else DataError "PATH: line N: expected 'FORM', got '...'"."""
+def _data_lines(text):
+    """(line number, line, content) of each data line of text, whose lines
+    end at a line feed: '#' starts a comment, and a line blank without its
+    comment is skipped."""
+    for lineno, raw in enumerate(io.StringIO(text), start=1):
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        if line:
+            yield lineno, raw, line
+
+
+# each column kind of a layout: numpy's dtype for it and the loop's parser
+_KINDS = {"i": (np.int64, int), "f": (np.float64, float)}
+
+
+def _numpy_table(text, sep, layouts):
+    """(layout, structured array of its fields c0, c1, ...) for the first of
+    `layouts` that every data line of text fits, as numpy's C reader parses
+    it, else None. The reader gives every field it parses the value int()
+    or float() gives, bit for bit, splits on the same whitespace and
+    refuses the rest (such as '1_0', non-ASCII digits, or '1.0' as an int),
+    but also some lines the loop of `_read_table` reads, such as a
+    whitespace-only line in a comma-separated file; any warning it raises
+    ("input contained no data", among others) counts as a refusal."""
+    lines = text.split("\n")  # a list, which the reader takes faster than a stream
+    for layout in layouts:
+        fields = layout.replace("-", "")
+        dtype = np.dtype([(f"c{i}", _KINDS[kind][0]) for i, kind in enumerate(fields)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return layout, np.loadtxt(lines, dtype=dtype, comments="#", delimiter=sep, ndmin=1)
+            except (ValueError, Warning):
+                continue
+    return None
+
+
+class _Table:
+    """The rows `_read_table` parsed: `columns`, the fields each row had
+    (`width`), and the error that ended them, if any."""
+
+    def __init__(self, path, text, columns, width, fault):
+        self.path, self._text, self.columns, self.width, self._fault = (
+            path, text, columns, width, fault)
+
+    def check(self, *rules):
+        """Raise DataError "PATH: line N: MESSAGE" for the first row i that
+        breaks a rule, a (mask, message) pair, where message(i, line) words
+        the first rule the row breaks; else the error that ended the rows."""
+        bad = functools.reduce(np.logical_or, [mask for mask, _ in rules])
+        if bad.any():
+            i = int(np.argmax(bad))
+            lineno, raw, _ = next(itertools.islice(_data_lines(self._text), i, None))
+            message = next(say(i, raw) for mask, say in rules if mask[i])
+            raise DataError(f"{self.path}: line {lineno}: {message}")
+        if self._fault is not None:
+            raise self._fault
+
+
+def _read_table(path, sep, form, layouts):
+    """The data lines (`_data_lines`) of a UTF-8 text file, read and decoded
+    once, as a `_Table`. Each line is split on `sep` (None: whitespace) and
+    parsed by the one of `layouts` with as many fields: the layout gives
+    each column's kind, "i" an int, "f" a float, or "-" for a column its
+    lines lack, which reads 0. Raises DataError "PATH: line N: not valid
+    UTF-8 text" naming the line of the first byte that does not decode.
+
+    Where every line fits one layout, numpy's C reader parses the file
+    (`_numpy_table`), else the line loop below, with int() and float(). The
+    loop stops at the first line with a field count no layout has
+    ("expected 'FORM', got '...'") or a field it cannot parse ("cannot
+    parse '...'"), and `_Table.check` raises that error only after checking
+    the rows before it. Its int columns are object arrays, so an id past
+    int64 keeps its value."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -240,51 +312,34 @@ def _lines(path, sep, form, counts):
         lineno = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
         raise DataError(f"{path}: line {lineno}: not valid UTF-8 text") from None
     del data
-    # the lines open(path, encoding="utf-8") gives, from the text decoded once
-    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
-        if not line:
-            continue
+    if "\r" in text:  # lines end at a line feed, CR LF or a lone CR, as open() reads them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    kinds = [max(column) for column in zip(*layouts)]  # "-" sorts before "f" and "i"
+    parsed = _numpy_table(text, sep, layouts)
+    if parsed is not None:
+        layout, table = parsed
+        fields = (table[name] for name in table.dtype.names)
+        columns = [np.zeros(len(table), _KINDS[kind][0]) if mark == "-" else next(fields)
+                   for mark, kind in zip(layout, kinds)]
+        return _Table(path, text, columns, np.full(len(table), len(table.dtype)), None)
+    by_width = {len(layout.replace("-", "")): layout for layout in layouts}
+    rows, width, fault = [], [], None
+    for lineno, raw, line in _data_lines(text):
         fields = line.split(sep)
-        if len(fields) not in counts:
-            raise DataError(f"{path}: line {lineno}: expected {form!r}, got {raw!r}")
-        yield lineno, raw, fields
-
-
-_COLUMN_TYPES = {"i": np.int64, "f": np.float64}
-
-
-def _table(path, sep, layouts):
-    """The data lines of a text file in the protocol of `_lines`, read by
-    numpy's C reader into a structured array with fields c0, c1, ...: the
-    first of `layouts` ("i": an int64 field, "f": float64, per column)
-    that every line fits, or None, also where the file is not UTF-8 or
-    holds no data line. Its callers check the array as their line loops
-    check each line, and fall back to the loop, which names the line,
-    wherever a check fails or this returns None.
-
-    The reader gives the value int() or float() gives, bit for bit, to
-    every field it parses, splits on the same whitespace and refuses the
-    rest (such as '1_0', non-ASCII digits, or '1.0' as an id), but it also
-    refuses some lines the loop reads, such as a whitespace-only line in a
-    comma-separated file. Any warning it raises means the same fallback.
-    Given a handle rather than a path, numpy loads none of its
-    decompressors. Anything but a regular file, such as a pipe, is left
-    to the loop, which reads it once.
-    """
-    if not os.path.isfile(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        for layout in layouts:
-            fh.seek(0)
-            dtype = np.dtype([(f"c{i}", _COLUMN_TYPES[kind]) for i, kind in enumerate(layout)])
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data", among others
-                try:
-                    return np.loadtxt(fh, dtype=dtype, comments="#", delimiter=sep, ndmin=1)
-                except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-                    continue
-    return None
+        layout = by_width.get(len(fields))
+        if layout is None:
+            fault = DataError(f"{path}: line {lineno}: expected {form!r}, got {raw!r}")
+            break
+        values = iter(fields)
+        try:
+            rows.append([0 if mark == "-" else _KINDS[mark][1](next(values)) for mark in layout])
+        except ValueError:
+            fault = DataError(f"{path}: line {lineno}: cannot parse {raw!r}")
+            break
+        width.append(len(fields))
+    columns = [np.array([row[j] for row in rows], dtype=object if kind == "i" else np.float64)
+               for j, kind in enumerate(kinds)]
+    return _Table(path, text, columns, np.array(width, dtype=np.int64), fault)
 
 
 def load_graph(path):
@@ -295,41 +350,23 @@ def load_graph(path):
     offending line number on parse failures, and on duplicate edges,
     nonpositive or non-finite weights, id gaps, or disconnected graphs.
     """
-    table = _table(path, None, ("iif", "ii"))
-    if table is not None:
-        u, v = table["c0"], table["c1"]
-        w = table["c2"] if len(table.dtype) == 3 else np.ones(len(table))
-        n = int(max(u.max(), v.max())) + 1
-        # the checks of the loop below; with ids below 2m, no array is sized
-        # by a larger id before the gap check
-        if (min(u.min(), v.min()) >= 0 and ((w > 0) & (w < math.inf)).all()
-                and n <= 2 * len(table)):
-            seen = np.zeros(n, dtype=bool)
-            seen[u] = seen[v] = True
-            if seen.all():
-                return Graph.from_edges(n, np.column_stack([u, v, w]))
-    edges = []
-    ids = set()
-    for lineno, raw, parts in _lines(path, None, "u v [w]", (2, 3)):
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-        if u < 0 or v < 0:
-            raise DataError(f"{path}: line {lineno}: negative vertex id")
-        if not 0 < w < math.inf:
-            raise DataError(f"{path}: line {lineno}: nonpositive or non-finite weight {w}")
-        edges.append((u, v, w))
-        ids.add(u)
-        ids.add(v)
-    if not edges:
+    table = _read_table(path, None, "u v [w]", ("iif", "ii-"))
+    u, v, w = table.columns
+    w[table.width == 2] = 1.0
+    table.check(((u < 0) | (v < 0), lambda i, raw: "negative vertex id"),
+                (~((w > 0) & (w < math.inf)),
+                 lambda i, raw: f"nonpositive or non-finite weight {float(w[i])}"))
+    if not len(w):
         raise DataError(f"{path}: no edges")
-    n = max(ids) + 1
-    if len(ids) != n:
-        missing = list(itertools.islice((i for i in range(n) if i not in ids), 5))
+    n = int(max(u.max(), v.max())) + 1
+    size = min(n, 2 * len(w) + 5)  # 2m ids at most: if n > 2m + 5, five below it are missing
+    seen = np.zeros(size + 1, dtype=bool)  # its last slot takes every larger id
+    for ids in (u, v):
+        seen[np.minimum(ids, size).astype(np.int64, copy=False)] = True
+    if not seen[:size].all():
+        missing = np.flatnonzero(~seen[:size])[:5].tolist()
         raise DataError(f"{path}: vertex ids have gaps (missing {missing})")
-    return Graph.from_edges(n, np.array(edges))
+    return Graph.from_edges(n, np.column_stack([u, v, w]))
 
 
 def save_graph(g, path):
@@ -342,23 +379,13 @@ def save_graph(g, path):
 def load_positions(path):
     """Load per-vertex "x,y" coordinates, one line per vertex; both must
     be finite."""
-    table = _table(path, ",", ("ff",))
-    if table is not None:
-        coords = np.column_stack([table["c0"], table["c1"]])
-        if np.isfinite(coords).all():
-            return coords
-    coords = []
-    for lineno, raw, parts in _lines(path, ",", "x,y", (2,)):
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DataError(f"{path}: line {lineno}: non-finite coordinate in {raw!r}")
-        coords.append((x, y))
-    if not coords:
+    table = _read_table(path, ",", "x,y", ("ff",))
+    x, y = table.columns
+    table.check((~(np.isfinite(x) & np.isfinite(y)),
+                 lambda i, raw: f"non-finite coordinate in {raw!r}"))
+    if not len(x):
         raise DataError(f"{path}: no coordinates")
-    return np.array(coords, dtype=np.float64)
+    return np.column_stack([x, y])
 
 
 def _attempt_rng(seed, attempt):
@@ -388,9 +415,7 @@ def _regular_edges(n, d, rng):
     pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
     for _ in range(MAX_PAIRING_ROUNDS):
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        bad = np.ones(len(pairs), dtype=bool)
-        bad[_first_occurrences(lo * n + hi)] = False  # keep one of each edge
-        bad |= lo == hi
+        bad = _repeats(lo * n + hi) | (lo == hi)  # keeps one of each edge
         n_bad = int(bad.sum())
         if n_bad == 0:
             return _unit_edges(lo, hi)

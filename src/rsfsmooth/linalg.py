@@ -285,7 +285,7 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
 
     Returns (x, iterations). The iteration stops once the residual
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
-    if ||Qy|| is not finite, if that is not reached within max_iter
+    if Qy is not finite, if that is not reached within max_iter
     (default 10n) iterations, plain and preconditioned together, or if
     the true residual stalls: where the recursive residual passes tol
     and the true one does not, CG restarts from the true one, and it
@@ -308,11 +308,17 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     if max_iter is None:
         max_iter = 10 * g.n
     b = q * problem.y
-    bnorm = math.sqrt(k.dot(b, b))
-    if not math.isfinite(bnorm):
-        raise NumericalError(f"right-hand side Qy overflows (norm {bnorm})")
-    if bnorm == 0.0:
+    top = float(np.max(np.abs(b)))
+    if not math.isfinite(top):
+        raise NumericalError("right-hand side Qy overflows")
+    if top == 0.0:
         return np.zeros(g.n), 0
+    # CG is linear in Qy: it solves for Qy / 2^e, 2^e <= max |Qy| < 2^(e+1),
+    # whose norms neither underflow nor overflow, and a power of two
+    # rescales every value it forms exactly, outside the subnormal range
+    e = math.frexp(top)[1] - 1
+    b = np.ldexp(b, -e)
+    bnorm = math.sqrt(k.dot(b, b))
     hard = 1.0 + 2.0 * g.d_max / float(q.min()) > _MULTIGRID_BOUND
     # plain CG above this residual after a quarter of _PLAIN_ITERATIONS is
     # on course to miss tol after all of them
@@ -351,7 +357,7 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
             # the recursive residual drifts; accept only on the true one
             true_r, tnorm = true_residual()
             if tnorm <= threshold:
-                return x, iterations
+                return np.ldexp(x, e), iterations
             # a failed acceptance: CG restarts from the true residual, and
             # stops where _STALL_RESTARTS of them in a row set no new low
             if tnorm < best:

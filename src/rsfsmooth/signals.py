@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graphs import _lines, _table
+from .graphs import _read_table, _repeats
 from .linalg import DENSE_LIMIT, LaplacianOperator
 
 PSNR_MSE_FLOOR = 1e-15
@@ -19,35 +19,23 @@ def load_signal(path, n):
     Accepts one value per line, or "node,value" CSV rows covering every
     node exactly once. '#' starts a comment.
     """
-    table = _table(path, ",", ("f", "if"))
-    if table is not None and len(table) == n:
-        if len(table.dtype) == 1:
-            return table["c0"].copy()
-        if np.array_equal(np.sort(table["c0"]), np.arange(n)):
-            y = np.empty(n)
-            y[table["c0"]] = table["c1"]
-            return y
-    plain, keyed = [], {}
-    for lineno, raw, parts in _lines(path, ",", "[node,]value", (1, 2)):
-        try:
-            if len(parts) == 1:
-                plain.append(float(parts[0]))
-                continue
-            node, value = int(parts[0]), float(parts[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-        if node in keyed:
-            raise DataError(f"{path}: line {lineno}: duplicate node {node}")
-        keyed[node] = value
-    if keyed and plain:
+    table = _read_table(path, ",", "[node,]value", ("-f", "if"))
+    node, value = table.columns
+    keyed = table.width == 2
+    repeat = np.zeros(len(node), dtype=bool)
+    repeat[keyed] = _repeats(node[keyed])
+    table.check((repeat, lambda i, raw: f"duplicate node {node[i]}"))
+    if keyed.any() and not keyed.all():
         raise DataError(f"{path}: mixed plain and node,value lines")
-    if keyed:
-        if sorted(keyed) != list(range(n)):
+    if keyed.any():
+        if not np.array_equal(np.sort(node), np.arange(n)):
             raise DataError(f"{path}: node ids must cover 0..{n - 1} exactly once")
-        return np.array([keyed[i] for i in range(n)])
-    if len(plain) != n:
-        raise DataError(f"{path}: expected {n} values, got {len(plain)}")
-    return np.array(plain)
+        y = np.empty(n)
+        y[node.astype(np.int64)] = value
+        return y
+    if len(value) != n:
+        raise DataError(f"{path}: expected {n} values, got {len(value)}")
+    return value
 
 
 def synthetic_signal(graph, kind, seed=0, modes=3, value=1.0):

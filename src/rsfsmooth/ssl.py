@@ -15,7 +15,7 @@ from .errors import DataError
 from .estimators import (FOREST_ESTIMATORS, accumulate_forests, forest_estimates,
                          gradient_step, resolve_alpha)
 from .forests import derive_seed
-from .graphs import _lines, _table
+from .graphs import _read_table, _repeats
 from .linalg import SmoothingProblem, solve_exact_cg
 
 
@@ -206,28 +206,15 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
 
 def load_labels(path, n):
     """Load "node,class_id" CSV labels; unlisted nodes get -1."""
-    labels = np.full(n, -1, dtype=np.int64)
-    table = _table(path, ",", ("ii",))
-    if table is not None:
-        node, cls = table["c0"], table["c1"]
-        if (node.min() >= 0 and node.max() < n and cls.min() >= 0
-                and np.bincount(node, minlength=n).max() == 1):
-            labels[node] = cls
-            return labels
-    for lineno, raw, parts in _lines(path, ",", "node,class_id", (2,)):
-        try:
-            node, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: cannot parse {raw!r}") from None
-        if not 0 <= node < n:
-            raise DataError(f"{path}: line {lineno}: node {node} out of range")
-        if cls < 0:
-            raise DataError(f"{path}: line {lineno}: negative class id")
-        if cls > np.iinfo(np.int64).max:
-            raise DataError(f"{path}: line {lineno}: class id {cls} exceeds 2^63 - 1")
-        if labels[node] >= 0:
-            raise DataError(f"{path}: line {lineno}: duplicate node {node}")
-        labels[node] = cls
-    if labels.max() < 0:
+    table = _read_table(path, ",", "node,class_id", ("ii",))
+    node, cls = table.columns
+    table.check((~((node >= 0) & (node < n)), lambda i, raw: f"node {node[i]} out of range"),
+                (cls < 0, lambda i, raw: "negative class id"),
+                (cls > np.iinfo(np.int64).max,
+                 lambda i, raw: f"class id {cls[i]} exceeds 2^63 - 1"),
+                (_repeats(node), lambda i, raw: f"duplicate node {node[i]}"))
+    if not len(node):
         raise DataError(f"{path}: no labels")
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[node.astype(np.int64)] = cls
     return labels

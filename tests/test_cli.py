@@ -644,6 +644,16 @@ class TestExitCodes:
         assert match and int(match[1]) <= 1000 and float(match[2]) > 1e-16, err
         assert not out.exists()
 
+    # Q + L is singular to working precision; Qy = 1e-150 (1, 2, 3) is
+    # scaled before CG, which once divided by a p . Ap that underflowed to 0
+    def test_cg_on_a_tiny_q_ends_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["exact", "--graph", p3_file(tmp_path), "--signal",
+                    signal_file(tmp_path, [1, 2, 3]), "--q", "1e-150",
+                    "--out", str(out)]) in (3, 4)
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
     # 10 ** log10(max float) overflows by a rounding: the grid holds inf, as
     # numpy's logspace did, and the run ends in one line
     def test_log_grid_at_the_largest_float_ends_in_one_line(self, tmp_path, capsys):

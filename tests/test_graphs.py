@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 import rsfsmooth
 from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, load_signal,
                        save_graph)
-from rsfsmooth import graphs, signals, ssl
+from rsfsmooth import graphs
 from rsfsmooth.graphs import load_positions
 
 from conftest import adjacency, cycle_graph, path_graph, random_connected_graph, star_graph
@@ -92,16 +92,23 @@ class TestLoad:
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_a_pipe_is_read_once(self):
-        # two fields a line, so numpy's reader would refuse its first layout
-        # after consuming the pipe; the line loop alone reads it
+        # two fields a line, so numpy's reader refuses its first layout
+        # before it parses the second, from the text read once
         src = str(Path(rsfsmooth.__file__).resolve().parents[1])
+        code = ("from rsfsmooth import graphs\n"
+                "stage = graphs._numpy_table\n"
+                "def traced(*args):\n"
+                "    table = stage(*args)\n"
+                "    print(table and table[0])  # the layout numpy's reader parsed\n"
+                "    return table\n"
+                "graphs._numpy_table = traced\n"
+                "print(list(graphs.load_graph('/dev/stdin').edges()))\n")
         res = subprocess.run(
-            [sys.executable, "-c", "import rsfsmooth as rs; "
-                                   "print(list(rs.load_graph('/dev/stdin').edges()))"],
+            [sys.executable, "-c", code],
             input="0 1\n1 2\n", capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": src})
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[(0, 1, 1.0), (1, 2, 1.0)]"
+        assert res.stdout.split("\n")[:2] == ["ii-", "[(0, 1, 1.0), (1, 2, 1.0)]"]
 
 
 LOADERS = [load_graph, load_positions, lambda path: load_signal(path, 3),
@@ -148,13 +155,9 @@ class TestLineReader:
             load(path)
 
 
-@contextlib.contextmanager
 def line_loop_only():
     """Every reader with numpy's reader turned away: the line loop alone."""
-    with contextlib.ExitStack() as stack:
-        for module in (graphs, signals, ssl):
-            stack.enter_context(mock.patch.object(module, "_table", lambda *args: None))
-        yield
+    return mock.patch.object(graphs, "_numpy_table", lambda *args: None)
 
 
 def outcome(load, path):
@@ -254,8 +257,8 @@ def text_files(draw, separators, rows):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=st.sampled_from(sorted(READERS)).flatmap(
     lambda reader: text_files(*READERS[reader][1:]).map(lambda text: (reader, text))))
-# for each check the readers make on what numpy's reader parsed, a file
-# that fails that check alone
+# for each rule the readers check, a file that numpy's reader parses and
+# that breaks that rule alone, so that the line of the row is looked up
 @example(case=("graph", "0 1\n-1 1\n"))
 @example(case=("graph", "0 1 1\n1 2 -0\n"))
 @example(case=("graph", "0 1 1\n1 2 1e400\n"))
@@ -275,6 +278,39 @@ def test_numpys_reader_gives_what_the_line_loop_gives(tmp_path_factory, case):
     with line_loop_only():
         expected = outcome(load, str(path))
     assert outcome(load, str(path)) == expected
+
+
+# each file breaks more than one rule, or has a line only the line loop
+# reads: the first line at fault names the error, as it did when each line
+# was parsed and checked in turn, whichever stage parses the file
+@pytest.mark.parametrize("reader,text,expected", [
+    ("graph", "0 1\n-1 2\n0 x\n", "line 2: negative vertex id"),
+    ("graph", "0 x\n-1 2\n", "line 1: cannot parse '0 x\\n'"),
+    ("graph", "0 1 nan\n1 2 x\n", "line 1: nonpositive or non-finite weight nan"),
+    ("graph", "0 1 1\r1 2 -1\r2 3 1\r", "line 2: nonpositive or non-finite weight -1.0"),
+    ("graph", "0 1\r\n1 2 x\r", "line 2: cannot parse '1 2 x\\n'"),
+    ("graph", "0 1 1\n-1 2 0\n", "line 2: negative vertex id"),
+    ("labels", "0,9223372036854775808\n", "line 1: class id 9223372036854775808 exceeds 2^63 - 1"),
+    ("labels", "99999999999999999999,1\n", "line 1: node 99999999999999999999 out of range"),
+    ("labels", "0,1\n  \n1,2\n1,0\n", "line 4: duplicate node 1"),
+    ("labels", "0,1\n9,-1\n", "line 2: node 9 out of range"),
+    ("signal", "0,1\n0,2\n3\n", "line 2: duplicate node 0"),
+    ("signal", "1\n \t\n2\n3\n4\n", [1.0, 2.0, 3.0, 4.0]),
+    ("positions", "0,1\n \n1,inf\n", "line 3: non-finite coordinate in '1,inf\\n'"),
+], ids=["negative-before-parse", "parse-before-negative", "weight-before-parse",
+        "lone-cr", "cr-lf-and-lone-cr", "negative-before-weight", "class-past-int64",
+        "node-past-int64", "blank-csv-line-duplicate", "range-before-class",
+        "duplicate-before-mixed", "blank-csv-line", "blank-csv-line-non-finite"])
+@pytest.mark.parametrize("loop", [False, True], ids=["any-stage", "loop"])
+def test_a_file_is_refused_for_its_first_line_at_fault(tmp_path, reader, text, expected, loop):
+    path = tmp_path / f"{reader}.txt"
+    path.write_bytes(text.encode())
+    with line_loop_only() if loop else contextlib.nullcontext():
+        try:
+            got = READERS[reader][0](str(path)).tolist()
+        except DataError as err:
+            got = str(err)
+    assert got == (expected if isinstance(expected, list) else f"{path}: {expected}")
 
 
 class TestRoundTrip:
