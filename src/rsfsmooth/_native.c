@@ -18,7 +18,9 @@
  * returns (s0 + s1) + (s2 + s3), so its bits depend on nothing but the
  * inputs. cg_product writes ap = q p + L p and returns p . ap; cg_residual
  * makes r -= a ap and returns r . r; cg_direction makes x += a p, then
- * p = r + b p.
+ * p = r + b p. cg_plain runs whole plain CG iterations of those three
+ * passes in one call, stopping where linalg.solve_exact_cg must decide
+ * something.
  *
  * The multigrid preconditioner of CG (linalg._Multigrid): with A = Q + L,
  * D its diagonal, winv = omega / D and lab the aggregate of each vertex,
@@ -145,6 +147,33 @@ void cg_direction(int64_t n, double *x, double *p, const double *r, double a, do
         x[i] += a * p[i];
         p[i] = r[i] + b * p[i];
     }
+}
+
+/* Runs plain CG iterations in place, each the three passes above with
+ * alpha = rs / p.Ap and beta = rs_new / rs, while sqrt(*rs) > threshold and
+ * fewer than steps have run; *rs comes in as r . r and leaves as it. Stops
+ * before the division where p.Ap is zero or not finite, with ap = A p
+ * written, and returns -1 - the iterations run then, else the iterations
+ * run. */
+int64_t cg_plain(int64_t n, const int64_t *indptr, const int64_t *indices,
+                 const double *weights, const double *q, double *x, double *r,
+                 double *p, double *ap, double threshold, int64_t steps, double *rs)
+{
+    double s = *rs;
+    int64_t k = 0;
+    for (; k < steps && !(sqrt(s) <= threshold); k++) {
+        double pap = cg_product(n, indptr, indices, weights, q, p, ap);
+        if (pap == 0.0 || !isfinite(pap)) {
+            *rs = s;
+            return -1 - k;
+        }
+        double a = s / pap;
+        double s_new = cg_residual(n, r, ap, a);
+        cg_direction(n, x, p, r, a, s_new / s);
+        s = s_new;
+    }
+    *rs = s;
+    return k;
 }
 
 void mg_restrict(int64_t n, const int64_t *indptr, const int64_t *indices,

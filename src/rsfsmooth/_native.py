@@ -1,6 +1,7 @@
 """The package's hot loops: the forest draw, the Laplacian apply, the
-conjugate-gradient passes with their fixed-order dot product, and the
-passes and dense Cholesky solve of CG's multigrid preconditioner.
+conjugate-gradient passes with their fixed-order dot product, plain CG's
+iterations in one call, and the passes and dense Cholesky solve of CG's
+multigrid preconditioner.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -37,6 +38,12 @@ class Kernels(NamedTuple):
     product: Callable    # (g, q, p, ap) -> p . ap, after ap = q p + L p
     residual: Callable   # (r, ap, a) -> r . r, after r -= a ap
     direction: Callable  # (x, p, r, a, b) -> None, after x += a p; p = r + b p
+    plain: Callable      # (g, q, x, r, p, ap, rs, threshold, steps) -> (iterations, rs):
+                         # plain CG iterations in place, each product, then residual with
+                         # a = rs / p.Ap, then direction with b = rs_new / rs, from rs =
+                         # r . r while sqrt(rs) > threshold and fewer than steps have run;
+                         # stops where p.Ap is zero or not finite, with ap = A p, and
+                         # then returns -1 - the iterations run
     # with A = q + L, winv = omega / diag(A) and lab the aggregate of each vertex:
     restrict: Callable   # (g, q, winv, b, x, lab, rc) -> None, after x = winv b;
                          # rc = 0; rc[lab[i]] += (b - A x)_i for i in index order
@@ -91,9 +98,9 @@ def compiled():
     def csr(g):
         return g.indptr, g.indices, g.weights
 
-    walk, apply, product, down, up = (
+    walk, apply, product, iterate, down, up = (
         bind(lib.wilson, lambda g: (g.indptr, g.indices, g.walk_tables())),
-        bind(lib.laplacian, csr), bind(lib.cg_product, csr),
+        bind(lib.laplacian, csr), bind(lib.cg_product, csr), bind(lib.cg_plain, csr),
         bind(lib.mg_restrict, csr), bind(lib.mg_prolong, csr))
 
     def wilson(g, q, key, position, max_steps, out):
@@ -105,6 +112,12 @@ def compiled():
         apply(g)(v.ctypes.data, address(out))
         return out
 
+    def plain(g, q, x, r, p, ap, rs, threshold, steps):
+        rs = ctypes.c_double(rs)
+        done = iterate(g)(q.ctypes.data, address(x), address(r), address(p), address(ap),
+                          threshold, steps, ctypes.byref(rs))
+        return done, rs.value
+
     return Kernels(
         wilson=wilson,
         laplacian=laplacian,
@@ -113,6 +126,7 @@ def compiled():
         residual=lambda r, ap, a: lib.cg_residual(len(r), address(r), address(ap), a),
         direction=lambda x, p, r, a, b: lib.cg_direction(len(x), address(x), address(p),
                                                          address(r), a, b),
+        plain=plain,
         restrict=lambda g, q, winv, b, x, lab, rc: down(g)(
             address(q), address(winv), address(b), address(x), address(lab), len(rc),
             address(rc)),
@@ -157,6 +171,8 @@ def _build():
             ("cg_product", [i64, ptr, ptr, ptr, ptr, ptr, ptr], f64),
             ("cg_residual", [i64, ptr, ptr, f64], f64),
             ("cg_direction", [i64, ptr, ptr, ptr, f64, f64], None),
+            ("cg_plain", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, f64, i64,
+                          ctypes.POINTER(f64)], i64),
             ("mg_restrict", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr], None),
             ("mg_prolong", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr], None),
             ("cholesky", [i64, ptr], None),

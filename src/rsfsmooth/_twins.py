@@ -6,6 +6,7 @@ other.
 """
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -143,6 +144,22 @@ def _direction_numpy(x, p, r, a, b):
     p += r  # r + b p: addition commutes exactly
 
 
+def _plain_numpy(g, q, x, r, p, ap, rs, threshold, steps):
+    """The compiled plain CG loop: the three passes above in turn, with
+    the same scalars and comparisons."""
+    done = 0
+    while done < steps and not math.sqrt(rs) <= threshold:
+        pap = _product_numpy(g, q, p, ap)
+        if pap == 0.0 or not math.isfinite(pap):
+            return -1 - done, rs
+        a = rs / pap
+        rs_new = _residual_numpy(r, ap, a)
+        _direction_numpy(x, p, r, a, rs_new / rs)
+        rs = rs_new
+        done += 1
+    return done, rs
+
+
 def _residual_of(g, q, b, x):
     """b - (q x + L x), rounded as the compiled passes round it."""
     ax = q * x
@@ -185,5 +202,5 @@ def _solve_numpy(l, b):
 
 
 TWINS = Kernels(_wilson_python, _laplacian_slots, _dot_numpy, _product_numpy,
-                _residual_numpy, _direction_numpy, _restrict_numpy, _prolong_numpy,
-                _cholesky_numpy, _solve_numpy)
+                _residual_numpy, _direction_numpy, _plain_numpy, _restrict_numpy,
+                _prolong_numpy, _cholesky_numpy, _solve_numpy)

@@ -176,8 +176,9 @@ class _Multigrid:
     @classmethod
     def build(cls, g, q):
         """The hierarchy of Q + L on graph g, or None where a coarse level
-        overflows, or the finest level's forest keeps more than half of its
-        vertices as roots and more than _COARSEST."""
+        overflows, the finest level's forest keeps more than half of its
+        vertices as roots and more than _COARSEST, or a pivot of the
+        coarsest level's Cholesky factor is not positive and finite."""
         k, levels = _native.kernels(), []
         while g.n > _COARSEST:
             # the mean degree summed in fixed lanes: the forest is the same on every CPU
@@ -196,6 +197,9 @@ class _Multigrid:
             g, q = coarse
         factor = LaplacianOperator(g).dense() + np.diag(q)
         k.cholesky(factor)
+        pivots = factor.diagonal()  # their square roots: NaN where a pivot is negative
+        if not ((pivots > 0.0) & (pivots < math.inf)).all():  # q lost against the weights
+            return None
         return cls(levels, factor)
 
     def cycle(self, r, z, level=0):
@@ -297,10 +301,12 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     above tol^(1/4), else after _PLAIN_ITERATIONS if it has not
     converged, and goes on preconditioned from the current iterate, with
     beta in its flexible form -z . Ap / p . Ap (Notay, SISC 22, 2000).
-    Each plain iteration
-    makes three passes over the vectors (`_native.Kernels`), a
-    preconditioned one also a cycle, and every norm and dot product is
-    summed in fixed lanes, so x has the same bits on every CPU.
+    It raises `NumericalError` too where p . Ap, which divides, is zero
+    or not finite. Each iteration makes three passes over the vectors
+    (`_native.Kernels`), a preconditioned one also a cycle; the plain
+    ones up to the next point where CG decides something run in one
+    kernel call. Every norm and dot product is summed in fixed lanes, so
+    x has the same bits on every CPU.
     """
     if not 0 < tol < np.inf:
         raise DataError(f"tol must be positive and finite, got {tol!r}")
@@ -331,17 +337,18 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
         np.subtract(b, res, out=res)
         return res, math.sqrt(k.dot(res, res))
 
-    def precondition():
-        """M^{-1} r, r itself until the hierarchy is built, and r . M^{-1} r."""
-        if mg is None:
-            return r, rs
-        mg.cycle(r, z)
-        return z, k.dot(r, z)
-
     def restart():
-        """A fresh direction, M^{-1} r, and r . M^{-1} r."""
-        zr, rz = precondition()
-        return zr.copy(), rz
+        """A fresh direction, M^{-1} r (r itself until the hierarchy is
+        taken), and r . M^{-1} r."""
+        if mg is None:
+            return r.copy(), rs
+        mg.cycle(r, z)
+        return z.copy(), k.dot(r, z)
+
+    def broke_down(pap):
+        """The error where p . Ap, which divides, is zero or not finite."""
+        return NumericalError(f"CG broke down after {iterations} iterations "
+                              f"(p . Ap = {pap:.3e})")
 
     x = np.zeros(g.n)
     r = b.copy()
@@ -383,11 +390,23 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
             if problem.multigrid:
                 mg = problem.multigrid
                 p, rz = restart()
+        if mg is None:
+            # plain iterations in one call, up to the next point that decides something
+            ends = (_PLAIN_ITERATIONS // 4, _PLAIN_ITERATIONS, max_iter) if hard else (max_iter,)
+            stop = min(end for end in ends if end > iterations)
+            done, rs = k.plain(g, q, x, r, p, ap, rs, threshold, stop - iterations)
+            if done < 0:
+                iterations += -1 - done
+                raise broke_down(k.dot(p, ap))
+            iterations += done
+            continue
         pap = k.product(g, q, p, ap)
+        if pap == 0.0 or not math.isfinite(pap):
+            raise broke_down(pap)
         alpha = rz / pap
         rs = k.residual(r, ap, alpha)
-        zr, rz_new = precondition()
-        beta = rz_new / rz if mg is None else -k.dot(zr, ap) / pap
-        k.direction(x, p, zr, alpha, beta)
+        mg.cycle(r, z)
+        rz_new = k.dot(r, z)
+        k.direction(x, p, z, alpha, -k.dot(z, ap) / pap)
         rz = rz_new
         iterations += 1

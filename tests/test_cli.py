@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 import rsfsmooth.estimators
 import rsfsmooth.experiments
-from rsfsmooth import NumericalError, load_graph, save_graph
+from rsfsmooth import NumericalError, _twins, load_graph, save_graph
 from rsfsmooth.cli import _write_json, run
 
-from conftest import random_connected_graph, two_clique_graph
+from conftest import random_connected_graph, two_clique_graph, using_kernels
 
 
 def p3_file(tmp_path):
@@ -652,6 +653,35 @@ class TestExitCodes:
                     signal_file(tmp_path, [1, 2, 3]), "--q", "1e-150",
                     "--out", str(out)]) in (3, 4)
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    # at q = 1e-20 and below, q is lost against the weights in the path's
+    # dense Q + L, whose last pivot rounds to 0: the multigrid is not built
+    # and CG goes on plain; it once divided by that pivot and reported NaN
+    @pytest.mark.parametrize("kernels", ["chosen", "twins"])
+    @pytest.mark.parametrize("q", ["1e-20", "1e-300"])
+    def test_cg_where_the_coarsest_factor_takes_a_zero_pivot_reports_no_nan(
+            self, tmp_path, capsys, q, kernels):
+        out = tmp_path / "x.csv"
+        with using_kernels(_twins.TWINS) if kernels == "twins" else contextlib.nullcontext():
+            assert run(["exact", "--graph", p3_file(tmp_path), "--signal",
+                        signal_file(tmp_path, [1, 2, 3]), "--q", q, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: CG did not converge in 30 iterations "
+            "(relative residual 3.780e-01)"]
+        assert not out.exists()
+
+    # A p overflows in CG's first product: both kernel sets stop there,
+    # before dividing by p . Ap
+    @pytest.mark.parametrize("kernels", ["chosen", "twins"])
+    def test_cg_whose_p_dot_ap_overflows_ends_in_one_line(self, tmp_path, capsys, kernels):
+        graph, out = tmp_path / "g.txt", tmp_path / "x.csv"
+        graph.write_text("0 1 1e308\n")
+        with using_kernels(_twins.TWINS) if kernels == "twins" else contextlib.nullcontext():
+            assert run(["exact", "--graph", str(graph), "--signal",
+                        signal_file(tmp_path, [1, -1]), "--q", "1", "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: CG broke down after 0 iterations (p . Ap = inf)"]
         assert not out.exists()
 
     # 10 ** log10(max float) overflows by a rounding: the grid holds inf, as

@@ -3,6 +3,7 @@ stream, the walk tables, and how the kernels are built, cached and
 chosen."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -226,3 +227,30 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
                 written.append(out.read_bytes())
     assert written[:3] == written[3:]
     assert all(calls.values()), calls
+
+
+# each exported C loop and the `Kernels` field that calls it
+EXPORTED = {"wilson": "wilson", "laplacian": "laplacian", "dot": "dot",
+            "cg_product": "product", "cg_residual": "residual", "cg_direction": "direction",
+            "cg_plain": "plain", "mg_restrict": "restrict", "mg_prolong": "prolong",
+            "cholesky": "cholesky", "cholesky_solve": "solve"}
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_the_c_source_builds_without_warnings_and_every_loop_is_wired(tmp_path):
+    source = Path(_native.__file__).with_name("_native.c")
+    res = subprocess.run(["cc", *_native._CFLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
+                          str(source), "-o", str(tmp_path / "native.so")],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    # every function that is not static, with its parameter count; a
+    # static one may have its qualifiers on the line before
+    exported = {name: len(params.split(",")) for static, name, params in re.findall(
+        r"^(static.*\n)?(?:int64_t|double|void) (\w+)\(([^)]*)\)", source.read_text(),
+        re.MULTILINE) if not static}
+    assert exported.keys() == EXPORTED.keys()
+    assert sorted(EXPORTED.values()) == sorted(_native.Kernels._fields)
+    lib = _native._build()
+    for name, count in exported.items():
+        argtypes = getattr(lib, name).argtypes
+        assert argtypes is not None and len(argtypes) == count, name

@@ -220,6 +220,96 @@ def test_compiled_passes_match_their_numpy_twins_bitwise(case, data):
     assert same_bits(xk, x + a * p) and same_bits(pk, rk + b * p)
 
 
+def passes_in_turn(kernels, g, q, x, r, p, ap, rs, threshold, steps):
+    """The plain CG loop as its three single passes called one by one."""
+    done = 0
+    while done < steps and not math.sqrt(rs) <= threshold:
+        pap = kernels.product(g, q, p, ap)
+        if pap == 0.0 or not math.isfinite(pap):
+            return -1 - done, rs
+        a = rs / pap
+        rs_new = kernels.residual(r, ap, a)
+        kernels.direction(x, p, r, a, rs_new / rs)
+        rs, done = rs_new, done + 1
+    return done, rs
+
+
+def plain_loops(g, q, x, r, p, rs, threshold, steps):
+    """(iterations, rs, x, r, p, ap) of the compiled `plain`, its twin and
+    the single passes in turn, each from copies of the same state, with ap
+    NaN on entry."""
+    compiled = _native.compiled()
+    runs = []
+    for loop in (compiled.plain, _twins.TWINS.plain,
+                 lambda *args: passes_in_turn(compiled, *args)):
+        state = [x.copy(), r.copy(), p.copy(), np.full(g.n, np.nan)]
+        runs.append((*loop(g, q, *state, rs, threshold, steps), *state))
+    return runs
+
+
+def assert_same_runs(runs):
+    for run in runs[1:]:
+        assert run[0] == runs[0][0]
+        for got, want in zip(run[1:], runs[0][1:]):
+            assert same_bits(got, want)
+
+
+@needs_library
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(weighted_graphs_and_vectors(), st.data())
+def test_the_plain_cg_loop_matches_its_twin_and_the_single_passes(case, data):
+    # n from 2 to 9 covers every n % 4 tail; x, r and p are any vectors, so
+    # p . Ap may also be zero or not finite
+    g, p = case
+    q = data.draw(st.lists(scaled, min_size=g.n, max_size=g.n).map(np.array))
+    r, x = data.draw(vectors(g.n)), data.draw(vectors(g.n))
+    rs = _twins.TWINS.dot(r, r)
+    # 1 meets the threshold on entry, 0 only where rs is 0
+    scale = data.draw(st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(1e-9, 1.0)))
+    threshold, steps = scale * math.sqrt(rs), data.draw(st.integers(0, 2 * g.n + 2))
+    runs = plain_loops(g, q, x, r, p, rs, threshold, steps)
+    assert_same_runs(runs)
+    done, rs_out = runs[0][:2]
+    assert done < 0 or done == steps or math.sqrt(rs_out) <= threshold
+
+
+def cg_start(n):
+    """A path of n vertices, q and CG's first state (x, r, p, r . r) on it."""
+    rng = np.random.default_rng(n)
+    g = path_graph(n, weights=rng.uniform(0.5, 2.0, n - 1).tolist())
+    q, r = rng.uniform(0.01, 0.1, n), rng.standard_normal(n)
+    return g, q, np.zeros(n), r, r.copy(), _twins.TWINS.dot(r, r)
+
+
+@needs_library
+@pytest.mark.parametrize("n", [4, 5, 6, 7])  # each n % 4 tail
+def test_the_plain_cg_loop_stops_at_steps_at_threshold_and_on_a_breakdown(n):
+    g, q, x, r, p, rs = cg_start(n)
+    # no step: nothing is written
+    for threshold, steps in ((0.0, 0), (math.sqrt(rs), 5)):
+        runs = plain_loops(g, q, x, r, p, rs, threshold, steps)
+        assert_same_runs(runs)
+        assert runs[0][:2] == (0, rs) and same_bits(runs[0][2], x)
+        assert np.isnan(runs[0][5]).all()
+    # a stop at steps, then one at the threshold, which the first iterations
+    # do not meet
+    runs = plain_loops(g, q, x, r, p, rs, 1e-3 * math.sqrt(rs), 2)
+    assert_same_runs(runs)
+    assert runs[0][0] == 2 and math.sqrt(runs[0][1]) > 1e-3 * math.sqrt(rs)
+    runs = plain_loops(g, q, x, r, p, rs, 1e-3 * math.sqrt(rs), 10 * n)
+    assert_same_runs(runs)
+    assert 2 < runs[0][0] < 10 * n and math.sqrt(runs[0][1]) <= 1e-3 * math.sqrt(rs)
+    # p . Ap zero or infinite: the loop stops before dividing, with ap = A p
+    # and x, r and p as they came
+    for bad in (np.zeros(n), p * 1e300):
+        with np.errstate(over="ignore"):
+            runs = plain_loops(g, q, x, r, bad, rs, 0.0, 5)
+        assert_same_runs(runs)
+        assert runs[0][:2] == (-1, rs)
+        assert same_bits(runs[0][2], x) and same_bits(runs[0][4], bad)
+        assert same_bits(runs[0][5], q * bad + bincount_laplacian(g, bad))
+
+
 @needs_library
 @pytest.mark.parametrize("rows,cols,q", [(19, 23, 0.01), (13, 31, "varying"), (1, 7, 0.5)])
 def test_a_long_cg_solve_matches_the_numpy_twins_bitwise(rows, cols, q):
