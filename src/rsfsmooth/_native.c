@@ -151,10 +151,10 @@ void cg_direction(int64_t n, double *x, double *p, const double *r, double a, do
 
 /* Runs plain CG iterations in place, each the three passes above with
  * alpha = rs / p.Ap and beta = rs_new / rs, while sqrt(*rs) > threshold and
- * fewer than steps have run; *rs comes in as r . r and leaves as it. Stops
- * before the division where p.Ap is zero or not finite, with ap = A p
- * written, and returns -1 - the iterations run then, else the iterations
- * run. */
+ * fewer than steps have run; *rs comes in as r . r and leaves as it, and
+ * the iterations run are returned. Where p.Ap is zero or not finite, it
+ * stops before the division, with ap = A p written, leaves p.Ap in *rs and
+ * returns -1 - the iterations run. */
 int64_t cg_plain(int64_t n, const int64_t *indptr, const int64_t *indices,
                  const double *weights, const double *q, double *x, double *r,
                  double *p, double *ap, double threshold, int64_t steps, double *rs)
@@ -164,7 +164,7 @@ int64_t cg_plain(int64_t n, const int64_t *indptr, const int64_t *indices,
     for (; k < steps && !(sqrt(s) <= threshold); k++) {
         double pap = cg_product(n, indptr, indices, weights, q, p, ap);
         if (pap == 0.0 || !isfinite(pap)) {
-            *rs = s;
+            *rs = pap;
             return -1 - k;
         }
         double a = s / pap;

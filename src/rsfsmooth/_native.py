@@ -43,7 +43,7 @@ class Kernels(NamedTuple):
                          # a = rs / p.Ap, then direction with b = rs_new / rs, from rs =
                          # r . r while sqrt(rs) > threshold and fewer than steps have run;
                          # stops where p.Ap is zero or not finite, with ap = A p, and
-                         # then returns -1 - the iterations run
+                         # then returns (-1 - the iterations run, p.Ap)
     # with A = q + L, winv = omega / diag(A) and lab the aggregate of each vertex:
     restrict: Callable   # (g, q, winv, b, x, lab, rc) -> None, after x = winv b;
                          # rc = 0; rc[lab[i]] += (b - A x)_i for i in index order

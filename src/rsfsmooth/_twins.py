@@ -144,17 +144,20 @@ def _direction_numpy(x, p, r, a, b):
     p += r  # r + b p: addition commutes exactly
 
 
-def _plain_numpy(g, q, x, r, p, ap, rs, threshold, steps):
-    """The compiled plain CG loop: the three passes above in turn, with
-    the same scalars and comparisons."""
+def _plain_numpy(g, q, x, r, p, ap, rs, threshold, steps,
+                 passes=(_product_numpy, _residual_numpy, _direction_numpy)):
+    """The compiled plain CG loop: the three passes above, or the product,
+    residual and direction `passes` given, in turn, with the same scalars
+    and comparisons."""
+    product, residual, direction = passes
     done = 0
     while done < steps and not math.sqrt(rs) <= threshold:
-        pap = _product_numpy(g, q, p, ap)
+        pap = product(g, q, p, ap)
         if pap == 0.0 or not math.isfinite(pap):
-            return -1 - done, rs
+            return -1 - done, pap
         a = rs / pap
-        rs_new = _residual_numpy(r, ap, a)
-        _direction_numpy(x, p, r, a, rs_new / rs)
+        rs_new = residual(r, ap, a)
+        direction(x, p, r, a, rs_new / rs)
         rs = rs_new
         done += 1
     return done, rs

@@ -9,7 +9,6 @@ import functools
 import io
 import itertools
 import math
-import re
 import warnings
 
 import numpy as np
@@ -245,32 +244,15 @@ def _data_lines(text):
 _KINDS = {"i": (np.int64, int), "f": (np.float64, float)}
 
 
-# a line's whitespace where only a comment or the line's end follows, which
-# numpy's reader takes as a field of a comma-separated line and the loop skips
-_BLANK = re.compile(r"\n[^\S\n]+(?=[#\n]|\Z)")
-
-
 def _numpy_table(text, sep, layouts):
     """(layout, structured array of its fields c0, c1, ...) for the first of
     `layouts` that every data line of text fits, as numpy's C reader parses
     it, else None. The reader gives every field it parses the value int()
     or float() gives, bit for bit, splits on the same whitespace and
     refuses the rest (such as '1_0', non-ASCII digits, or '1.0' as an int),
-    but also a comma-separated line of whitespace, or of whitespace before
-    a comment, which the loop of `_read_table` skips: where no layout fits,
-    such lines are blanked, each kept so that no line number moves, and
-    the layouts are tried once more. Any warning the reader raises ("input
-    contained no data", among others) counts as a refusal."""
-    parsed = _loadtxt(text, sep, layouts)
-    if parsed is None:
-        blanked, count = _BLANK.subn("\n", "\n" + text)
-        if count:
-            parsed = _loadtxt(blanked[1:], sep, layouts)
-    return parsed
-
-
-def _loadtxt(text, sep, layouts):
-    """`_numpy_table` without the blanking."""
+    but also some lines the loop of `_read_table` reads, such as a
+    whitespace-only line in a comma-separated file; any warning it raises
+    ("input contained no data", among others) counts as a refusal."""
     lines = text.split("\n")  # a list, which the reader takes faster than a stream
     for layout in layouts:
         fields = layout.replace("-", "")

@@ -358,6 +358,8 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     p, rz = restart()
     threshold = tol * bnorm
     best, since = math.inf, 0  # smallest true residual at a failed acceptance, and runs since
+    # where a plain phase stops for CG to decide whether to take the hierarchy
+    checkpoints = (_PLAIN_ITERATIONS // 4, _PLAIN_ITERATIONS) if hard else ()
     iterations = 0
     while True:
         if math.sqrt(rs) <= threshold:
@@ -383,22 +385,20 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
                 f"CG did not converge in {max_iter} iterations "
                 f"(relative residual {true_residual()[1] / bnorm:.3e})"
             )
-        if hard and mg is None and (
-                iterations == _PLAIN_ITERATIONS
-                or iterations == _PLAIN_ITERATIONS // 4 and math.sqrt(rs) > stalled):
+        if mg is None and iterations in checkpoints and (
+                iterations == _PLAIN_ITERATIONS or math.sqrt(rs) > stalled):
             problem.multigrid = _hierarchy(problem)
             if problem.multigrid:
                 mg = problem.multigrid
                 p, rz = restart()
         if mg is None:
             # plain iterations in one call, up to the next point that decides something
-            ends = (_PLAIN_ITERATIONS // 4, _PLAIN_ITERATIONS, max_iter) if hard else (max_iter,)
-            stop = min(end for end in ends if end > iterations)
-            done, rs = k.plain(g, q, x, r, p, ap, rs, threshold, stop - iterations)
+            stop = min(end for end in (*checkpoints, max_iter) if end > iterations)
+            done, out = k.plain(g, q, x, r, p, ap, rs, threshold, stop - iterations)
             if done < 0:
                 iterations += -1 - done
-                raise broke_down(k.dot(p, ap))
-            iterations += done
+                raise broke_down(out)
+            iterations, rs = iterations + done, out
             continue
         pap = k.product(g, q, p, ap)
         if pap == 0.0 or not math.isfinite(pap):

@@ -313,35 +313,6 @@ def test_a_file_is_refused_for_its_first_line_at_fault(tmp_path, reader, text, e
     assert got == (expected if isinstance(expected, list) else f"{path}: {expected}")
 
 
-# every character str.strip() takes but the line ends
-BLANKS = "".join(c for c in map(chr, range(sys.maxunicode + 1))
-                 if c.isspace() and c not in "\n\r")
-
-
-# a comma-separated line of whitespace, or of whitespace before a comment,
-# which numpy's reader once refused: the file went through the line loop
-@pytest.mark.parametrize("reader,text,expected", [
-    ("positions", f"0,1\n{BLANKS}\n1,2\n  # c\n\t", [[0.0, 1.0], [1.0, 2.0]]),
-    ("signal", f"{BLANKS}# c\n1\n \n2\n3\n\u30004\n", [1.0, 2.0, 3.0, 4.0]),
-    ("labels", f" \n0,1\n\x0c\n1,2 # c\n{BLANKS}", [1, 2, -1, -1]),
-], ids=["positions", "signal", "labels"])
-def test_blank_csv_lines_are_read_without_the_line_loop(tmp_path, reader, text, expected):
-    path = tmp_path / f"{reader}.txt"
-    path.write_bytes(text.encode())
-    with mock.patch.object(graphs, "_data_lines", side_effect=AssertionError("loop entered")):
-        assert READERS[reader][0](str(path)).tolist() == expected
-    with line_loop_only():
-        assert READERS[reader][0](str(path)).tolist() == expected
-
-
-def test_blanked_csv_lines_keep_their_numbers(tmp_path):
-    path, text = tmp_path / "positions.txt", f"0,1\n{BLANKS}\n  # c\n1,inf\n"
-    path.write_bytes(text.encode())
-    assert graphs._numpy_table(text, ",", ("ff",)) is not None
-    with pytest.raises(DataError, match=r": line 4: non-finite coordinate in '1,inf\\n'$"):
-        load_positions(str(path))
-
-
 class TestRoundTrip:
     def test_save_load_bit_identical(self, tmp_path):
         g = random_connected_graph(40, extra_edges=60,

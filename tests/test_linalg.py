@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import sys
@@ -220,28 +221,15 @@ def test_compiled_passes_match_their_numpy_twins_bitwise(case, data):
     assert same_bits(xk, x + a * p) and same_bits(pk, rk + b * p)
 
 
-def passes_in_turn(kernels, g, q, x, r, p, ap, rs, threshold, steps):
-    """The plain CG loop as its three single passes called one by one."""
-    done = 0
-    while done < steps and not math.sqrt(rs) <= threshold:
-        pap = kernels.product(g, q, p, ap)
-        if pap == 0.0 or not math.isfinite(pap):
-            return -1 - done, rs
-        a = rs / pap
-        rs_new = kernels.residual(r, ap, a)
-        kernels.direction(x, p, r, a, rs_new / rs)
-        rs, done = rs_new, done + 1
-    return done, rs
-
-
 def plain_loops(g, q, x, r, p, rs, threshold, steps):
-    """(iterations, rs, x, r, p, ap) of the compiled `plain`, its twin and
-    the single passes in turn, each from copies of the same state, with ap
-    NaN on entry."""
+    """(iterations, rs or p . Ap, x, r, p, ap) of the compiled `plain`, its
+    twin and the twin's loop over the compiled single passes, each from
+    copies of the same state, with ap NaN on entry."""
     compiled = _native.compiled()
     runs = []
+    passes = compiled.product, compiled.residual, compiled.direction
     for loop in (compiled.plain, _twins.TWINS.plain,
-                 lambda *args: passes_in_turn(compiled, *args)):
+                 functools.partial(_twins._plain_numpy, passes=passes)):
         state = [x.copy(), r.copy(), p.copy(), np.full(g.n, np.nan)]
         runs.append((*loop(g, q, *state, rs, threshold, steps), *state))
     return runs
@@ -269,8 +257,11 @@ def test_the_plain_cg_loop_matches_its_twin_and_the_single_passes(case, data):
     threshold, steps = scale * math.sqrt(rs), data.draw(st.integers(0, 2 * g.n + 2))
     runs = plain_loops(g, q, x, r, p, rs, threshold, steps)
     assert_same_runs(runs)
-    done, rs_out = runs[0][:2]
-    assert done < 0 or done == steps or math.sqrt(rs_out) <= threshold
+    done, out = runs[0][:2]
+    if done < 0:  # out is p . Ap
+        assert out == 0.0 or not math.isfinite(out)
+    else:
+        assert done == steps or math.sqrt(out) <= threshold
 
 
 def cg_start(n):
@@ -299,13 +290,15 @@ def test_the_plain_cg_loop_stops_at_steps_at_threshold_and_on_a_breakdown(n):
     runs = plain_loops(g, q, x, r, p, rs, 1e-3 * math.sqrt(rs), 10 * n)
     assert_same_runs(runs)
     assert 2 < runs[0][0] < 10 * n and math.sqrt(runs[0][1]) <= 1e-3 * math.sqrt(rs)
-    # p . Ap zero or infinite: the loop stops before dividing, with ap = A p
-    # and x, r and p as they came
+    # p . Ap zero or not finite: the loop stops before dividing, returns
+    # p . Ap, with ap = A p and x, r and p as they came
     for bad in (np.zeros(n), p * 1e300):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             runs = plain_loops(g, q, x, r, bad, rs, 0.0, 5)
+            pap = lane_dot(bad, runs[0][5])
         assert_same_runs(runs)
-        assert runs[0][:2] == (-1, rs)
+        assert runs[0][0] == -1 and same_bits(runs[0][1], pap)
+        assert pap == 0.0 or not math.isfinite(pap)
         assert same_bits(runs[0][2], x) and same_bits(runs[0][4], bad)
         assert same_bits(runs[0][5], q * bad + bincount_laplacian(g, bad))
 
