@@ -24,8 +24,12 @@ class Graph:
 
     Vertices are dense 0-based integers. All edge weights are strictly
     positive, self-loops are rejected, and the graph is required to be
-    connected. Build one with `Graph.from_edges`. Instances are immutable
-    after construction and safe to share across threads.
+    connected. Build one with `Graph.from_edges`, the gate for edges from
+    outside, which checks each of these rules. The grid and the
+    multigrid's coarse levels, valid by construction, skip those checks
+    through the private `Graph._from_csr`, which fills every graph's
+    fields. Instances are immutable after construction and safe to share
+    across threads.
 
     Attributes
     ----------
@@ -45,7 +49,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n, edges):
         """Build a connected graph from an (m, 3) array-like of undirected
-        (u, v, w) rows.
+        (u, v, w) rows: the gate for edges from outside the package.
 
         Each undirected edge must appear exactly once. Raises `DataError`
         on ids that are not integers, self-loops, out-of-range ids,
@@ -64,12 +68,17 @@ class Graph:
                   & (b >= 0) & (b < n) & (b == np.trunc(b)))
         # an edge with a bad id becomes a self-loop at 0, which no valid edge repeats
         u, v = (np.where(ids_ok, x, 0).astype(np.int64) for x in (a, b))
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        loop = a == b
         bad_weight = ~((w > 0) & (w < math.inf))
-        repeat = _repeats(lo * n + hi)
-        bad = ~ids_ok | loop | bad_weight | repeat
-        if bad.any():
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        arcs = rows * n + cols
+        order = np.argsort(arcs)
+        arcs = arcs[order]
+        # a repeated edge, a self-loop and a bad id each leave two equal
+        # arcs side by side; only then are the edges checked one by one
+        if not ids_ok.all() or bad_weight.any() or (arcs[1:] == arcs[:-1]).any():
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            loop = a == b
+            bad = ~ids_ok | loop | bad_weight | _repeats(lo * n + hi)
             i = int(np.argmax(bad))
             x, y = float(a[i]), float(b[i])
             edge = f"({_id_text(x)}, {_id_text(y)})"
@@ -84,23 +93,30 @@ class Graph:
             raise DataError(f"duplicate undirected edge ({int(lo[i])}, {int(hi[i])})")
         if n < 1:
             raise DataError("graph must have at least one vertex")
+        ncomp = _component_count(n, u, v)
+        if ncomp != 1:
+            raise DataError(f"disconnected graph: {ncomp} connected components")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n), dtype=np.int64)])
+        return cls._from_csr(n, indptr, cols[order], np.concatenate([w, w])[order])
 
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        order = np.argsort(rows * n + cols)
+    @classmethod
+    def _from_csr(cls, n, indptr, indices, weights):
+        """The graph of CSR arrays that are valid by construction: int64
+        indptr and indices and float64 weights, each row's arcs sorted by
+        neighbour, every undirected edge stored as two arcs of one weight,
+        no loop, and a connected graph. Nothing is checked. The one place
+        that fills a graph's fields; `from_edges`, the grid and the
+        multigrid's coarse levels build through it."""
         g = cls.__new__(cls)
-        g.n, g.m = int(n), len(w)
-        g.indices = cols[order]
-        g.weights = np.concatenate([w, w])[order]
-        g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n),
-                                                  dtype=np.int64)])
-        # floats also where there is no arc, for which bincount returns ints
-        g.degrees = np.bincount(rows[order], weights=g.weights, minlength=n).astype(np.float64)
+        g.n, g.m = int(n), len(indices) // 2
+        g.indptr, g.indices, g.weights = indptr, indices, weights
+        rows = np.repeat(np.arange(g.n), np.diff(indptr))
+        # summed in arc order; floats also where there is no arc, for which
+        # bincount returns ints
+        g.degrees = np.bincount(rows, weights=weights, minlength=g.n).astype(np.float64)
         g.d_max = float(g.degrees.max())
         for arr in (g.indptr, g.indices, g.weights, g.degrees):
             arr.flags.writeable = False
-        ncomp = _component_count(g.n, u, v)
-        if ncomp != 1:
-            raise DataError(f"disconnected graph: {ncomp} connected components")
         g._walk_cum = None
         return g
 
@@ -446,10 +462,19 @@ def _barabasi_albert_edges(n, k, rng):
     return np.array(edges)
 
 
-def _grid_edges(rows, cols):
-    ids = np.arange(rows * cols).reshape(rows, cols)
-    return _unit_edges(np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()]),
-                       np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()]))
+def _grid_graph(rows, cols):
+    """The rows x cols grid of unit weights, vertex r * cols + c at row r and
+    column c, its CSR written directly: each vertex's neighbours up, left,
+    right and down, in that (increasing) order, from one masked (n, 4)
+    array. It is valid by construction, so nothing is checked."""
+    n = rows * cols
+    neighbours = np.arange(n)[:, None] + np.array([-cols, -1, 1, cols])
+    present = np.ones((rows, cols, 4), dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 2] = present[-1, :, 3] = False
+    present = present.reshape(n, 4)
+    indices = neighbours[present]
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1), dtype=np.int64)])
+    return Graph._from_csr(n, indptr, indices, np.ones(len(indices)))
 
 
 def _knn_edges(coords, k):
@@ -523,7 +548,7 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
             raise DataError("grid model needs rows >= 1 and cols >= 1")
         if n is not None and n != rows * cols:
             raise DataError(f"grid is {rows}x{cols}={rows * cols} vertices, got n={n}")
-        return Graph.from_edges(rows * cols, _grid_edges(rows, cols))
+        return _grid_graph(rows, cols)
     if model == "knn":
         if coords is None or k is None:
             raise DataError("knn model needs coords and k")

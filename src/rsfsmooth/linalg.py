@@ -183,9 +183,10 @@ class _Multigrid:
         while g.n > _COARSEST:
             # the mean degree summed in fixed lanes: the forest is the same on every CPU
             rate = _COARSE_RATE * k.dot(np.array(g.degrees), np.ones(g.n)) / g.n
-            roots, lab = np.unique(sample_forest(g, rate, CounterStream(0)).root_of,
-                                   return_inverse=True)
-            nc = len(roots)
+            # each tree's label is the rank of its root, as np.unique's inverse gives it
+            root_of = sample_forest(g, rate, CounterStream(0)).root_of
+            is_root = root_of == np.arange(g.n)
+            lab, nc = (np.cumsum(is_root) - 1)[root_of], int(np.count_nonzero(is_root))
             if 2 * nc > g.n and nc > _COARSEST:  # the forest barely coarsens
                 if not levels:
                     return None
@@ -254,15 +255,25 @@ class _Multigrid:
 
 def _quotient(g, q, lab, nc):
     """(graph, q) on the nc aggregates `lab` of g, with Q_c + L_c =
-    Pt (Q + L) P, or None where its weights or q overflow."""
-    rows, cols = lab[g._arc_rows], lab[g.indices]
-    cross = rows < cols  # one arc of each edge between two aggregates
+    Pt (Q + L) P, or None where its weights or q overflow. The graph is
+    valid by construction, so it skips `Graph.from_edges`'s checks: an
+    aggregate of a connected graph is connected, and the sums of positive
+    weights are positive."""
+    rows, cols = np.repeat(lab, np.diff(g.indptr)), lab[g.indices]
+    cross = np.flatnonzero(rows < cols)  # one arc of each edge between two aggregates
     keys, edge_of = np.unique(rows[cross] * nc + cols[cross], return_inverse=True)
     w = np.bincount(edge_of, weights=g.weights[cross], minlength=len(keys))
     qc = np.bincount(lab, weights=q, minlength=nc)
     if not (np.isfinite(w).all() and np.isfinite(qc).all()):
         return None
-    return Graph.from_edges(nc, np.column_stack([keys // nc, keys % nc, w])), qc
+    # each edge's two arcs, sorted once by (row, column); the weights are
+    # floats also where there is no edge, for which bincount returns ints
+    lo, hi = keys // nc, keys % nc
+    order = np.argsort(np.concatenate([keys, hi * nc + lo]))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(np.concatenate([lo, hi]), minlength=nc),
+                                            dtype=np.int64)])
+    return Graph._from_csr(nc, indptr, np.concatenate([hi, lo])[order],
+                           np.concatenate([w, w], dtype=np.float64)[order]), qc
 
 
 _HIERARCHY_LOCK = threading.Lock()

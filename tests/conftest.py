@@ -20,6 +20,17 @@ def adjacency(g):
     return sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
 
 
+def assert_same_graph(a, b):
+    """a and b hold the same graph, field for field: n, m and d_max, and
+    each array's dtype, shape and bytes; every array is read-only."""
+    assert (a.n, a.m, a.d_max) == (b.n, b.m, b.d_max)
+    for name in ("indptr", "indices", "weights", "degrees", "_arc_rows"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert not (x.flags.writeable or y.flags.writeable), name
+        assert x.tobytes() == y.tobytes(), name
+
+
 @contextlib.contextmanager
 def using_kernels(chosen):
     """The package's hot loops swapped for the set `chosen` inside the

@@ -22,7 +22,8 @@ from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, loa
 from rsfsmooth import graphs
 from rsfsmooth.graphs import load_positions
 
-from conftest import adjacency, cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import (adjacency, assert_same_graph, cycle_graph, path_graph,
+                      random_connected_graph, star_graph)
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -589,6 +590,35 @@ def test_from_edges_names_the_first_bad_edge_as_given(edges, message):
         with pytest.raises(DataError) as err:
             Graph.from_edges(3, edges)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1, 1.0), (1, 2, -1.0), (1, 0, 1.0)], "nonpositive or non-finite weight -1.0 on edge (1, 2)"),
+    ([(0, 1, 1.0), (1, 0, 1.0), (1, 2, math.nan)], "duplicate undirected edge (0, 1)"),
+    ([(1, 2, 1.0), (0, 1, math.inf), (2, 2, 1.0)], "nonpositive or non-finite weight inf on edge (0, 1)"),
+], ids=["weight-before-duplicate", "duplicate-before-weight", "weight-before-self-loop"])
+def test_from_edges_names_the_first_fault_whatever_its_arc_sort_finds(edges, message):
+    # the sorted arcs hold two equal keys for the later duplicate or
+    # self-loop; the message still names the first bad edge in input order
+    with pytest.raises(DataError) as err:
+        Graph.from_edges(3, edges)
+    assert str(err.value) == message
+
+
+def grid_edges(rows, cols):
+    """The edges of the rows x cols grid, vertex r * cols + c at row r and
+    column c: the `from_edges` twin of the grid generator's own CSR."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:].ravel()])
+    return np.column_stack([u, v, np.ones(len(u))])
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 5), (5, 1), (2, 2), (3, 7), (17, 4),
+                                       (60, 60), (300, 300)])
+def test_grid_is_its_from_edges_twin(rows, cols):
+    assert_same_graph(gen_graph("grid", rows=rows, cols=cols),
+                      Graph.from_edges(rows * cols, grid_edges(rows, cols)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

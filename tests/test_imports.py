@@ -221,6 +221,15 @@ def test_only_accumulate_forests_draws_forests():
     assert users == {"estimators.accumulate_forests", "linalg._Multigrid.build"}
 
 
+def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
+    # every reference to Graph._from_csr, by enclosing function. It checks
+    # nothing, so the file inputs and the random generators reach it only
+    # through from_edges; the grid and the multigrid's coarse levels are
+    # valid by construction
+    users = package_scopes(lambda node: names(node, "_from_csr"))
+    assert users == {"graphs.Graph.from_edges", "graphs._grid_graph", "linalg._quotient"}
+
+
 def test_only_the_knn_generator_imports_scipy():
     def imports_scipy(node):
         if isinstance(node, ast.Import):

@@ -18,7 +18,8 @@ from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
 from rsfsmooth import _native, _twins, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
-from conftest import adjacency, path_graph, random_connected_graph, star_graph, using_kernels
+from conftest import (adjacency, assert_same_graph, path_graph, random_connected_graph,
+                      star_graph, using_kernels)
 
 
 def dense_system(problem):
@@ -508,6 +509,53 @@ def test_coarse_levels_are_the_galerkin_products_of_forest_aggregates():
     galerkin = P.T @ dense_system(last) @ P
     np.testing.assert_allclose(mg.factor @ mg.factor.T, galerkin, rtol=1e-10,
                                atol=1e-12 * np.abs(galerkin).max())
+
+
+def quotient_twin(g, q, lab, nc):
+    """`linalg._quotient` through `Graph.from_edges`: the coarse level's
+    edge keys and summed weights as (u, v, w) rows, and its q."""
+    rows, cols = lab[g._arc_rows], lab[g.indices]
+    cross = rows < cols
+    keys, edge_of = np.unique(rows[cross] * nc + cols[cross], return_inverse=True)
+    w = np.bincount(edge_of, weights=g.weights[cross], minlength=len(keys))
+    return (Graph.from_edges(nc, np.column_stack([keys // nc, keys % nc, w])),
+            np.bincount(lab, weights=q, minlength=nc))
+
+
+@pytest.mark.parametrize("make,q", [
+    (lambda: gen_graph("grid", rows=100, cols=100), 0.001),  # levels [10000, 799, 77]
+    (lambda: gen_graph("regular", n=20000, d=10, seed=3), 0.001),  # [20000, 1085, 258]
+    (lambda: gen_graph("barabasi_albert", n=5000, k=3, seed=2), 0.1),  # [5000, 379, 106]
+    (lambda: gen_graph("grid", rows=100, cols=100), None),  # q varies by vertex
+], ids=["grid", "regular", "ba", "grid-varying-q"])
+def test_coarse_levels_are_their_from_edges_twins(make, q, monkeypatch):
+    # each level labels its aggregates by the rank of their roots, as
+    # np.unique's inverse does, and each coarse level written straight into
+    # CSR equals its from_edges twin, array for array
+    g = make()
+    q = np.random.default_rng(5).uniform(1e-3, 1e-1, g.n) if q is None else np.full(g.n, q)
+    forests = []
+
+    def recorded(*args):
+        forests.append(sample_forest(*args))
+        return forests[-1]
+
+    monkeypatch.setattr(linalg, "sample_forest", recorded)
+    mg = linalg._Multigrid.build(g, q)
+    assert len(mg.levels) >= 2 and len(forests) == len(mg.levels)
+    for i, (lvl, forest) in enumerate(zip(mg.levels, forests)):
+        labels = np.unique(forest.root_of, return_inverse=True)[1]
+        assert lvl.lab.dtype == labels.dtype and np.array_equal(lvl.lab, labels)
+        coarse, qc = linalg._quotient(lvl.graph, lvl.q, lvl.lab, mg.sizes[i + 1])
+        twin, qc_twin = quotient_twin(lvl.graph, lvl.q, lvl.lab, mg.sizes[i + 1])
+        assert_same_graph(coarse, twin)
+        assert qc.tobytes() == qc_twin.tobytes()
+        if i + 1 < len(mg.levels):
+            assert_same_graph(mg.levels[i + 1].graph, twin)
+    # one aggregate: a graph of one vertex and no edge
+    coarse, qc = linalg._quotient(g, q, np.zeros(g.n, dtype=np.int64), 1)
+    assert_same_graph(coarse, Graph.from_edges(1, []))
+    assert qc.tobytes() == np.bincount(np.zeros(g.n, dtype=np.int64), weights=q).tobytes()
 
 
 def test_the_v_cycle_is_symmetric_and_positive_definite():
