@@ -10,8 +10,11 @@
  * root_of[u] >= 0 marks u as part of the forest. Returns the number of
  * steps taken, or -1 once more than max_steps would be needed.
  *
+ * walk_tables: cum = each row's running sums of its arc weights from 0.0 in
+ * arc order, the table wilson bisects: np.cumsum of the row, bit for bit.
+ *
  * laplacian: out = L v over the CSR adjacency, each row summed from +0.0 in
- * arc order, the same sums as _twins._laplacian_slots computes in numpy.
+ * arc order, the same sums as _twins._laplacian_bincount computes in numpy.
  *
  * dot and the three conjugate-gradient passes: every dot product sums
  * element i into lane i % 4, each lane from +0.0 in index order, and
@@ -82,6 +85,15 @@ int64_t wilson(int64_t n, const int64_t *indptr, const int64_t *indices,
             root_of[u] = root;
     }
     return steps;
+}
+
+void walk_tables(int64_t n, const int64_t *indptr, const double *weights, double *cum)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double s = 0.0;
+        for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
+            cum[a] = s += weights[a];
+    }
 }
 
 static inline __attribute__((always_inline))

@@ -1,7 +1,7 @@
-"""The package's hot loops: the forest draw, the Laplacian apply, the
-conjugate-gradient passes with their fixed-order dot product, plain CG's
-iterations in one call, and the passes and dense Cholesky solve of CG's
-multigrid preconditioner.
+"""The package's hot loops: the forest draw and the walk tables it
+bisects, the Laplacian apply, the conjugate-gradient passes with their
+fixed-order dot product, plain CG's iterations in one call, and the passes
+and dense Cholesky solve of CG's multigrid preconditioner.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -33,6 +33,7 @@ class Kernels(NamedTuple):
 
     wilson: Callable     # (g, q, key, position, max_steps, out) -> steps, or -1 past
                          # max_steps, after out = (root_of, parent_of) of one forest
+    walk_tables: Callable  # (g) -> a new array of each row's running arc-weight sums
     laplacian: Callable  # (g, v) -> L v, a new array
     dot: Callable        # (a, b) -> a . b
     product: Callable    # (g, q, p, ap) -> p . ap, after ap = q p + L p
@@ -107,6 +108,12 @@ def compiled():
         root_of = address(out)
         return walk(g)(address(q), key, position, max_steps, root_of, root_of + out.strides[0])
 
+    def walk_tables(g):
+        # through .ctypes.data: address() refuses the empty buffer of a graph with no arcs
+        cum = np.empty(len(g.weights))
+        lib.walk_tables(g.n, g.indptr.ctypes.data, g.weights.ctypes.data, cum.ctypes.data)
+        return cum
+
     def laplacian(g, v):
         out = np.empty(g.n)
         apply(g)(v.ctypes.data, address(out))
@@ -120,6 +127,7 @@ def compiled():
 
     return Kernels(
         wilson=wilson,
+        walk_tables=walk_tables,
         laplacian=laplacian,
         dot=lambda a, b: lib.dot(len(a), address(a), address(b)),
         product=lambda g, q, p, ap: product(g)(q.ctypes.data, address(p), address(ap)),
@@ -166,6 +174,7 @@ def _build():
     i64, u64, f64, ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
     for name, argtypes, restype in (
             ("wilson", [i64, ptr, ptr, ptr, ptr, u64, u64, i64, ptr, ptr], i64),
+            ("walk_tables", [i64, ptr, ptr, ptr], None),
             ("laplacian", [i64, ptr, ptr, ptr, ptr, ptr], None),
             ("dot", [i64, ptr, ptr], f64),
             ("cg_product", [i64, ptr, ptr, ptr, ptr, ptr, ptr], f64),

@@ -6,8 +6,8 @@ other.
 """
 
 import functools
+import itertools
 import math
-import weakref
 
 import numpy as np
 
@@ -72,45 +72,22 @@ def _wilson_python(g, q, key, position, max_steps, out):
     return steps
 
 
-_SLOTS = weakref.WeakKeyDictionary()  # graph -> its arcs laid out for _laplacian_slots
+def _walk_tables_python(g):
+    """The compiled walk-table loop in Python: each row's running sums of
+    its arc weights in arc order. accumulate starts at the row's first
+    weight, which is 0.0 plus it bit for bit."""
+    w, bounds = g.weights.tolist(), g.indptr.tolist()
+    return np.array([s for lo, hi in zip(bounds, bounds[1:])
+                     for s in itertools.accumulate(w[lo:hi])], dtype=np.float64)
 
 
-def _arc_slots(g):
-    """(perm, slots, rest) for `_laplacian_slots`: perm orders the rows by
-    decreasing degree; slot t is (count, neighbours, weights) of the t-th
-    arc of the first count rows of perm, for each offset t that
-    `Graph._arc_offsets` takes one by one; rest holds the later arcs, in
-    arc order, as (position in perm, row, neighbour, weight) arrays."""
-    if g not in _SLOTS:
-        perm, counts = g._arc_offsets
-        starts = g.indptr[perm]
-        arcs = [starts[:count] + t for t, count in enumerate(counts)]
-        slots = [(len(a), g.indices[a], g.weights[a]) for a in arcs]
-        rows = g._arc_rows
-        later = np.flatnonzero(np.arange(2 * g.m) - g.indptr[rows] >= len(slots))
-        position = np.empty(g.n, dtype=np.int64)
-        position[perm] = np.arange(g.n)
-        rest = (position[rows[later]], rows[later], g.indices[later], g.weights[later])
-        _SLOTS[g] = perm, slots, rest
-    return _SLOTS[g]
-
-
-def _laplacian_slots(g, v):
-    """The compiled row loop in numpy, the same sums bit for bit: each
-    row's sum starts at +0.0 and adds its arcs in arc order. One add per
-    slot extends the sums of all the rows it holds by one arc, and
-    np.add.at, which adds in index order, the few rows' later arcs."""
-    perm, slots, (position, rows, nbr, w) = _arc_slots(g)
-    vp, out = v[perm], np.zeros(g.n)
-    for count, slot_nbr, slot_w in slots:
-        terms = vp[:count] - v[slot_nbr]
-        terms *= slot_w
-        out[:count] += terms
-    if len(position):
-        np.add.at(out, position, w * (v[rows] - v[nbr]))
-    res = np.empty(g.n)
-    res[perm] = out
-    return res
+def _laplacian_bincount(g, v):
+    """The compiled row loop in numpy, the same sums bit for bit: bincount
+    adds each arc's w_ij (v_i - v_j) into its row in arc order, from +0.0.
+    Cast to floats, since bincount returns ints where there is no arc."""
+    rows = g._arc_rows
+    return np.bincount(rows, weights=g.weights * (v[rows] - v[g.indices]),
+                       minlength=g.n).astype(np.float64, copy=False)
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,7 +106,7 @@ def _dot_numpy(a, b):
 
 def _product_numpy(g, q, p, ap):
     np.multiply(q, p, out=ap)
-    ap += _laplacian_slots(g, p)
+    ap += _laplacian_bincount(g, p)
     return _dot_numpy(p, ap)
 
 
@@ -166,7 +143,7 @@ def _plain_numpy(g, q, x, r, p, ap, rs, threshold, steps,
 def _residual_of(g, q, b, x):
     """b - (q x + L x), rounded as the compiled passes round it."""
     ax = q * x
-    ax += _laplacian_slots(g, x)
+    ax += _laplacian_bincount(g, x)
     return np.subtract(b, ax, out=ax)
 
 
@@ -204,6 +181,6 @@ def _solve_numpy(l, b):
         b[:k] -= l[k, :k] * b[k]
 
 
-TWINS = Kernels(_wilson_python, _laplacian_slots, _dot_numpy, _product_numpy,
-                _residual_numpy, _direction_numpy, _plain_numpy, _restrict_numpy,
-                _prolong_numpy, _cholesky_numpy, _solve_numpy)
+TWINS = Kernels(_wilson_python, _walk_tables_python, _laplacian_bincount, _dot_numpy,
+                _product_numpy, _residual_numpy, _direction_numpy, _plain_numpy,
+                _restrict_numpy, _prolong_numpy, _cholesky_numpy, _solve_numpy)

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 
+from . import _native
 from .errors import DataError
 
 MAX_CONNECTIVITY_RETRIES = 100
@@ -127,41 +128,17 @@ class Graph:
         rows.flags.writeable = False
         return rows
 
-    @functools.cached_property
-    def _arc_offsets(self):
-        """(order, counts): the vertices by decreasing degree (a stable
-        sort), and the count of rows with an arc at offset t = 0, 1, ...,
-        the first counts[t] of order, while it is at least an eighth of the
-        rows. `walk_tables` and `_twins._arc_slots` take these offsets one
-        numpy pass each and the few long rows' later arcs in bulk: a pass
-        per hub arc made the numpy Laplacian 1.5x (n = 20000) and 3.6x
-        (n = 1500) slower than the bincount form on Barabasi-Albert graphs,
-        and the cutoff 0.65x and 0.88x of it."""
-        deg = np.diff(self.indptr)
-        order = np.argsort(-deg, kind="stable")
-        counts = self.n - np.searchsorted(np.sort(deg), np.arange(deg.max()), "right")
-        return order, counts[8 * counts >= self.n].tolist()  # counts never rise
-
     def walk_tables(self):
         """Cumulative arc weights for random walks, aligned with `indices`.
 
         Row u holds the running sums of its arc weights in arc order, each
         summed sequentially from 0.0, so it equals
         np.cumsum(weights[indptr[u]:indptr[u+1]]) bit for bit; its last
-        entry is the walk's total weight out of u. Built on first use, over
-        the offsets of `_arc_offsets`.
+        entry is the walk's total weight out of u. Built on first use, by
+        the kernels' `walk_tables` loop, and read-only.
         """
         if self._walk_cum is None:
-            order, counts = self._arc_offsets
-            deg, starts = np.diff(self.indptr), self.indptr[order]
-            cum = self.weights.copy()
-            # offset k - 1's running sum onto offset k, then the rows past the cutoff
-            for k, count in enumerate(counts[1:], start=1):
-                arcs = starts[:count] + k
-                cum[arcs] += cum[arcs - 1]
-            k = len(counts)
-            longer = np.count_nonzero(deg > k)
-            _running_sums(cum, starts[:longer] + k - 1, deg[order[:longer]] - k + 1)
+            cum = _native.kernels().walk_tables(self)
             cum.flags.writeable = False
             self._walk_cum = cum
         return self._walk_cum
@@ -205,24 +182,6 @@ def _repeats(keys):
     repeat = np.ones(len(keys), dtype=bool)
     repeat[_first_occurrences(keys)] = False
     return repeat
-
-
-def _running_sums(cum, first, length):
-    """Extend cum's running sums along the arc runs first[i], ...,
-    first[i] + length[i] - 1 (in decreasing length), each from its first
-    entry, with one sequential cumsum along the rows of a zero-padded block
-    per run length within a factor of two: a bounded number of numpy calls
-    however long the longest run, in at most twice the runs' arcs."""
-    exponent = np.frexp(length.astype(np.float64))[1]  # 2^(e-1) <= length < 2^e
-    _, starts, counts = np.unique(-exponent, return_index=True, return_counts=True)
-    for lo, hi in zip(starts, starts + counts):
-        width = np.arange(1 << int(exponent[lo]))
-        arcs = first[lo:hi, None] + width
-        inside = width < length[lo:hi, None]
-        arcs = arcs[inside]
-        block = np.zeros(inside.shape)
-        block[inside] = cum[arcs]
-        cum[arcs] = np.cumsum(block, axis=1)[inside]
 
 
 def _component_count(n, u, v):

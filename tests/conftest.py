@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 import rsfsmooth
-from rsfsmooth import Graph, _native
+from rsfsmooth import Graph, _native, _twins
 
 
 def pytest_report_header(config):
@@ -40,6 +40,11 @@ def using_kernels(chosen):
         yield
     finally:
         _native._KERNELS = saved
+
+
+def kernel_sets():
+    """The twins and, where the library can be built, the compiled set."""
+    return [chosen for chosen in (_twins.TWINS, _native.compiled()) if chosen is not None]
 
 
 def path_graph(n, weights=None):

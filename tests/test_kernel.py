@@ -20,7 +20,8 @@ from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng
                        gen_graph, sample_forest)
 from rsfsmooth.cli import run
 
-from conftest import path_graph, random_connected_graph, star_graph, using_kernels
+from conftest import (kernel_sets, path_graph, random_connected_graph, star_graph,
+                      using_kernels)
 
 HAS_CC = shutil.which("cc") is not None
 
@@ -104,8 +105,7 @@ def test_bad_q_rejected(p3, q):
 
 
 def weighted_hubs():
-    """Hubs of many degrees, past the per-offset passes' cutoff, with
-    weights whose running sums round."""
+    """Hubs of many degrees, with weights whose running sums round."""
     g = gen_graph("barabasi_albert", n=2000, k=2, seed=3)
     w = np.random.default_rng(5).uniform(0.1, 10.0, g.m)
     return Graph.from_edges(g.n, [(u, v, x) for (u, v, _), x in zip(g.edges(), w)])
@@ -121,12 +121,26 @@ def weighted_hubs():
     lambda: Graph.from_edges(1, []),
 ])
 def test_walk_tables_are_rowwise_cumsums(make):
-    g = make()
-    cum = g.walk_tables()
-    assert cum.shape == (2 * g.m,) and not cum.flags.writeable
-    for u in range(g.n):
-        lo, hi = g.indptr[u], g.indptr[u + 1]
-        assert cum[lo:hi].tobytes() == np.cumsum(g.weights[lo:hi]).tobytes()
+    # a fresh graph per kernel set, since each graph keeps the first table built
+    for chosen in kernel_sets():
+        g = make()
+        with using_kernels(chosen):
+            cum = g.walk_tables()
+        assert cum.shape == (2 * g.m,) and cum.dtype == np.float64
+        assert not cum.flags.writeable and g.walk_tables() is cum
+        for u in range(g.n):
+            lo, hi = g.indptr[u], g.indptr[u + 1]
+            assert cum[lo:hi].tobytes() == np.cumsum(g.weights[lo:hi]).tobytes()
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=walk_cases())
+def test_compiled_walk_tables_match_the_twin(case):
+    g = case[0]
+    fast, slow = _native.compiled().walk_tables(g), _twins.TWINS.walk_tables(g)
+    assert (fast.dtype, fast.shape) == (slow.dtype, slow.shape)
+    assert fast.tobytes() == slow.tobytes()
 
 
 def fresh_python(code, cache, path=None):
@@ -230,10 +244,10 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
 
 
 # each exported C loop and the `Kernels` field that calls it
-EXPORTED = {"wilson": "wilson", "laplacian": "laplacian", "dot": "dot",
-            "cg_product": "product", "cg_residual": "residual", "cg_direction": "direction",
-            "cg_plain": "plain", "mg_restrict": "restrict", "mg_prolong": "prolong",
-            "cholesky": "cholesky", "cholesky_solve": "solve"}
+EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables", "laplacian": "laplacian",
+            "dot": "dot", "cg_product": "product", "cg_residual": "residual",
+            "cg_direction": "direction", "cg_plain": "plain", "mg_restrict": "restrict",
+            "mg_prolong": "prolong", "cholesky": "cholesky", "cholesky_solve": "solve"}
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")

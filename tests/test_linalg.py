@@ -18,8 +18,8 @@ from rsfsmooth import (DataError, Graph, LaplacianOperator, NumericalError,
 from rsfsmooth import _native, _twins, linalg
 from rsfsmooth.oracle import contraction_check, solve_exact_dense
 
-from conftest import (adjacency, assert_same_graph, path_graph, random_connected_graph,
-                      star_graph, using_kernels)
+from conftest import (adjacency, assert_same_graph, kernel_sets, path_graph,
+                      random_connected_graph, star_graph, using_kernels)
 
 
 def dense_system(problem):
@@ -107,7 +107,7 @@ def test_apply_matches_bincount_form_bitwise(case):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: star_graph(40),  # the hub's later arcs go through np.add.at
+    lambda: star_graph(40),  # one hub row of 40 arcs
     lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
     lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
                                    weighted=True),
@@ -115,11 +115,15 @@ def test_apply_matches_bincount_form_bitwise(case):
     lambda: Graph.from_edges(1, []),
 ])
 def test_numpy_apply_matches_bincount_form_on_uneven_degrees(make):
+    # the twin's numpy form and the compiled row loop alike
     g = make()
     rng = np.random.default_rng(g.n)
     v = rng.standard_normal(g.n) * 10.0 ** rng.integers(-8, 9, g.n)
-    got, ref = _twins.TWINS.laplacian(g, v), bincount_laplacian(g, v)
-    assert got.tobytes() == ref.tobytes()
+    ref = bincount_laplacian(g, v)
+    for chosen in kernel_sets():
+        got = chosen.laplacian(g, v)
+        assert (got.dtype, got.shape) == (np.float64, (g.n,))
+        assert got.tobytes() == ref.tobytes()
 
 
 def with_kernels(kernels, fn, *args):
@@ -359,7 +363,7 @@ def test_multigrid_passes_match_their_numpy_twins_bitwise(case, data):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: star_graph(40),  # the hub's later arcs go through np.add.at
+    lambda: star_graph(40),  # one hub row of 40 arcs
     lambda: gen_graph("barabasi_albert", n=300, k=3, seed=2),
     lambda: random_connected_graph(60, extra_edges=300, rng=np.random.default_rng(8),
                                    weighted=True),
