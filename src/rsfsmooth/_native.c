@@ -13,8 +13,21 @@
  * walk_tables: cum = each row's running sums of its arc weights from 0.0 in
  * arc order, the table wilson bisects: np.cumsum of the row, bit for bit.
  *
- * laplacian: out = L v over the CSR adjacency, each row summed from +0.0 in
- * arc order, the same sums as _twins._laplacian_bincount computes in numpy.
+ * laplacian: out = L v for each of the k columns of v, n contiguous values
+ * each, over the CSR adjacency, each row summed from +0.0 in arc order, the
+ * same sums as _twins._laplacian_bincount computes in numpy.
+ *
+ * The estimator's two loops per forest, over k columns of n contiguous
+ * values each. tree_averages: out = each column's q-weighted averages over
+ * the trees of root_of, broadcast back to the vertices, as
+ * forests._tree_averages forms them: y_r + sum q (y - y_r) / sum q around
+ * each tree's root r, the sums from +0.0 in index order, with work holding
+ * 2n doubles. accumulate: the accumulator's update by one sample (x, ybar)
+ * of k columns, the count-th: per column, mean += (sample - mean) / count
+ * for both means, and three dot products, of dx and x - mean_x, of dy and
+ * ybar - mean_y, and of dx and ybar - mean_y, with dx and dy the
+ * differences from the means before the update, added into that column's
+ * three co-moments m.
  *
  * dot and the three conjugate-gradient passes: every dot product sums
  * element i into lane i % 4, each lane from +0.0 in index order, and
@@ -107,10 +120,29 @@ double laplacian_row(const int64_t *indptr, const int64_t *indices,
 }
 
 void laplacian(int64_t n, const int64_t *indptr, const int64_t *indices,
-               const double *weights, const double *v, double *out)
+               const double *weights, int64_t k, const double *v, double *out)
 {
+    for (int64_t c = 0; c < k; c++, v += n, out += n)
+        for (int64_t i = 0; i < n; i++)
+            out[i] = laplacian_row(indptr, indices, weights, v, i);
+}
+
+void tree_averages(int64_t n, int64_t k, const int64_t *root_of, const double *q,
+                   const double *y, double *work, double *out)
+{
+    double *qsum = work, *shift = work + n;
     for (int64_t i = 0; i < n; i++)
-        out[i] = laplacian_row(indptr, indices, weights, v, i);
+        qsum[i] = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        qsum[root_of[i]] += q[i];
+    for (int64_t c = 0; c < k; c++, y += n, out += n) {
+        for (int64_t i = 0; i < n; i++)
+            shift[i] = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            shift[root_of[i]] += q[i] * (y[i] - y[root_of[i]]);
+        for (int64_t i = 0; i < n; i++)
+            out[i] = y[root_of[i]] + shift[root_of[i]] / qsum[root_of[i]];
+    }
 }
 
 /* Declares the lane sums s0..s3, each +0.0, and runs STEP(k, s) for k = 0,
@@ -132,6 +164,30 @@ double dot(int64_t n, const double *a, const double *b)
 {
     FOUR_LANES(n, DOT_STEP);
     return LANE_TOTAL;
+}
+
+/* The three dots of one sample's accumulator update share the lanes of
+ * FOUR_LANES: s for dx . (x - mean_x), yy_s for dy . (ybar - mean_y) and
+ * xy_s for dx . (ybar - mean_y). */
+#define MOMENT_STEP(j, s) do {                                     \
+        double dx = x[j] - mx[j], dy = ybar[j] - my[j];            \
+        mx[j] += dx / count;                                       \
+        my[j] += dy / count;                                       \
+        s += dx * (x[j] - mx[j]);                                  \
+        yy_##s += dy * (ybar[j] - my[j]);                          \
+        xy_##s += dx * (ybar[j] - my[j]);                          \
+    } while (0)
+void accumulate(int64_t n, int64_t k, int64_t count, const double *x, const double *ybar,
+                double *mx, double *my, double *m)
+{
+    for (int64_t c = 0; c < k; c++, x += n, ybar += n, mx += n, my += n, m += 3) {
+        double yy_s0 = 0.0, yy_s1 = 0.0, yy_s2 = 0.0, yy_s3 = 0.0;
+        double xy_s0 = 0.0, xy_s1 = 0.0, xy_s2 = 0.0, xy_s3 = 0.0;
+        FOUR_LANES(n, MOMENT_STEP);
+        m[0] += LANE_TOTAL;
+        m[1] += (yy_s0 + yy_s1) + (yy_s2 + yy_s3);
+        m[2] += (xy_s0 + xy_s1) + (xy_s2 + xy_s3);
+    }
 }
 
 #define PRODUCT_STEP(k, s) do {                                               \

@@ -1,7 +1,8 @@
 """The package's hot loops: the forest draw and the walk tables it
-bisects, the Laplacian apply, the conjugate-gradient passes with their
-fixed-order dot product, plain CG's iterations in one call, and the passes
-and dense Cholesky solve of CG's multigrid preconditioner.
+bisects, the estimator's tree averages and accumulator update, the
+Laplacian apply, the conjugate-gradient passes with their fixed-order dot
+product, plain CG's iterations in one call, and the passes and dense
+Cholesky solve of CG's multigrid preconditioner.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -24,17 +25,24 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 class Kernels(NamedTuple):
-    """The loops of the forest draw, the Laplacian apply, CG, its multigrid
-    preconditioner and the accumulator's co-moments, on contiguous arrays,
-    writing only the arrays named below. Every dot product sums element i
-    into lane i % 4, each lane from +0.0 in index order, and returns
-    (s0 + s1) + (s2 + s3), so its bits depend on the inputs alone, not on
-    the CPU or the BLAS."""
+    """The loops of the forest draw, the estimator, the Laplacian apply, CG
+    and its multigrid preconditioner, on contiguous arrays, writing only the
+    arrays named below. A signal is a vector of n values or a block of k
+    such columns, each contiguous (`columns`). Every dot product sums
+    element i into lane i % 4, each lane from +0.0 in index order, and
+    returns (s0 + s1) + (s2 + s3), so its bits depend on the inputs alone,
+    not on the CPU or the BLAS."""
 
     wilson: Callable     # (g, q, key, position, max_steps, out) -> steps, or -1 past
                          # max_steps, after out = (root_of, parent_of) of one forest
     walk_tables: Callable  # (g) -> a new array of each row's running arc-weight sums
-    laplacian: Callable  # (g, v) -> L v, a new array
+    tree_averages: Callable  # (root_of, q, y) -> a new array of y's shape: each
+                             # column's q-weighted averages over the forest's trees
+    accumulate: Callable  # (count, x, ybar, mean_x, mean_y, m) -> None, after, per
+                          # column c, mean_x += (x - mean_x) / count, likewise mean_y,
+                          # and m[c] += (dx . (x - mean_x), dy . (ybar - mean_y),
+                          # dx . (ybar - mean_y)), dx and dy taken before the update
+    laplacian: Callable  # (g, v) -> L v of each column of v, a new array
     dot: Callable        # (a, b) -> a . b
     product: Callable    # (g, q, p, ap) -> p . ap, after ap = q p + L p
     residual: Callable   # (r, ap, a) -> r . r, after r -= a ap
@@ -55,6 +63,12 @@ class Kernels(NamedTuple):
 
 
 _KERNELS = None  # the chosen set, decided on first use
+
+
+def columns(a):
+    """The k columns of an (n, k) block with contiguous columns, or the one
+    column of an (n,) vector, as views."""
+    return a.reshape(len(a), -1).T
 
 
 def kernels():
@@ -80,6 +94,15 @@ def compiled():
     def address(a):
         """Address of a writable array's buffer; cheaper than a.ctypes.data."""
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
+
+    def data(a):
+        """Address of the buffer of a vector or a block with contiguous
+        columns: address() of its transpose, or a.ctypes.data where a is
+        read-only."""
+        try:
+            return address(a.T)
+        except TypeError:
+            return a.ctypes.data
 
     def bind(fn, graph_arrays):
         """A function of g returning `fn` with its leading arguments, g.n
@@ -114,9 +137,21 @@ def compiled():
         lib.walk_tables(g.n, g.indptr.ctypes.data, g.weights.ctypes.data, cum.ctypes.data)
         return cum
 
+    def tree_averages(root_of, q, y):
+        n, out = len(y), np.empty_like(y)
+        work = np.empty(2 * n)  # held here: address() keeps no reference
+        lib.tree_averages(n, y.size // n, data(root_of), data(q), data(y), address(work),
+                          data(out))
+        return out
+
+    def accumulate(count, x, ybar, mean_x, mean_y, m):
+        n = len(x)
+        lib.accumulate(n, x.size // n, count, data(x), data(ybar), data(mean_x),
+                       data(mean_y), address(m))
+
     def laplacian(g, v):
-        out = np.empty(g.n)
-        apply(g)(v.ctypes.data, address(out))
+        out = np.empty_like(v)
+        apply(g)(v.size // g.n, data(v), data(out))
         return out
 
     def plain(g, q, x, r, p, ap, rs, threshold, steps):
@@ -128,6 +163,8 @@ def compiled():
     return Kernels(
         wilson=wilson,
         walk_tables=walk_tables,
+        tree_averages=tree_averages,
+        accumulate=accumulate,
         laplacian=laplacian,
         dot=lambda a, b: lib.dot(len(a), address(a), address(b)),
         product=lambda g, q, p, ap: product(g)(q.ctypes.data, address(p), address(ap)),
@@ -175,7 +212,9 @@ def _build():
     for name, argtypes, restype in (
             ("wilson", [i64, ptr, ptr, ptr, ptr, u64, u64, i64, ptr, ptr], i64),
             ("walk_tables", [i64, ptr, ptr, ptr], None),
-            ("laplacian", [i64, ptr, ptr, ptr, ptr, ptr], None),
+            ("laplacian", [i64, ptr, ptr, ptr, i64, ptr, ptr], None),
+            ("tree_averages", [i64, i64, ptr, ptr, ptr, ptr, ptr], None),
+            ("accumulate", [i64, i64, i64, ptr, ptr, ptr, ptr, ptr], None),
             ("dot", [i64, ptr, ptr], f64),
             ("cg_product", [i64, ptr, ptr, ptr, ptr, ptr, ptr], f64),
             ("cg_residual", [i64, ptr, ptr, f64], f64),

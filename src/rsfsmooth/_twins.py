@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from ._native import Kernels
+from ._native import Kernels, columns
+from .forests import _tree_averages
 
 
 def _uniforms(key, start, count):
@@ -81,20 +82,63 @@ def _walk_tables_python(g):
                      for s in itertools.accumulate(w[lo:hi])], dtype=np.float64)
 
 
+def _tree_averages_numpy(root_of, q, y):
+    """The compiled tree averages: forests._tree_averages of each column."""
+    out = np.empty_like(y)
+    for src, dst in zip(columns(y), columns(out)):
+        dst[:] = _tree_averages(root_of, q, src)
+    return out
+
+
+def _accumulate_numpy(count, x, ybar, mean_x, mean_y, m):
+    """The compiled accumulator update over the whole block: the same
+    means, and the 3k lane dots in one bincount over (dot, column, lane)
+    keys, which adds each dot's terms in index order, from +0.0."""
+    dx, dy = x - mean_x, ybar - mean_y
+    mean_x += dx / count
+    mean_y += dy / count
+    n, k = len(x), x.size // len(x)
+    terms = np.empty((3, k, n))
+    xx, yy, xy = (t.T.reshape(x.shape) for t in terms)
+    np.multiply(dx, x - mean_x, out=xx)
+    np.multiply(dy, ybar - mean_y, out=yy)
+    np.multiply(dx, ybar - mean_y, out=xy)
+    s = np.bincount(_lanes(n, 3 * k), weights=terms.ravel(), minlength=12 * k).reshape(3, k, 4)
+    m += ((s[..., 0] + s[..., 1]) + (s[..., 2] + s[..., 3])).T
+
+
+def _arc_rows(g):
+    """g._arc_rows in a writable copy, kept on the graph: np.bincount
+    copies a read-only input on every call."""
+    rows = vars(g).get("_twin_arc_rows")
+    if rows is None:
+        rows = g._twin_arc_rows = np.array(g._arc_rows)
+    return rows
+
+
 def _laplacian_bincount(g, v):
-    """The compiled row loop in numpy, the same sums bit for bit: bincount
-    adds each arc's w_ij (v_i - v_j) into its row in arc order, from +0.0.
-    Cast to floats, since bincount returns ints where there is no arc."""
-    rows = g._arc_rows
+    """The compiled row loop in numpy, column by column, the same sums bit
+    for bit: bincount adds each arc's w_ij (v_i - v_j) into its row in arc
+    order, from +0.0. Cast to floats, since bincount returns ints where
+    there is no arc."""
+    if v.ndim == 2:
+        out = np.empty_like(v)
+        for src, dst in zip(columns(v), columns(out)):
+            dst[:] = _laplacian_bincount(g, src)
+        return out
+    rows = _arc_rows(g)
     return np.bincount(rows, weights=g.weights * (v[rows] - v[g.indices]),
                        minlength=g.n).astype(np.float64, copy=False)
 
 
 @functools.lru_cache(maxsize=8)
-def _lanes(n):
-    """The lane of each of n indices, i % 4. Writable, because np.bincount
-    copies a read-only input on every call."""
-    return np.arange(n) & 3
+def _lanes(n, dots=1):
+    """The key of each term of `dots` dot products of length n, laid end
+    to end: 4 times its dot's rank plus its lane, i % 4 for its index i
+    within the dot. Writable, because np.bincount copies a read-only input
+    on every call."""
+    i = np.arange(dots * n)
+    return i // n * 4 + (i % n & 3)
 
 
 def _dot_numpy(a, b):
@@ -181,6 +225,7 @@ def _solve_numpy(l, b):
         b[:k] -= l[k, :k] * b[k]
 
 
-TWINS = Kernels(_wilson_python, _walk_tables_python, _laplacian_bincount, _dot_numpy,
-                _product_numpy, _residual_numpy, _direction_numpy, _plain_numpy,
-                _restrict_numpy, _prolong_numpy, _cholesky_numpy, _solve_numpy)
+TWINS = Kernels(_wilson_python, _walk_tables_python, _tree_averages_numpy,
+                _accumulate_numpy, _laplacian_bincount, _dot_numpy, _product_numpy,
+                _residual_numpy, _direction_numpy, _plain_numpy, _restrict_numpy,
+                _prolong_numpy, _cholesky_numpy, _solve_numpy)

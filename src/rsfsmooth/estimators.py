@@ -5,7 +5,9 @@ K y). A single gradient-descent step on the quadratic objective,
 z = x - alpha (K^{-1} x - y), keeps the estimator unbiased for any step
 size alpha and shrinks its variance when alpha is chosen well; the
 control variate K^{-1} xbar has known expectation y, which gives both the
-optimal step size and an empirical estimate of it from the samples.
+optimal step size and an empirical estimate of it from the samples. A
+problem may carry a block of k signals (`SmoothingProblem`); each column
+is then estimated on its own, on the same forests, with its own step.
 """
 
 import math
@@ -13,63 +15,80 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError
-from .forests import (DEFAULT_STEP_BUDGET, _tree_averages, forest_rng, sample_forest,
-                      walk_steps_floor)
-from .linalg import ZERO_VARIANCE_TOL, _dot, apply_K_inverse
+from .forests import DEFAULT_STEP_BUDGET, forest_rng, sample_forest, walk_steps_floor
+from .linalg import ZERO_VARIANCE_TOL, apply_K_inverse
 
 
 def xbar_from_forest(forest, problem):
     """Partition-average estimate: each node gets its tree's q-weighted
-    mean of y. Unbiased for K y under the forest distribution."""
-    return _tree_averages(forest.root_of, problem.q, problem.y)
+    mean of y, in each column of a block. Unbiased for K y under the forest
+    distribution."""
+    n, root_of = problem.graph.n, np.ascontiguousarray(forest.root_of, dtype=np.int64)
+    # the tree averages index by these ids
+    if root_of.shape != (n,) or not 0 <= root_of.min() <= root_of.max() < n:
+        raise DataError(f"a forest's root_of must hold one vertex id in [0, {n}) per vertex")
+    return _native.kernels().tree_averages(root_of, problem.q, problem.y)
 
 
 def gradient_step(x, problem, alpha):
-    """One gradient-descent step x - alpha (K^{-1} x - y) toward K y."""
+    """One gradient-descent step x - alpha (K^{-1} x - y) toward K y; on a
+    block, alpha is one step for every column or a (k,) array of them."""
     return x - alpha * (apply_K_inverse(problem, x) - problem.y)
 
 
 class MonteCarloAccumulator:
-    """Streaming moments of (xbar, ybar) sample pairs, ybar = K^{-1} xbar.
+    """Streaming moments of (xbar, ybar) sample pairs, ybar = K^{-1} xbar,
+    of one signal of n values, or of each column of an (n, k) block.
 
-    Keeps running means plus centered scalar co-moments (Welford/Chan
-    updates), enough for the trace statistics and the empirical step size
-    without storing samples. Each co-moment is a fixed-lane dot product
-    (`linalg._dot`), with the same bits on every CPU.
+    Keeps running means plus each column's centered scalar co-moments
+    (Welford/Chan updates), enough for the trace statistics and the
+    empirical step size without storing samples. Each co-moment is a
+    fixed-lane dot product, with the same bits on every CPU, and one
+    kernel call (`_native.Kernels.accumulate`) adds a sample to every
+    column. The trace statistics are floats for one signal and (k,)
+    arrays for a block.
     """
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, n, k=None):
+        self.n, self.k = n, k
         self.count = 0
-        self.mean_x = np.zeros(n)
-        self.mean_y = np.zeros(n)
-        self._m_xx = 0.0
-        self._m_yy = 0.0
-        self._m_xy = 0.0
+        shape = (n,) if k is None else (n, k)
+        self.mean_x = np.zeros(shape, order="F")
+        self.mean_y = np.zeros(shape, order="F")
+        # per column, the co-moments of xbar with xbar, ybar with ybar and xbar with ybar
+        self.moments = np.zeros((1 if k is None else k, 3))
 
     def add(self, x, ybar):
+        x = np.asfortranarray(x, dtype=np.float64)
+        ybar = np.asfortranarray(ybar, dtype=np.float64)
+        if x.shape != self.mean_x.shape or ybar.shape != self.mean_x.shape:
+            raise DataError(f"samples of shapes {x.shape} and {ybar.shape} do not match "
+                            f"the accumulator's {self.mean_x.shape}")
         self.count += 1
-        dx = x - self.mean_x
-        dy = ybar - self.mean_y
-        self.mean_x = self.mean_x + dx / self.count
-        self.mean_y = self.mean_y + dy / self.count
-        self._m_xx += _dot(dx, x - self.mean_x)
-        self._m_yy += _dot(dy, ybar - self.mean_y)
-        self._m_xy += _dot(dx, ybar - self.mean_y)
+        _native.kernels().accumulate(self.count, x, ybar, self.mean_x, self.mean_y,
+                                     self.moments)
 
-    # --- trace statistics: None, absent by design, below two samples ---
+    def _trace(self, j):
+        """Co-moment j of each column over count - 1; None, absent by
+        design, below two samples."""
+        if self.count < 2:
+            return None
+        t = self.moments[:, j] / (self.count - 1)
+        return float(t[0]) if self.k is None else t
+
     @property
     def tr_var_xbar(self):
-        return self._m_xx / (self.count - 1) if self.count >= 2 else None
+        return self._trace(0)
 
     @property
     def tr_var_ybar(self):
-        return self._m_yy / (self.count - 1) if self.count >= 2 else None
+        return self._trace(1)
 
     @property
     def tr_cov_xy(self):
-        return self._m_xy / (self.count - 1) if self.count >= 2 else None
+        return self._trace(2)
 
 
 @dataclass(frozen=True)
@@ -144,7 +163,9 @@ def safe_alpha(problem):
 
 
 def resolve_alpha(strategy, problem, acc=None):
-    """Resolve a step-size strategy to (alpha, fallback).
+    """Resolve a step-size strategy to (alpha, fallback), a float and a
+    bool for one signal, and (k,) arrays of them, one per column, for a
+    block.
 
     The empirical and oracle strategies fall back to alpha = 0 (fallback
     True) when the control variate has zero variance, which only happens
@@ -153,20 +174,25 @@ def resolve_alpha(strategy, problem, acc=None):
     """
     if strategy.min_samples > 1 and (acc is None or acc.count < strategy.min_samples):
         raise DataError(f"the {strategy.kind} step size needs >= {strategy.min_samples} samples")
+    k = problem.y.size // problem.graph.n
     if strategy.kind == "fixed":
-        return float(strategy.value), False
-    if strategy.kind == "safe_constant":
-        return safe_alpha(problem), False
-    if strategy.kind == "empirical":
-        if acc.tr_var_ybar <= ZERO_VARIANCE_TOL * problem.graph.n:
-            return 0.0, True
-        return acc._m_xy / acc._m_yy, False
-    if strategy.kind == "oracle_optimal":
+        alpha, fallback = np.full(k, float(strategy.value)), np.zeros(k, dtype=bool)
+    elif strategy.kind == "safe_constant":
+        alpha, fallback = np.full(k, safe_alpha(problem)), np.zeros(k, dtype=bool)
+    elif strategy.kind == "empirical":
+        m_yy, m_xy = acc.moments[:, 1], acc.moments[:, 2]
+        fallback = m_yy / (acc.count - 1) <= ZERO_VARIANCE_TOL * problem.graph.n
+        alpha = np.divide(m_xy, m_yy, out=np.zeros(k), where=~fallback)
+    elif strategy.kind == "oracle_optimal":
         from .oracle import exact_estimator_moments  # test-scale, loaded only here
 
-        alpha_star = exact_estimator_moments(problem.graph, problem.q, problem.y).alpha_star
-        return (0.0, True) if alpha_star is None else (alpha_star, False)
-    raise DataError(f"unknown step-size strategy {strategy.kind!r}")
+        stars = [exact_estimator_moments(problem.graph, problem.q, y).alpha_star
+                 for y in _native.columns(problem.y)]
+        alpha = np.array([0.0 if a is None else a for a in stars])
+        fallback = np.array([a is None for a in stars])
+    else:
+        raise DataError(f"unknown step-size strategy {strategy.kind!r}")
+    return (alpha, fallback) if problem.y.ndim == 2 else (float(alpha[0]), bool(fallback[0]))
 
 
 FOREST_ESTIMATORS = {
@@ -179,8 +205,9 @@ FOREST_ESTIMATORS = {
 def forest_estimates(problem, acc):
     """Each estimator of FOREST_ESTIMATORS, by name, read from one
     accumulator: the plain average and the safe- and empirical-step
-    estimates. One is None, absent by design, when acc holds fewer samples
-    than its strategy needs (the empirical one, at a single sample)."""
+    estimates, each of problem's shape. One is None, absent by design,
+    when acc holds fewer samples than its strategy needs (the empirical
+    one, at a single sample)."""
     estimates = dict.fromkeys(FOREST_ESTIMATORS)
     for name, strategy in FOREST_ESTIMATORS.items():
         if acc.count >= strategy.min_samples:
@@ -195,22 +222,22 @@ def forest_estimates(problem, acc):
 DRAW_FIXED_STEPS = 1000
 
 
-def accumulate_forests(problems, n_samples, seed, passes=1):
-    """One accumulator per problem, all fed by the same n_samples forests;
-    returns (accumulators, total walk steps of the draws).
+def accumulate_forests(problem, n_samples, seed, passes=1):
+    """The accumulator of problem's n_samples forests; returns
+    (accumulator, total walk steps of the draws).
 
-    The problems share one graph and one q (they differ only in the
-    signal), so forest i is drawn once, on the stream derived from
-    (seed, i), and its tree average of every signal, with that average's
-    control variate K^{-1} xbar, goes to that signal's accumulator. This
-    is the package's only forest-sampling loop. A run of `passes` passes
+    Forest i is drawn on the stream derived from (seed, i). Its tree
+    averages xbar of every column of the signal, and their control
+    variates K^{-1} xbar, go to the accumulator: one kernel call for each
+    of the three, whatever the number of columns. This is the package's
+    only forest-sampling loop. A run of `passes` passes
     that cannot be drawn within the step budget is refused before a draw,
     each draw charged its expected walk steps or DRAW_FIXED_STEPS, whichever
     is more.
     """
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
-    g, q = problems[0].graph, problems[0].q
+    g, q = problem.graph, problem.q
     draws, floor = passes * n_samples, walk_steps_floor(g, q)
     charge = max(floor, DRAW_FIXED_STEPS)
     if draws > DEFAULT_STEP_BUDGET / charge:  # an int of any size compares with a float
@@ -218,15 +245,14 @@ def accumulate_forests(problems, n_samples, seed, passes=1):
                              f"(the larger of {floor:.4g} expected and a draw's fixed cost "
                              f"of {DRAW_FIXED_STEPS}) exceed the step budget of "
                              f"{DEFAULT_STEP_BUDGET:.3g}")
-    accs = [MonteCarloAccumulator(g.n) for _ in problems]
+    acc = MonteCarloAccumulator(*problem.y.shape)
     walk_steps = 0
     for i in range(n_samples):
         forest = sample_forest(g, q, forest_rng(seed, i))
         walk_steps += forest.rng_draws
-        for acc, problem in zip(accs, problems):
-            x = xbar_from_forest(forest, problem)
-            acc.add(x, apply_K_inverse(problem, x))
-    return accs, walk_steps
+        x = xbar_from_forest(forest, problem)
+        acc.add(x, apply_K_inverse(problem, x))
+    return acc, walk_steps
 
 
 @dataclass
@@ -246,7 +272,7 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
     strategy resolves its step size from the same samples; the small
     O(1/N) bias this introduces is flagged in the diagnostics.
     """
-    (acc,), walk_steps = accumulate_forests([problem], n_samples, seed)
+    acc, walk_steps = accumulate_forests(problem, n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)
     diagnostics = {

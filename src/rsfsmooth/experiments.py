@@ -40,8 +40,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     sq = np.zeros(alpha_grid.size + 3)
     alpha_hats = []
     for r in range(realizations):
-        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 3, r),
-                                       passes=realizations)
+        acc, _ = accumulate_forests(problem, n_samples, derive_seed(seed, 3, r),
+                                    passes=realizations)
         alpha_hat, _ = resolve_alpha(empirical, problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
@@ -92,7 +92,7 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     for qi, qv in enumerate(q_grid):
         problem = SmoothingProblem(graph, y, float(qv))
         xhat, _ = solve_exact_cg(problem)
-        (acc,), _ = accumulate_forests([problem], n_samples, derive_seed(seed, 5, qi))
+        acc, _ = accumulate_forests(problem, n_samples, derive_seed(seed, 5, qi))
         rows.append({
             "q": float(qv),
             "psnr_noisy": psnr_noisy,

@@ -55,22 +55,25 @@ def _dot(a, b):
 class SmoothingProblem:
     """A graph, a signal y, and per-node positive absorption weights q_i.
 
-    `q` may be a scalar (uniform regularization) or a per-node array (the
+    `y` is one signal of shape (n,) or a block of k signals of shape
+    (n, k), stored with contiguous columns; the estimators treat each
+    column as a problem of its own, on the same forests. `q` may be a
+    scalar (uniform regularization) or a per-node array (the
     semi-supervised case uses q_i = (mu/2) d_i). Exposes the implicit
     smoothing operator K = (Q + L)^{-1} Q through the solver functions.
     """
 
     def __init__(self, graph, y, q):
         self.graph = graph
-        self.y = np.ascontiguousarray(y, dtype=np.float64)
-        if self.y.shape != (graph.n,):
+        self.y = np.asfortranarray(y, dtype=np.float64)
+        if self.y.shape[:1] != (graph.n,) or self.y.ndim > 2 or self.y.size == 0:
             raise DataError(f"signal length {self.y.shape} does not match n={graph.n}")
         if not np.isfinite(self.y).all():
             raise DataError("signal values must be finite")
         self.q = _absorption_weights(q, graph.n)
-        # q (y_i - y_j) is the largest term the estimators form; Python
-        # floats overflow to inf without a warning
-        spread = float(self.y.max()) - float(self.y.min())
+        # q (y_i - y_j) is the largest term the estimators form, within a
+        # column; Python floats overflow to inf without a warning
+        spread = max(float(col.max()) - float(col.min()) for col in _native.columns(self.y))
         if not math.isfinite(float(self.q.max()) * spread):
             raise NumericalError(f"q times the signal's range overflows "
                                  f"(max q {float(self.q.max()):g}, range {spread:g})")
@@ -80,9 +83,16 @@ class SmoothingProblem:
 
 
 def apply_K_inverse(problem, v):
-    """Apply K^{-1} = Q^{-1} (Q + L) to a vector in O(m) operations."""
-    v = np.asarray(v, dtype=np.float64)
-    return v + problem.laplacian.apply(v) / problem.q
+    """Apply K^{-1} = Q^{-1} (Q + L) to a vector, or to each column of an
+    (n, k) block, in O(m) operations per column."""
+    g = problem.graph
+    v = np.asfortranarray(v, dtype=np.float64)
+    if v.shape[:1] != (g.n,) or v.ndim > 2:
+        raise DataError(f"vector of shape {v.shape} does not match n={g.n}")
+    out = _native.kernels().laplacian(g, v)
+    out /= problem.q if v.ndim == 1 else problem.q[:, None]
+    out += v  # v + L v / q: addition commutes exactly
+    return out
 
 
 # per-node threshold on tr Var(ybar), ybar = K^{-1} xbar, below which the

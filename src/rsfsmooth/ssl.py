@@ -3,7 +3,8 @@
 Per class l the score vector is f_l = D^{1-sigma} K D^{sigma-1} y_l with
 K = (D + (2/mu) L)^{-1} D, which is the smoothing operator of a problem
 with absorption weights q_i = (mu/2) d_i. Scores are computed either
-exactly (conjugate gradient) or by the forest Monte Carlo estimators.
+exactly (conjugate gradient) or by the forest Monte Carlo estimators, which
+take the k signals as one problem: each forest serves every class.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import columns
 from .errors import DataError
 from .estimators import (FOREST_ESTIMATORS, accumulate_forests, forest_estimates,
                          gradient_step, resolve_alpha)
@@ -62,8 +64,9 @@ class SSLProblem:
                             f"the first {missing}")
 
     def label_matrix(self):
-        """n x k indicator matrix: Y[i, c] = 1 iff i is labeled with class c."""
-        Y = np.zeros((self.graph.n, self.k))
+        """n x k indicator matrix: Y[i, c] = 1 iff i is labeled with class c.
+        Its columns are contiguous."""
+        Y = np.zeros((self.graph.n, self.k), order="F")
         Y[self.labeled_set, self.labels[self.labeled_set]] = 1.0
         return Y
 
@@ -91,21 +94,19 @@ class ClassificationResult:
     diagnostics: dict
 
 
-def _class_problems(problem):
-    """The k per-class smoothing problems: signal D^{sigma-1} Y[:, c] and
-    absorption q_i = (mu/2) d_i, the same for every class."""
+def _class_problem(problem):
+    """The smoothing problem of the k classes: the signal block D^{sigma-1} Y,
+    one column per class, and absorption q_i = (mu/2) d_i."""
     g = problem.graph
     d_in = g.degrees ** (problem.sigma - 1.0)
-    q = problem.absorption()
-    Y = problem.label_matrix()
-    return [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(problem.k)]
+    return SmoothingProblem(g, d_in[:, None] * problem.label_matrix(), problem.absorption())
 
 
-def _finish(problem, columns, diagnostics):
-    """Scores D^{1-sigma} x_c of the per-class smoothed signals x_c, their
-    argmax predictions and the holdout accuracy."""
+def _finish(problem, X, diagnostics):
+    """Scores D^{1-sigma} X of the smoothed class signals X, one column per
+    class, their argmax predictions and the holdout accuracy."""
     d_out = problem.graph.degrees ** (1.0 - problem.sigma)
-    F = d_out[:, None] * np.column_stack(columns)
+    F = d_out[:, None] * X
     predicted = np.argmax(F, axis=1)
     holdout = problem.holdout()
     if len(holdout):
@@ -118,18 +119,19 @@ def _finish(problem, columns, diagnostics):
 
 def ssl_exact(problem):
     """Exact classification scores via conjugate gradient, one class at a time."""
-    solves = [solve_exact_cg(sp) for sp in _class_problems(problem)]
-    return _finish(problem, [x for x, _ in solves],
+    sp = _class_problem(problem)
+    solves = [solve_exact_cg(SmoothingProblem(sp.graph, y, sp.q)) for y in columns(sp.y)]
+    return _finish(problem, np.column_stack([x for x, _ in solves]),
                    {"cg_iterations": [it for _, it in solves]})
 
 
 def _forest_pass(problem, n_samples, seed, passes=1):
-    """One of `passes` forest passes: the per-class smoothing problems,
-    their accumulators and the walk steps of the draws. The forest law
-    depends only on q_i = (mu/2) d_i, not on the class signal, so each
-    draw serves every column of Y."""
-    subproblems = _class_problems(problem)
-    return (subproblems, *accumulate_forests(subproblems, n_samples, seed, passes))
+    """One of `passes` forest passes: the classes' smoothing problem, its
+    accumulator and the walk steps of the draws. The forest law depends
+    only on q_i = (mu/2) d_i, not on the class signal, so each draw serves
+    every column of Y."""
+    sp = _class_problem(problem)
+    return (sp, *accumulate_forests(sp, n_samples, seed, passes))
 
 
 def ssl_forest(problem, n_samples, strategy, seed=0):
@@ -138,21 +140,16 @@ def ssl_forest(problem, n_samples, strategy, seed=0):
     Each forest draw is shared by all k classes, at a k-fold cost saving
     over sampling per class.
     """
-    subproblems, accs, walk_steps = _forest_pass(problem, n_samples, seed)
-    columns, alphas, fallbacks = [], [], []
-    for sp, acc in zip(subproblems, accs):
-        alpha, fallback = resolve_alpha(strategy, sp, acc)
-        columns.append(gradient_step(acc.mean_x, sp, alpha))
-        alphas.append(alpha)
-        fallbacks.append(fallback)
+    sp, acc, walk_steps = _forest_pass(problem, n_samples, seed)
+    alphas, fallbacks = resolve_alpha(strategy, sp, acc)
     diagnostics = {
-        "n_samples": accs[0].count,
+        "n_samples": acc.count,
         "strategy": strategy.kind,
-        "alpha_per_class": alphas,
-        "zero_variance_fallback_per_class": fallbacks,
+        "alpha_per_class": alphas.tolist(),
+        "zero_variance_fallback_per_class": fallbacks.tolist(),
         "total_walk_steps": walk_steps,
     }
-    return _finish(problem, columns, diagnostics)
+    return _finish(problem, gradient_step(acc.mean_x, sp, alphas), diagnostics)
 
 
 def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0):
@@ -192,12 +189,10 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
         scores["exact"].append(ssl_exact(sub).accuracy)
-        subproblems, accs, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r),
-                                                passes=repeats)
-        per_class = [forest_estimates(sp, acc) for sp, acc in zip(subproblems, accs)]
-        for name in FOREST_ESTIMATORS:
-            if per_class[0][name] is not None:
-                scores[name].append(_finish(sub, [e[name] for e in per_class], {}).accuracy)
+        sp, acc, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r), passes=repeats)
+        for name, x in forest_estimates(sp, acc).items():
+            if x is not None:
+                scores[name].append(_finish(sub, x, {}).accuracy)
     return [{"m": m, "method": method,
              "mean_acc": float(np.mean(values)) if values else None,
              "std_acc": float(np.std(values)) if values else None}

@@ -81,6 +81,13 @@ class TestXbar:
             for _, members in forest_trees(forest):
                 assert len(set(xbar[members].tolist())) == 1
 
+    @pytest.mark.parametrize("root_of", [[0, 0], [0, 0, 3], [-1, 0, 2], [0, 0, 2, 2]])
+    def test_refuses_a_forest_that_is_not_one_of_the_graph(self, p3, root_of):
+        problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
+        forest = RootedForest(root_of=np.array(root_of), parent_of=np.full(len(root_of), -1))
+        with pytest.raises(DataError, match=r"one vertex id in \[0, 3\) per vertex"):
+            xbar_from_forest(forest, problem)
+
     def test_control_variate_is_k_inverse_of_xbar(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
         forest = RootedForest(root_of=np.array([0, 0, 2]),
@@ -149,7 +156,7 @@ class TestAccumulator:
             acc = MonteCarloAccumulator(8)
             for s in samples:
                 acc.add(*s)
-            assert acc._m_xy**2 <= acc._m_xx * acc._m_yy * (1 + 1e-10)
+            assert acc.tr_cov_xy**2 <= acc.tr_var_xbar * acc.tr_var_ybar * (1 + 1e-10)
 
 
 class TestResolveAlpha:
@@ -393,7 +400,7 @@ def test_run_cap_on_a_20000_vertex_graph(monkeypatch, regular20k, passes, n_samp
     monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", first_draw)
     problem = SmoothingProblem(regular20k, np.zeros(regular20k.n), 1.0)
     with pytest.raises(FirstDraw if admitted else NumericalError):
-        accumulate_forests([problem], n_samples, seed=0, passes=passes)
+        accumulate_forests(problem, n_samples, seed=0, passes=passes)
 
 
 class TestRunMonteCarlo:
@@ -546,8 +553,8 @@ class TestEstimatorProperties:
     def test_same_seed_same_arrays(self, case, seed, n_samples):
         g, q, y = case
         problem = SmoothingProblem(g, y, q)
-        (a,), steps_a = accumulate_forests([problem], n_samples, seed)
-        (b,), steps_b = accumulate_forests([problem], n_samples, seed)
+        a, steps_a = accumulate_forests(problem, n_samples, seed)
+        b, steps_b = accumulate_forests(problem, n_samples, seed)
         assert steps_a == steps_b
         assert np.array_equal(a.mean_x, b.mean_x) and np.array_equal(a.mean_y, b.mean_y)
         first, second = (run_monte_carlo(problem, n_samples, AlphaStrategy.empirical(),

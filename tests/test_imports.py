@@ -221,6 +221,25 @@ def test_only_accumulate_forests_draws_forests():
     assert users == {"estimators.accumulate_forests", "linalg._Multigrid.build"}
 
 
+def test_only_accumulate_forests_feeds_an_accumulator():
+    # every construction of a MonteCarloAccumulator and every call of a
+    # two-argument `add` method other than numpy's, by enclosing function:
+    # samples reach an accumulator only through accumulate_forests, one call
+    # per forest for the whole signal block, so no per-signal loop survives
+    # beside it
+    def feeds(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return False
+        receiver = node.func.value
+        return (node.func.attr == "add" and len(node.args) == 2
+                and not (isinstance(receiver, ast.Name) and receiver.id == "np"))
+
+    assert package_scopes(feeds) == {"estimators.accumulate_forests"}
+    constructs = package_scopes(lambda node: names(node, "MonteCarloAccumulator")
+                                and not isinstance(node, ast.alias))
+    assert constructs == {"estimators.accumulate_forests"}
+
+
 def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
     # every reference to Graph._from_csr, by enclosing function. It checks
     # nothing, so the file inputs and the random generators reach it only

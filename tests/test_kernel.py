@@ -1,6 +1,6 @@
 """The compiled Wilson kernel against its Python twin, the counter-based
-stream, the walk tables, and how the kernels are built, cached and
-chosen."""
+stream, the walk tables, the estimator's loops, and how the kernels are
+built, cached and chosen."""
 
 import os
 import re
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import rsfsmooth
 from rsfsmooth import _native, _twins
-from rsfsmooth import (DataError, Graph, NumericalError, derive_seed, forest_rng, forests,
-                       gen_graph, sample_forest)
+from rsfsmooth import (DataError, Graph, NumericalError, SmoothingProblem, derive_seed,
+                       forest_rng, forests, gen_graph, sample_forest)
 from rsfsmooth.cli import run
 
 from conftest import (kernel_sets, path_graph, random_connected_graph, star_graph,
@@ -143,6 +143,67 @@ def test_compiled_walk_tables_match_the_twin(case):
     assert fast.tobytes() == slow.tobytes()
 
 
+# magnitudes over many binades, either sign
+binades = st.builds(lambda mant, exp, sign: sign * mant * 2.0**exp,
+                    st.floats(1.0, 2.0, exclude_max=True), st.integers(-30, 30),
+                    st.sampled_from([1.0, -1.0]))
+
+
+def signal_block(draw_, n, k):
+    """An (n,) vector at k = None, else an (n, k) block with contiguous
+    columns; each column over many binades, or a constant."""
+    cols = [np.full(n, draw_(binades)) if draw_(st.booleans())
+            else np.array(draw_(st.lists(binades, min_size=n, max_size=n)))
+            for _ in range(k or 1)]
+    return cols[0] if k is None else np.asfortranarray(np.column_stack(cols))
+
+
+def same_bits(a, b):
+    """Same dtype, shape, layout and bytes."""
+    return ((a.dtype, a.shape, a.flags.f_contiguous) == (b.dtype, b.shape, b.flags.f_contiguous)
+            and a.tobytes(order="A") == b.tobytes(order="A"))
+
+
+def accumulate_by_columns(count, x, ybar, mean_x, mean_y, m):
+    """The accumulator's update column by column, as a one-signal loop
+    makes it: the means, then three dots in the kernels' lanes."""
+    for c, (xc, yc, mx, my) in enumerate(zip(*map(_native.columns,
+                                                  (x, ybar, mean_x, mean_y)))):
+        dx, dy = xc - mx, yc - my
+        mx += dx / count
+        my += dy / count
+        m[c] += [_twins._dot_numpy(dx, xc - mx), _twins._dot_numpy(dy, yc - my),
+                 _twins._dot_numpy(dx, yc - my)]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=walk_cases(), k=st.sampled_from([None, 1, 3]), data=st.data())
+def test_compiled_estimator_loops_match_the_twins(case, k, data):
+    # a forest of sample_forest on the case's graph (n = 2, ..., 9: every
+    # n % 4 tail), then the tree averages, the k-row Laplacian and three
+    # accumulator updates of a vector or a block, compiled against twin
+    g, q, key, position = case
+    fast, slow = _native.compiled(), _twins.TWINS
+    problem = SmoothingProblem(g, signal_block(data.draw, g.n, k), q)
+    forest = sample_forest(g, problem.q, forests.CounterStream(key, position))
+    xbar = fast.tree_averages(forest.root_of, problem.q, problem.y)
+    assert same_bits(xbar, slow.tree_averages(forest.root_of, problem.q, problem.y))
+    for col, avg in zip(_native.columns(problem.y), _native.columns(xbar)):
+        if (col == col[0]).all():  # a constant signal comes back bit for bit
+            assert avg.tobytes() == col.tobytes()
+    assert same_bits(fast.laplacian(g, xbar), slow.laplacian(g, xbar))
+    state = {loop: (np.zeros_like(xbar), np.zeros_like(xbar), np.zeros((k or 1, 3)))
+             for loop in (fast.accumulate, slow.accumulate, accumulate_by_columns)}
+    for count in (1, 2, 3):
+        x, ybar = signal_block(data.draw, g.n, k), signal_block(data.draw, g.n, k)
+        for loop, (mean_x, mean_y, m) in state.items():
+            loop(count, x, ybar, mean_x, mean_y, m)
+        reference = state[accumulate_by_columns]
+        for loop in (fast.accumulate, slow.accumulate):
+            assert all(map(same_bits, state[loop], reference))
+
+
 def fresh_python(code, cache, path=None):
     """Run code in a new interpreter on this checkout, with its own kernel
     cache and, if given, its own PATH."""
@@ -244,10 +305,12 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
 
 
 # each exported C loop and the `Kernels` field that calls it
-EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables", "laplacian": "laplacian",
-            "dot": "dot", "cg_product": "product", "cg_residual": "residual",
-            "cg_direction": "direction", "cg_plain": "plain", "mg_restrict": "restrict",
-            "mg_prolong": "prolong", "cholesky": "cholesky", "cholesky_solve": "solve"}
+EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables",
+            "tree_averages": "tree_averages", "accumulate": "accumulate",
+            "laplacian": "laplacian", "dot": "dot", "cg_product": "product",
+            "cg_residual": "residual", "cg_direction": "direction", "cg_plain": "plain",
+            "mg_restrict": "restrict", "mg_prolong": "prolong", "cholesky": "cholesky",
+            "cholesky_solve": "solve"}
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")

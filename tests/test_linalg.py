@@ -725,6 +725,51 @@ def test_apply_refuses_a_vector_of_another_length(p3, shape):
         LaplacianOperator(p3).apply(np.zeros(shape))
 
 
+class TestSignalBlocks:
+    def test_a_block_whose_columns_pass_one_by_one_is_accepted(self, p3):
+        # each column's range is 0, though the block's spans 2e308: q times
+        # the range is checked within each column, where the estimators form it
+        block = np.array([[1e308, -1e308]] * 3)
+        for col in block.T:
+            SmoothingProblem(p3, col, 4.0)
+        problem = SmoothingProblem(p3, block, 4.0)
+        assert problem.y.shape == (3, 2) and problem.y.flags.f_contiguous
+        assert np.array_equal(problem.y, block)
+
+    @pytest.mark.parametrize("y,message", [
+        (np.zeros((4, 2)), r"signal length \(4, 2\) does not match n=3"),
+        (np.zeros((3, 0)), r"signal length \(3, 0\) does not match n=3"),
+        (np.zeros((3, 2, 1)), r"signal length \(3, 2, 1\) does not match n=3"),
+        (np.array([[0.0, 1.0], [np.nan, 1.0], [0.0, 1.0]]), "signal values must be finite"),
+        (np.array([[0.0, 1e308], [0.0, -1e308], [0.0, 0.0]]),
+         r"q times the signal's range overflows \(max q 4, range inf\)"),
+    ])
+    def test_each_refusal_keeps_its_message(self, p3, y, message):
+        with pytest.raises((DataError, NumericalError), match=message):
+            SmoothingProblem(p3, y, 4.0)
+        if y.ndim == 2 and y.shape[0] == 3 and y.size:  # the failing column alone
+            bad = next(c for c in y.T if not np.abs(c).max() < 1e300)
+            with pytest.raises((DataError, NumericalError), match=message):
+                SmoothingProblem(p3, bad, 4.0)
+
+    def test_apply_K_inverse_of_a_block_is_that_of_each_column(self):
+        g = random_connected_graph(11, extra_edges=12, rng=np.random.default_rng(2),
+                                   weighted=True)
+        rng = np.random.default_rng(3)
+        q = rng.uniform(0.1, 3.0, g.n)
+        block = rng.standard_normal((g.n, 3)) * 10.0 ** rng.integers(-6, 7, (g.n, 3))
+        problem = SmoothingProblem(g, block, q)
+        for chosen in kernel_sets():
+            with using_kernels(chosen):
+                out = apply_K_inverse(problem, problem.y)
+                assert out.shape == (g.n, 3) and out.flags.f_contiguous
+                for c in range(3):
+                    col = apply_K_inverse(SmoothingProblem(g, block[:, c], q), block[:, c])
+                    assert out[:, c].tobytes() == col.tobytes()
+        with pytest.raises(DataError, match=f"vector of shape \\(12, 3\\) does not match n={g.n}"):
+            apply_K_inverse(problem, np.zeros((12, 3)))
+
+
 class TestApplyKInverse:
     def test_p3_worked_case(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)

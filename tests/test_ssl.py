@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from rsfsmooth import (AlphaStrategy, DataError, SSLProblem, SmoothingProblem,
-                       accuracy_experiment, forest_rng, gen_graph, gradient_step, linalg,
-                       load_labels, run_monte_carlo, safe_alpha, sample_forest, ssl_exact,
+from rsfsmooth import (AlphaStrategy, DataError, MonteCarloAccumulator, SSLProblem,
+                       SmoothingProblem, accuracy_experiment, apply_K_inverse, derive_seed,
+                       forest_rng, gen_graph, gradient_step, linalg, load_labels,
+                       resolve_alpha, run_monte_carlo, safe_alpha, sample_forest, ssl_exact,
                        ssl_forest, xbar_from_forest)
+from rsfsmooth.estimators import FOREST_ESTIMATORS
 from rsfsmooth.oracle import contraction_check
 
-from conftest import adjacency, random_connected_graph, two_clique_graph
+from conftest import (adjacency, kernel_sets, random_connected_graph, two_clique_graph,
+                      using_kernels)
 
 
 def dense_scores(problem):
@@ -257,6 +260,106 @@ class TestAccuracyExperiment:
         accuracy_experiment(SSLProblem(graph=g, labels=labels, mu=0.002, sigma=0.0), 1,
                             repeats=1, n_samples=2, seed=0)
         assert builds == [g, g]
+
+
+def per_class_pass(p, n_samples, seed):
+    """A forest pass rebuilt class by class: one one-signal problem and one
+    accumulator per class, each fed every draw through xbar_from_forest,
+    apply_K_inverse and MonteCarloAccumulator.add. Returns the problems,
+    the accumulators and the walk steps."""
+    g, q = p.graph, p.absorption()
+    d_in = g.degrees ** (p.sigma - 1.0)
+    Y = p.label_matrix()
+    problems = [SmoothingProblem(g, d_in * Y[:, c], q) for c in range(p.k)]
+    accs = [MonteCarloAccumulator(g.n) for _ in problems]
+    steps = 0
+    for i in range(n_samples):
+        forest = sample_forest(g, q, forest_rng(seed, i))
+        steps += forest.rng_draws
+        for sp, acc in zip(problems, accs):
+            x = xbar_from_forest(forest, sp)
+            acc.add(x, apply_K_inverse(sp, x))
+    return problems, accs, steps
+
+
+def per_class_scores(p, problems, accs, strategy):
+    """The scores D^{1-sigma} x_c of each class's stepped estimate, and each
+    class's (alpha, fallback)."""
+    resolved = [resolve_alpha(strategy, sp, acc) for sp, acc in zip(problems, accs)]
+    d_out = p.graph.degrees ** (1.0 - p.sigma)
+    X = np.column_stack([gradient_step(acc.mean_x, sp, alpha)
+                         for sp, acc, (alpha, _) in zip(problems, accs, resolved)])
+    return d_out[:, None] * X, resolved
+
+
+def per_class_rows(p, m, repeats, n_samples, seed):
+    """accuracy_experiment's rows, each forest pass rebuilt class by class."""
+    members = [np.flatnonzero(p.labels == c) for c in range(p.k)]
+    scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
+    for r in range(repeats):
+        pick = np.random.default_rng(np.random.SeedSequence((seed, 1, r)))
+        labeled = np.concatenate([pick.choice(mem, size=m, replace=False) for mem in members])
+        sub = SSLProblem(graph=p.graph, labels=p.labels, mu=p.mu, sigma=p.sigma,
+                         labeled_set=labeled)
+        scores["exact"].append(ssl_exact(sub).accuracy)
+        problems, accs, _ = per_class_pass(sub, n_samples, derive_seed(seed, 2, r))
+        holdout = sub.holdout()
+        for name, strategy in FOREST_ESTIMATORS.items():
+            if n_samples >= strategy.min_samples:
+                F, _ = per_class_scores(sub, problems, accs, strategy)
+                hits = np.argmax(F, axis=1)[holdout] == sub.labels[holdout]
+                scores[name].append(float(np.mean(hits)))
+    return [{"m": m, "method": method,
+             "mean_acc": float(np.mean(values)) if values else None,
+             "std_acc": float(np.std(values)) if values else None}
+            for method, values in scores.items()]
+
+
+def three_bands():
+    """Three classes on a weighted random graph, every third vertex each."""
+    g = random_connected_graph(30, extra_edges=40, rng=np.random.default_rng(14), weighted=True)
+    return SSLProblem(graph=g, labels=np.arange(30) % 3, mu=0.7, sigma=0.3)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+class TestBlockAgainstPerClass:
+    """One problem for the k classes gives, bit for bit, what k one-signal
+    problems on the same forests give, under each kernel set."""
+
+    def test_ssl_forest(self, clique_pair):
+        g, labels = clique_pair
+        cases = [SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0,
+                            labeled_set=np.array([3, 25])),
+                 three_bands(),
+                 # one class, every vertex labeled, sigma = 1: a constant signal
+                 SSLProblem(graph=g, labels=np.zeros(g.n), mu=1.0, sigma=1.0)]
+        strategies = [AlphaStrategy.safe(), AlphaStrategy.empirical(), AlphaStrategy.fixed(0.3)]
+        fallbacks = []
+        for chosen in kernel_sets():
+            with using_kernels(chosen):
+                for p in cases:
+                    problems, accs, steps = per_class_pass(p, 7, 5)
+                    for strategy in strategies:
+                        result = ssl_forest(p, 7, strategy, seed=5)
+                        F, resolved = per_class_scores(p, problems, accs, strategy)
+                        assert bits(result.F) == bits(F)
+                        d = result.diagnostics
+                        assert bits(d["alpha_per_class"]) == bits([a for a, _ in resolved])
+                        assert d["zero_variance_fallback_per_class"] == [f for _, f in resolved]
+                        assert d["total_walk_steps"] == steps and d["n_samples"] == 7
+                        fallbacks += d["zero_variance_fallback_per_class"]
+        assert True in fallbacks and False in fallbacks
+
+    @pytest.mark.parametrize("n_samples", [1, 6])
+    def test_accuracy_experiment(self, n_samples):
+        p = three_bands()
+        for chosen in kernel_sets():
+            with using_kernels(chosen):
+                rows = accuracy_experiment(p, 2, repeats=3, n_samples=n_samples, seed=9)
+                assert rows == per_class_rows(p, 2, 3, n_samples, 9)
 
 
 class TestLoaders:
