@@ -13,6 +13,12 @@
  * walk_tables: cum = each row's running sums of its arc weights from 0.0 in
  * arc order, the table wilson bisects: np.cumsum of the row, bit for bit.
  *
+ * components: the number of connected components of n vertices joined by
+ * the m edges (u[e], v[e]), by union-find over parent, n entries of work:
+ * each edge finds the roots of its ends, halving their paths, and hooks
+ * the larger root onto the smaller. The count is that of the twin's hook
+ * and shortcut rounds.
+ *
  * laplacian: out = L v for each of the k columns of v, n contiguous values
  * each, over the CSR adjacency, each row summed from +0.0 in arc order, the
  * same sums as _twins._laplacian_bincount computes in numpy.
@@ -107,6 +113,29 @@ void walk_tables(int64_t n, const int64_t *indptr, const double *weights, double
         for (int64_t a = indptr[i]; a < indptr[i + 1]; a++)
             cum[a] = s += weights[a];
     }
+}
+
+int64_t components(int64_t n, int64_t m, const int64_t *u, const int64_t *v,
+                   int64_t *parent)
+{
+    int64_t count = n;
+    for (int64_t i = 0; i < n; i++)
+        parent[i] = i;
+    for (int64_t e = 0; e < m; e++) {
+        int64_t a = u[e], b = v[e];
+        while (parent[a] != a)
+            a = parent[a] = parent[parent[a]];
+        while (parent[b] != b)
+            b = parent[b] = parent[parent[b]];
+        if (a != b) {
+            if (a < b)
+                parent[b] = a;
+            else
+                parent[a] = b;
+            count--;
+        }
+    }
+    return count;
 }
 
 static inline __attribute__((always_inline))

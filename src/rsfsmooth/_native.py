@@ -1,8 +1,8 @@
-"""The package's hot loops: the forest draw and the walk tables it
-bisects, the estimator's tree averages and accumulator update, the
-Laplacian apply, the conjugate-gradient passes with their fixed-order dot
-product, plain CG's iterations in one call, and the passes and dense
-Cholesky solve of CG's multigrid preconditioner.
+"""The package's hot loops: the connectivity check of a new graph, the
+forest draw and the walk tables it bisects, the estimator's tree averages
+and accumulator update, the Laplacian apply, the conjugate-gradient passes
+with their fixed-order dot product, plain CG's iterations in one call, and
+the passes and dense Cholesky solve of CG's multigrid preconditioner.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -25,17 +25,19 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 class Kernels(NamedTuple):
-    """The loops of the forest draw, the estimator, the Laplacian apply, CG
-    and its multigrid preconditioner, on contiguous arrays, writing only the
-    arrays named below. A signal is a vector of n values or a block of k
-    such columns, each contiguous (`columns`). Every dot product sums
-    element i into lane i % 4, each lane from +0.0 in index order, and
-    returns (s0 + s1) + (s2 + s3), so its bits depend on the inputs alone,
-    not on the CPU or the BLAS."""
+    """The loops of the connectivity check, the forest draw, the estimator,
+    the Laplacian apply, CG and its multigrid preconditioner, on contiguous
+    arrays, writing only the arrays named below. A signal is a vector of n
+    values or a block of k such columns, each contiguous (`columns`). Every
+    dot product sums element i into lane i % 4, each lane from +0.0 in index
+    order, and returns (s0 + s1) + (s2 + s3), so its bits depend on the
+    inputs alone, not on the CPU or the BLAS."""
 
     wilson: Callable     # (g, q, key, position, max_steps, out) -> steps, or -1 past
                          # max_steps, after out = (root_of, parent_of) of one forest
     walk_tables: Callable  # (g) -> a new array of each row's running arc-weight sums
+    components: Callable  # (n, u, v) -> the number of connected components of n
+                          # vertices joined by the edges (u[e], v[e]), int64 ids
     tree_averages: Callable  # (root_of, q, y) -> a new array of y's shape: each
                              # column's q-weighted averages over the forest's trees
     accumulate: Callable  # (count, x, ybar, mean_x, mean_y, m) -> None, after, per
@@ -137,6 +139,11 @@ def compiled():
         lib.walk_tables(g.n, g.indptr.ctypes.data, g.weights.ctypes.data, cum.ctypes.data)
         return cum
 
+    def components(n, u, v):
+        # through .ctypes.data: address() refuses the empty buffers of a graph with no edges
+        parent = np.empty(n, dtype=np.int64)
+        return lib.components(n, len(u), u.ctypes.data, v.ctypes.data, parent.ctypes.data)
+
     def tree_averages(root_of, q, y):
         n, out = len(y), np.empty_like(y)
         work = np.empty(2 * n)  # held here: address() keeps no reference
@@ -163,6 +170,7 @@ def compiled():
     return Kernels(
         wilson=wilson,
         walk_tables=walk_tables,
+        components=components,
         tree_averages=tree_averages,
         accumulate=accumulate,
         laplacian=laplacian,
@@ -212,6 +220,7 @@ def _build():
     for name, argtypes, restype in (
             ("wilson", [i64, ptr, ptr, ptr, ptr, u64, u64, i64, ptr, ptr], i64),
             ("walk_tables", [i64, ptr, ptr, ptr], None),
+            ("components", [i64, i64, ptr, ptr, ptr], i64),
             ("laplacian", [i64, ptr, ptr, ptr, i64, ptr, ptr], None),
             ("tree_averages", [i64, i64, ptr, ptr, ptr, ptr, ptr], None),
             ("accumulate", [i64, i64, i64, ptr, ptr, ptr, ptr, ptr], None),

@@ -82,6 +82,27 @@ def _walk_tables_python(g):
                      for s in itertools.accumulate(w[lo:hi])], dtype=np.float64)
 
 
+def _components_numpy(n, u, v):
+    """The compiled union-find count in numpy, by hook and shortcut. Every
+    vertex points at a label no larger than itself, at first itself. Each
+    round hooks the larger label of every edge whose ends differ onto the
+    smallest label across from it, then jumps pointers until each vertex
+    points at a root; it ends when every edge lies within one label, and
+    the roots left are the components."""
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return int(np.count_nonzero(label == np.arange(n)))
+        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+
+
 def _tree_averages_numpy(root_of, q, y):
     """The compiled tree averages: forests._tree_averages of each column."""
     out = np.empty_like(y)
@@ -225,7 +246,7 @@ def _solve_numpy(l, b):
         b[:k] -= l[k, :k] * b[k]
 
 
-TWINS = Kernels(_wilson_python, _walk_tables_python, _tree_averages_numpy,
-                _accumulate_numpy, _laplacian_bincount, _dot_numpy, _product_numpy,
-                _residual_numpy, _direction_numpy, _plain_numpy, _restrict_numpy,
-                _prolong_numpy, _cholesky_numpy, _solve_numpy)
+TWINS = Kernels(_wilson_python, _walk_tables_python, _components_numpy,
+                _tree_averages_numpy, _accumulate_numpy, _laplacian_bincount, _dot_numpy,
+                _product_numpy, _residual_numpy, _direction_numpy, _plain_numpy,
+                _restrict_numpy, _prolong_numpy, _cholesky_numpy, _solve_numpy)

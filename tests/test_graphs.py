@@ -22,8 +22,8 @@ from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, loa
 from rsfsmooth import graphs
 from rsfsmooth.graphs import load_positions
 
-from conftest import (adjacency, assert_same_graph, cycle_graph, path_graph,
-                      random_connected_graph, star_graph)
+from conftest import (adjacency, assert_same_graph, cycle_graph, kernel_sets, path_graph,
+                      random_connected_graph, star_graph, using_kernels)
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -426,10 +426,64 @@ class TestGenerators:
             gen_graph("smallworld", n=10, seed=0)
 
 
+def unit_rows(lo, hi):
+    """(u, v, 1.0) rows of the edges (lo[e], hi[e]), for `Graph.from_edges`."""
+    return np.column_stack([lo, hi, np.ones(len(lo))])
+
+
+def regular_from_edges(n, d, seed):
+    """gen_graph's regular model with each attempt's edges through
+    `Graph.from_edges`, which also checks that they are simple, and the
+    number of the attempt that came out connected."""
+    for attempt in range(graphs.MAX_CONNECTIVITY_RETRIES):
+        edges = graphs._regular_edges(n, d, graphs._attempt_rng(seed, attempt))
+        try:
+            return Graph.from_edges(n, unit_rows(*edges)), attempt
+        except DataError as err:
+            assert str(err).startswith("disconnected graph: "), err
+    raise AssertionError("no attempt came out connected")
+
+
+# n=50, d=2, seed=1 is connected on its tenth attempt, and n=12, d=7 is
+# built as the complement of a 4-regular graph
+@pytest.mark.parametrize("n,d,seed,attempt", [(200, 6, 11, 0), (50, 2, 1, 9), (12, 7, 5, 0),
+                                              (10, 9, 0, 0), (20000, 10, 11, 0)])
+def test_regular_graph_is_its_from_edges_twin(n, d, seed, attempt):
+    for chosen in kernel_sets():
+        with using_kernels(chosen):
+            twin, connected_at = regular_from_edges(n, d, seed)
+            assert connected_at == attempt
+            assert_same_graph(gen_graph("regular", n=n, d=d, seed=seed), twin)
+
+
+@pytest.mark.parametrize("n,k,seed", [(120, 4, 7), (50, 1, 4), (2000, 3, 2)])
+def test_barabasi_albert_graph_is_its_from_edges_twin(n, k, seed):
+    edges = graphs._barabasi_albert_edges(n, k, graphs._attempt_rng(seed, 0))
+    for chosen in kernel_sets():
+        with using_kernels(chosen):
+            assert_same_graph(gen_graph("ba", n=n, k=k, seed=seed),
+                              Graph.from_edges(n, unit_rows(*edges)))
+
+
+def test_knn_graph_is_its_from_edges_twin():
+    coords = np.random.default_rng(21).uniform(size=(300, 2))
+    for chosen in kernel_sets():
+        with using_kernels(chosen):
+            assert_same_graph(gen_graph("knn", coords=coords, k=5),
+                              Graph.from_edges(300, unit_rows(*graphs._knn_edges(coords, 5))))
+
+
 def test_knn_disconnected_fails():
+    # two pairs of points, each the other's nearest neighbour: the
+    # generator ends in the gate's message for the same edges
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.5, 0.0]])
-    with pytest.raises(DataError, match="connected"):
-        gen_graph("knn", coords=coords, k=1)
+    for chosen in kernel_sets():
+        with using_kernels(chosen):
+            for build in (lambda: gen_graph("knn", coords=coords, k=1),
+                          lambda: Graph.from_edges(4, unit_rows(*graphs._knn_edges(coords, 1)))):
+                with pytest.raises(DataError) as err:
+                    build()
+                assert str(err.value) == "disconnected graph: 2 connected components"
 
 
 @st.composite
@@ -447,31 +501,37 @@ def edge_sets(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(edge_sets())
+@example((1, []))
+@example((6, []))
 def test_component_count_matches_csgraph(case):
     n, pairs = case
     u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
     adj = sparse.coo_matrix((np.ones(len(pairs)), (u, v)), shape=(n, n))
     expected = csgraph.connected_components(adj, directed=False)[0]
-    assert graphs._component_count(n, u, v) == expected
     edges = [(a, b, 1.0) for a, b in pairs]
-    if expected == 1:
-        assert Graph.from_edges(n, edges).n == n
-    else:
-        with pytest.raises(DataError) as err:
-            Graph.from_edges(n, edges)
-        assert str(err.value) == f"disconnected graph: {expected} connected components"
+    for chosen in kernel_sets():
+        assert chosen.components(n, u, v) == expected
+        with using_kernels(chosen):
+            if expected == 1:
+                assert Graph.from_edges(n, edges).n == n
+            else:
+                with pytest.raises(DataError) as err:
+                    Graph.from_edges(n, edges)
+                assert str(err.value) == f"disconnected graph: {expected} connected components"
 
 
 def test_component_count_on_long_shuffled_paths():
-    # paths whose labels are a random permutation take the most hooking
-    # rounds and the longest pointer chains
+    # paths whose labels are a random permutation take the twin the most
+    # hooking rounds and the longest pointer chains, and the union-find the
+    # longest paths to halve; 7 vertices with all 6 edges cut have none
     rng = np.random.default_rng(5)
-    for n, cuts in ((1, 0), (2, 1), (5000, 0), (5000, 3), (20000, 40)):
+    for n, cuts in ((1, 0), (2, 1), (7, 6), (5000, 0), (5000, 3), (20000, 40)):
         order = rng.permutation(n)
         keep = np.ones(max(n - 1, 0), dtype=bool)
         keep[rng.choice(n - 1, size=cuts, replace=False)] = False
         u, v = order[:-1][keep], order[1:][keep]
-        assert graphs._component_count(n, u, v) == cuts + 1
+        for chosen in kernel_sets():
+            assert chosen.components(n, u, v) == cuts + 1
 
 
 def test_single_vertex_graph_is_valid():
@@ -634,6 +694,35 @@ def test_first_occurrences_are_those_of_np_unique(keys):
     got = graphs._first_occurrences(keys)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.unique(keys, return_index=True)[1])
+
+
+def repeats_reference(keys):
+    """Whether each entry of keys equals an earlier one, from the first
+    indices np.unique gives."""
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
+int64_keys = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=200),  # many repeats
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=60, unique=True),  # no repeats
+    st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(0, 100)).map(
+        lambda pair: [pair[0]] * pair[1]))  # all equal
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    int64_keys.map(lambda keys: np.array(keys, dtype=np.int64)),
+    # the readers' loop keeps ids past int64 as Python ints in object arrays
+    st.one_of(int64_keys, st.lists(st.sampled_from([-2**70, -1, 0, 2**63, 2**70]),
+                                   max_size=40)).map(lambda keys: np.array(keys, dtype=object))))
+@example(np.zeros(0, dtype=np.int64))
+@example(np.zeros(0, dtype=object))
+def test_repeats_are_those_of_np_unique(keys):
+    got = graphs._repeats(keys)
+    assert got.dtype == bool and got.shape == keys.shape
+    assert np.array_equal(got, repeats_reference(keys))
 
 
 def test_from_edges_takes_an_array():

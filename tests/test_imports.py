@@ -242,11 +242,20 @@ def test_only_accumulate_forests_feeds_an_accumulator():
 
 def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
     # every reference to Graph._from_csr, by enclosing function. It checks
-    # nothing, so the file inputs and the random generators reach it only
-    # through from_edges; the grid and the multigrid's coarse levels are
-    # valid by construction
+    # nothing, so the file inputs reach it only through from_edges, and the
+    # random generators, whose edges are simple by construction, only
+    # through _unit_graph, which checks that they are connected; the grid
+    # and the multigrid's coarse levels are valid by construction
     users = package_scopes(lambda node: names(node, "_from_csr"))
-    assert users == {"graphs.Graph.from_edges", "graphs._grid_graph", "linalg._quotient"}
+    assert users == {"graphs.Graph.from_edges", "graphs._unit_graph", "graphs._grid_graph",
+                     "linalg._quotient"}
+
+
+def test_only_load_graph_calls_the_gate():
+    # every reference to Graph.from_edges, by enclosing function: edges
+    # from outside come only through load_graph, and no generator keeps a
+    # second path beside _unit_graph
+    assert package_scopes(lambda node: names(node, "from_edges")) == {"graphs.load_graph"}
 
 
 def test_only_the_knn_generator_imports_scipy():

@@ -277,7 +277,8 @@ def test_every_build_failure_falls_back_to_the_twins(tmp_path, failure):
 def test_the_one_switch_reaches_every_loop(tmp_path):
     # the same commands through the chosen set and through the twins, each
     # loop wrapped in a call counter, write the same bytes; the second
-    # `exact` (bound 8001, more than 64 iterations) builds CG's multigrid
+    # `exact` (bound 8001, more than 64 iterations) builds CG's multigrid,
+    # and the regular graph of the third checks its connectivity
     calls = dict.fromkeys(_native.Kernels._fields, 0)
 
     def counted(name, loop):
@@ -292,7 +293,8 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
                  "--n-samples", "4", "--alpha", "empirical"],
                 ["exact", "--gen", "grid:rows=8,cols=9", "--signal", "gaussian", "--q", "0.3"],
                 ["exact", "--gen", "grid:rows=20,cols=20", "--signal", "gaussian",
-                 "--q", "0.001"]]
+                 "--q", "0.001"],
+                ["exact", "--gen", "regular:n=40,d=4", "--signal", "gaussian", "--q", "0.3"]]
     written = []
     for chosen in (_native.kernels(), twins):
         with using_kernels(chosen):
@@ -300,12 +302,12 @@ def test_the_one_switch_reaches_every_loop(tmp_path):
                 out = tmp_path / f"{len(written)}.json"
                 assert run([*argv, "--seed", "5", "--format", "json", "--out", str(out)]) == 0
                 written.append(out.read_bytes())
-    assert written[:3] == written[3:]
+    assert written[:len(commands)] == written[len(commands):]
     assert all(calls.values()), calls
 
 
 # each exported C loop and the `Kernels` field that calls it
-EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables",
+EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables", "components": "components",
             "tree_averages": "tree_averages", "accumulate": "accumulate",
             "laplacian": "laplacian", "dot": "dot", "cg_product": "product",
             "cg_residual": "residual", "cg_direction": "direction", "cg_plain": "plain",
