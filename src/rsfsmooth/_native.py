@@ -37,7 +37,8 @@ class Kernels(NamedTuple):
                          # max_steps, after out = (root_of, parent_of) of one forest
     walk_tables: Callable  # (g) -> a new array of each row's running arc-weight sums
     components: Callable  # (n, u, v) -> the number of connected components of n
-                          # vertices joined by the edges (u[e], v[e]), int64 ids
+                          # vertices joined by the edges (u[e], v[e]): integer ids,
+                          # any layout
     tree_averages: Callable  # (root_of, q, y) -> a new array of y's shape: each
                              # column's q-weighted averages over the forest's trees
     accumulate: Callable  # (count, x, ybar, mean_x, mean_y, m) -> None, after, per
@@ -140,7 +141,11 @@ def compiled():
         return cum
 
     def components(n, u, v):
-        # through .ctypes.data: address() refuses the empty buffers of a graph with no edges
+        # the loop reads u and v as contiguous int64, so any other layout or
+        # type (np.nonzero's strided views of a 2-d array) is copied first,
+        # and through .ctypes.data: address() refuses the empty buffers of a
+        # graph with no edges
+        u, v = (np.ascontiguousarray(a, dtype=np.int64) for a in (u, v))
         parent = np.empty(n, dtype=np.int64)
         return lib.components(n, len(u), u.ctypes.data, v.ctypes.data, parent.ctypes.data)
 

@@ -352,7 +352,9 @@ def load_graph(path):
     if not seen[:size].all():
         missing = np.flatnonzero(~seen[:size])[:5].tolist()
         raise DataError(f"{path}: vertex ids have gaps (missing {missing})")
-    return Graph.from_edges(n, np.column_stack([u, v, w]))
+    edges = np.column_stack([u, v, w])
+    del table, u, v, w  # the file's text and columns are freed before the gate's arrays
+    return Graph.from_edges(n, edges)
 
 
 def save_graph(g, path):
@@ -393,7 +395,8 @@ def _regular_edges(n, d, rng):
     if 2 * d > n - 1:
         keep = np.triu(np.ones((n, n), dtype=bool), 1)
         keep[_regular_edges(n, n - 1 - d, rng)] = False
-        return np.nonzero(keep)
+        keys = np.flatnonzero(keep)  # np.nonzero's pairs, in its order, as contiguous arrays
+        return keys // n, keys % n
     pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
     for _ in range(MAX_PAIRING_ROUNDS):
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])

@@ -445,9 +445,13 @@ def regular_from_edges(n, d, seed):
 
 
 # n=50, d=2, seed=1 is connected on its tenth attempt, and n=12, d=7 is
-# built as the complement of a 4-regular graph
-@pytest.mark.parametrize("n,d,seed,attempt", [(200, 6, 11, 0), (50, 2, 1, 9), (12, 7, 5, 0),
-                                              (10, 9, 0, 0), (20000, 10, 11, 0)])
+# built as the complement of a 4-regular graph; n=4, d=2 and n=6, d=3,
+# complements of a 1-regular and of a 2-regular graph (a 4-cycle, and a
+# prism or K3,3), are connected at every attempt, so a miscount of their
+# components would move them to a later one
+@pytest.mark.parametrize("n,d,seed,attempt", [
+    (200, 6, 11, 0), (50, 2, 1, 9), (12, 7, 5, 0), (10, 9, 0, 0), (20000, 10, 11, 0),
+    *[(n, d, seed, 0) for n, d in ((4, 2), (6, 3)) for seed in range(4)]])
 def test_regular_graph_is_its_from_edges_twin(n, d, seed, attempt):
     for chosen in kernel_sets():
         with using_kernels(chosen):

@@ -143,6 +143,23 @@ def test_compiled_walk_tables_match_the_twin(case):
     assert fast.tobytes() == slow.tobytes()
 
 
+def test_components_reads_any_layout_of_ids():
+    # np.nonzero of a 2-d mask gives strided views into one (m, 2) buffer;
+    # read as contiguous arrays, the 4-cycle (0,1), (0,3), (1,2), (2,3)
+    # would join only 0, 1 and 3
+    keep = np.zeros((4, 4), dtype=bool)
+    keep[[0, 0, 1, 2], [1, 3, 2, 3]] = True
+    u, v = np.nonzero(keep)
+    assert not u.flags.c_contiguous
+    edges = np.random.default_rng(3).integers(0, 300, size=(250, 2))
+    for chosen in kernel_sets():
+        assert chosen.components(4, u, v) == 1
+        assert chosen.components(4, u.astype(np.int32), v.astype(np.int32)) == 1
+        assert chosen.components(5, u[::2], v[::2]) == 3  # (0,1) and (1,2)
+        assert (chosen.components(300, edges[:, 0], edges[:, 1])
+                == _twins.TWINS.components(300, edges[:, 0].copy(), edges[:, 1].copy()))
+
+
 # magnitudes over many binades, either sign
 binades = st.builds(lambda mant, exp, sign: sign * mant * 2.0**exp,
                     st.floats(1.0, 2.0, exclude_max=True), st.integers(-30, 30),
