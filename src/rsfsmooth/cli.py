@@ -257,6 +257,7 @@ def cmd_denoise(args):
 
 
 def cmd_ssl(args):
+    from .estimators import check_draw_budget
     from .ssl import SSLProblem, accuracy_experiment, load_labels
 
     g = _resolve_graph(args)
@@ -268,6 +269,8 @@ def cmd_ssl(args):
         raise DataError(f"cannot parse --labels-per-class {args.labels_per_class!r}") from None
     if not counts:
         raise DataError("--labels-per-class needs at least one count")
+    # the whole run, every count's repeats together, before its first solve or draw
+    check_draw_budget(g, [(problem.absorption(), len(counts) * args.repeats * args.n_samples)])
     rows = []
     for m in counts:
         rows.extend(accuracy_experiment(problem, m, args.repeats,

@@ -222,7 +222,33 @@ def forest_estimates(problem, acc):
 DRAW_FIXED_STEPS = 1000
 
 
-def accumulate_forests(problem, n_samples, seed, passes=1):
+def check_draw_budget(graph, runs):
+    """Refuse, before its first solve or draw, a run whose forest draws
+    cannot finish within the step budget. `runs` lists its (q, draws)
+    pairs, q a scalar or one weight per vertex (checked where the run
+    builds its problems, which refuse a q that is not positive and finite);
+    each draw is charged its expected walk steps' lower bound
+    (`walk_steps_floor`) or DRAW_FIXED_STEPS, whichever is more."""
+    draws = [d for _, d in runs]
+    floors = [walk_steps_floor(graph, np.full(graph.n, q, dtype=np.float64)) for q, _ in runs]
+    charges = [max(floor, DRAW_FIXED_STEPS) for floor in floors]
+    # an int of any size compares with a float, and each product is then finite
+    if all(d <= DEFAULT_STEP_BUDGET / c for d, c in zip(draws, charges)) and sum(
+            d * c for d, c in zip(draws, charges)) <= DEFAULT_STEP_BUDGET:
+        return
+
+    def span(values):
+        low, high = f"{min(values):.4g}", f"{max(values):.4g}"
+        return low if low == high else f"{low} to {high}"
+
+    over = f" over {len(runs)} q values" if len(runs) > 1 else ""
+    raise NumericalError(f"{sum(draws)} forest draws{over} of at least {span(charges)} walk "
+                         f"steps each (the larger of {span(floors)} expected and a draw's "
+                         f"fixed cost of {DRAW_FIXED_STEPS}) exceed the step budget of "
+                         f"{DEFAULT_STEP_BUDGET:.3g}")
+
+
+def accumulate_forests(problem, n_samples, seed):
     """The accumulator of problem's n_samples forests; returns
     (accumulator, total walk steps of the draws).
 
@@ -230,21 +256,11 @@ def accumulate_forests(problem, n_samples, seed, passes=1):
     averages xbar of every column of the signal, and their control
     variates K^{-1} xbar, go to the accumulator: one kernel call for each
     of the three, whatever the number of columns. This is the package's
-    only forest-sampling loop. A run of `passes` passes
-    that cannot be drawn within the step budget is refused before a draw,
-    each draw charged its expected walk steps or DRAW_FIXED_STEPS, whichever
-    is more.
+    only forest-sampling loop, reached after `check_draw_budget`.
     """
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     g, q = problem.graph, problem.q
-    draws, floor = passes * n_samples, walk_steps_floor(g, q)
-    charge = max(floor, DRAW_FIXED_STEPS)
-    if draws > DEFAULT_STEP_BUDGET / charge:  # an int of any size compares with a float
-        raise NumericalError(f"{draws} forest draws of at least {charge:.4g} walk steps each "
-                             f"(the larger of {floor:.4g} expected and a draw's fixed cost "
-                             f"of {DRAW_FIXED_STEPS}) exceed the step budget of "
-                             f"{DEFAULT_STEP_BUDGET:.3g}")
     acc = MonteCarloAccumulator(*problem.y.shape)
     walk_steps = 0
     for i in range(n_samples):
@@ -272,6 +288,7 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
     strategy resolves its step size from the same samples; the small
     O(1/N) bias this introduces is flagged in the diagnostics.
     """
+    check_draw_budget(problem.graph, [(problem.q, n_samples)])
     acc, walk_steps = accumulate_forests(problem, n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)
     estimate = gradient_step(acc.mean_x, problem, alpha)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .estimators import (AlphaStrategy, accumulate_forests, forest_estimates, resolve_alpha,
-                         safe_alpha)
+from .estimators import (AlphaStrategy, accumulate_forests, check_draw_budget,
+                         forest_estimates, resolve_alpha, safe_alpha)
 from .forests import derive_seed
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
 from .signals import psnr
@@ -31,6 +31,7 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     if realizations < 1 or n_samples < empirical.min_samples:
         raise DataError(f"need realizations >= 1 and n_samples >= {empirical.min_samples}")
     problem = SmoothingProblem(graph, y, q)
+    check_draw_budget(graph, [(problem.q, realizations * n_samples)])
     xhat, _ = solve_exact_cg(problem)
     a_safe = safe_alpha(problem)
 
@@ -40,8 +41,7 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     sq = np.zeros(alpha_grid.size + 3)
     alpha_hats = []
     for r in range(realizations):
-        acc, _ = accumulate_forests(problem, n_samples, derive_seed(seed, 3, r),
-                                    passes=realizations)
+        acc, _ = accumulate_forests(problem, n_samples, derive_seed(seed, 3, r))
         alpha_hat, _ = resolve_alpha(empirical, problem, acc)
         m_x = acc.mean_x
         corr = apply_K_inverse(problem, m_x) - y
@@ -87,6 +87,7 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     y = clean + noise_std * noise_rng.standard_normal(graph.n)
     peak = float(np.max(np.abs(clean)))
     psnr_noisy = psnr(clean, y, peak=peak)
+    check_draw_budget(graph, [(qv, n_samples) for qv in q_grid])
 
     rows = []
     for qi, qv in enumerate(q_grid):

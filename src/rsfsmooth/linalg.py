@@ -77,7 +77,6 @@ class SmoothingProblem:
         if not math.isfinite(float(self.q.max()) * spread):
             raise NumericalError(f"q times the signal's range overflows "
                                  f"(max q {float(self.q.max()):g}, range {spread:g})")
-        self.laplacian = LaplacianOperator(graph)
         # CG's preconditioner once a solve has taken it, False where it cannot be built
         self.multigrid = None
 
@@ -332,6 +331,9 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     if not 0 < tol < np.inf:
         raise DataError(f"tol must be positive and finite, got {tol!r}")
     g, q, k = problem.graph, problem.q, _native.kernels()
+    if problem.y.ndim != 1:
+        raise DataError(f"CG solves one signal at a time, not a block of shape "
+                        f"{problem.y.shape}")
     if max_iter is None:
         max_iter = 10 * g.n
     b = q * problem.y

@@ -192,7 +192,7 @@ def exact_estimator_moments(graph, q, y):
 
 def solve_exact_dense(problem):
     """Direct dense solve of (Q + L) x = Q y; the test oracle."""
-    A = problem.laplacian.dense() + np.diag(problem.q)
+    A = LaplacianOperator(problem.graph).dense() + np.diag(problem.q)
     return np.linalg.solve(A, problem.q * problem.y)
 
 
@@ -211,7 +211,7 @@ def contraction_check(problem, alpha):
     radius is <= 1 + 1e-10, i.e. the gradient step with this alpha never
     moves an estimate away from the exact solution.
     """
-    A = problem.laplacian.dense() + np.diag(problem.q)
+    A = LaplacianOperator(problem.graph).dense() + np.diag(problem.q)
     sq = np.sqrt(problem.q)
     S = A / sq[:, None] / sq[None, :]
     eigs = np.linalg.eigvalsh(S)

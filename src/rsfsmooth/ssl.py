@@ -14,8 +14,8 @@ import numpy as np
 
 from ._native import columns
 from .errors import DataError
-from .estimators import (FOREST_ESTIMATORS, accumulate_forests, forest_estimates,
-                         gradient_step, resolve_alpha)
+from .estimators import (FOREST_ESTIMATORS, accumulate_forests, check_draw_budget,
+                         forest_estimates, run_monte_carlo)
 from .forests import derive_seed
 from .graphs import _read_table, _repeats
 from .linalg import SmoothingProblem, solve_exact_cg
@@ -125,31 +125,19 @@ def ssl_exact(problem):
                    {"cg_iterations": [it for _, it in solves]})
 
 
-def _forest_pass(problem, n_samples, seed, passes=1):
-    """One of `passes` forest passes: the classes' smoothing problem, its
-    accumulator and the walk steps of the draws. The forest law depends
-    only on q_i = (mu/2) d_i, not on the class signal, so each draw serves
-    every column of Y."""
-    sp = _class_problem(problem)
-    return (sp, *accumulate_forests(sp, n_samples, seed, passes))
-
-
 def ssl_forest(problem, n_samples, strategy, seed=0):
-    """Forest Monte Carlo classification scores.
-
-    Each forest draw is shared by all k classes, at a k-fold cost saving
-    over sampling per class.
+    """Forest Monte Carlo classification scores: `run_monte_carlo` on the
+    classes' smoothing problem. The forest law depends only on
+    q_i = (mu/2) d_i, not on the class signal, so each forest draw serves
+    all k classes, at a k-fold cost saving over sampling per class.
     """
-    sp, acc, walk_steps = _forest_pass(problem, n_samples, seed)
-    alphas, fallbacks = resolve_alpha(strategy, sp, acc)
-    diagnostics = {
-        "n_samples": acc.count,
-        "strategy": strategy.kind,
-        "alpha_per_class": alphas.tolist(),
-        "zero_variance_fallback_per_class": fallbacks.tolist(),
-        "total_walk_steps": walk_steps,
-    }
-    return _finish(problem, gradient_step(acc.mean_x, sp, alphas), diagnostics)
+    result = run_monte_carlo(_class_problem(problem), n_samples, strategy, seed)
+    mc = result.diagnostics
+    return _finish(problem, result.estimate, {
+        "n_samples": mc["n_samples"], "strategy": mc["strategy"],
+        "alpha_per_class": mc["alpha"].tolist(),
+        "zero_variance_fallback_per_class": mc["zero_variance_fallback"].tolist(),
+        "total_walk_steps": mc["total_walk_steps"]})
 
 
 def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0):
@@ -179,6 +167,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     if all(len(mem) == m for mem in members):
         raise DataError(f"no held-out vertex: every labeled vertex would be among "
                         f"the m={m} per class")
+    check_draw_budget(problem.graph, [(problem.absorption(), repeats * n_samples)])
 
     scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
     for r in range(repeats):
@@ -189,7 +178,8 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         sub = SSLProblem(graph=problem.graph, labels=problem.labels,
                          mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
         scores["exact"].append(ssl_exact(sub).accuracy)
-        sp, acc, _ = _forest_pass(sub, n_samples, derive_seed(seed, 2, r), passes=repeats)
+        sp = _class_problem(sub)
+        acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
         for name, x in forest_estimates(sp, acc).items():
             if x is not None:
                 scores[name].append(_finish(sub, x, {}).accuracy)

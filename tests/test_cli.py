@@ -592,6 +592,43 @@ class TestExitCodes:
         assert "the larger of 4 expected" in err[0]
         assert not out.exists()
 
+    # each run below fits the budget pass by pass, but not as a whole: it
+    # ends before its first solve or draw
+    @pytest.mark.parametrize("command, message", [
+        # eight rows at q = 4e-6 on a 30x30 grid: each row's 200 draws are
+        # charged 1.93e8 steps, the table's 1.55e9
+        (["denoise", "--gen", "grid:rows=30,cols=30", "--signal", "gaussian",
+          "--noise-std", "0.1", "--q-grid", ",".join(["4e-6"] * 8), "--n-samples", "200"],
+         "1600 forest draws over 8 q values of at least 9.667e+05 walk steps each "
+         "(the larger of 9.667e+05 expected"),
+        # two counts of 600,000 draws each, of 1,000 steps
+        (["ssl", "--graph", "@graph", "--labels", "@labels", "--labels-per-class", "1,1",
+          "--repeats", "1000", "--n-samples", "600"],
+         "1200000 forest draws of at least 1000 walk steps each (the larger of 4 expected"),
+    ], ids=["denoise", "ssl"])
+    def test_a_run_past_the_budget_as_a_whole_is_refused_up_front(self, tmp_path, capsys,
+                                                                   monkeypatch, command,
+                                                                   message):
+        import rsfsmooth.estimators
+        import rsfsmooth.experiments
+        import rsfsmooth.ssl
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a forest was drawn or a system solved")
+
+        for module in (rsfsmooth.experiments, rsfsmooth.ssl):
+            monkeypatch.setattr(module, "solve_exact_cg", no_work)
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_work)
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("0,0\n1,1\n2,0\n3,1\n")
+        files = {"@graph": c4_file(tmp_path), "@labels": str(lpath)}
+        out = tmp_path / "out.csv"
+        assert run([*(files.get(a, a) for a in command), "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert message in err[0] and err[0].endswith("exceed the step budget of 1e+09")
+        assert not out.exists()
+
     # every vertex takes a step, so 3e8 draws on 4 vertices need 1.2e9
     # steps; the old floor 1 + sum(d)/sum(q) = 3 admitted them
     def test_draws_of_one_step_per_vertex_past_the_budget_are_refused(self, tmp_path,

@@ -9,8 +9,7 @@ from rsfsmooth import (AlphaStrategy, DataError, Graph, MonteCarloAccumulator,
                        enumerate_forests, exact_estimator_moments, forest_rng, gen_graph,
                        gradient_step, resolve_alpha, run_monte_carlo, safe_alpha,
                        sample_forest, xbar_from_forest)
-import rsfsmooth.estimators
-from rsfsmooth.estimators import accumulate_forests
+from rsfsmooth.estimators import accumulate_forests, check_draw_budget
 from rsfsmooth.oracle import forest_trees, in_enumeration_reach, solve_exact_dense
 
 from conftest import adjacency, enumeration_corpus, path_graph, random_connected_graph
@@ -382,25 +381,35 @@ def regular20k():
     return gen_graph("regular", n=20000, d=10, seed=0)
 
 
-class FirstDraw(Exception):
-    """Raised in place of the first forest draw of an admitted run."""
-
-
 # a draw takes at least n expected walk steps, so a run holds at most
 # 1e9 / n draws: 50,000 on the 20,000-vertex 10-regular graph at q = 1,
 # where 1 + sum(d)/sum(q) = 11 alone admitted about 9e7
 @pytest.mark.parametrize("passes, n_samples, admitted", [
     (2, 10, True), (5, 1000, True), (50, 1000, True), (50001, 1, False),
     (100, 1000, False)])
-def test_run_cap_on_a_20000_vertex_graph(monkeypatch, regular20k, passes, n_samples,
-                                         admitted):
-    def first_draw(*args, **kwargs):
-        raise FirstDraw
+def test_run_cap_on_a_20000_vertex_graph(regular20k, passes, n_samples, admitted):
+    q = SmoothingProblem(regular20k, np.zeros(regular20k.n), 1.0).q
+    # one pair of all the passes' draws, and one pair per pass, are one run
+    for runs in ([(q, passes * n_samples)], [(q, n_samples)] * passes):
+        if admitted:
+            check_draw_budget(regular20k, runs)
+        else:
+            with pytest.raises(NumericalError, match="exceed the step budget"):
+                check_draw_budget(regular20k, runs)
 
-    monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", first_draw)
-    problem = SmoothingProblem(regular20k, np.zeros(regular20k.n), 1.0)
-    with pytest.raises(FirstDraw if admitted else NumericalError):
-        accumulate_forests(problem, n_samples, seed=0, passes=passes)
+
+def test_draw_budget_sums_a_runs_q_values():
+    g = gen_graph("grid", rows=1, cols=10)  # sum(d) = 18: q = 1e-8 charges 1.8e8 a draw
+    check_draw_budget(g, [(1.0, 5), (1e-8, 5)])  # 5,000 + 9e8 steps
+    with pytest.raises(NumericalError) as err:
+        check_draw_budget(g, [(1.0, 5), (np.full(10, 1e-8), 6)])  # 5,000 + 1.08e9
+    assert str(err.value) == (
+        "11 forest draws over 2 q values of at least 1000 to 1.8e+08 walk steps each "
+        "(the larger of 10 to 1.8e+08 expected and a draw's fixed cost of 1000) exceed "
+        "the step budget of 1e+09")
+    # a count past any float is compared, not multiplied
+    with pytest.raises(NumericalError, match=f"^{10**400 + 1} forest draws over 2 q values"):
+        check_draw_budget(g, [(1.0, 10**400), (1.0, 1)])
 
 
 class TestRunMonteCarlo:

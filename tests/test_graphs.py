@@ -685,21 +685,6 @@ def test_grid_is_its_from_edges_twin(rows, cols):
                       Graph.from_edges(rows * cols, grid_edges(rows, cols)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(
-    st.lists(st.integers(-3, 3), max_size=200),  # many repeats, long enough for SIMD sorts
-    st.lists(st.integers(-2**63, 2**63 - 1), max_size=40),
-    st.tuples(st.integers(-2**63, 2**63 - 1), st.integers(0, 100)).map(
-        lambda pair: [pair[0]] * pair[1])))  # all equal
-@example([])  # a 0-regular complement pairs no stubs
-@example([5])
-def test_first_occurrences_are_those_of_np_unique(keys):
-    keys = np.array(keys, dtype=np.int64)
-    got = graphs._first_occurrences(keys)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.unique(keys, return_index=True)[1])
-
-
 def repeats_reference(keys):
     """Whether each entry of keys equals an earlier one, from the first
     indices np.unique gives."""

@@ -240,6 +240,25 @@ def test_only_accumulate_forests_feeds_an_accumulator():
     assert constructs == {"estimators.accumulate_forests"}
 
 
+def test_only_the_monte_carlo_run_and_the_estimator_table_take_the_gradient_step():
+    # every reference to gradient_step, by enclosing function: a run steps
+    # through run_monte_carlo (ssl_forest too), and the experiments' table of
+    # estimators through forest_estimates, so no second stepping path returns
+    users = package_scopes(lambda node: names(node, "gradient_step")
+                           and not isinstance(node, ast.alias))
+    assert users == {"estimators.run_monte_carlo", "estimators.forest_estimates"}
+
+
+def test_only_the_refusal_rule_reads_a_draws_fixed_cost():
+    # every read of DRAW_FIXED_STEPS, by enclosing function: the rule that
+    # refuses a run past the step budget is stated once, for every command
+    def reads(node):
+        return (names(node, "DRAW_FIXED_STEPS") and not isinstance(node, ast.alias)
+                and not isinstance(getattr(node, "ctx", None), ast.Store))
+
+    assert package_scopes(reads) == {"estimators.check_draw_budget"}
+
+
 def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
     # every reference to Graph._from_csr, by enclosing function. It checks
     # nothing, so the file inputs reach it only through from_edges, and the

@@ -770,6 +770,15 @@ class TestSignalBlocks:
             apply_K_inverse(problem, np.zeros((12, 3)))
 
 
+    # CG solves one signal; the classes of ssl_exact go column by column
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_cg_refuses_a_block_in_one_line(self, k):
+        g = gen_graph("grid", rows=2, cols=2)
+        problem = SmoothingProblem(g, np.arange(4.0 * k).reshape(4, k), 1.0)
+        with pytest.raises(DataError) as err:
+            solve_exact_cg(problem)
+        assert str(err.value) == f"CG solves one signal at a time, not a block of shape (4, {k})"
+
 class TestApplyKInverse:
     def test_p3_worked_case(self, p3):
         problem = SmoothingProblem(p3, np.array([8.0, 0.0, 0.0]), 1.0)
