@@ -21,9 +21,10 @@ from .signals import PSNR_CONVENTION, load_signal, synthetic_signal
 # by the commands that run them, so a process loads only what its command
 # uses.
 
-SYNTHETIC_KINDS = ("gaussian", "smooth", "constant")
-GENERATOR_KEYS = ("n", "d", "k", "rows", "cols")
-SIGNAL_KEYS = ("modes", "value")
+# the keys each generator model and each synthetic signal kind takes
+GENERATOR_KEYS = {"regular": ("n", "d"), "barabasi_albert": ("n", "k"), "ba": ("n", "k"),
+                  "grid": ("rows", "cols", "n"), "knn": ("k",)}
+SIGNAL_KEYS = {"gaussian": (), "smooth": (), "constant": ("value",)}
 
 
 def _parse_kv(text, what, keys):
@@ -36,8 +37,7 @@ def _parse_kv(text, what, keys):
         key, val = part.split("=", 1)
         key = key.strip()
         if key not in keys:
-            raise DataError(f"unknown {what} parameter {key!r} "
-                            f"(expected one of {', '.join(keys)})")
+            raise DataError(f"unknown {what} key {key!r} (it takes {', '.join(keys) or 'none'})")
         try:
             params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
         except ValueError:
@@ -47,7 +47,10 @@ def _parse_kv(text, what, keys):
 
 def _parse_gen_spec(spec):
     name, _, rest = spec.partition(":")
-    return name.strip(), _parse_kv(rest, "generator", GENERATOR_KEYS)
+    name = name.strip()
+    if name not in GENERATOR_KEYS:  # gen_graph refuses the model by name
+        return name, {}
+    return name, _parse_kv(rest, f"{name} generator", GENERATOR_KEYS[name])
 
 
 def _pow10(e):
@@ -104,8 +107,8 @@ def _resolve_graph(args):
 def _resolve_signal(args, graph):
     spec = args.signal
     name, _, rest = spec.partition(":")
-    if name in SYNTHETIC_KINDS:
-        params = _parse_kv(rest, "signal", SIGNAL_KEYS)
+    if name in SIGNAL_KEYS:
+        params = _parse_kv(rest, f"{name} signal", SIGNAL_KEYS[name])
         return synthetic_signal(graph, name, seed=args.seed, **params)
     return load_signal(spec, graph.n)
 
@@ -329,7 +332,7 @@ def build_parser():
     p = sub.add_parser("exact", help="exact smoothing x_hat = K y")
     _add_graph_source(p)
     p.add_argument("--signal", required=True,
-                   help="signal file, or gaussian | smooth[:modes=M] | constant[:value=V]")
+                   help="signal file, or gaussian | smooth | constant[:value=V]")
     p.add_argument("--q", type=float, required=True, help="regularization weight")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_common_out(p)

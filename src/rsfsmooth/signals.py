@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError
 from .graphs import _read_table, _repeats
-from .linalg import DENSE_LIMIT, LaplacianOperator
+from .linalg import SmoothingProblem, solve_exact_cg
 
 PSNR_MSE_FLOOR = 1e-15
 PSNR_CONVENTION = ("psnr = 10 log10(peak^2 / mse), peak = max|clean signal|, "
@@ -38,33 +39,27 @@ def load_signal(path, n):
     return value
 
 
-def synthetic_signal(graph, kind, seed=0, modes=3, value=1.0):
+def synthetic_signal(graph, kind, seed=0, value=1.0):
     """Generate a deterministic test signal on the graph's nodes.
 
-    kind "gaussian": standard normal per node. kind "smooth" (n <=
-    DENSE_LIMIT): a low-frequency combination of the first few nontrivial
-    Laplacian eigenvectors, scaled to peak amplitude 1. kind "constant":
-    all nodes equal to `value`.
+    kind "gaussian": standard normal per node. kind "smooth": the
+    gaussian of the same seed, minus its mean, smoothed by K at q = 0.01
+    times the mean degree (one CG solve) and scaled to peak amplitude 1.
+    kind "constant": all nodes equal to `value`.
     """
     n = graph.n
     if kind == "gaussian":
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x516)))
         return rng.standard_normal(n)
     if kind == "smooth":
-        if n > DENSE_LIMIT:
-            raise DataError(f"smooth signal needs n <= {DENSE_LIMIT} "
-                            f"(a dense eigendecomposition), got n={n}")
-        if not float(modes).is_integer() or not 1 <= modes < n:
-            raise DataError(f"smooth signal needs an integer 1 <= modes < n, got {modes}")
-        modes = int(modes)
-        L = LaplacianOperator(graph).dense()
-        _, vecs = np.linalg.eigh(L)
-        x = np.zeros(n)
-        for i in range(1, modes + 1):
-            u = vecs[:, i]
-            if u[np.argmax(np.abs(u))] < 0:  # fix eigenvector sign
-                u = -u
-            x += u / i
+        if n < 2:
+            raise DataError("smooth signal needs n >= 2")
+        # both means in the kernels' fixed lanes, and K by CG: one result on every CPU
+        dot, ones = _native.kernels().dot, np.ones(n)
+        g = synthetic_signal(graph, "gaussian", seed)
+        g -= dot(g, ones) / n
+        q = 0.01 * dot(np.array(graph.degrees), ones) / n
+        x, _ = solve_exact_cg(SmoothingProblem(graph, g, q))
         return x / np.max(np.abs(x))
     if kind == "constant":
         return np.full(n, float(value))

@@ -426,10 +426,24 @@ class TestExitCodes:
                     "--n-samples", "2", "--repeats", "1", "--out", str(out)]) == 3
         assert not out.exists()
 
-    def test_unknown_generator_key_is_data_error(self, tmp_path):
-        out = tmp_path / "g.txt"
-        assert run(["gen-graph", "--gen", "regular:n=10,d=3,x=1", "--out", str(out)]) == 3
-        assert not out.exists()
+    def test_unknown_generator_key_is_data_error(self, tmp_path, capsys):
+        # each generator and each synthetic kind takes only its own keys,
+        # and a foreign one is refused in one line that names it
+        out = tmp_path / "x.csv"
+        cases = [
+            (["gen-graph", "--gen", "regular:n=10,d=3,x=1"], "x"),
+            (["gen-graph", "--gen", "regular:n=10,d=3,k=2"], "k"),
+            (["gen-graph", "--gen", "grid:rows=2,cols=3,d=4"], "d"),
+            (["gen-graph", "--gen", "ba:n=10,k=2,rows=4"], "rows"),
+            *((["exact", "--gen", "grid:rows=2,cols=3", "--signal", spec, "--q", "1"], key)
+              for spec, key in [("gaussian:value=3", "value"), ("smooth:value=7", "value"),
+                                ("constant:modes=2", "modes")]),
+        ]
+        for argv, key in cases:
+            assert run([*argv, "--out", str(out)]) == 3, argv
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and f"key {key!r}" in err[0], (argv, err)
+            assert not out.exists()
 
     def test_unknown_signal_key_is_data_error(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -437,20 +451,20 @@ class TestExitCodes:
                     "--q", "1.0", "--out", str(out)]) == 3
         assert not out.exists()
 
-    def test_non_integer_modes_is_data_error(self, tmp_path):
+    def test_smooth_modes_is_an_unknown_key(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        assert run(["exact", "--gen", "grid:rows=3,cols=3", "--signal", "smooth:modes=2.5",
+        assert run(["exact", "--gen", "grid:rows=3,cols=3", "--signal", "smooth:modes=2",
                     "--q", "1.0", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: unknown smooth signal key 'modes' (it takes none)"]
         assert not out.exists()
 
-    def test_smooth_signal_past_the_dense_limit_is_data_error(self, tmp_path, capsys):
+    def test_smooth_signal_on_a_grid_of_2500_vertices_runs(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(["exact", "--gen", "grid:rows=50,cols=50", "--signal", "smooth",
-                    "--q", "1", "--out", str(out)]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: smooth signal needs n <= 2000 (a dense eigendecomposition), "
-                       "got n=2500"]
-        assert not out.exists()
+                    "--q", "1", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2500
 
     @pytest.mark.parametrize("grid", ["nan", "lin:0,inf,3"])
     def test_non_finite_alpha_grid_is_data_error(self, tmp_path, grid):

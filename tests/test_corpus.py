@@ -51,6 +51,11 @@ ROWS = {
     "exact-grid300": (
         "exact --gen grid:rows=300,cols=300 --signal gaussian --q 0.001",
         "67cdc53a721cc6ded8d72b06deb42c1d4e05671c3093b07f98c39da4d2db14b1"),
+    # the smooth signal, one CG solve of its own, past the n <= 2000 that
+    # the dense eigendecomposition it replaced was refused above
+    "exact-smooth-grid50": (
+        "exact --gen grid:rows=50,cols=50 --signal smooth --q 0.1",
+        "a854d2f0229d7a436fc6505517a16c9193c705f211899e60ff1b35a62c1b0c6f"),
     "exact-ba": (
         "exact --gen barabasi_albert:n=3000,k=3 --signal gaussian --q 0.001",
         "b3d268cf3a3f3cab58f986b68965a62cf227beada433604d37740fed1d7a17c4"),

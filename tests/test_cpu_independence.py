@@ -20,8 +20,9 @@ import rsfsmooth
 from test_corpus import ROWS
 
 # the corpus rows that pass through CG, its multigrid (bound 8001 on the
-# 100 x 100 grid) and the sampled estimators
-NAMES = ("exact-grid30", "exact-multigrid", "sweep-grid20", "smooth-empirical")
+# 100 x 100 grid), the smooth synthetic signal and the sampled estimators
+NAMES = ("exact-grid30", "exact-multigrid", "exact-smooth-grid50", "sweep-grid20",
+         "smooth-empirical")
 
 # runs every row and prints one "name sha256" line each
 SCRIPT = """

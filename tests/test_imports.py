@@ -30,15 +30,16 @@ def fresh_python(code, *args, **env):
 
 def command_runs(tmp_path):
     """One argv of each command on a 4-cycle, `exact` first: also where a
-    command builds the dense Laplacian (a smooth signal, the oracle step
-    size) or enumerates forests (sweep-alpha on a tiny graph)."""
+    command builds the dense Laplacian (the oracle step size), solves for
+    its signal (a smooth one) or enumerates forests (sweep-alpha on a tiny
+    graph)."""
     gpath, labels = tmp_path / "c4.txt", tmp_path / "labels.csv"
     gpath.write_text("0 1\n1 2 0.5\n2 3\n3 0 2\n")
     labels.write_text("0,0\n1,0\n2,1\n3,1\n")
     graph = ["--graph", str(gpath)]
     runs = [
         ["exact", *graph, "--signal", "gaussian", "--q", "1"],
-        ["smooth", *graph, "--signal", "smooth:modes=1", "--q", "1", "--n-samples", "3"],
+        ["smooth", *graph, "--signal", "smooth", "--q", "1", "--n-samples", "3"],
         ["smooth", *graph, "--signal", "gaussian", "--q", "1", "--alpha", "oracle"],
         ["sweep-alpha", *graph, "--q", "1", "--alpha-grid", "lin:0,1,3", "--n-samples", "4",
          "--realizations", "2"],
@@ -284,6 +285,25 @@ def test_only_the_knn_generator_imports_scipy():
         return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
 
     assert package_scopes(imports_scipy) == {"graphs._knn_edges"}
+
+
+def test_only_the_oracle_calls_numpy_linalg():
+    # every reference to np.linalg or numpy.linalg, by enclosing scope:
+    # the run path solves with the package's own CG and Cholesky loops,
+    # whose sums are fixed, so no output depends on the LAPACK kernel
+    def linalg(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "linalg" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.linalg") for alias in node.names)
+        return (isinstance(node, ast.ImportFrom)
+                and ((node.module or "").startswith("numpy.linalg")
+                     or node.module == "numpy" and any(a.name == "linalg" for a in node.names)))
+
+    users = package_scopes(linalg)
+    assert users, "the guard found no reference at all"
+    assert {scope.split(".")[0] for scope in users} == {"oracle"}, users
 
 
 def test_only_the_oracle_names_the_enumeration_limits():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rsfsmooth import DataError, LaplacianOperator, load_signal, psnr, synthetic_signal
+from rsfsmooth import (DataError, LaplacianOperator, SmoothingProblem, _native, _twins,
+                       gen_graph, load_signal, psnr, solve_exact_cg, synthetic_signal)
 
-from conftest import path_graph, random_connected_graph
+from conftest import path_graph, random_connected_graph, using_kernels
 
 
 class TestLoadSignal:
@@ -46,7 +47,7 @@ class TestSynthetic:
 
     def test_smooth_has_unit_peak_and_low_frequency(self):
         g = random_connected_graph(40, extra_edges=60, rng=np.random.default_rng(1))
-        x = synthetic_signal(g, "smooth", modes=3)
+        x = synthetic_signal(g, "smooth")
         assert np.max(np.abs(x)) == pytest.approx(1.0)
         lap = LaplacianOperator(g)
         rng = np.random.default_rng(2)
@@ -63,9 +64,29 @@ class TestSynthetic:
         with pytest.raises(DataError, match="unknown"):
             synthetic_signal(path_graph(3), "sawtooth")
 
-    def test_bad_modes(self):
-        with pytest.raises(DataError, match="modes"):
-            synthetic_signal(path_graph(3), "smooth", modes=5)
+    def test_smooth_needs_two_vertices(self):
+        with pytest.raises(DataError, match=r"^smooth signal needs n >= 2$"):
+            synthetic_signal(path_graph(1), "smooth")
+        x = synthetic_signal(path_graph(2), "smooth")  # the centred pair, shrunk by K
+        assert np.max(np.abs(x)) == 1.0 and x[0] == pytest.approx(-x[1])
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["compiled", "twins"])
+    def test_smooth_is_the_centred_gaussian_through_K(self, twins):
+        # K at q = 0.01 times the mean degree, both means summed in the
+        # kernels' lanes, scaled to peak 1: bit for bit, under either set
+        chosen = _twins.TWINS if twins else _native.compiled()
+        if chosen is None:
+            pytest.skip("the compiled loops cannot be built here")
+        g = gen_graph("barabasi_albert", n=300, k=3, seed=2)
+        with using_kernels(chosen):
+            ones = np.ones(g.n)
+            y = synthetic_signal(g, "gaussian", seed=7)
+            y = y - chosen.dot(y, ones) / g.n
+            q = 0.01 * chosen.dot(np.array(g.degrees), ones) / g.n
+            x, _ = solve_exact_cg(SmoothingProblem(g, y, q))
+            expected = x / np.max(np.abs(x))
+            assert np.array_equal(synthetic_signal(g, "smooth", seed=7), expected)
+        assert not np.array_equal(synthetic_signal(g, "smooth", seed=8), expected)
 
 
 class TestPsnr:
