@@ -13,18 +13,14 @@ import sys
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graphs import gen_graph, load_graph, load_positions, save_graph
+from .graphs import (GENERATOR_KEYS, check_keys, gen_graph, load_graph, load_positions,
+                     save_graph)
 from .linalg import SmoothingProblem, solve_exact_cg
-from .signals import PSNR_CONVENTION, load_signal, synthetic_signal
+from .signals import PSNR_CONVENTION, SIGNAL_KEYS, load_signal, synthetic_signal
 
 # The estimators, the experiment drivers and the classifier are imported
 # by the commands that run them, so a process loads only what its command
 # uses.
-
-# the keys each generator model and each synthetic signal kind takes
-GENERATOR_KEYS = {"regular": ("n", "d"), "barabasi_albert": ("n", "k"), "ba": ("n", "k"),
-                  "grid": ("rows", "cols", "n"), "knn": ("k",)}
-SIGNAL_KEYS = {"gaussian": (), "smooth": (), "constant": ("value",)}
 
 
 def _parse_kv(text, what, keys):
@@ -36,8 +32,7 @@ def _parse_kv(text, what, keys):
             raise DataError(f"bad {what} parameter {part!r} (expected key=value)")
         key, val = part.split("=", 1)
         key = key.strip()
-        if key not in keys:
-            raise DataError(f"unknown {what} key {key!r} (it takes {', '.join(keys) or 'none'})")
+        check_keys(what, [key], keys)
         try:
             params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
         except ValueError:
@@ -260,7 +255,6 @@ def cmd_denoise(args):
 
 
 def cmd_ssl(args):
-    from .estimators import check_draw_budget
     from .ssl import SSLProblem, accuracy_experiment, load_labels
 
     g = _resolve_graph(args)
@@ -272,12 +266,8 @@ def cmd_ssl(args):
         raise DataError(f"cannot parse --labels-per-class {args.labels_per_class!r}") from None
     if not counts:
         raise DataError("--labels-per-class needs at least one count")
-    # the whole run, every count's repeats together, before its first solve or draw
-    check_draw_budget(g, [(problem.absorption(), len(counts) * args.repeats * args.n_samples)])
-    rows = []
-    for m in counts:
-        rows.extend(accuracy_experiment(problem, m, args.repeats,
-                                        n_samples=args.n_samples, seed=args.seed))
+    rows = accuracy_experiment(problem, counts, args.repeats, n_samples=args.n_samples,
+                               seed=args.seed)
     if args.format == "json":
         _write_json(args.out, {"rows": rows})
     else:

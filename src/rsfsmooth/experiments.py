@@ -92,8 +92,8 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     rows = []
     for qi, qv in enumerate(q_grid):
         problem = SmoothingProblem(graph, y, float(qv))
-        xhat, _ = solve_exact_cg(problem)
         acc, _ = accumulate_forests(problem, n_samples, derive_seed(seed, 5, qi))
+        xhat, _ = solve_exact_cg(problem)
         rows.append({
             "q": float(qv),
             "psnr_noisy": psnr_noisy,

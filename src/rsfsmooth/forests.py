@@ -2,11 +2,13 @@
 
 `sample_forest` draws a rooted spanning forest with probability
 proportional to prod_{edges} w(e) * prod_{roots} q_root, using
-loop-erased random walks killed at rate q; `_tree_averages` averages a
-signal over the trees of a forest. The walk is the `wilson` loop of
-`_native.kernels()`: a small C kernel, or where that cannot be built, a
-Python loop that draws the same forests. The exhaustive enumeration of
-the same distribution on tiny graphs lives in `rsfsmooth.oracle`.
+loop-erased random walks killed at rate q. The walk is the `wilson` loop
+of `_native.kernels()`: a small C kernel, or where that cannot be built, a
+Python loop that draws the same forests. The estimator's tree averages
+are that set's `tree_averages` kernel; `_tree_averages` here is their
+numpy reference, which the Python twins (`_twins`) and the enumeration
+oracle use. The exhaustive enumeration of the same distribution on tiny
+graphs lives in `rsfsmooth.oracle`.
 """
 
 import math

@@ -452,6 +452,18 @@ def _int_param(value, name):
     return int(value)
 
 
+# the keys each generator model takes
+GENERATOR_KEYS = {"regular": ("n", "d"), "barabasi_albert": ("n", "k"), "ba": ("n", "k"),
+                  "grid": ("rows", "cols", "n"), "knn": ("k",)}
+
+
+def check_keys(what, keys, takes):
+    """Refuse the first of `keys` that `takes` does not list."""
+    for key in keys:
+        if key not in takes:
+            raise DataError(f"unknown {what} key {key!r} (it takes {', '.join(takes) or 'none'})")
+
+
 def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
               coords=None):
     """Generate a connected graph from a named random or deterministic model.
@@ -461,6 +473,7 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
     model : str
         One of "regular" (d-regular, needs `d`), "barabasi_albert" (needs
         `k`), "grid" (needs `rows`, `cols`), "knn" (needs `coords`, `k`).
+        A key the model does not take (`GENERATOR_KEYS`) is refused.
     n : int
         Vertex count (derived from the model parameters for grid/knn).
     seed : int
@@ -468,11 +481,12 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
         seed-derived streams until connected, up to a bounded number of
         attempts.
     """
-    n = _int_param(n, "n")
-    d = _int_param(d, "d")
-    k = _int_param(k, "k")
-    rows = _int_param(rows, "rows")
-    cols = _int_param(cols, "cols")
+    if model not in GENERATOR_KEYS:
+        raise DataError(f"unknown graph model {model!r}")
+    params = {"n": n, "d": d, "k": k, "rows": rows, "cols": cols}
+    check_keys(f"{model} generator", [key for key, v in params.items() if v is not None],
+               GENERATOR_KEYS[model])
+    n, d, k, rows, cols = (_int_param(value, key) for key, value in params.items())
     if model == "regular":
         if n is None or d is None:
             raise DataError("regular model needs n and d")
@@ -509,4 +523,3 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
         if k < 1 or k >= len(coords):
             raise DataError(f"infeasible knn graph: k={k}, {len(coords)} points")
         return _unit_graph(len(coords), *_knn_edges(coords, k))
-    raise DataError(f"unknown graph model {model!r}")

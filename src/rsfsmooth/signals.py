@@ -6,7 +6,7 @@ import numpy as np
 
 from . import _native
 from .errors import DataError, NumericalError
-from .graphs import _read_table, _repeats
+from .graphs import _read_table, _repeats, check_keys
 from .linalg import SmoothingProblem, solve_exact_cg
 
 PSNR_MSE_FLOOR = 1e-15
@@ -39,14 +39,22 @@ def load_signal(path, n):
     return value
 
 
-def synthetic_signal(graph, kind, seed=0, value=1.0):
+# the keys each synthetic signal kind takes
+SIGNAL_KEYS = {"gaussian": (), "smooth": (), "constant": ("value",)}
+
+
+def synthetic_signal(graph, kind, seed=0, value=None):
     """Generate a deterministic test signal on the graph's nodes.
 
     kind "gaussian": standard normal per node. kind "smooth": the
     gaussian of the same seed, minus its mean, smoothed by K at q = 0.01
     times the mean degree (one CG solve) and scaled to peak amplitude 1.
-    kind "constant": all nodes equal to `value`.
+    kind "constant": all nodes equal to `value`, 1 by default. A key the
+    kind does not take (`SIGNAL_KEYS`) is refused.
     """
+    if kind not in SIGNAL_KEYS:
+        raise DataError(f"unknown synthetic signal kind {kind!r}")
+    check_keys(f"{kind} signal", [] if value is None else ["value"], SIGNAL_KEYS[kind])
     n = graph.n
     if kind == "gaussian":
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x516)))
@@ -61,9 +69,7 @@ def synthetic_signal(graph, kind, seed=0, value=1.0):
         q = 0.01 * dot(np.array(graph.degrees), ones) / n
         x, _ = solve_exact_cg(SmoothingProblem(graph, g, q))
         return x / np.max(np.abs(x))
-    if kind == "constant":
-        return np.full(n, float(value))
-    raise DataError(f"unknown synthetic signal kind {kind!r}")
+    return np.full(n, 1.0 if value is None else float(value))  # constant
 
 
 def psnr(clean, estimate, peak=None):

@@ -8,7 +8,7 @@ take the k signals as one problem: each forest serves every class.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,50 +143,53 @@ def ssl_forest(problem, n_samples, strategy, seed=0):
 def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0):
     """Mean/std holdout accuracy per method over random labeled sets.
 
-    Each repeat samples `labels_per_class` labeled vertices per class
-    uniformly without replacement from the ground-truth labels of
-    `problem`, classifies with every method (one forest pass per repeat
-    serves all three forest methods), and scores on the unlabeled
-    remainder. The methods are "exact" and the estimators of
-    `forest_estimates`; where one is absent by design (the empirical step
-    at n_samples = 1) its mean_acc and std_acc are None.
+    For each count m of `labels_per_class` (one count or a list), each
+    repeat samples m labeled vertices per class uniformly without
+    replacement from the ground-truth labels of `problem`, classifies with
+    every method (one forest pass per repeat serves all three forest
+    methods), and scores on the unlabeled remainder. The methods are
+    "exact" and the estimators of `forest_estimates`; where one is absent
+    by design (the empirical step at n_samples = 1) its mean_acc and
+    std_acc are None. The table's draws are charged, and every count
+    checked, before its first solve or draw.
 
-    Returns a list of row dicts: {m, method, mean_acc, std_acc}.
+    Returns a list of row dicts, count by count: {m, method, mean_acc, std_acc}.
     """
-    m = int(labels_per_class)
-    if m < 1:
-        raise DataError("labels_per_class must be >= 1")
-    if repeats < 1:
+    counts = [int(m) for m in np.atleast_1d(labels_per_class)]
+    if repeats < 1:  # before the charge, which negative repeats and samples make positive
         raise DataError(f"repeats must be >= 1, got {repeats}")
-    if m * problem.k > problem.graph.n:
-        raise DataError("labels_per_class exceeds the vertex budget")
+    check_draw_budget(problem.graph, [(problem.absorption(), len(counts) * repeats * n_samples)])
     members = [np.flatnonzero(problem.labels == c) for c in range(problem.k)]
-    for c, mem in enumerate(members):
-        if len(mem) < m:
-            raise DataError(f"class {c} has {len(mem)} members, fewer than m={m}")
-    if all(len(mem) == m for mem in members):
-        raise DataError(f"no held-out vertex: every labeled vertex would be among "
-                        f"the m={m} per class")
-    check_draw_budget(problem.graph, [(problem.absorption(), repeats * n_samples)])
+    for m in counts:
+        if m < 1:
+            raise DataError("labels_per_class must be >= 1")
+        if m * problem.k > problem.graph.n:
+            raise DataError("labels_per_class exceeds the vertex budget")
+        for c, mem in enumerate(members):
+            if len(mem) < m:
+                raise DataError(f"class {c} has {len(mem)} members, fewer than m={m}")
+        if all(len(mem) == m for mem in members):
+            raise DataError(f"no held-out vertex: every labeled vertex would be among "
+                            f"the m={m} per class")
 
-    scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
-    for r in range(repeats):
-        pick_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 1, r)))
-        labeled = np.concatenate([
-            pick_rng.choice(mem, size=m, replace=False) for mem in members
-        ])
-        sub = SSLProblem(graph=problem.graph, labels=problem.labels,
-                         mu=problem.mu, sigma=problem.sigma, labeled_set=labeled)
-        scores["exact"].append(ssl_exact(sub).accuracy)
-        sp = _class_problem(sub)
-        acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
-        for name, x in forest_estimates(sp, acc).items():
-            if x is not None:
-                scores[name].append(_finish(sub, x, {}).accuracy)
-    return [{"m": m, "method": method,
-             "mean_acc": float(np.mean(values)) if values else None,
-             "std_acc": float(np.std(values)) if values else None}
-            for method, values in scores.items()]
+    rows = []
+    for m in counts:
+        scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
+        for r in range(repeats):
+            pick = np.random.default_rng(np.random.SeedSequence((int(seed), 1, r))).choice
+            labeled = np.concatenate([pick(mem, size=m, replace=False) for mem in members])
+            sub = replace(problem, labeled_set=labeled)
+            sp = _class_problem(sub)
+            acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
+            scores["exact"].append(ssl_exact(sub).accuracy)
+            for name, x in forest_estimates(sp, acc).items():
+                if x is not None:
+                    scores[name].append(_finish(sub, x, {}).accuracy)
+        rows += [{"m": m, "method": method,
+                  "mean_acc": float(np.mean(values)) if values else None,
+                  "std_acc": float(np.std(values)) if values else None}
+                 for method, values in scores.items()]
+    return rows
 
 
 def load_labels(path, n):

@@ -20,6 +20,24 @@ def adjacency(g):
     return sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
 
 
+def dense_k_inverse(g, q):
+    """K^{-1} = Q^{-1}(Q + L) as a dense matrix, by numpy's solver."""
+    W = adjacency(g).toarray()
+    L = np.diag(W.sum(axis=1)) - W
+    return np.linalg.solve(np.diag(q), np.diag(q) + L)
+
+
+def oracle_tree_averages(components, q, y):
+    """Brute-force per-tree weighted means, independent of the library path."""
+    out = np.empty(len(y))
+    for label in sorted(set(components.tolist())):
+        idx = [v for v in range(len(y)) if components[v] == label]
+        avg = sum(q[v] * y[v] for v in idx) / sum(q[v] for v in idx)
+        for v in idx:
+            out[v] = avg
+    return out
+
+
 def assert_same_graph(a, b):
     """a and b hold the same graph, field for field: n, m and d_max, and
     each array's dtype, shape and bytes; every array is read-only."""

@@ -21,24 +21,9 @@ from rsfsmooth.cli import run as cli_run
 from rsfsmooth.experiments import sweep_alpha
 from rsfsmooth.oracle import contraction_check, forest_edge_key, solve_exact_dense
 
-from conftest import (adjacency, cycle_graph, enumeration_corpus, path_graph,
-                      random_connected_graph, two_clique_graph)
-
-
-def dense_k_inverse(g, q):
-    W = adjacency(g).toarray()
-    L = np.diag(W.sum(axis=1)) - W
-    return np.linalg.solve(np.diag(q), np.diag(q) + L)
-
-
-def oracle_tree_averages(components, q, y):
-    out = np.empty(len(y))
-    for label in sorted(set(components.tolist())):
-        idx = [v for v in range(len(y)) if components[v] == label]
-        avg = sum(q[v] * y[v] for v in idx) / sum(q[v] for v in idx)
-        for v in idx:
-            out[v] = avg
-    return out
+from conftest import (adjacency, cycle_graph, dense_k_inverse, enumeration_corpus,
+                      oracle_tree_averages, path_graph, random_connected_graph,
+                      two_clique_graph)
 
 
 def test_criterion_01_matrix_forest_identity():

@@ -643,6 +643,41 @@ class TestExitCodes:
         assert message in err[0] and err[0].endswith("exceed the step budget of 1e+09")
         assert not out.exists()
 
+    # each command's checks end the run before its first CG solve: a row's
+    # or a repeat's forests are drawn before its exact solve, so zero draws
+    # are refused first, and every ssl count is checked before the first
+    # count runs (a count of 2 per class leaves no vertex of the 4-cycle out)
+    @pytest.mark.parametrize("command, message", [
+        (["denoise", "--signal", "gaussian", "--noise-std", "0.1", "--q-grid", "1,2",
+          "--n-samples", "0"], "error: n_samples must be >= 1"),
+        (["ssl", "--labels", "@labels", "--n-samples", "0", "--repeats", "2"],
+         "error: n_samples must be >= 1"),
+        (["ssl", "--labels", "@labels", "--labels-per-class", "1,2", "--repeats", "2"],
+         "error: no held-out vertex: every labeled vertex would be among the m=2 per class"),
+        # a negative count of repeats times a negative count of samples
+        # is no run of 10^12 draws
+        (["ssl", "--labels", "@labels", "--n-samples", "-1000000", "--repeats", "-1000000"],
+         "error: repeats must be >= 1, got -1000000"),
+    ], ids=["denoise-no-samples", "ssl-no-samples", "ssl-count-without-holdout",
+            "ssl-negative-repeats"])
+    def test_a_refused_run_solves_nothing(self, tmp_path, capsys, monkeypatch, command,
+                                          message):
+        import rsfsmooth.ssl
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a forest was drawn or a system solved")
+
+        for module in (rsfsmooth.experiments, rsfsmooth.ssl):
+            monkeypatch.setattr(module, "solve_exact_cg", no_work)
+        monkeypatch.setattr(rsfsmooth.estimators, "sample_forest", no_work)
+        lpath = tmp_path / "labels.csv"
+        lpath.write_text("0,0\n1,1\n2,0\n3,1\n")
+        out = tmp_path / "out.csv"
+        command = [str(lpath) if a == "@labels" else a for a in command]
+        assert run([*command, "--graph", c4_file(tmp_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     # every vertex takes a step, so 3e8 draws on 4 vertices need 1.2e9
     # steps; the old floor 1 + sum(d)/sum(q) = 3 admitted them
     def test_draws_of_one_step_per_vertex_past_the_budget_are_refused(self, tmp_path,

@@ -12,24 +12,8 @@ from rsfsmooth import (AlphaStrategy, DataError, Graph, MonteCarloAccumulator,
 from rsfsmooth.estimators import accumulate_forests, check_draw_budget
 from rsfsmooth.oracle import forest_trees, in_enumeration_reach, solve_exact_dense
 
-from conftest import adjacency, enumeration_corpus, path_graph, random_connected_graph
-
-
-def oracle_tree_averages(components, q, y):
-    """Brute-force per-tree weighted means, independent of the library path."""
-    out = np.empty(len(y))
-    for label in sorted(set(components.tolist())):
-        idx = [v for v in range(len(y)) if components[v] == label]
-        avg = sum(q[v] * y[v] for v in idx) / sum(q[v] for v in idx)
-        for v in idx:
-            out[v] = avg
-    return out
-
-
-def dense_k_inverse(g, q):
-    W = adjacency(g).toarray()
-    L = np.diag(W.sum(axis=1)) - W
-    return np.linalg.solve(np.diag(q), np.diag(q) + L)
+from conftest import (dense_k_inverse, enumeration_corpus, oracle_tree_averages,
+                      random_connected_graph)
 
 
 class TestXbar:

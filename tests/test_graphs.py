@@ -425,6 +425,20 @@ class TestGenerators:
         with pytest.raises(DataError, match="unknown graph model"):
             gen_graph("smallworld", n=10, seed=0)
 
+    @pytest.mark.parametrize("model, params, message", [
+        ("grid", {"rows": 2, "cols": 3, "d": 4}, "unknown grid generator key 'd' "
+                                                 "(it takes rows, cols, n)"),
+        ("ba", {"n": 10, "k": 2, "rows": 4}, "unknown ba generator key 'rows' (it takes n, k)"),
+        ("regular", {"n": 10, "d": 3, "k": 2}, "unknown regular generator key 'k' "
+                                               "(it takes n, d)"),
+        ("smallworld", {"rows": 4}, "unknown graph model 'smallworld'"),
+    ], ids=["grid", "ba", "regular", "unknown-model"])
+    def test_a_key_the_model_does_not_take_is_refused(self, model, params, message):
+        # the model is refused by name before its keys
+        with pytest.raises(DataError) as err:
+            gen_graph(model, seed=0, **params)
+        assert str(err.value) == message
+
 
 def unit_rows(lo, hi):
     """(u, v, 1.0) rows of the edges (lo[e], hi[e]), for `Graph.from_edges`."""

@@ -260,6 +260,16 @@ def test_only_the_refusal_rule_reads_a_draws_fixed_cost():
     assert package_scopes(reads) == {"estimators.check_draw_budget"}
 
 
+def test_only_the_run_drivers_check_the_draw_budget():
+    # every reference to check_draw_budget, by enclosing function: each run
+    # is charged once, by the one library call that runs it, so no command
+    # charges a run beside the driver it calls
+    users = package_scopes(lambda node: names(node, "check_draw_budget")
+                           and not isinstance(node, ast.alias))
+    assert users == {"estimators.run_monte_carlo", "experiments.sweep_alpha",
+                     "experiments.denoise_table", "ssl.accuracy_experiment"}
+
+
 def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
     # every reference to Graph._from_csr, by enclosing function. It checks
     # nothing, so the file inputs reach it only through from_edges, and the

@@ -60,6 +60,14 @@ class TestSynthetic:
         np.testing.assert_array_equal(synthetic_signal(g, "constant", value=2.5),
                                       np.full(4, 2.5))
 
+    def test_a_key_the_kind_does_not_take_is_refused(self):
+        g = path_graph(3)
+        for kind in ("gaussian", "smooth"):
+            with pytest.raises(DataError) as err:
+                synthetic_signal(g, kind, value=3)
+            assert str(err.value) == f"unknown {kind} signal key 'value' (it takes none)"
+        np.testing.assert_array_equal(synthetic_signal(g, "constant"), np.ones(3))
+
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown"):
             synthetic_signal(path_graph(3), "sawtooth")

@@ -222,6 +222,17 @@ class TestAccuracyExperiment:
         b = accuracy_experiment(p, 2, repeats=5, n_samples=10, seed=13)
         assert a == b
 
+    def test_a_list_of_counts_is_each_count_in_turn(self, clique_pair):
+        # each count keeps its own label picks and forest streams, so the
+        # table of two counts is the two one-count tables, bit for bit
+        g, labels = clique_pair
+        p = SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0)
+        both = accuracy_experiment(p, [1, 2], repeats=3, n_samples=4, seed=21)
+        apart = (accuracy_experiment(p, 1, repeats=3, n_samples=4, seed=21)
+                 + accuracy_experiment(p, 2, repeats=3, n_samples=4, seed=21))
+        assert [r["m"] for r in both] == [1] * 4 + [2] * 4
+        assert repr(both) == repr(apart)
+
     def test_class_too_small(self, clique_pair):
         g, labels = clique_pair
         sparse_labels = labels.copy()
