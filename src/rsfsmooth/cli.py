@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graphs import (GENERATOR_KEYS, check_keys, gen_graph, load_graph, load_positions,
-                     save_graph)
+from .forests import _seed
+from .graphs import gen_graph, load_graph, load_positions, save_graph
 from .linalg import SmoothingProblem, solve_exact_cg
 from .signals import PSNR_CONVENTION, SIGNAL_KEYS, load_signal, synthetic_signal
 
@@ -23,7 +23,7 @@ from .signals import PSNR_CONVENTION, SIGNAL_KEYS, load_signal, synthetic_signal
 # uses.
 
 
-def _parse_kv(text, what, keys):
+def _parse_kv(text, what):
     params = {}
     for part in text.split(","):
         if not part:
@@ -31,21 +31,11 @@ def _parse_kv(text, what, keys):
         if "=" not in part:
             raise DataError(f"bad {what} parameter {part!r} (expected key=value)")
         key, val = part.split("=", 1)
-        key = key.strip()
-        check_keys(what, [key], keys)
         try:
-            params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+            params[key.strip()] = float(val) if "." in val or "e" in val.lower() else int(val)
         except ValueError:
             raise DataError(f"bad {what} value {part!r}") from None
     return params
-
-
-def _parse_gen_spec(spec):
-    name, _, rest = spec.partition(":")
-    name = name.strip()
-    if name not in GENERATOR_KEYS:  # gen_graph refuses the model by name
-        return name, {}
-    return name, _parse_kv(rest, f"{name} generator", GENERATOR_KEYS[name])
 
 
 def _pow10(e):
@@ -89,23 +79,23 @@ def _parse_grid(text):
 
 
 def _resolve_graph(args):
-    name, params = _parse_gen_spec(args.gen or "")
+    name, _, rest = (args.gen or "").partition(":")
+    name = name.strip()
     if bool(args.coords) != (name == "knn"):
         raise DataError("--coords goes with --gen knn, and only with it")
     if getattr(args, "graph", None):
         return load_graph(args.graph)
+    params = _parse_kv(rest, f"{name} generator")
     if args.coords:
-        params["coords"] = load_positions(args.coords)
+        params.setdefault("coords", load_positions(args.coords))  # gen_graph refuses a spec's own
     return gen_graph(name, seed=args.seed, **params)
 
 
 def _resolve_signal(args, graph):
-    spec = args.signal
-    name, _, rest = spec.partition(":")
+    name, _, rest = args.signal.partition(":")
     if name in SIGNAL_KEYS:
-        params = _parse_kv(rest, f"{name} signal", SIGNAL_KEYS[name])
-        return synthetic_signal(graph, name, seed=args.seed, **params)
-    return load_signal(spec, graph.n)
+        return synthetic_signal(graph, name, seed=args.seed, **_parse_kv(rest, f"{name} signal"))
+    return load_signal(args.signal, graph.n)
 
 
 def _finite(v):
@@ -264,8 +254,6 @@ def cmd_ssl(args):
         counts = [int(v) for v in args.labels_per_class.split(",") if v]
     except ValueError:
         raise DataError(f"cannot parse --labels-per-class {args.labels_per_class!r}") from None
-    if not counts:
-        raise DataError("--labels-per-class needs at least one count")
     rows = accuracy_experiment(problem, counts, args.repeats, n_samples=args.n_samples,
                                seed=args.seed)
     if args.format == "json":
@@ -289,12 +277,9 @@ def _add_graph_source(p, gen_only=False):
 
 def _seed_value(text):
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
+        return _seed(int(text))
+    except ValueError:  # int()'s, or the rule's DataError
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
 
 
 def _add_out(p):

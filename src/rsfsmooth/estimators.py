@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, integer
 from .forests import DEFAULT_STEP_BUDGET, forest_rng, sample_forest, walk_steps_floor
 from .linalg import ZERO_VARIANCE_TOL, apply_K_inverse
 
@@ -52,6 +52,9 @@ class MonteCarloAccumulator:
     """
 
     def __init__(self, n, k=None):
+        n, k = integer(n, "n"), None if k is None else integer(k, "k")
+        if n < 1 or k is not None and k < 1:
+            raise DataError(f"an accumulator needs n >= 1 and k >= 1, got n={n}, k={k}")
         self.n, self.k = n, k
         self.count = 0
         shape = (n,) if k is None else (n, k)
@@ -114,6 +117,12 @@ class AlphaStrategy:
         empirical ratio, read from the samples; one where alpha is known."""
         return 2 if self.kind == "empirical" else 1
 
+    def check_samples(self, count):
+        """Refuse `count` samples where this step needs more than one and
+        more than `count`; below one, accumulate_forests refuses them."""
+        if self.min_samples > 1 and count < self.min_samples:
+            raise DataError(f"the {self.kind} step size needs >= {self.min_samples} samples")
+
     @classmethod
     def safe(cls):
         return cls(kind="safe_constant")
@@ -172,8 +181,7 @@ def resolve_alpha(strategy, problem, acc=None):
     for constant signals; the plain average is exact there and a gradient
     step has nothing to correct.
     """
-    if strategy.min_samples > 1 and (acc is None or acc.count < strategy.min_samples):
-        raise DataError(f"the {strategy.kind} step size needs >= {strategy.min_samples} samples")
+    strategy.check_samples(0 if acc is None else acc.count)
     k = problem.y.size // problem.graph.n
     if strategy.kind == "fixed":
         alpha, fallback = np.full(k, float(strategy.value)), np.zeros(k, dtype=bool)
@@ -258,6 +266,7 @@ def accumulate_forests(problem, n_samples, seed):
     of the three, whatever the number of columns. This is the package's
     only forest-sampling loop, reached after `check_draw_budget`.
     """
+    n_samples = integer(n_samples, "n_samples")
     if n_samples < 1:
         raise DataError("n_samples must be >= 1")
     g, q = problem.graph, problem.q
@@ -286,8 +295,11 @@ def run_monte_carlo(problem, n_samples, strategy, seed=0):
     sample mean (the step commutes with averaging, so this matches
     stepping every sample at a fraction of the cost). The empirical
     strategy resolves its step size from the same samples; the small
-    O(1/N) bias this introduces is flagged in the diagnostics.
+    O(1/N) bias this introduces is flagged in the diagnostics. A count of
+    samples the strategy cannot use is refused before the first draw.
     """
+    n_samples = integer(n_samples, "n_samples")
+    strategy.check_samples(n_samples)
     check_draw_budget(problem.graph, [(problem.q, n_samples)])
     acc, walk_steps = accumulate_forests(problem, n_samples, seed)
     alpha, fallback = resolve_alpha(strategy, problem, acc)

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, integer
 from .estimators import (AlphaStrategy, accumulate_forests, check_draw_budget,
                          forest_estimates, resolve_alpha, safe_alpha)
-from .forests import derive_seed
+from .forests import derive_seed, numpy_rng
 from .linalg import SmoothingProblem, apply_K_inverse, solve_exact_cg
 from .signals import psnr
 
@@ -27,6 +27,8 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
         raise DataError("alpha grid is empty")
     if not np.isfinite(alpha_grid).all():
         raise DataError(f"alpha grid values must be finite, got {alpha_grid.tolist()}")
+    n_samples = integer(n_samples, "n_samples")
+    realizations = integer(realizations, "realizations")
     empirical = AlphaStrategy.empirical()
     if realizations < 1 or n_samples < empirical.min_samples:
         raise DataError(f"need realizations >= 1 and n_samples >= {empirical.min_samples}")
@@ -83,8 +85,7 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     if not 0 <= noise_std < math.inf:
         raise DataError(f"noise standard deviation must be finite and >= 0, got {noise_std!r}")
     clean = np.asarray(clean, dtype=np.float64)
-    noise_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 4)))
-    y = clean + noise_std * noise_rng.standard_normal(graph.n)
+    y = clean + noise_std * numpy_rng(seed, 4).standard_normal(graph.n)
     peak = float(np.max(np.abs(clean)))
     psnr_noisy = psnr(clean, y, peak=peak)
     check_draw_budget(graph, [(qv, n_samples) for qv in q_grid])

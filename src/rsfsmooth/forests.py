@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, integer
 
 DEFAULT_STEP_BUDGET = 10**9
 
@@ -48,8 +48,19 @@ def forest_rng(seed, *key):
 
 def derive_seed(seed, *key):
     """A fresh integer seed derived from (seed, key), for nested runs."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=_seed(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(2, np.uint64)[0])
+
+
+def numpy_rng(seed, *key):
+    """numpy's generator keyed by (seed, key), the package's one numpy stream."""
+    return np.random.default_rng(np.random.SeedSequence((_seed(seed), *key)))
+
+
+def _seed(seed):  # the seed rule of both streams
+    if integer(seed, "seed") < 0:
+        raise DataError("seed must be non-negative")
+    return int(seed)
 
 
 @dataclass

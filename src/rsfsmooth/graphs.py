@@ -14,7 +14,8 @@ import warnings
 import numpy as np
 
 from . import _native
-from .errors import DataError
+from .errors import DataError, integer
+from .forests import numpy_rng
 
 MAX_CONNECTIVITY_RETRIES = 100
 MAX_PAIRING_ROUNDS = 1000
@@ -360,10 +361,6 @@ def load_positions(path):
     return np.column_stack([x, y])
 
 
-def _attempt_rng(seed, attempt):
-    return np.random.default_rng(np.random.SeedSequence((int(seed), attempt)))
-
-
 def _regular_edges(n, d, rng):
     """The edges (lo, hi), lo < hi, of a simple d-regular graph on n
     vertices, by the pairing model with repair.
@@ -444,38 +441,30 @@ def _knn_edges(coords, k):
     return keys // n, keys % n
 
 
-def _int_param(value, name):
-    if value is None:
-        return None
-    if not float(value).is_integer():
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 # the keys each generator model takes
 GENERATOR_KEYS = {"regular": ("n", "d"), "barabasi_albert": ("n", "k"), "ba": ("n", "k"),
-                  "grid": ("rows", "cols", "n"), "knn": ("k",)}
+                  "grid": ("rows", "cols", "n"), "knn": ("coords", "k")}
 
 
-def check_keys(what, keys, takes):
-    """Refuse the first of `keys` that `takes` does not list."""
-    for key in keys:
+def check_keys(what, params, takes):
+    """params less its keys passed as None; refuses any other `takes` lacks."""
+    params = {key: v for key, v in params.items() if v is not None}
+    for key in params:
         if key not in takes:
             raise DataError(f"unknown {what} key {key!r} (it takes {', '.join(takes) or 'none'})")
+    return params
 
 
-def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
-              coords=None):
+def gen_graph(model, seed=0, **params):
     """Generate a connected graph from a named random or deterministic model.
 
     Parameters
     ----------
     model : str
-        One of "regular" (d-regular, needs `d`), "barabasi_albert" (needs
-        `k`), "grid" (needs `rows`, `cols`), "knn" (needs `coords`, `k`).
-        A key the model does not take (`GENERATOR_KEYS`) is refused.
-    n : int
-        Vertex count (derived from the model parameters for grid/knn).
+        One of "regular" (d-regular, needs `n`, `d`), "barabasi_albert"
+        (needs `n`, `k`), "grid" (needs `rows`, `cols`), "knn" (needs
+        `coords`, `k`). A key passed as None counts as absent; one the
+        model does not take (`GENERATOR_KEYS`) is refused.
     seed : int
         Seeds the random models; the regular model retries with
         seed-derived streams until connected, up to a bounded number of
@@ -483,10 +472,10 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
     """
     if model not in GENERATOR_KEYS:
         raise DataError(f"unknown graph model {model!r}")
-    params = {"n": n, "d": d, "k": k, "rows": rows, "cols": cols}
-    check_keys(f"{model} generator", [key for key, v in params.items() if v is not None],
-               GENERATOR_KEYS[model])
-    n, d, k, rows, cols = (_int_param(value, key) for key, value in params.items())
+    params = check_keys(f"{model} generator", params, GENERATOR_KEYS[model])
+    coords = params.pop("coords", None)
+    n, d, k, rows, cols = (integer(params[key], key) if key in params else None
+                           for key in ("n", "d", "k", "rows", "cols"))
     if model == "regular":
         if n is None or d is None:
             raise DataError("regular model needs n and d")
@@ -498,7 +487,7 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
         last_err = None
         for attempt in range(MAX_CONNECTIVITY_RETRIES):
             try:
-                return _unit_graph(n, *_regular_edges(n, d, _attempt_rng(seed, attempt)))
+                return _unit_graph(n, *_regular_edges(n, d, numpy_rng(seed, attempt)))
             except DataError as err:
                 if "disconnected" not in str(err):
                     raise
@@ -510,7 +499,7 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
             raise DataError("barabasi_albert model needs n and k")
         if k < 1 or k >= n:
             raise DataError(f"infeasible barabasi_albert graph: n={n}, k={k}")
-        return _unit_graph(n, *_barabasi_albert_edges(n, k, _attempt_rng(seed, 0)))
+        return _unit_graph(n, *_barabasi_albert_edges(n, k, numpy_rng(seed, 0)))
     if model == "grid":
         if rows is None or cols is None or rows < 1 or cols < 1:
             raise DataError("grid model needs rows >= 1 and cols >= 1")
@@ -518,8 +507,8 @@ def gen_graph(model, n=None, seed=0, d=None, k=None, rows=None, cols=None,
             raise DataError(f"grid is {rows}x{cols}={rows * cols} vertices, got n={n}")
         return _grid_graph(rows, cols)
     if model == "knn":
-        if coords is None or k is None:
-            raise DataError("knn model needs coords and k")
+        if np.ndim(coords) != 2 or k is None:  # None and a number have no rows
+            raise DataError("knn model needs k and coords, an (n, d) array of points")
         if k < 1 or k >= len(coords):
             raise DataError(f"infeasible knn graph: k={k}, {len(coords)} points")
         return _unit_graph(len(coords), *_knn_edges(coords, k))

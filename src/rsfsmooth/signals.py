@@ -6,6 +6,7 @@ import numpy as np
 
 from . import _native
 from .errors import DataError, NumericalError
+from .forests import numpy_rng
 from .graphs import _read_table, _repeats, check_keys
 from .linalg import SmoothingProblem, solve_exact_cg
 
@@ -43,22 +44,21 @@ def load_signal(path, n):
 SIGNAL_KEYS = {"gaussian": (), "smooth": (), "constant": ("value",)}
 
 
-def synthetic_signal(graph, kind, seed=0, value=None):
+def synthetic_signal(graph, kind, seed=0, **params):
     """Generate a deterministic test signal on the graph's nodes.
 
     kind "gaussian": standard normal per node. kind "smooth": the
     gaussian of the same seed, minus its mean, smoothed by K at q = 0.01
     times the mean degree (one CG solve) and scaled to peak amplitude 1.
-    kind "constant": all nodes equal to `value`, 1 by default. A key the
-    kind does not take (`SIGNAL_KEYS`) is refused.
+    kind "constant": all nodes equal to `value`, 1 by default. A key passed
+    as None counts as absent, any other the kind lacks (`SIGNAL_KEYS`) refused.
     """
     if kind not in SIGNAL_KEYS:
         raise DataError(f"unknown synthetic signal kind {kind!r}")
-    check_keys(f"{kind} signal", [] if value is None else ["value"], SIGNAL_KEYS[kind])
+    params = check_keys(f"{kind} signal", params, SIGNAL_KEYS[kind])
     n = graph.n
     if kind == "gaussian":
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x516)))
-        return rng.standard_normal(n)
+        return numpy_rng(seed, 0x516).standard_normal(n)
     if kind == "smooth":
         if n < 2:
             raise DataError("smooth signal needs n >= 2")
@@ -69,18 +69,20 @@ def synthetic_signal(graph, kind, seed=0, value=None):
         q = 0.01 * dot(np.array(graph.degrees), ones) / n
         x, _ = solve_exact_cg(SmoothingProblem(graph, g, q))
         return x / np.max(np.abs(x))
-    return np.full(n, 1.0 if value is None else float(value))  # constant
+    return np.full(n, float(params.get("value", 1.0)))  # constant
 
 
 def psnr(clean, estimate, peak=None):
     """Peak signal-to-noise ratio, 10 log10(peak^2 / MSE).
 
     `peak` defaults to max|clean|; the MSE is floored at 1e-15 so exact
-    recovery reports a large finite value. A peak whose square overflows
-    raises NumericalError.
+    recovery reports a large finite value. Signals of two shapes raise
+    DataError, and a peak whose square overflows NumericalError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
+    if clean.shape != estimate.shape:
+        raise DataError(f"PSNR needs signals of one shape, got {clean.shape} and {estimate.shape}")
     peak = float(np.max(np.abs(clean)) if peak is None else peak)
     if peak <= 0:
         raise DataError("PSNR is undefined for an all-zero clean signal")

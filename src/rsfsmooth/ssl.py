@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._native import columns
-from .errors import DataError
+from .errors import DataError, integer
 from .estimators import (FOREST_ESTIMATORS, accumulate_forests, check_draw_budget,
                          forest_estimates, run_monte_carlo)
-from .forests import derive_seed
+from .forests import derive_seed, numpy_rng
 from .graphs import _read_table, _repeats
 from .linalg import SmoothingProblem, solve_exact_cg
 
@@ -38,9 +38,13 @@ class SSLProblem:
     labeled_set: np.ndarray = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a NaN label casts to some int, then fails below
+            self.labels = labels.astype(np.int64)
         if self.labels.shape != (self.graph.n,):
             raise DataError("labels length must equal the vertex count")
+        if not np.array_equal(self.labels, labels):
+            raise DataError("labels must be integer class ids")
         if self.labels.max() < 0:
             raise DataError("at least one vertex must carry a label")
         if not 0 < self.mu < np.inf:
@@ -155,7 +159,10 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
 
     Returns a list of row dicts, count by count: {m, method, mean_acc, std_acc}.
     """
-    counts = [int(m) for m in np.atleast_1d(labels_per_class)]
+    counts = [integer(m, "labels_per_class") for m in np.atleast_1d(labels_per_class).tolist()]
+    if not counts:
+        raise DataError("labels_per_class needs at least one count")
+    repeats = integer(repeats, "repeats")
     if repeats < 1:  # before the charge, which negative repeats and samples make positive
         raise DataError(f"repeats must be >= 1, got {repeats}")
     check_draw_budget(problem.graph, [(problem.absorption(), len(counts) * repeats * n_samples)])
@@ -176,7 +183,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     for m in counts:
         scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
         for r in range(repeats):
-            pick = np.random.default_rng(np.random.SeedSequence((int(seed), 1, r))).choice
+            pick = numpy_rng(seed, 1, r).choice
             labeled = np.concatenate([pick(mem, size=m, replace=False) for mem in members])
             sub = replace(problem, labeled_set=labeled)
             sp = _class_problem(sub)

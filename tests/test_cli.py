@@ -658,8 +658,11 @@ class TestExitCodes:
         # is no run of 10^12 draws
         (["ssl", "--labels", "@labels", "--n-samples", "-1000000", "--repeats", "-1000000"],
          "error: repeats must be >= 1, got -1000000"),
+        # the step's need of two samples is checked before the first draw
+        (["smooth", "--signal", "gaussian", "--q", "1", "--n-samples", "1",
+          "--alpha", "empirical"], "error: the empirical step size needs >= 2 samples"),
     ], ids=["denoise-no-samples", "ssl-no-samples", "ssl-count-without-holdout",
-            "ssl-negative-repeats"])
+            "ssl-negative-repeats", "smooth-empirical-one-sample"])
     def test_a_refused_run_solves_nothing(self, tmp_path, capsys, monkeypatch, command,
                                           message):
         import rsfsmooth.ssl

@@ -19,7 +19,7 @@ from scipy.sparse import csgraph
 import rsfsmooth
 from rsfsmooth import (DataError, Graph, gen_graph, load_graph, load_labels, load_signal,
                        save_graph)
-from rsfsmooth import graphs
+from rsfsmooth import forests, graphs
 from rsfsmooth.graphs import load_positions
 
 from conftest import (adjacency, assert_same_graph, cycle_graph, kernel_sets, path_graph,
@@ -450,7 +450,7 @@ def regular_from_edges(n, d, seed):
     `Graph.from_edges`, which also checks that they are simple, and the
     number of the attempt that came out connected."""
     for attempt in range(graphs.MAX_CONNECTIVITY_RETRIES):
-        edges = graphs._regular_edges(n, d, graphs._attempt_rng(seed, attempt))
+        edges = graphs._regular_edges(n, d, forests.numpy_rng(seed, attempt))
         try:
             return Graph.from_edges(n, unit_rows(*edges)), attempt
         except DataError as err:
@@ -476,7 +476,7 @@ def test_regular_graph_is_its_from_edges_twin(n, d, seed, attempt):
 
 @pytest.mark.parametrize("n,k,seed", [(120, 4, 7), (50, 1, 4), (2000, 3, 2)])
 def test_barabasi_albert_graph_is_its_from_edges_twin(n, k, seed):
-    edges = graphs._barabasi_albert_edges(n, k, graphs._attempt_rng(seed, 0))
+    edges = graphs._barabasi_albert_edges(n, k, forests.numpy_rng(seed, 0))
     for chosen in kernel_sets():
         with using_kernels(chosen):
             assert_same_graph(gen_graph("ba", n=n, k=k, seed=seed),

@@ -337,3 +337,18 @@ def test_only_the_strategy_and_resolve_alpha_compare_step_kinds():
     assert users, "the guard found no comparison at all"
     assert all(scope.startswith("estimators.AlphaStrategy.")
                or scope == "estimators.resolve_alpha" for scope in users), users
+
+
+def test_only_forests_builds_a_seed_sequence():
+    # every reference to SeedSequence, by enclosing function: the one seed
+    # rule (an integer >= 0) guards the two stream constructors, so no
+    # module builds a numpy stream beside them
+    users = package_scopes(lambda node: names(node, "SeedSequence"))
+    assert users == {"forests.derive_seed", "forests.numpy_rng"}
+
+
+def test_the_cli_leaves_the_key_tables_to_the_library():
+    # gen_graph and synthetic_signal refuse a key their table does not
+    # list; the CLI only parses the spec's text and reads no table
+    users = package_scopes(lambda node: names(node, "check_keys", "GENERATOR_KEYS"))
+    assert {scope.split(".")[0] for scope in users} == {"graphs", "signals"}, users
