@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _native
 from .errors import DataError, integer
-from .forests import numpy_rng
+from .forests import _seed, numpy_rng
 
 MAX_CONNECTIVITY_RETRIES = 100
 MAX_PAIRING_ROUNDS = 1000
@@ -466,10 +466,11 @@ def gen_graph(model, seed=0, **params):
         `coords`, `k`). A key passed as None counts as absent; one the
         model does not take (`GENERATOR_KEYS`) is refused.
     seed : int
-        Seeds the random models; the regular model retries with
-        seed-derived streams until connected, up to a bounded number of
-        attempts.
+        An integer >= 0 for every model. Seeds the random models; the
+        regular model retries with seed-derived streams until connected,
+        up to a bounded number of attempts.
     """
+    seed = _seed(seed)
     if model not in GENERATOR_KEYS:
         raise DataError(f"unknown graph model {model!r}")
     params = check_keys(f"{model} generator", params, GENERATOR_KEYS[model])
@@ -509,6 +510,8 @@ def gen_graph(model, seed=0, **params):
     if model == "knn":
         if np.ndim(coords) != 2 or k is None:  # None and a number have no rows
             raise DataError("knn model needs k and coords, an (n, d) array of points")
+        if not np.isfinite(coords).all():  # cKDTree would raise a ValueError of its own
+            raise DataError("knn coords must be finite")
         if k < 1 or k >= len(coords):
             raise DataError(f"infeasible knn graph: k={k}, {len(coords)} points")
         return _unit_graph(len(coords), *_knn_edges(coords, k))

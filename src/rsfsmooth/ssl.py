@@ -53,7 +53,12 @@ class SSLProblem:
             raise DataError("sigma must lie in [0, 1]")
         if self.labeled_set is None:
             self.labeled_set = np.flatnonzero(self.labels >= 0)
-        self.labeled_set = np.unique(np.asarray(self.labeled_set, dtype=np.int64))
+        labeled = np.asarray(self.labeled_set)
+        with np.errstate(invalid="ignore"):  # as with the labels, a NaN fails below
+            self.labeled_set = labeled.astype(np.int64)
+        if not np.array_equal(self.labeled_set, labeled):
+            raise DataError("labeled set must hold integer vertex ids")
+        self.labeled_set = np.unique(self.labeled_set)
         if len(self.labeled_set) == 0:
             raise DataError("labeled set is empty")
         if self.labeled_set.min() < 0 or self.labeled_set.max() >= self.graph.n:
@@ -150,8 +155,8 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     For each count m of `labels_per_class` (one count or a list), each
     repeat samples m labeled vertices per class uniformly without
     replacement from the ground-truth labels of `problem`, classifies with
-    every method (one forest pass per repeat serves all three forest
-    methods), and scores on the unlabeled remainder. The methods are
+    every method (one forest pass per repeat serves every count and forest
+    method), and scores on the unlabeled remainder. The methods are
     "exact" and the estimators of `forest_estimates`; where one is absent
     by design (the empirical step at n_samples = 1) its mean_acc and
     std_acc are None. The table's draws are charged, and every count
@@ -165,7 +170,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
     repeats = integer(repeats, "repeats")
     if repeats < 1:  # before the charge, which negative repeats and samples make positive
         raise DataError(f"repeats must be >= 1, got {repeats}")
-    check_draw_budget(problem.graph, [(problem.absorption(), len(counts) * repeats * n_samples)])
+    check_draw_budget(problem.graph, [(problem.absorption(), repeats * n_samples)])
     members = [np.flatnonzero(problem.labels == c) for c in range(problem.k)]
     for m in counts:
         if m < 1:
@@ -179,24 +184,24 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
             raise DataError(f"no held-out vertex: every labeled vertex would be among "
                             f"the m={m} per class")
 
-    rows = []
-    for m in counts:
-        scores = {"exact": [], **{name: [] for name in FOREST_ESTIMATORS}}
-        for r in range(repeats):
-            pick = numpy_rng(seed, 1, r).choice
-            labeled = np.concatenate([pick(mem, size=m, replace=False) for mem in members])
-            sub = replace(problem, labeled_set=labeled)
-            sp = _class_problem(sub)
-            acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
-            scores["exact"].append(ssl_exact(sub).accuracy)
-            for name, x in forest_estimates(sp, acc).items():
-                if x is not None:
-                    scores[name].append(_finish(sub, x, {}).accuracy)
-        rows += [{"m": m, "method": method,
-                  "mean_acc": float(np.mean(values)) if values else None,
-                  "std_acc": float(np.std(values)) if values else None}
-                 for method, values in scores.items()]
-    return rows
+    scores = [{"exact": [], **{name: [] for name in FOREST_ESTIMATORS}} for _ in counts]
+    for r in range(repeats):
+        picks = [numpy_rng(seed, 1, r).choice for _ in counts]  # a fresh stream per count
+        subs = [replace(problem, labeled_set=np.concatenate(
+                    [pick(mem, size=m, replace=False) for mem in members]))
+                for m, pick in zip(counts, picks)]
+        sp = SmoothingProblem(problem.graph, np.hstack([_class_problem(s).y for s in subs]),
+                              problem.absorption())  # one forest pass for every count
+        acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
+        estimates = {name: np.hsplit(x, len(counts))
+                     for name, x in forest_estimates(sp, acc).items() if x is not None}
+        for j, (sub, table) in enumerate(zip(subs, scores)):
+            table["exact"].append(ssl_exact(sub).accuracy)
+            for name, xs in estimates.items():
+                table[name].append(_finish(sub, xs[j], {}).accuracy)
+    return [{"m": m, "method": method, "mean_acc": float(np.mean(values)) if values else None,
+             "std_acc": float(np.std(values)) if values else None}
+            for m, table in zip(counts, scores) for method, values in table.items()]
 
 
 def load_labels(path, n):

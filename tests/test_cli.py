@@ -615,9 +615,10 @@ class TestExitCodes:
           "--noise-std", "0.1", "--q-grid", ",".join(["4e-6"] * 8), "--n-samples", "200"],
          "1600 forest draws over 8 q values of at least 9.667e+05 walk steps each "
          "(the larger of 9.667e+05 expected"),
-        # two counts of 600,000 draws each, of 1,000 steps
+        # 2,000 repeats of one 600-draw pass, each draw of 1,000 steps: the
+        # two counts share each repeat's pass, so the table is 1,200,000 draws
         (["ssl", "--graph", "@graph", "--labels", "@labels", "--labels-per-class", "1,1",
-          "--repeats", "1000", "--n-samples", "600"],
+          "--repeats", "2000", "--n-samples", "600"],
          "1200000 forest draws of at least 1000 walk steps each (the larger of 4 expected"),
     ], ids=["denoise", "ssl"])
     def test_a_run_past_the_budget_as_a_whole_is_refused_up_front(self, tmp_path, capsys,

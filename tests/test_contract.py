@@ -47,10 +47,17 @@ def smoothing_problem():
     (lambda: MonteCarloAccumulator(0), "an accumulator needs n >= 1 and k >= 1, got n=0, k=None"),
     (lambda: SSLProblem(graph=G, labels=LABELS + 0.5, mu=1.0, sigma=0.0),
      "labels must be integer class ids"),
+    (lambda: SSLProblem(graph=G, labels=LABELS, mu=1.0, sigma=0.0, labeled_set=[0.5, 4]),
+     "labeled set must hold integer vertex ids"),
+    (lambda: gen_graph("knn", coords=np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]]), k=1),
+     "knn coords must be finite"),
+    (lambda: gen_graph("grid", rows=2, cols=2, seed=-1), "seed must be non-negative"),
+    (lambda: gen_graph("grid", rows=2, cols=2, seed=1.5), "seed must be an integer, got 1.5"),
 ], ids=["mc-samples", "ssl-repeats", "sweep-samples", "derive-negative-seed",
         "signal-negative-seed", "forest-rng-seed", "ssl-no-counts", "ssl-count",
         "grid-coords", "regular-key", "knn-coords", "psnr-shapes", "empty-accumulator",
-        "ssl-labels"])
+        "ssl-labels", "ssl-labeled-set", "knn-nan-coords", "grid-negative-seed",
+        "grid-seed"])
 def test_an_invalid_argument_raises_a_package_error_of_one_line(call, message):
     with pytest.raises((DataError, NumericalError)) as err:
         call()

@@ -233,6 +233,21 @@ class TestAccuracyExperiment:
         assert [r["m"] for r in both] == [1] * 4 + [2] * 4
         assert repr(both) == repr(apart)
 
+    def test_each_forest_stream_is_drawn_once(self, clique_pair, monkeypatch):
+        # the forest law depends only on q, so one pass per repeat serves
+        # every count: 3 repeats of 4 draws, however many counts
+        streams = []
+
+        def recorded(seed, *key):
+            streams.append((seed, *key))
+            return forest_rng(seed, *key)
+
+        monkeypatch.setattr("rsfsmooth.estimators.forest_rng", recorded)
+        g, labels = clique_pair
+        p = SSLProblem(graph=g, labels=labels, mu=1.0, sigma=0.0)
+        accuracy_experiment(p, [1, 2], repeats=3, n_samples=4, seed=21)
+        assert len(streams) == 12 and len(set(streams)) == 12, streams
+
     def test_class_too_small(self, clique_pair):
         g, labels = clique_pair
         sparse_labels = labels.copy()
