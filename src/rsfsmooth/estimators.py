@@ -108,6 +108,8 @@ class AlphaStrategy:
     value: float = None
 
     def __post_init__(self):
+        if self.kind not in ("safe_constant", "empirical", "fixed", "oracle_optimal"):
+            raise DataError(f"unknown step-size strategy {self.kind!r}")
         if self.kind == "fixed" and (self.value is None or not math.isfinite(self.value)):
             raise DataError(f"fixed step size must be a finite number, got {self.value!r}")
 
@@ -191,15 +193,13 @@ def resolve_alpha(strategy, problem, acc=None):
         m_yy, m_xy = acc.moments[:, 1], acc.moments[:, 2]
         fallback = m_yy / (acc.count - 1) <= ZERO_VARIANCE_TOL * problem.graph.n
         alpha = np.divide(m_xy, m_yy, out=np.zeros(k), where=~fallback)
-    elif strategy.kind == "oracle_optimal":
+    else:  # oracle_optimal, the one kind left
         from .oracle import exact_estimator_moments  # test-scale, loaded only here
 
         stars = [exact_estimator_moments(problem.graph, problem.q, y).alpha_star
                  for y in _native.columns(problem.y)]
         alpha = np.array([0.0 if a is None else a for a in stars])
         fallback = np.array([a is None for a in stars])
-    else:
-        raise DataError(f"unknown step-size strategy {strategy.kind!r}")
     return (alpha, fallback) if problem.y.ndim == 2 else (float(alpha[0]), bool(fallback[0]))
 
 

@@ -80,14 +80,20 @@ def denoise_table(graph, clean, noise_std, q_grid, n_samples, seed=0):
     Returns a list of row dicts, in column order.
     """
     q_grid = np.asarray(q_grid, dtype=np.float64)
+    if q_grid.ndim != 1:
+        raise DataError(f"q grid must be a list of values, got an array of shape {q_grid.shape}")
     if q_grid.size == 0 or (q_grid <= 0).any():
         raise DataError("q grid must be nonempty and positive")
     if not 0 <= noise_std < math.inf:
         raise DataError(f"noise standard deviation must be finite and >= 0, got {noise_std!r}")
     clean = np.asarray(clean, dtype=np.float64)
+    if clean.shape != (graph.n,):
+        raise DataError(f"signal length {clean.shape} does not match n={graph.n}")
     y = clean + noise_std * numpy_rng(seed, 4).standard_normal(graph.n)
     peak = float(np.max(np.abs(clean)))
     psnr_noisy = psnr(clean, y, peak=peak)
+    for qv in q_grid:  # each row's checks, in row order; not kept, each holds an n-vector
+        SmoothingProblem(graph, y, float(qv))
     check_draw_budget(graph, [(qv, n_samples) for qv in q_grid])
 
     rows = []

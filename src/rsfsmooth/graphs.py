@@ -27,12 +27,12 @@ class Graph:
     Vertices are dense 0-based integers. All edge weights are strictly
     positive, self-loops are rejected, and the graph is required to be
     connected. Build one with `Graph.from_edges`, the gate for edges from
-    outside, which checks each of these rules. The generators and the
-    multigrid's coarse levels, valid by construction, skip those checks
-    through the private `Graph._from_csr`, which fills every graph's
-    fields; the random generators, through `_unit_graph`, check only that
-    the graph is connected. Instances are immutable after construction and
-    safe to share across threads.
+    outside, which checks each of these rules. Every graph, from the gate,
+    the generators or the multigrid's coarse levels, is laid out by the
+    private `Graph._from_arcs` from its sorted arc keys, which checks that
+    it is connected; the generators and the coarse levels make their arcs
+    simple, positive and symmetric by construction. Instances are immutable
+    after construction and safe to share across threads.
 
     Attributes
     ----------
@@ -72,8 +72,7 @@ class Graph:
         # an edge with a bad id becomes a self-loop at 0, which no valid edge repeats
         u, v = (np.where(ids_ok, x, 0).astype(np.int64) for x in (a, b))
         bad_weight = ~((w > 0) & (w < math.inf))
-        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-        arcs = rows * n + cols
+        arcs = np.concatenate([u * n + v, v * n + u])
         order = np.argsort(arcs)
         arcs = arcs[order]
         # a repeated edge, a self-loop and a bad id each leave two equal
@@ -96,22 +95,27 @@ class Graph:
             raise DataError(f"duplicate undirected edge ({int(lo[i])}, {int(hi[i])})")
         if n < 1:
             raise DataError("graph must have at least one vertex")
-        _check_connected(n, u, v)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n), dtype=np.int64)])
-        return cls._from_csr(n, indptr, cols[order], np.concatenate([w, w])[order])
+        return cls._from_arcs(n, arcs, np.concatenate([w, w])[order])
 
     @classmethod
-    def _from_csr(cls, n, indptr, indices, weights):
-        """The graph of CSR arrays that are valid by construction: int64
-        indptr and indices and float64 weights, each row's arcs sorted by
-        neighbour, every undirected edge stored as two arcs of one weight,
-        no loop, and a connected graph. Nothing is checked. The one place
-        that fills a graph's fields; `from_edges`, `_unit_graph`, the grid
-        and the multigrid's coarse levels build through it."""
+    def _from_arcs(cls, n, arcs, weights):
+        """The graph of its sorted int64 arc keys row * n + neighbour, two
+        for each undirected edge, and their float64 weights in that order.
+        Raises DataError naming the number of connected components unless
+        the arcs join all n vertices. Nothing else is checked: the caller's
+        arcs hold no loop and no repeat, and each edge's two arcs share one
+        positive weight. The one place that lays out and checks a graph:
+        `from_edges`, `_unit_graph`, the grid and the multigrid's coarse
+        levels build through it."""
+        rows = arcs // n
+        indices = arcs - rows * n
+        count = _native.kernels().components(n, rows, indices)
+        if count != 1:
+            raise DataError(f"disconnected graph: {count} connected components")
         g = cls.__new__(cls)
-        g.n, g.m = int(n), len(indices) // 2
-        g.indptr, g.indices, g.weights = indptr, indices, weights
-        rows = np.repeat(np.arange(g.n), np.diff(indptr))
+        g.n, g.m = int(n), len(arcs) // 2
+        g.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n), dtype=np.int64)])
+        g.indices, g.weights = indices, weights
         # summed in arc order; floats also where there is no arc, for which
         # bincount returns ints
         g.degrees = np.bincount(rows, weights=weights, minlength=g.n).astype(np.float64)
@@ -178,27 +182,15 @@ def _repeats(keys):
     return repeat
 
 
-def _check_connected(n, u, v):
-    """Raise DataError naming the number of connected components unless
-    the edges (u[e], v[e]), int64 ids in [0, n), join all n vertices."""
-    count = _native.kernels().components(n, u, v)
-    if count != 1:
-        raise DataError(f"disconnected graph: {count} connected components")
-
-
 def _unit_graph(n, lo, hi):
     """The graph of a generator's unit-weight simple edges (lo[e], hi[e]),
-    contiguous int64 arrays, its CSR written directly: one sort of the 2m
-    arc keys row * n + neighbour gives each row's neighbours in order, and
-    the row counts give indptr. The generators make their edges simple, so
-    only connectivity is checked, with `from_edges`'s message; the arrays
-    are those `from_edges` builds from the same edges, byte for byte."""
-    _check_connected(n, lo, hi)
+    int64 arrays: one sort of their 2m arc keys row * n + neighbour lays
+    it out, and `Graph._from_arcs` checks only that it is connected, with
+    `from_edges`'s message. Its arrays are those `from_edges` builds from
+    the same edges, byte for byte."""
     arcs = np.concatenate([lo * n + hi, hi * n + lo])
-    arcs.sort()  # in place, as is the remainder below: one array of 2m keys
-    counts = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
-    return Graph._from_csr(n, indptr, np.remainder(arcs, n, out=arcs), np.ones(len(arcs)))
+    arcs.sort()  # in place: one array of 2m keys
+    return Graph._from_arcs(n, arcs, np.ones(len(arcs)))
 
 
 def _data_lines(text):
@@ -415,17 +407,16 @@ def _barabasi_albert_edges(n, k, rng):
 
 def _grid_graph(rows, cols):
     """The rows x cols grid of unit weights, vertex r * cols + c at row r and
-    column c, its CSR written directly: each vertex's neighbours up, left,
-    right and down, in that (increasing) order, from one masked (n, 4)
-    array. It is valid by construction, so nothing is checked."""
+    column c: each vertex's neighbours up, left, right and down, in that
+    (increasing) order, from one masked (n, 4) array, so its arc keys come
+    out sorted."""
     n = rows * cols
     neighbours = np.arange(n)[:, None] + np.array([-cols, -1, 1, cols])
     present = np.ones((rows, cols, 4), dtype=bool)
     present[0, :, 0] = present[:, 0, 1] = present[:, -1, 2] = present[-1, :, 3] = False
     present = present.reshape(n, 4)
-    indices = neighbours[present]
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1), dtype=np.int64)])
-    return Graph._from_csr(n, indptr, indices, np.ones(len(indices)))
+    arcs = (neighbours + n * np.arange(n)[:, None])[present]
+    return Graph._from_arcs(n, arcs, np.ones(len(arcs)))
 
 
 def _knn_edges(coords, k):

@@ -264,10 +264,10 @@ class _Multigrid:
 
 def _quotient(g, q, lab, nc):
     """(graph, q) on the nc aggregates `lab` of g, with Q_c + L_c =
-    Pt (Q + L) P, or None where its weights or q overflow. The graph is
-    valid by construction, so it skips `Graph.from_edges`'s checks: an
-    aggregate of a connected graph is connected, and the sums of positive
-    weights are positive."""
+    Pt (Q + L) P, or None where its weights or q overflow. Its arcs are
+    valid by construction, so they skip `Graph.from_edges`'s checks: the
+    sums of positive weights are positive, and the aggregates of a
+    connected graph are connected, as `Graph._from_arcs` checks."""
     rows, cols = np.repeat(lab, np.diff(g.indptr)), lab[g.indices]
     cross = np.flatnonzero(rows < cols)  # one arc of each edge between two aggregates
     keys, edge_of = np.unique(rows[cross] * nc + cols[cross], return_inverse=True)
@@ -277,12 +277,9 @@ def _quotient(g, q, lab, nc):
         return None
     # each edge's two arcs, sorted once by (row, column); the weights are
     # floats also where there is no edge, for which bincount returns ints
-    lo, hi = keys // nc, keys % nc
-    order = np.argsort(np.concatenate([keys, hi * nc + lo]))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(np.concatenate([lo, hi]), minlength=nc),
-                                            dtype=np.int64)])
-    return Graph._from_csr(nc, indptr, np.concatenate([hi, lo])[order],
-                           np.concatenate([w, w], dtype=np.float64)[order]), qc
+    arcs = np.concatenate([keys, keys % nc * nc + keys // nc])
+    order = np.argsort(arcs)
+    return Graph._from_arcs(nc, arcs[order], np.concatenate([w, w], dtype=np.float64)[order]), qc
 
 
 _HIERARCHY_LOCK = threading.Lock()

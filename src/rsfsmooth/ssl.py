@@ -103,12 +103,16 @@ class ClassificationResult:
     diagnostics: dict
 
 
+def _class_signals(problem):
+    """The signal block D^{sigma-1} Y of the k classes, one column per class."""
+    d_in = problem.graph.degrees ** (problem.sigma - 1.0)
+    return d_in[:, None] * problem.label_matrix()
+
+
 def _class_problem(problem):
-    """The smoothing problem of the k classes: the signal block D^{sigma-1} Y,
-    one column per class, and absorption q_i = (mu/2) d_i."""
-    g = problem.graph
-    d_in = g.degrees ** (problem.sigma - 1.0)
-    return SmoothingProblem(g, d_in[:, None] * problem.label_matrix(), problem.absorption())
+    """The smoothing problem of the k classes: the signal block
+    `_class_signals` and absorption q_i = (mu/2) d_i."""
+    return SmoothingProblem(problem.graph, _class_signals(problem), problem.absorption())
 
 
 def _finish(problem, X, diagnostics):
@@ -190,7 +194,7 @@ def accuracy_experiment(problem, labels_per_class, repeats, n_samples=50, seed=0
         subs = [replace(problem, labeled_set=np.concatenate(
                     [pick(mem, size=m, replace=False) for mem in members]))
                 for m, pick in zip(counts, picks)]
-        sp = SmoothingProblem(problem.graph, np.hstack([_class_problem(s).y for s in subs]),
+        sp = SmoothingProblem(problem.graph, np.hstack([_class_signals(s) for s in subs]),
                               problem.absorption())  # one forest pass for every count
         acc, _ = accumulate_forests(sp, n_samples, derive_seed(seed, 2, r))
         estimates = {name: np.hsplit(x, len(counts))

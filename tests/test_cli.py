@@ -646,8 +646,9 @@ class TestExitCodes:
 
     # each command's checks end the run before its first CG solve: a row's
     # or a repeat's forests are drawn before its exact solve, so zero draws
-    # are refused first, and every ssl count is checked before the first
-    # count runs (a count of 2 per class leaves no vertex of the 4-cycle out)
+    # are refused first, and every denoise q and every ssl count is checked
+    # before the first row or count runs (a count of 2 per class leaves no
+    # vertex of the 4-cycle out)
     @pytest.mark.parametrize("command, message", [
         (["denoise", "--signal", "gaussian", "--noise-std", "0.1", "--q-grid", "1,2",
           "--n-samples", "0"], "error: n_samples must be >= 1"),
@@ -662,8 +663,16 @@ class TestExitCodes:
         # the step's need of two samples is checked before the first draw
         (["smooth", "--signal", "gaussian", "--q", "1", "--n-samples", "1",
           "--alpha", "empirical"], "error: the empirical step size needs >= 2 samples"),
+        # every row's q is checked before the first row's forests are drawn
+        (["denoise", "--signal", "gaussian", "--noise-std", "0.1", "--q-grid", "1,nan"],
+         "error: absorption weights q must be finite and strictly positive, a scalar or one "
+         "per vertex (n=4)"),
+        (["denoise", "--signal", "gaussian", "--noise-std", "0.1", "--q-grid", "1,inf"],
+         "error: absorption weights q must be finite and strictly positive, a scalar or one "
+         "per vertex (n=4)"),
     ], ids=["denoise-no-samples", "ssl-no-samples", "ssl-count-without-holdout",
-            "ssl-negative-repeats", "smooth-empirical-one-sample"])
+            "ssl-negative-repeats", "smooth-empirical-one-sample", "denoise-nan-q",
+            "denoise-infinite-q"])
     def test_a_refused_run_solves_nothing(self, tmp_path, capsys, monkeypatch, command,
                                           message):
         import rsfsmooth.ssl

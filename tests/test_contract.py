@@ -8,7 +8,7 @@ import pytest
 from rsfsmooth import (AlphaStrategy, DataError, MonteCarloAccumulator, NumericalError,
                        SSLProblem, SmoothingProblem, accuracy_experiment, derive_seed,
                        forest_rng, gen_graph, psnr, run_monte_carlo, synthetic_signal)
-from rsfsmooth.experiments import sweep_alpha
+from rsfsmooth.experiments import denoise_table, sweep_alpha
 
 from conftest import cycle_graph
 
@@ -53,11 +53,16 @@ def smoothing_problem():
      "knn coords must be finite"),
     (lambda: gen_graph("grid", rows=2, cols=2, seed=-1), "seed must be non-negative"),
     (lambda: gen_graph("grid", rows=2, cols=2, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: AlphaStrategy("bogus"), "unknown step-size strategy 'bogus'"),
+    (lambda: denoise_table(G, np.zeros(7), 0.1, [1.0], 2),
+     "signal length (7,) does not match n=8"),
+    (lambda: denoise_table(G, np.zeros(8), 0.1, [[1.0, 2.0]], 2),
+     "q grid must be a list of values, got an array of shape (1, 2)"),
 ], ids=["mc-samples", "ssl-repeats", "sweep-samples", "derive-negative-seed",
         "signal-negative-seed", "forest-rng-seed", "ssl-no-counts", "ssl-count",
         "grid-coords", "regular-key", "knn-coords", "psnr-shapes", "empty-accumulator",
         "ssl-labels", "ssl-labeled-set", "knn-nan-coords", "grid-negative-seed",
-        "grid-seed"])
+        "grid-seed", "unknown-step-kind", "denoise-clean-length", "denoise-q-grid-shape"])
 def test_an_invalid_argument_raises_a_package_error_of_one_line(call, message):
     with pytest.raises((DataError, NumericalError)) as err:
         call()

@@ -504,6 +504,17 @@ def test_knn_disconnected_fails():
                 assert str(err.value) == "disconnected graph: 2 connected components"
 
 
+def test_the_constructor_refuses_a_disconnected_layout():
+    # Graph._from_arcs checks every graph it lays out, whichever builder
+    # passes the arcs: two disjoint edges on 4 vertices are 2 components
+    arcs = np.array([0 * 4 + 1, 1 * 4 + 0, 2 * 4 + 3, 3 * 4 + 2])
+    for chosen in kernel_sets():
+        with using_kernels(chosen):
+            with pytest.raises(DataError) as err:
+                Graph._from_arcs(4, arcs, np.ones(4))
+            assert str(err.value) == "disconnected graph: 2 connected components"
+
+
 @st.composite
 def edge_sets(draw):
     """Simple edge sets on 1 to 40 vertices, with none to about three edges

@@ -270,15 +270,18 @@ def test_only_the_run_drivers_check_the_draw_budget():
                      "experiments.denoise_table", "ssl.accuracy_experiment"}
 
 
-def test_only_the_gate_the_grid_and_the_coarse_levels_build_unchecked_graphs():
-    # every reference to Graph._from_csr, by enclosing function. It checks
-    # nothing, so the file inputs reach it only through from_edges, and the
-    # random generators, whose edges are simple by construction, only
-    # through _unit_graph, which checks that they are connected; the grid
-    # and the multigrid's coarse levels are valid by construction
-    users = package_scopes(lambda node: names(node, "_from_csr"))
+def test_only_the_four_builders_lay_out_a_graph():
+    # every reference to Graph._from_arcs and to __new__, by enclosing
+    # function. _from_arcs lays out every graph from its sorted arc keys
+    # and checks that it is connected, the one invariant of every source:
+    # the file inputs reach it through from_edges, the random generators
+    # through _unit_graph, then the grid and the multigrid's coarse levels.
+    # It alone makes a Graph without the gate, so no builder lays out or
+    # checks a graph beside it
+    users = package_scopes(lambda node: names(node, "_from_arcs"))
     assert users == {"graphs.Graph.from_edges", "graphs._unit_graph", "graphs._grid_graph",
                      "linalg._quotient"}
+    assert package_scopes(lambda node: names(node, "__new__")) == {"graphs.Graph._from_arcs"}
 
 
 def test_only_load_graph_calls_the_gate():
