@@ -60,9 +60,21 @@
  * 90,000-vertex grid is 27-40 % cheaper. Each row is still summed
  * in arc order, and -ffp-contract=off keeps every product and sum
  * rounded on its own, so the bits do not change.
+ *
+ * float_reprs: the n finite values of v as Python's float.__repr__ writes
+ * each one, the sep_len bytes of sep between two, into out, which holds
+ * n (24 + sep_len) bytes; returns the bytes written. Each value gets the
+ * fewest significant digits that read back as it, the nearest such
+ * where there are two and the even one on a tie, in fixed notation for
+ * 1e-4 <= |x| < 1e16 (".0" on an integral value) and as d.ddde+XX
+ * otherwise. The digits come from Giulietti's Schubfach ("The Schubfach
+ * way to render doubles", 2020), three 64x128-bit products per value,
+ * in unsigned __int128. Its 617 128-bit powers of ten are worked out
+ * exactly on each call, from 5^e and 2^804 / 5^e in 32-bit limbs.
  */
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 static double uniform(uint64_t key, uint64_t k)
 {
@@ -328,4 +340,176 @@ void cholesky_solve(int64_t n, const double *l, double *b)
         for (int64_t i = 0; i < k; i++)
             b[i] -= l[k * n + i] * x;
     }
+}
+
+typedef unsigned __int128 u128;
+
+#define MASK63 ((UINT64_C(1) << 63) - 1)
+
+/* floor(a / 2^s) for the 32-bit limbs a, least significant first, where
+ * that quotient is below 2^128; a holds four limbs past limb s / 32. */
+static u128 shift_out(const uint32_t *a, int s)
+{
+    const uint32_t *l = a + s / 32;
+    u128 hi = 0;
+    for (int i = 4; i >= 1; i--)
+        hi = hi << 32 | l[i];
+    return hi << (32 - s % 32) | l[0] >> s % 32;
+}
+
+/* g[e + 292] = floor(10^e 2^r) + 1 as (its bits from 63 up, its low 63
+ * bits), with r the integer that puts 10^e 2^r in [2^125, 2^126), for
+ * e = -292, ..., 324. With b the bit length of 5^|e|, floor(10^e 2^r) is
+ * floor(5^e 2^(126 - b)) = floor(p / 2^(b + 2)) for e >= 0, with
+ * p = 5^e 2^128, and floor(2^(125 + b) / 5^-e) = floor(d / 2^(679 - b))
+ * for e < 0, with d = floor(2^804 / 5^-e) (5^292 has 679 bits). */
+static void pow10_table(uint64_t g[][2])
+{
+    uint32_t p[30] = {0}, d[30] = {0};
+    p[4] = 1;
+    d[25] = 16;
+    for (int e = 0; e <= 324; e++) {
+        if (e > 0) {
+            uint64_t carry = 0, rem = 0;
+            for (int i = 0; i < 30; i++) {
+                carry += (uint64_t)p[i] * 5;
+                p[i] = (uint32_t)carry;
+                carry >>= 32;
+            }
+            for (int i = 29; i >= 0; i--) {
+                rem = rem << 32 | d[i];
+                d[i] = (uint32_t)(rem / 5);
+                rem %= 5;
+            }
+        }
+        int top = 29;
+        while (p[top] == 0)
+            top--;
+        int bits = 32 * top + 32 - __builtin_clz(p[top]) - 128; /* of 5^e */
+        u128 up = shift_out(p, bits + 2) + 1;
+        g[e + 292][0] = (uint64_t)(up >> 63);
+        g[e + 292][1] = (uint64_t)up & MASK63;
+        if (e > 0 && e <= 292) {
+            u128 down = shift_out(d, 679 - bits) + 1;
+            g[292 - e][0] = (uint64_t)(down >> 63);
+            g[292 - e][1] = (uint64_t)down & MASK63;
+        }
+    }
+}
+
+/* cp g / 2^127 rounded to odd, for g = g[0] 2^63 + g[1] */
+static uint64_t rop(const uint64_t *g, uint64_t cp)
+{
+    uint64_t x1 = (uint64_t)((u128)g[1] * cp >> 64);
+    u128 y = (u128)g[0] * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & MASK63) + MASK63) >> 63);
+}
+
+/* The shortest decimal f 10^e that reads back as c 2^q, the nearest one
+ * where there are two and the even one on a tie: Schubfach, with the
+ * rounding interval of c 2^q halved on its lower side at a power of two. */
+static uint64_t shortest(int q, uint64_t c, const uint64_t g[][2], int *e)
+{
+    int odd = (int)(c & 1), k;
+    uint64_t cb = c << 2, cbl = cb - 2, cbr = cb + 2;
+    if (c != UINT64_C(1) << 52 || q == -1074) {
+        k = (int)(q * INT64_C(661971961083) >> 41); /* floor(log10 2^q) */
+    } else {
+        cbl = cb - 1;
+        k = (int)((q * INT64_C(661971961083) - INT64_C(274743187321)) >> 41); /* (3/4) 2^q */
+    }
+    int h = q + (int)(-k * INT64_C(913124641741) >> 38) + 2; /* floor(log2 10^-k) */
+    const uint64_t *gk = g[292 - k];
+    uint64_t vb = rop(gk, cb << h), vbl = rop(gk, cbl << h), vbr = rop(gk, cbr << h);
+    uint64_t s = vb >> 2, sp10 = s / 10 * 10, tp10 = sp10 + 10, t = s + 1;
+    *e = k;
+    int upin = vbl + odd <= sp10 << 2, wpin = (tp10 << 2) + odd <= vbr;
+    if (upin != wpin)
+        return upin ? sp10 : tp10;
+    int uin = vbl + odd <= s << 2, win = (t << 2) + odd <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    int64_t cmp = (int64_t)(vb - ((s + t) << 1));
+    return cmp < 0 || (cmp == 0 && (s & 1) == 0) ? s : t;
+}
+
+static char *write_repr(double x, const uint64_t g[][2], char *out)
+{
+    uint64_t bits, f;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *out++ = '-';
+    uint64_t c = bits & ((UINT64_C(1) << 52) - 1);
+    int bq = (int)(bits >> 52 & 0x7ff), e = 0;
+    if (bq == 0 && c == 0) {
+        memcpy(out, "0.0", 3);
+        return out + 3;
+    }
+    if (bq == 0) {
+        f = shortest(-1074, c, g, &e);
+    } else {
+        int q = bq - 1075;
+        c |= UINT64_C(1) << 52;
+        if (-53 < q && q < 0 && (c & ((UINT64_C(1) << -q) - 1)) == 0)
+            f = c >> -q; /* an integer below 2^53: its own digits */
+        else
+            f = shortest(q, c, g, &e);
+    }
+    for (; f % 10 == 0; f /= 10)
+        e++;
+    char buf[20], *d = buf + 20;
+    for (; f; f /= 10)
+        *--d = (char)('0' + f % 10);
+    int len = (int)(buf + 20 - d), point = len + e; /* x = 0.d 10^point */
+    if (-4 < point && point <= 0) {
+        memcpy(out, "0.000", 2 - point);
+        out += 2 - point;
+        memcpy(out, d, len);
+        out += len;
+    } else if (0 < point && point < len) {
+        memcpy(out, d, point);
+        out += point;
+        *out++ = '.';
+        memcpy(out, d + point, len - point);
+        out += len - point;
+    } else if (len <= point && point <= 16) {
+        memcpy(out, d, len);
+        out += len;
+        for (int i = len; i < point; i++)
+            *out++ = '0';
+        memcpy(out, ".0", 2);
+        out += 2;
+    } else {
+        *out++ = d[0];
+        if (len > 1) {
+            *out++ = '.';
+            memcpy(out, d + 1, len - 1);
+            out += len - 1;
+        }
+        int p = point - 1;
+        *out++ = 'e';
+        *out++ = p < 0 ? '-' : '+';
+        p = p < 0 ? -p : p;
+        if (p >= 100)
+            *out++ = (char)('0' + p / 100);
+        *out++ = (char)('0' + p / 10 % 10);
+        *out++ = (char)('0' + p % 10);
+    }
+    return out;
+}
+
+int64_t float_reprs(int64_t n, const double *v, const char *sep, int64_t sep_len, char *out)
+{
+    uint64_t g[617][2];
+    pow10_table(g);
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        if (i > 0) {
+            memcpy(p, sep, sep_len);
+            p += sep_len;
+        }
+        p = write_repr(v[i], g, p);
+    }
+    return p - out;
 }

@@ -1,8 +1,9 @@
 """The package's hot loops: the connectivity check of a new graph, the
 forest draw and the walk tables it bisects, the estimator's tree averages
 and accumulator update, the Laplacian apply, the conjugate-gradient passes
-with their fixed-order dot product, plain CG's iterations in one call, and
-the passes and dense Cholesky solve of CG's multigrid preconditioner.
+with their fixed-order dot product, plain CG's iterations in one call, the
+passes and dense Cholesky solve of CG's multigrid preconditioner, and the
+writer of a JSON output's float vectors.
 
 They come in two sets of one type, `Kernels`: `compiled()`, the loops of
 `_native.c`, compiled once into $XDG_CACHE_HOME/rsfsmooth (default
@@ -26,12 +27,13 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 class Kernels(NamedTuple):
     """The loops of the connectivity check, the forest draw, the estimator,
-    the Laplacian apply, CG and its multigrid preconditioner, on contiguous
-    arrays, writing only the arrays named below. A signal is a vector of n
-    values or a block of k such columns, each contiguous (`columns`). Every
-    dot product sums element i into lane i % 4, each lane from +0.0 in index
-    order, and returns (s0 + s1) + (s2 + s3), so its bits depend on the
-    inputs alone, not on the CPU or the BLAS."""
+    the Laplacian apply, CG and its multigrid preconditioner, and the JSON
+    float writer, on contiguous arrays, writing only the arrays named
+    below. A signal is a vector of n values or a block of k such columns,
+    each contiguous (`columns`). Every dot product sums element i into lane
+    i % 4, each lane from +0.0 in index order, and returns
+    (s0 + s1) + (s2 + s3), so its bits depend on the inputs alone, not on
+    the CPU or the BLAS."""
 
     wilson: Callable     # (g, q, key, position, max_steps, out) -> steps, or -1 past
                          # max_steps, after out = (root_of, parent_of) of one forest
@@ -63,6 +65,8 @@ class Kernels(NamedTuple):
                          # x += ec[lab]; out = x + winv (b - A x)
     cholesky: Callable   # (a) -> None, after a = its lower Cholesky factor L, by columns
     solve: Callable      # (l, b) -> None, after b = (L L^T)^{-1} b, by columns
+    float_reprs: Callable  # (v, sep) -> the text sep.join(map(float.__repr__, v)) of
+                           # a finite float64 vector v, for an ASCII sep
 
 
 _KERNELS = None  # the chosen set, decided on first use
@@ -172,6 +176,13 @@ def compiled():
                           threshold, steps, ctypes.byref(rs))
         return done, rs.value
 
+    def float_reprs(v, sep):
+        # a repr takes at most 24 characters ("-1.2345678901234567e-308")
+        v, sep = np.ascontiguousarray(v, dtype=np.float64), sep.encode("ascii")
+        out = bytearray(len(v) * (24 + len(sep)) + 1)  # + 1: address() refuses b""
+        size = lib.float_reprs(len(v), v.ctypes.data, sep, len(sep), address(out))
+        return str(memoryview(out)[:size], "ascii")
+
     return Kernels(
         wilson=wilson,
         walk_tables=walk_tables,
@@ -192,7 +203,8 @@ def compiled():
             address(q), address(winv), address(b), address(x), address(lab), address(ec),
             address(out)),
         cholesky=lambda a: lib.cholesky(len(a), address(a)),
-        solve=lambda l, b: lib.cholesky_solve(len(b), address(l), address(b)))
+        solve=lambda l, b: lib.cholesky_solve(len(b), address(l), address(b)),
+        float_reprs=float_reprs)
 
 
 def _build():
@@ -238,7 +250,8 @@ def _build():
             ("mg_restrict", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr], None),
             ("mg_prolong", [i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr], None),
             ("cholesky", [i64, ptr], None),
-            ("cholesky_solve", [i64, ptr, ptr], None)):
+            ("cholesky_solve", [i64, ptr, ptr], None),
+            ("float_reprs", [i64, ptr, ctypes.c_char_p, i64, ptr], i64)):
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype
     return lib

@@ -246,7 +246,12 @@ def _solve_numpy(l, b):
         b[:k] -= l[k, :k] * b[k]
 
 
+def _float_reprs_python(v, sep):
+    return sep.join(map(float.__repr__, v.tolist()))
+
+
 TWINS = Kernels(_wilson_python, _walk_tables_python, _components_numpy,
                 _tree_averages_numpy, _accumulate_numpy, _laplacian_bincount, _dot_numpy,
                 _product_numpy, _residual_numpy, _direction_numpy, _plain_numpy,
-                _restrict_numpy, _prolong_numpy, _cholesky_numpy, _solve_numpy)
+                _restrict_numpy, _prolong_numpy, _cholesky_numpy, _solve_numpy,
+                _float_reprs_python)

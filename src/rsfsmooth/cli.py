@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 
+from . import _native
 from .errors import DataError, NumericalError
 from .forests import _seed
 from .graphs import gen_graph, load_graph, load_positions, save_graph
@@ -114,7 +115,10 @@ def _pyify(obj):
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):  # one check; a value walk only to name the culprit
-        return obj.tolist() if np.isfinite(obj).all() else _pyify(obj.tolist())
+        if not np.isfinite(obj).all():
+            return _pyify(obj.tolist())
+        # a float vector stays an array, which _json_text writes by `float_reprs`
+        return obj if obj.ndim == 1 and obj.dtype == np.float64 and obj.size else obj.tolist()
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
@@ -126,18 +130,24 @@ _JSON_SCALARS = {float, int, str, bool, type(None)}
 
 
 def _json_text(obj, indent=""):
-    """json.dumps(obj, indent=2), nested `indent` deep, the same text. A
-    list of scalars goes through the C encoder, which the indenting
-    encoder does not use: its items joined by the same separator."""
+    """json.dumps(obj, indent=2), nested `indent` deep, the same text, a
+    float vector (see _pyify) written as the list of its values. A list of
+    scalars goes through the C encoder, which the indenting encoder does
+    not use, and a float vector through the kernels' `float_reprs`, which
+    writes each value as float.__repr__ does, as the encoder does: their
+    items joined by the same separator."""
     inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict) and obj:
         items = (f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-        body, brackets = (",\n" + inner).join(items), "{}"
+        body, brackets = sep.join(items), "{}"
+    elif isinstance(obj, np.ndarray):
+        body, brackets = _native.kernels().float_reprs(obj, sep), "[]"
     elif isinstance(obj, list) and obj:
         if set(map(type, obj)) <= _JSON_SCALARS:
-            body = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+            body = json.dumps(obj, separators=(sep, ": "))[1:-1]
         else:
-            body = (",\n" + inner).join(_json_text(v, inner) for v in obj)
+            body = sep.join(_json_text(v, inner) for v in obj)
         brackets = "[]"
     else:
         return json.dumps(obj)

@@ -23,6 +23,9 @@ def sweep_alpha(graph, y, q, alpha_grid, n_samples, realizations, seed=0):
     per grid step and whose other entries are scalars.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=np.float64)
+    if alpha_grid.ndim != 1:
+        raise DataError(f"alpha grid must be a list of values, got an array of shape "
+                        f"{alpha_grid.shape}")
     if alpha_grid.size == 0:
         raise DataError("alpha grid is empty")
     if not np.isfinite(alpha_grid).all():

@@ -47,8 +47,10 @@ def forest_rng(seed, *key):
 
 
 def derive_seed(seed, *key):
-    """A fresh integer seed derived from (seed, key), for nested runs."""
-    ss = np.random.SeedSequence(entropy=_seed(seed), spawn_key=tuple(int(k) for k in key))
+    """A fresh integer seed derived from (seed, key), for nested runs; each
+    key is a non-negative integer, as the seed is."""
+    ss = np.random.SeedSequence(entropy=_seed(seed),
+                                spawn_key=tuple(_seed(k, "seed key") for k in key))
     return int(ss.generate_state(2, np.uint64)[0])
 
 
@@ -57,9 +59,9 @@ def numpy_rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence((_seed(seed), *key)))
 
 
-def _seed(seed):  # the seed rule of both streams
-    if integer(seed, "seed") < 0:
-        raise DataError("seed must be non-negative")
+def _seed(seed, name="seed"):  # the seed rule of both streams, and of derive_seed's keys
+    if integer(seed, name) < 0:
+        raise DataError(f"{name} must be non-negative")
     return int(seed)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, integer
 from .forests import CounterStream, _absorption_weights, sample_forest
 from .graphs import Graph
 
@@ -306,12 +306,13 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
 
     Returns (x, iterations). The iteration stops once the residual
     satisfies ||Qy - (Q+L)x|| <= tol * ||Qy||; raises `NumericalError`
-    if Qy is not finite, if that is not reached within max_iter
-    (default 10n) iterations, plain and preconditioned together, or if
-    the true residual stalls: where the recursive residual passes tol
-    and the true one does not, CG restarts from the true one, and it
-    stops once _STALL_RESTARTS such restarts in a row have not brought
-    the true residual below its smallest value at an earlier one.
+    if Qy is not finite, if that is not reached within max_iter (an
+    integer >= 1, default 10n) iterations, plain and preconditioned
+    together, or if the true residual stalls: where the recursive
+    residual passes tol and the true one does not, CG restarts from the
+    true one, and it stops once _STALL_RESTARTS such restarts in a row
+    have not brought the true residual below its smallest value at an
+    earlier one.
     CG runs plain; where 1 + 2 d_max / q_min exceeds _MULTIGRID_BOUND,
     it takes the hierarchy (`problem.multigrid`) after
     _PLAIN_ITERATIONS / 4 iterations if the relative residual is then
@@ -331,8 +332,9 @@ def solve_exact_cg(problem, tol=1e-10, max_iter=None):
     if problem.y.ndim != 1:
         raise DataError(f"CG solves one signal at a time, not a block of shape "
                         f"{problem.y.shape}")
-    if max_iter is None:
-        max_iter = 10 * g.n
+    max_iter = 10 * g.n if max_iter is None else integer(max_iter, "max_iter")
+    if max_iter < 1:
+        raise DataError(f"max_iter must be >= 1, got {max_iter}")
     b = q * problem.y
     top = float(np.max(np.abs(b)))
     if not math.isfinite(top):

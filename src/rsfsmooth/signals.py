@@ -76,13 +76,16 @@ def psnr(clean, estimate, peak=None):
     """Peak signal-to-noise ratio, 10 log10(peak^2 / MSE).
 
     `peak` defaults to max|clean|; the MSE is floored at 1e-15 so exact
-    recovery reports a large finite value. Signals of two shapes raise
-    DataError, and a peak whose square overflows NumericalError.
+    recovery reports a large finite value. Signals of two shapes, or
+    empty ones, raise DataError, and a peak whose square overflows
+    NumericalError.
     """
     clean = np.asarray(clean, dtype=np.float64)
     estimate = np.asarray(estimate, dtype=np.float64)
     if clean.shape != estimate.shape:
         raise DataError(f"PSNR needs signals of one shape, got {clean.shape} and {estimate.shape}")
+    if clean.size == 0:
+        raise DataError("PSNR needs non-empty signals")
     peak = float(np.max(np.abs(clean)) if peak is None else peak)
     if peak <= 0:
         raise DataError("PSNR is undefined for an all-zero clean signal")

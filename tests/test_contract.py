@@ -7,7 +7,8 @@ import pytest
 
 from rsfsmooth import (AlphaStrategy, DataError, MonteCarloAccumulator, NumericalError,
                        SSLProblem, SmoothingProblem, accuracy_experiment, derive_seed,
-                       forest_rng, gen_graph, psnr, run_monte_carlo, synthetic_signal)
+                       forest_rng, gen_graph, psnr, run_monte_carlo, solve_exact_cg,
+                       synthetic_signal)
 from rsfsmooth.experiments import denoise_table, sweep_alpha
 
 from conftest import cycle_graph
@@ -58,11 +59,23 @@ def smoothing_problem():
      "signal length (7,) does not match n=8"),
     (lambda: denoise_table(G, np.zeros(8), 0.1, [[1.0, 2.0]], 2),
      "q grid must be a list of values, got an array of shape (1, 2)"),
+    (lambda: sweep_alpha(G, np.arange(8.0), 1.0, [[0.0, 0.5]], n_samples=2, realizations=2),
+     "alpha grid must be a list of values, got an array of shape (1, 2)"),
+    (lambda: sweep_alpha(G, np.arange(8.0), 1.0, 0.5, n_samples=2, realizations=2),
+     "alpha grid must be a list of values, got an array of shape ()"),
+    (lambda: solve_exact_cg(smoothing_problem(), max_iter=2.5),
+     "max_iter must be an integer, got 2.5"),
+    (lambda: solve_exact_cg(smoothing_problem(), max_iter=-1), "max_iter must be >= 1, got -1"),
+    (lambda: psnr(np.array([]), np.array([])), "PSNR needs non-empty signals"),
+    (lambda: derive_seed(0, -1), "seed key must be non-negative"),
+    (lambda: derive_seed(0, 1.5), "seed key must be an integer, got 1.5"),
 ], ids=["mc-samples", "ssl-repeats", "sweep-samples", "derive-negative-seed",
         "signal-negative-seed", "forest-rng-seed", "ssl-no-counts", "ssl-count",
         "grid-coords", "regular-key", "knn-coords", "psnr-shapes", "empty-accumulator",
         "ssl-labels", "ssl-labeled-set", "knn-nan-coords", "grid-negative-seed",
-        "grid-seed", "unknown-step-kind", "denoise-clean-length", "denoise-q-grid-shape"])
+        "grid-seed", "unknown-step-kind", "denoise-clean-length", "denoise-q-grid-shape",
+        "sweep-alpha-grid-shape", "sweep-alpha-grid-scalar", "cg-max-iter",
+        "cg-negative-max-iter", "psnr-empty", "derive-negative-key", "derive-key"])
 def test_an_invalid_argument_raises_a_package_error_of_one_line(call, message):
     with pytest.raises((DataError, NumericalError)) as err:
         call()
@@ -80,3 +93,10 @@ def test_a_key_passed_as_none_counts_as_absent():
     for kind in ("gaussian", "smooth", "constant"):
         assert np.array_equal(synthetic_signal(G, kind, seed=3, value=None),
                               synthetic_signal(G, kind, seed=3)), kind
+
+
+def test_an_integral_seed_key_keeps_its_stream():
+    # each key is the spawn key numpy's SeedSequence took before the key rule
+    for seed, key in [(0, (1,)), (7, (3, 2)), (5, (np.int64(4), 2.0)), (1, (2**40, 0))]:
+        state = np.random.SeedSequence(entropy=seed, spawn_key=tuple(int(k) for k in key))
+        assert derive_seed(seed, *key) == int(state.generate_state(2, np.uint64)[0])

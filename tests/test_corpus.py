@@ -32,6 +32,7 @@ from rsfsmooth.cli import run
 # of the 30 x 30 grid has the class of its band of ten columns (LABELS) and
 # a clean signal of -1, 0 or 1 by that band (SIGNAL); GRAPH is the grid's
 # edge list, and COORDS jitters the grid's points for the knn generator.
+# WIDE is a signal of 30 values of alternating sign, 10^-9 up to 10^20.
 SSL = ("ssl --gen grid:rows=30,cols=30 --labels LABELS --n-samples 10 --repeats 2 "
        "--labels-per-class 1,5")
 
@@ -94,6 +95,12 @@ ROWS = {
         "denoise --graph GRAPH --signal SIGNAL --noise-std 0.5 --q-grid log:0.01,10,5 "
         "--n-samples 2",
         "936cc615a131125c1e6e8c3b02def3365989d39a584dac8195bbd71936f6bb74"),
+    # outputs of both signs from 1e-9 to 1e20, each about 0.99999999999779
+    # times its input: repr writes those below 1e-4 and from 1e16 up in
+    # exponent notation, the rest in fixed
+    "exact-wide": (
+        "exact --gen grid:rows=5,cols=6 --signal WIDE --q 1e12",
+        "fdf0590cb820da0a8cd3f388f642f0a6ce77b6fc74ad2a0e9b2e20f9c3abf67e"),
     "ssl-knn": (
         "ssl --gen knn:k=8 --coords COORDS --labels LABELS --mu 1 --n-samples 10 "
         "--repeats 2 --labels-per-class 1,5",
@@ -111,7 +118,8 @@ ROWS = {
 def inputs(work):
     """The input files' paths in work, written on first use."""
     files = {"LABELS": work / "labels.csv", "SIGNAL": work / "signal.txt",
-             "GRAPH": work / "grid.txt", "COORDS": work / "coords.csv"}
+             "GRAPH": work / "grid.txt", "COORDS": work / "coords.csv",
+             "WIDE": work / "wide.txt"}
     if not files["LABELS"].exists():
         band = [v % 30 // 10 for v in range(900)]
         files["LABELS"].write_text("".join(f"{v},{c}\n" for v, c in enumerate(band)))
@@ -122,6 +130,7 @@ def inputs(work):
         files["COORDS"].write_text("".join(
             f"{v % 30 + v * 37 % 101 / 202},{v // 30 + v * 53 % 103 / 206}\n"
             for v in range(900)))
+        files["WIDE"].write_text("".join(f"{(-1) ** v * 10.0 ** (v - 9)!r}\n" for v in range(30)))
     return {token: str(path) for token, path in files.items()}
 
 

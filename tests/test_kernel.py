@@ -1,6 +1,6 @@
 """The compiled Wilson kernel against its Python twin, the counter-based
-stream, the walk tables, the estimator's loops, and how the kernels are
-built, cached and chosen."""
+stream, the walk tables, the estimator's loops, the float writer, and how
+the kernels are built, cached and chosen."""
 
 import os
 import re
@@ -260,6 +260,33 @@ def test_kernel_builds_once_and_matches_the_fallback(tmp_path):
     assert out_py.read_bytes() == out_c.read_bytes()
 
 
+def float_edges():
+    """Values where a shortest round-trip writer is most easily wrong: the
+    zeros, the subnormal ends, the smallest normal, the largest value,
+    every power of two (whose rounding interval is narrower below), and
+    repr's switches between fixed and exponent notation with their
+    neighbours, each of both signs."""
+    tiny = np.nextafter(2.2250738585072014e-308, 0.0)
+    values = [0.0, 5e-324, tiny, 2.2250738585072014e-308, 1.7976931348623157e308,
+              *np.ldexp(1.0, np.arange(-1074, 1024))]
+    for x in (1e-5, 1e-4, 1e15, 1e16):
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    return np.concatenate([values, np.negative(values)])
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_compiled_float_writer_is_float_repr():
+    bits = np.random.default_rng(34).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = np.concatenate([float_edges(), values[np.isfinite(values)]])
+    write, twin = _native.compiled().float_reprs, _twins.TWINS.float_reprs
+    assert write(values, "\n").split("\n") == list(map(float.__repr__, values.tolist()))
+    # the JSON separator, a strided view, a single value and no value at all
+    for v, sep in [(values[:1000], ",\n    "), (values[1:2000:2], ", "), (values[:1], ","),
+                   (values[:0], ",")]:
+        assert write(v, sep) == twin(v, sep)
+
+
 def fake_cc_that_fails(tmp_path):
     """A directory holding only a `cc` that exits 1, to stand for PATH."""
     bin_dir = tmp_path / "bin"
@@ -329,7 +356,7 @@ EXPORTED = {"wilson": "wilson", "walk_tables": "walk_tables", "components": "com
             "laplacian": "laplacian", "dot": "dot", "cg_product": "product",
             "cg_residual": "residual", "cg_direction": "direction", "cg_plain": "plain",
             "mg_restrict": "restrict", "mg_prolong": "prolong", "cholesky": "cholesky",
-            "cholesky_solve": "solve"}
+            "cholesky_solve": "solve", "float_reprs": "float_reprs"}
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
